@@ -103,37 +103,59 @@ def save_checkpoint(path, ckpt: Checkpoint):
 
 
 def load_checkpoint(path) -> Checkpoint:
+    """Read a checkpoint.  Every way a file can fail to decode (too short,
+    unreadable header, missing or mistyped fields, sizes that disagree)
+    raises CheckpointError naming the file."""
     with open(path, "rb") as fh:
         blob = fh.read()
     if blob[:4] != MAGIC:
         raise CheckpointError(f"{path} is not a checkpoint file (bad magic)")
+    if len(blob) < 16:
+        raise CheckpointError(f"{path} is truncated: {len(blob)} bytes, the preamble needs 16")
     version = int(np.frombuffer(blob[4:8], dtype="<u4")[0])
     if version != VERSION:
         raise CheckpointVersionError(
             f"checkpoint {path} has format version {version}; "
             f"this build reads version {VERSION}"
         )
+    try:
+        return _decode(blob, version)
+    except CheckpointError as err:
+        raise CheckpointError(f"{path}: {err}") from None
+    except (ArithmeticError, KeyError, IndexError, TypeError, ValueError) as err:
+        raise CheckpointError(f"{path} is corrupt: {type(err).__name__}: {err}") from None
+
+
+def _decode(blob: bytes, version: int) -> Checkpoint:
     header_len = int(np.frombuffer(blob[8:16], dtype="<u8")[0])
+    if 16 + header_len > len(blob):
+        raise CheckpointError(f"header of {header_len} bytes runs past the end of the file")
     header = json.loads(blob[16 : 16 + header_len].decode("utf-8"))
-    count = header["param_count"]
-    payload = np.frombuffer(blob[16 + header_len :], dtype="<f8")
-    if payload.size != 5 * count:
-        raise CheckpointError(f"payload has {payload.size} floats, expected {5 * count}")
+    count = _field(header, "param_count", int)
+    payload_bytes = blob[16 + header_len :]
+    if len(payload_bytes) != 5 * 8 * count:
+        raise CheckpointError(
+            f"payload has {len(payload_bytes)} bytes, expected {5 * 8 * count} "
+            f"({5 * count} floats)"
+        )
+    payload = np.frombuffer(payload_bytes, dtype="<f8")
     chunks = [payload[i * count : (i + 1) * count].astype(np.float64) for i in range(5)]
 
-    config = ModelConfig(**header["model_config"])
+    config = ModelConfig(**_field(header, "model_config", dict))
     params = model.empty_model_params(config)
     unflatten_into(params, chunks[0])
-    r = header["radam"]
+    r = _field(header, "radam", dict)
     radam = RAdamState(
-        m=chunks[1], v=chunks[2], step=r["step"], lr=r["lr"], beta1=r["beta1"],
-        beta2=r["beta2"], eps=r["eps"],
+        m=chunks[1], v=chunks[2], step=_field(r, "step", int), lr=_field(r, "lr", float),
+        beta1=_field(r, "beta1", float), beta2=_field(r, "beta2", float),
+        eps=_field(r, "eps", float),
     )
-    t = header["tta"]
+    t = _field(header, "tta", dict)
+    long, short = (_field(t, name, dict) for name in ("long", "short"))
     tta = TtaState(
-        long=Tail(chunks[3], t["long"]["start"], t["long"]["count"]),
-        short=Tail(chunks[4], t["short"]["start"], t["short"]["count"]),
-        step=t["step"],
+        long=Tail(chunks[3], _field(long, "start", int), _field(long, "count", int)),
+        short=Tail(chunks[4], _field(short, "start", int), _field(short, "count", int)),
+        step=_field(t, "step", int),
     )
     return Checkpoint(
         version=version,
@@ -141,10 +163,21 @@ def load_checkpoint(path) -> Checkpoint:
         params=params,
         radam=radam,
         tta=tta,
-        rng_state=header["rng"],
-        best_val_nats=header["best_val_nats"],
-        lr=header["lr"],
+        rng_state=_field(header, "rng", dict),
+        best_val_nats=_field(header, "best_val_nats", float),
+        lr=_field(header, "lr", float),
     )
+
+
+def _field(section, key: str, kind: type):
+    """section[key], checked to be a `kind` (an int also passes as a float)."""
+    if not isinstance(section, dict) or key not in section:
+        raise CheckpointError(f"header lacks '{key}'")
+    value = section[key]
+    kinds = (int, float) if kind is float else kind
+    if isinstance(value, bool) or not isinstance(value, kinds):
+        raise CheckpointError(f"header field '{key}' is {value!r}, not {kind.__name__}")
+    return value
 
 
 def checkpoint_from_snapshot(

@@ -103,18 +103,18 @@ def _check_model(cell: str, tied: bool, samples: int, keep: float) -> float:
     inputs = rng.integers(0, config.vocab_size, (1, 4))
     inputs[0, 2] = inputs[0, 0]  # a repeated token exercises gradient scatter-add
     targets = rng.integers(0, config.vocab_size, (1, 4))
-    mask_sets = [model.sample_masks(rng, config, 1, 4) for _ in range(samples)]
+    masks = model.sample_masks(rng, config, 1, 4, samples)
     batch = WindowBatch(inputs=inputs, targets=targets, states=None)
     theta0 = flatten(params)
 
     def loss_fn(theta):
         unflatten_into(params, theta)
-        loss, _, _ = model.window_loss_with_masks(params, config, batch, mask_sets)
+        loss, _, _ = model.window_loss_with_masks(params, config, batch, masks)
         return loss
 
     numeric = finite_difference_gradient(loss_fn, theta0)
     unflatten_into(params, theta0)
-    _, grads, _ = model.window_loss_with_masks(params, config, batch, mask_sets)
+    _, grads, _ = model.window_loss_with_masks(params, config, batch, masks)
     return max_relative_error(flatten(grads), numeric)
 
 

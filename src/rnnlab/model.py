@@ -140,21 +140,47 @@ def zero_states(config: ModelConfig, batch: int) -> list:
     ]
 
 
-def sample_masks(rng: Rng, config: ModelConfig, batch: int, horizon: int) -> MaskSet:
+def sample_masks(
+    rng: Rng, config: ModelConfig, batch: int, horizon: int, samples: int = 1
+) -> MaskSet:
     """Fresh input/cell/output masks per timestep; one state mask per layer
-    shared across the whole window."""
+    shared across the whole window.
+
+    `samples` independent draws are stacked along the batch axis, draw d in
+    rows d*batch:(d+1)*batch.  Each family is drawn once, straight into its
+    slot, in the order `samples` separate calls would use the rng: draw 0's
+    four families, then draw 1's, and so on."""
     n = config.state_size
     dtype = config.np_dtype
-    if config.input_mask_rows:
-        m_in = bernoulli_mask(rng, (horizon, batch, 1), config.keep_in)
-        m_in = np.broadcast_to(m_in, (horizon, batch, n)).copy()
-    else:
-        m_in = bernoulli_mask(rng, (horizon, batch, n), config.keep_in)
-    m_cell = bernoulli_mask(rng, (config.layers, horizon, batch, n), config.keep_cell)
-    m_state = bernoulli_mask(rng, (config.layers, batch, n), config.keep_state)
-    m_out = bernoulli_mask(rng, (horizon, batch, n), config.keep_out)
+    rows = samples * batch
+    masks = MaskSet(
+        m_in=np.empty((horizon, rows, n), dtype=dtype),
+        m_cell=np.empty((config.layers, horizon, rows, n), dtype=dtype),
+        m_state=np.empty((config.layers, rows, n), dtype=dtype),
+        m_out=np.empty((horizon, rows, n), dtype=dtype),
+    )
+    in_width = 1 if config.input_mask_rows else n  # rows: one draw per embedding vector
+    for d in range(samples):
+        part = slice(d * batch, (d + 1) * batch)
+        bernoulli_mask(rng, (horizon, batch, in_width), config.keep_in, out=masks.m_in[:, part])
+        bernoulli_mask(
+            rng, (config.layers, horizon, batch, n), config.keep_cell,
+            out=masks.m_cell[:, :, part],
+        )
+        bernoulli_mask(
+            rng, (config.layers, batch, n), config.keep_state, out=masks.m_state[:, part]
+        )
+        bernoulli_mask(rng, (horizon, batch, n), config.keep_out, out=masks.m_out[:, part])
+    return masks
+
+
+def stack_masks(mask_sets: list) -> MaskSet:
+    """Stack per-draw mask sets along the batch axis, draw d in rows d*B:(d+1)*B."""
     return MaskSet(
-        m_in.astype(dtype), m_cell.astype(dtype), m_state.astype(dtype), m_out.astype(dtype)
+        m_in=np.concatenate([m.m_in for m in mask_sets], axis=1),
+        m_cell=np.concatenate([m.m_cell for m in mask_sets], axis=2),
+        m_state=np.concatenate([m.m_state for m in mask_sets], axis=1),
+        m_out=np.concatenate([m.m_out for m in mask_sets], axis=1),
     )
 
 
@@ -329,36 +355,47 @@ def mix_sample_log_probs(sample_log_probs):
     return log_sum_exp(stacked, axis=0) - np.log(stacked.shape[0])
 
 
-def window_loss_with_masks(params, config, batch: WindowBatch, mask_sets: list):
-    """Multi-sample loss over explicit mask draws; gradients flow through all
-    samples.  Carried-out states come from the first sample."""
-    num_samples = len(mask_sets)
-    log_probs = []
-    caches = []
-    final_states = None
-    for masks in mask_sets:
-        lp, cache, states = forward_window(params, config, batch.inputs, masks, batch.states)
-        log_probs.append(lp)
-        caches.append(cache)
-        if final_states is None:
-            final_states = states
+def window_loss_with_masks(params, config, batch: WindowBatch, masks):
+    """Multi-sample loss over explicit mask draws.
 
+    `masks` holds D draws stacked along the batch axis (D*B rows, as
+    sample_masks returns them); a list of per-draw MaskSets is stacked first.
+    The D samples run as one forward and one backward pass at batch D*B, so
+    gradients flow through all of them.  Carried-out states come from the
+    first sample."""
+    if not isinstance(masks, MaskSet):
+        masks = stack_masks(masks)
     bsz, horizon = batch.inputs.shape
-    rows = np.arange(bsz)[:, None]
+    num_samples, leftover = divmod(masks.m_state.shape[1], bsz)
+    if leftover or num_samples < 1:
+        raise ValueError(
+            f"masks have {masks.m_state.shape[1]} batch rows, "
+            f"not a positive multiple of batch {bsz}"
+        )
+    inputs = np.tile(batch.inputs, (num_samples, 1))
+    targets = np.tile(batch.targets, (num_samples, 1))
+    states = batch.states
+    if states is not None:
+        states = [
+            CellState(np.tile(s.c, (num_samples, 1)), np.tile(s.h, (num_samples, 1)))
+            for s in states
+        ]
+    log_probs, cache, final_states = forward_window(params, config, inputs, masks, states)
+
+    rows = np.arange(num_samples * bsz)[:, None]
     cols = np.arange(horizon)[None, :]
-    picked = np.stack([lp[rows, cols, batch.targets] for lp in log_probs])  # (D, B, T)
+    picked = log_probs[rows, cols, targets].reshape(num_samples, bsz, horizon)
+    del log_probs  # only the picked entries are needed from here on
     mixed = mix_sample_log_probs(picked)
     count = bsz * horizon
     loss = -float(np.sum(mixed)) / count
 
     # Weight of sample d at each token: p_d / sum_d' p_d'; sums to 1 over d.
     weights = np.exp(picked - log_sum_exp(picked, axis=0)[None, :, :])
-    grads = zeros_like_tree(params)
-    for d in range(num_samples):
-        grad_lp = np.zeros_like(log_probs[d])
-        grad_lp[rows, cols, batch.targets] = -weights[d] / count
-        accumulate(grads, backward_window(params, config, caches[d], grad_lp))
-    return loss, grads, final_states
+    grad_lp = np.zeros_like(cache.probs)
+    grad_lp[rows, cols, targets] = -weights.reshape(num_samples * bsz, horizon) / count
+    grads = backward_window(params, config, cache, grad_lp)
+    return loss, grads, [CellState(s.c[:bsz].copy(), s.h[:bsz].copy()) for s in final_states]
 
 
 def loss_multisample(params, config, batch: WindowBatch, rng: Rng, num_samples: int):
@@ -367,8 +404,8 @@ def loss_multisample(params, config, batch: WindowBatch, rng: Rng, num_samples: 
     if num_samples < 1:
         raise ValueError(f"num_samples must be >= 1, got {num_samples}")
     bsz, horizon = batch.inputs.shape
-    mask_sets = [sample_masks(rng, config, bsz, horizon) for _ in range(num_samples)]
-    return window_loss_with_masks(params, config, batch, mask_sets)
+    masks = sample_masks(rng, config, bsz, horizon, num_samples)
+    return window_loss_with_masks(params, config, batch, masks)
 
 
 def predict_deterministic(params, config, inputs, temperature=1.0, states=None):

@@ -152,12 +152,15 @@ class Rng:
         return rng
 
 
-def bernoulli_mask(rng: Rng, shape, keep_prob: float):
-    """Inverted-dropout mask: entries are 0 or 1/keep_prob, mean 1."""
+def bernoulli_mask(rng: Rng, shape, keep_prob: float, out=None):
+    """Inverted-dropout mask: entries are 0 or 1/keep_prob, mean 1.
+
+    With `out`, the mask is written straight into that array (which `shape`
+    must broadcast to) and nothing else is allocated besides the draw."""
     if not 0.0 < keep_prob <= 1.0:
         raise ValueError(f"keep_prob must be in (0, 1], got {keep_prob}")
     kept = rng.random(shape) < keep_prob
-    return kept.astype(np.float64) / keep_prob
+    return np.divide(kept, keep_prob, out=out)
 
 
 def finite_difference_gradient(f, theta, eps=1e-5):

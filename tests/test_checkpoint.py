@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rnnlab import checkpoint as ckpt_mod
 from rnnlab import model
@@ -147,6 +149,77 @@ class TestErrors:
             save_checkpoint(target, ckpt)
         assert not target.exists()
         assert not (tmp_path / "p.ckpt.tmp").exists()
+
+
+class TestCorruptFiles:
+    """Any damaged file either still loads or raises CheckpointError; no other
+    exception escapes load_checkpoint."""
+
+    FUZZ = settings(derandomize=True, deadline=None, database=None, max_examples=150)
+
+    @pytest.fixture(scope="class")
+    def saved(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("fuzz")
+        save_checkpoint(root / "good.ckpt", make_checkpoint())
+        blob = (root / "good.ckpt").read_bytes()
+        header_len = int(np.frombuffer(blob[8:16], dtype="<u8")[0])
+        regions = {
+            "magic": (0, 4),
+            "version": (4, 8),
+            "header length": (8, 16),
+            "header": (16, 16 + header_len),
+            "payload": (16 + header_len, len(blob)),
+        }
+        return root, blob, regions
+
+    @staticmethod
+    def load_or_reject(root, blob):
+        path = root / "damaged.ckpt"
+        path.write_bytes(blob)
+        try:
+            load_checkpoint(path)
+        except CheckpointError:
+            pass
+
+    @pytest.mark.parametrize("region", ["magic", "version", "header length", "header", "payload"])
+    @FUZZ
+    @given(data=st.data())
+    def test_truncation(self, saved, region, data):
+        root, blob, regions = saved
+        cut = data.draw(st.integers(*regions[region]).filter(lambda n: n < len(blob)))
+        self.load_or_reject(root, blob[:cut])
+
+    @FUZZ
+    @given(data=st.data())
+    def test_byte_flip_in_preamble_or_header(self, saved, data):
+        root, blob, regions = saved
+        position = data.draw(st.integers(0, regions["header"][1] - 1))
+        flip = data.draw(st.integers(1, 255))
+        damaged = bytearray(blob)
+        damaged[position] ^= flip
+        self.load_or_reject(root, bytes(damaged))
+
+    @pytest.mark.parametrize(
+        "blob, message",
+        [
+            (b"RNLB" + bytes(6), "truncated"),
+            (b"RNLB" + np.uint32(1).tobytes() + np.uint64(3).tobytes() + b"{x}", "corrupt"),
+            (b"RNLB" + np.uint32(1).tobytes() + np.uint64(2).tobytes() + b"[]", "lacks"),
+        ],
+    )
+    def test_named_failures(self, tmp_path, blob, message):
+        path = tmp_path / "bad.ckpt"
+        path.write_bytes(blob)
+        with pytest.raises(CheckpointError, match=message):
+            load_checkpoint(path)
+
+    def test_unknown_config_key(self, tmp_path):
+        path = tmp_path / "k.ckpt"
+        save_checkpoint(path, make_checkpoint())
+        blob = path.read_bytes().replace(b'"layers"', b'"lay_rs"', 1)
+        path.write_bytes(blob)
+        with pytest.raises(CheckpointError, match="lay_rs"):
+            load_checkpoint(path)
 
 
 class TestSnapshotConversion:

@@ -221,6 +221,20 @@ class TestEvaluateCommand:
         assert f"version {ckpt_mod.VERSION + 1}" in err
         assert f"version {ckpt_mod.VERSION}" in err
 
+    def test_truncated_checkpoint_exits_one_without_traceback(
+        self, trained_run, tmp_path, capsys
+    ):
+        blob = trained_run["checkpoint"].read_bytes()
+        cut = tmp_path / "cut.ckpt"
+        cut.write_bytes(blob[: len(blob) // 2])
+        code = cli.main(
+            ["evaluate", "--config", str(trained_run["config"]), "--checkpoint", str(cut)]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("checkpoint error:") and "cut.ckpt" in err
+        assert "Traceback" not in err
+
     def test_csv_export(self, trained_run, tmp_path, capsys):
         csv_path = tmp_path / "eval.csv"
         cli.main(

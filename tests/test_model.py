@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from rnnlab import model
+from rnnlab import model, numerics
+from rnnlab.cells import CellState
 from rnnlab.model import ModelConfig, WindowBatch
-from rnnlab.numerics import DivergenceError, Rng
-from rnnlab.ptree import flatten
+from rnnlab.numerics import DivergenceError, Rng, max_relative_error
+from rnnlab.ptree import accumulate, flatten, zeros_like_tree
 
 
 def tiny_config(**overrides):
@@ -325,6 +326,128 @@ class TestMultiSample:
         batch = WindowBatch(np.zeros((1, 1), np.int64), np.zeros((1, 1), np.int64))
         with pytest.raises(ValueError):
             model.loss_multisample(params, config, batch, Rng(0), 0)
+
+
+def sequential_multisample(params, config, batch, mask_sets):
+    """Reference for the batched objective: one forward and one backward pass
+    per dropout draw at batch B, gradient trees summed, states from draw 0."""
+    bsz, horizon = batch.inputs.shape
+    rows = np.arange(bsz)[:, None]
+    cols = np.arange(horizon)[None, :]
+    runs = [
+        model.forward_window(params, config, batch.inputs, masks, batch.states)
+        for masks in mask_sets
+    ]
+    picked = np.stack([lp[rows, cols, batch.targets] for lp, _, _ in runs])
+    count = bsz * horizon
+    loss = -float(np.sum(model.mix_sample_log_probs(picked))) / count
+    weights = np.exp(picked - numerics.log_sum_exp(picked, axis=0)[None, :, :])
+    grads = zeros_like_tree(params)
+    for d, (lp, cache, _) in enumerate(runs):
+        grad_lp = np.zeros_like(lp)
+        grad_lp[rows, cols, batch.targets] = -weights[d] / count
+        accumulate(grads, model.backward_window(params, config, cache, grad_lp))
+    return loss, grads, runs[0][2]
+
+
+def reference_masks(rng, config, batch, horizon):
+    """One draw of the four mask families, each drawn as a float64 array and
+    then cast; the stacked sampler must reproduce it bit for bit."""
+    n = config.state_size
+    if config.input_mask_rows:
+        m_in = numerics.bernoulli_mask(rng, (horizon, batch, 1), config.keep_in)
+        m_in = np.broadcast_to(m_in, (horizon, batch, n))
+    else:
+        m_in = numerics.bernoulli_mask(rng, (horizon, batch, n), config.keep_in)
+    m_cell = numerics.bernoulli_mask(rng, (config.layers, horizon, batch, n), config.keep_cell)
+    m_state = numerics.bernoulli_mask(rng, (config.layers, batch, n), config.keep_state)
+    m_out = numerics.bernoulli_mask(rng, (horizon, batch, n), config.keep_out)
+    cast = [m.astype(config.np_dtype) for m in (m_in, m_cell, m_state, m_out)]
+    return model.MaskSet(*cast)
+
+
+class TestBatchedSamples:
+    """The D dropout draws run as one pass at batch D*B."""
+
+    @staticmethod
+    def make_case(cell, carried, seed):
+        config = tiny_config(
+            cell=cell, state_size=6, vocab_size=7, keep_in=0.7, keep_cell=0.8,
+            keep_state=0.75, keep_out=0.85, input_mask_rows=True,
+            residual_includes_embedding=True,
+        )
+        rng = Rng(seed)
+        params = model.init_model_params(rng, config)
+        bsz, horizon = 3, 5
+        inputs = rng.integers(0, config.vocab_size, (bsz, horizon))
+        targets = rng.integers(0, config.vocab_size, (bsz, horizon))
+        states = None
+        if carried:
+            states = [
+                CellState(rng.uniform(-1, 1, (bsz, 6)), rng.uniform(-1, 1, (bsz, 6)))
+                for _ in range(config.layers)
+            ]
+        return config, params, WindowBatch(inputs, targets, states), rng
+
+    @pytest.mark.parametrize("input_mask_rows", [False, True])
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    def test_stacked_draw_equals_sequential_draws(self, input_mask_rows, dtype):
+        config = tiny_config(
+            keep_in=0.5, keep_cell=0.6, keep_state=0.7, keep_out=0.8,
+            input_mask_rows=input_mask_rows, dtype=dtype,
+        )
+        rng_a, rng_b = Rng(360), Rng(360)
+        stacked = model.sample_masks(rng_a, config, 3, 5, samples=4)
+        reference = model.stack_masks([reference_masks(rng_b, config, 3, 5) for _ in range(4)])
+        for name in ("m_in", "m_cell", "m_state", "m_out"):
+            got, want = getattr(stacked, name), getattr(reference, name)
+            assert got.dtype == want.dtype == config.np_dtype
+            assert got.tobytes() == want.tobytes()
+        assert rng_a.state() == rng_b.state()
+
+    @pytest.mark.parametrize("cell", ["lstm", "rlstm"])
+    @pytest.mark.parametrize("num_samples", [2, 4])
+    @pytest.mark.parametrize("carried", [False, True])
+    @pytest.mark.parametrize("fast", [False, True])
+    def test_matches_sequential_loop(self, cell, num_samples, carried, fast):
+        numerics.set_fast_gemm(fast)
+        config, params, batch, rng = self.make_case(cell, carried, 370 + num_samples)
+        draw_state = rng.state()
+        masks = model.sample_masks(rng, config, 3, 5, num_samples)
+        replay = Rng.from_state(draw_state)
+        mask_sets = [model.sample_masks(replay, config, 3, 5) for _ in range(num_samples)]
+
+        loss, grads, states = model.window_loss_with_masks(params, config, batch, masks)
+        ref_loss, ref_grads, ref_states = sequential_multisample(params, config, batch, mask_sets)
+
+        assert loss == ref_loss
+        for a, b in zip(states, ref_states, strict=True):
+            assert a.c.tobytes() == b.c.tobytes() and a.h.tobytes() == b.h.tobytes()
+        # The batched pass sums each weight gradient over D*B rows in one gemm,
+        # so the gradients agree to rounding, not bit for bit.
+        tiny = np.finfo(np.float64).tiny
+        assert max_relative_error(flatten(grads), flatten(ref_grads), floor=tiny) <= 1e-10
+
+    @pytest.mark.parametrize("num_samples", [1, 4])
+    def test_one_forward_and_backward_per_call(self, monkeypatch, num_samples):
+        calls = {"forward_window": 0, "backward_window": 0}
+        for name in calls:
+            original = getattr(model, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(model, name, counted)
+        config, params, batch, rng = self.make_case("lstm", True, 380)
+        model.loss_multisample(params, config, batch, rng, num_samples)
+        assert calls == {"forward_window": 1, "backward_window": 1}
+
+    def test_mask_rows_must_be_a_multiple_of_the_batch(self):
+        config, params, batch, rng = self.make_case("rlstm", False, 390)
+        masks = model.sample_masks(rng, config, 2, 5, samples=2)
+        with pytest.raises(ValueError, match="multiple"):
+            model.window_loss_with_masks(params, config, batch, masks)
 
 
 class TestBackwardWindow:
