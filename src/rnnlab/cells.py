@@ -2,9 +2,15 @@
 a rewired variant whose forget gate is computed from the proposed update and
 whose output gate reads the cell state only.
 
-Forward passes return a cache of intermediate activations; backward passes are
-hand-derived and checked against central finite differences in the test suite.
-All state arrays are batched row-wise: c and h have shape (B, n), inputs (B, m).
+Gates are fused: the LSTM applies w (4n, m+n) to [x, h] for i, j, f, o; the
+rewired cell applies w_ij (2n, m+n) to [x, h] for i and j, w_f (n, 2n) to
+[i*j, h] for f and w_oc (n, n) to the cell state for o.  b (4n,) holds the
+biases of i, j, f, o; `gate_views` names the per-gate blocks.
+
+Forward steps write into a CellCache of one step, (B, .) arrays, or of a
+window, (T, B, .) arrays viewed step by step with `at(t)`.  Backward steps
+write pre-activation gradients over the gate values; `weight_grads` then
+takes one gemm per fused matrix over all the rows of a cache.
 """
 
 from __future__ import annotations
@@ -31,267 +37,260 @@ class CellState:
 
 @dataclass
 class LstmParams:
-    w_ix: np.ndarray  # (n, m)
-    w_ih: np.ndarray  # (n, n)
-    w_jx: np.ndarray
-    w_jh: np.ndarray
-    w_fx: np.ndarray
-    w_fh: np.ndarray
-    w_ox: np.ndarray
-    w_oh: np.ndarray
-    b_i: np.ndarray  # (n,)
-    b_j: np.ndarray
-    b_f: np.ndarray
-    b_o: np.ndarray
+    w: np.ndarray  # (4n, m+n): rows i, j, f, o; columns x, then h
+    b: np.ndarray  # (4n,)
 
     @property
     def state_size(self) -> int:
-        return self.w_ih.shape[0]
+        return self.b.shape[0] // 4
 
     @property
     def input_size(self) -> int:
-        return self.w_ix.shape[1]
+        return self.w.shape[1] - self.state_size
 
 
 @dataclass
 class RlstmParams:
-    w_ix: np.ndarray  # (n, m)
-    w_ih: np.ndarray  # (n, n)
-    w_jx: np.ndarray
-    w_jh: np.ndarray
-    w_fu: np.ndarray  # (n, n), applied to i*j
-    w_fh: np.ndarray  # (n, n)
+    w_ij: np.ndarray  # (2n, m+n): rows i, j; columns x, then h
+    w_f: np.ndarray  # (n, 2n): columns u = i*j, then h
     w_oc: np.ndarray  # (n, n), output gate reads the cell state
-    b_i: np.ndarray
-    b_j: np.ndarray
-    b_f: np.ndarray
-    b_o: np.ndarray
+    b: np.ndarray  # (4n,): i, j, f, o
 
     @property
     def state_size(self) -> int:
-        return self.w_ih.shape[0]
+        return self.w_oc.shape[0]
 
     @property
     def input_size(self) -> int:
-        return self.w_ix.shape[1]
+        return self.w_ij.shape[1] - self.state_size
+
+
+def _blocks(a, count: int):
+    """Split the last axis into `count` equal views."""
+    width = a.shape[-1] // count
+    return [a[..., k * width : (k + 1) * width] for k in range(count)]
+
+
+def gate_views(p) -> dict:
+    """Per-gate views into the fused matrices, by name (w_ix is the input
+    weight of gate i, w_ih its state weight, b_i its bias, and so on), in the
+    order in which init draws them."""
+    n, m = p.state_size, p.input_size
+    rows = {g: slice(k * n, (k + 1) * n) for k, g in enumerate("ijfo")}
+    cols = {"x": slice(None, m), "h": slice(m, None)}
+    lstm = isinstance(p, LstmParams)
+    w_xh = p.w if lstm else p.w_ij
+    views = {f"w_{g}{s}": w_xh[rows[g], cols[s]] for g in "ijfo"[: 4 if lstm else 2] for s in "xh"}
+    if not lstm:
+        views.update(w_fu=p.w_f[:, :n], w_fh=p.w_f[:, n:], w_oc=p.w_oc)
+    views.update({f"b_{g}": p.b[rows[g]] for g in "ijfo"})
+    return views
 
 
 @dataclass
-class LstmCache:
-    x: np.ndarray
-    c_prev: np.ndarray
-    h_prev: np.ndarray
-    i: np.ndarray
-    j: np.ndarray
-    f: np.ndarray
-    o: np.ndarray
-    g: np.ndarray
+class CellCache:
+    xh: np.ndarray  # [x, h_prev], the input of w or w_ij
+    gates: np.ndarray  # i, j, f, o, then (backward) their pre-activation gradients
     c: np.ndarray
     tanh_c: np.ndarray
-    capped: bool
+    uh: np.ndarray | None = None  # rlstm: [i*j, h_prev], the input of w_f
+    state_mask: np.ndarray | None = None  # rlstm: (B, n), shared by the steps of a window
+    c_prev: np.ndarray | None = None
+    capped: bool = True  # lstm: whether the input gate is min(i, 1 - f)
+
+    def at(self, t) -> "CellCache":
+        uh = None if self.uh is None else self.uh[t]
+        return CellCache(self.xh[t], self.gates[t], self.c[t], self.tanh_c[t], uh, self.state_mask)
 
 
-@dataclass
-class RlstmCache:
-    x: np.ndarray
-    c_prev: np.ndarray
-    h_prev: np.ndarray
-    i: np.ndarray
-    j: np.ndarray
-    f: np.ndarray
-    o: np.ndarray
-    g: np.ndarray
-    c: np.ndarray
-    tanh_c: np.ndarray
-    u: np.ndarray  # i * j, input of the forget gate
-    cm: np.ndarray  # c * state_mask, input of the output gate
-    state_mask: np.ndarray | None
+def new_cache(kind: str, shape, m: int, n: int, dtype=np.float64, empty=np.empty) -> CellCache:
+    """Uninitialised activation buffers of one step (shape (B,)) or of a
+    window (shape (T, B)), from `empty`; forward steps fill them."""
+
+    def buf(width):
+        return empty((*shape, width), dtype)
+
+    uh = buf(2 * n) if kind == "rlstm" else None
+    return CellCache(buf(m + n), buf(4 * n), buf(n), buf(n), uh)
 
 
-def _check_finite(state: CellState):
+def _finite(state: CellState) -> CellState:
     if not (np.all(np.isfinite(state.c)) and np.all(np.isfinite(state.h))):
         raise DivergenceError("non-finite cell activations")
+    return state
 
 
-def lstm_forward(p: LstmParams, state: CellState, x: np.ndarray, cap_input_gate: bool = True):
+def _step_cache(kind, p, state, x, cache) -> CellCache:
+    """The cache of a step with [x, h] in its xh; x = None says it is there already."""
+    if cache is None:
+        cache = new_cache(kind, x.shape[:1], x.shape[1], p.state_size, np.result_type(x, p.b))
+    if x is not None:
+        np.concatenate((x, state.h), axis=1, out=cache.xh)
+    cache.c_prev = state.c
+    return cache
+
+
+def lstm_forward(p: LstmParams, state: CellState, x, cap_input_gate: bool = True, cache=None):
     """One LSTM step. With the cap enabled the effective input gate is
-    min(i, 1 - f), which keeps |c| bounded by 1 when it starts there."""
-    c_prev, h_prev = state.c, state.h
-    i = sigmoid(gemm(x, p.w_ix.T) + gemm(h_prev, p.w_ih.T) + p.b_i)
-    j = np.tanh(gemm(x, p.w_jx.T) + gemm(h_prev, p.w_jh.T) + p.b_j)
-    f = sigmoid(gemm(x, p.w_fx.T) + gemm(h_prev, p.w_fh.T) + p.b_f)
-    o = sigmoid(gemm(x, p.w_ox.T) + gemm(h_prev, p.w_oh.T) + p.b_o)
+    min(i, 1 - f), which keeps |c| bounded by 1 when it starts there.
+
+    The activations go into `cache` (a step of new_cache), or a fresh one.
+    x = None says that cache.xh holds [x, state.h] already."""
+    cache = _step_cache("lstm", p, state, x, cache)
+    i, j, f, o = _blocks(cache.gates, 4)
+    pre = gemm(cache.xh, p.w.T) + p.b
+    sigmoid(pre, out=cache.gates)
+    np.tanh(_blocks(pre, 4)[1], out=j)
     g = np.minimum(i, 1.0 - f) if cap_input_gate else i
-    c = f * c_prev + g * j
-    tanh_c = np.tanh(c)
-    h = o * tanh_c
-    new_state = CellState(c, h)
-    _check_finite(new_state)
-    cache = LstmCache(x, c_prev, h_prev, i, j, f, o, g, c, tanh_c, cap_input_gate)
-    return new_state, cache
+    c = np.multiply(f, state.c, out=cache.c)
+    c += g * j
+    cache.capped = cap_input_gate
+    return _finite(CellState(c, o * np.tanh(c, out=cache.tanh_c))), cache
 
 
-def rlstm_forward(p: RlstmParams, state: CellState, x: np.ndarray, state_mask=None):
+def rlstm_forward(p: RlstmParams, state: CellState, x, state_mask=None, cache=None):
     """One rewired-LSTM step: f is computed from i*j and h_prev, the input
-    gate is capped at 1 - f, and o reads the (optionally masked) cell state."""
-    c_prev, h_prev = state.c, state.h
-    i = sigmoid(gemm(x, p.w_ix.T) + gemm(h_prev, p.w_ih.T) + p.b_i)
-    j = np.tanh(gemm(x, p.w_jx.T) + gemm(h_prev, p.w_jh.T) + p.b_j)
-    u = i * j
-    f = sigmoid(gemm(u, p.w_fu.T) + gemm(h_prev, p.w_fh.T) + p.b_f)
+    gate is capped at 1 - f, and o reads the (optionally masked) cell state.
+    `cache` and x = None as for lstm_forward."""
+    cache = _step_cache("rlstm", p, state, x, cache)
+    n = p.state_size
+    b_ij, b_f, b_o = p.b[: 2 * n], p.b[2 * n : 3 * n], p.b[3 * n :]
+    i, j, f, o = _blocks(cache.gates, 4)
+    pre_i, pre_j = _blocks(gemm(cache.xh, p.w_ij.T) + b_ij, 2)
+    sigmoid(pre_i, out=i)
+    np.tanh(pre_j, out=j)
+    np.concatenate((i * j, state.h), axis=1, out=cache.uh)
+    sigmoid(gemm(cache.uh, p.w_f.T) + b_f, out=f)
     g = np.minimum(i, 1.0 - f)
-    c = f * c_prev + g * j
+    c = np.multiply(f, state.c, out=cache.c)
+    c += g * j
     cm = c if state_mask is None else c * state_mask
-    o = sigmoid(gemm(cm, p.w_oc.T) + p.b_o)
-    tanh_c = np.tanh(c)
-    h = o * tanh_c
-    new_state = CellState(c, h)
-    _check_finite(new_state)
-    cache = RlstmCache(x, c_prev, h_prev, i, j, f, o, g, c, tanh_c, u, cm, state_mask)
-    return new_state, cache
+    sigmoid(gemm(cm, p.w_oc.T) + b_o, out=o)
+    cache.state_mask = state_mask
+    return _finite(CellState(c, o * np.tanh(c, out=cache.tanh_c))), cache
 
 
-def lstm_backward(p: LstmParams, cache: LstmCache, grad_c, grad_h):
-    """Gradients of a scalar loss through one LSTM step.
+def lstm_backward(p: LstmParams, cache: CellCache, grad_c, grad_h):
+    """Gradients of a scalar loss through one LSTM step: (dpre, dc_prev,
+    dh_prev, dx), where dpre, the pre-activation gradients of i, j, f, o, is
+    written over cache.gates.
 
     min(i, 1 - f) routes its subgradient to the smaller argument; on ties the
     input-gate branch wins (fixed for determinism).
     """
+    i, j, f, o = _blocks(cache.gates, 4)
     do = grad_h * cache.tanh_c
-    dc = grad_c + grad_h * cache.o * dtanh_from_value(cache.tanh_c)
-
+    dc = grad_c + grad_h * o * dtanh_from_value(cache.tanh_c)
     df = dc * cache.c_prev
-    dg = dc * cache.j
-    dj = dc * cache.g
-    dc_prev = dc * cache.f
+    dg = dc * j
+    dc_prev = dc * f
     if cache.capped:
-        take_i = cache.i <= 1.0 - cache.f
+        one_minus_f = 1.0 - f
+        take_i = i <= one_minus_f
+        dj = dc * np.minimum(i, one_minus_f)
         di = dg * take_i
         df = df - dg * (~take_i)
     else:
+        dj = dc * i
         di = dg
-
-    dpre_i = di * dsigmoid_from_value(cache.i)
-    dpre_j = dj * dtanh_from_value(cache.j)
-    dpre_f = df * dsigmoid_from_value(cache.f)
-    dpre_o = do * dsigmoid_from_value(cache.o)
-
-    grads = LstmParams(
-        w_ix=gemm(dpre_i.T, cache.x),
-        w_ih=gemm(dpre_i.T, cache.h_prev),
-        w_jx=gemm(dpre_j.T, cache.x),
-        w_jh=gemm(dpre_j.T, cache.h_prev),
-        w_fx=gemm(dpre_f.T, cache.x),
-        w_fh=gemm(dpre_f.T, cache.h_prev),
-        w_ox=gemm(dpre_o.T, cache.x),
-        w_oh=gemm(dpre_o.T, cache.h_prev),
-        b_i=dpre_i.sum(axis=0),
-        b_j=dpre_j.sum(axis=0),
-        b_f=dpre_f.sum(axis=0),
-        b_o=dpre_o.sum(axis=0),
-    )
-    dx = gemm(dpre_i, p.w_ix) + gemm(dpre_j, p.w_jx) + gemm(dpre_f, p.w_fx) + gemm(dpre_o, p.w_ox)
-    dh_prev = (
-        gemm(dpre_i, p.w_ih)
-        + gemm(dpre_j, p.w_jh)
-        + gemm(dpre_f, p.w_fh)
-        + gemm(dpre_o, p.w_oh)
-    )
-    return grads, dc_prev, dh_prev, dx
+    i[...] = di * dsigmoid_from_value(i)
+    j[...] = dj * dtanh_from_value(j)
+    f[...] = df * dsigmoid_from_value(f)
+    o[...] = do * dsigmoid_from_value(o)
+    dxh = gemm(cache.gates, p.w)
+    m = p.input_size
+    return cache.gates, dc_prev, dxh[:, m:], dxh[:, :m]
 
 
-def rlstm_backward(p: RlstmParams, cache: RlstmCache, grad_c, grad_h):
+def rlstm_backward(p: RlstmParams, cache: CellCache, grad_c, grad_h):
+    """Like lstm_backward, through one rewired-LSTM step."""
+    n, m = p.state_size, p.input_size
+    i, j, f, o = _blocks(cache.gates, 4)
     do = grad_h * cache.tanh_c
-    dc = grad_c + grad_h * cache.o * dtanh_from_value(cache.tanh_c)
-
-    dpre_o = do * dsigmoid_from_value(cache.o)
-    dcm = gemm(dpre_o, p.w_oc)
+    dc = grad_c + grad_h * o * dtanh_from_value(cache.tanh_c)
+    o[...] = do * dsigmoid_from_value(o)
+    dcm = gemm(o, p.w_oc)
     dc = dc + (dcm if cache.state_mask is None else dcm * cache.state_mask)
-
     df = dc * cache.c_prev
-    dg = dc * cache.j
-    dj = dc * cache.g
-    dc_prev = dc * cache.f
-    take_i = cache.i <= 1.0 - cache.f
+    dg = dc * j
+    one_minus_f = 1.0 - f
+    take_i = i <= one_minus_f
+    dj = dc * np.minimum(i, one_minus_f)
+    dc_prev = dc * f
     di = dg * take_i
     df = df - dg * (~take_i)
 
-    dpre_f = df * dsigmoid_from_value(cache.f)
-    du = gemm(dpre_f, p.w_fu)
-    di = di + du * cache.j
-    dj = dj + du * cache.i
+    f[...] = df * dsigmoid_from_value(f)
+    duh = gemm(f, p.w_f)
+    du = duh[:, :n]
+    di = di + du * j
+    dj = dj + du * i
 
-    dpre_i = di * dsigmoid_from_value(cache.i)
-    dpre_j = dj * dtanh_from_value(cache.j)
-
-    grads = RlstmParams(
-        w_ix=gemm(dpre_i.T, cache.x),
-        w_ih=gemm(dpre_i.T, cache.h_prev),
-        w_jx=gemm(dpre_j.T, cache.x),
-        w_jh=gemm(dpre_j.T, cache.h_prev),
-        w_fu=gemm(dpre_f.T, cache.u),
-        w_fh=gemm(dpre_f.T, cache.h_prev),
-        w_oc=gemm(dpre_o.T, cache.cm),
-        b_i=dpre_i.sum(axis=0),
-        b_j=dpre_j.sum(axis=0),
-        b_f=dpre_f.sum(axis=0),
-        b_o=dpre_o.sum(axis=0),
-    )
-    dx = gemm(dpre_i, p.w_ix) + gemm(dpre_j, p.w_jx)
-    dh_prev = gemm(dpre_i, p.w_ih) + gemm(dpre_j, p.w_jh) + gemm(dpre_f, p.w_fh)
-    return grads, dc_prev, dh_prev, dx
+    i[...] = di * dsigmoid_from_value(i)
+    j[...] = dj * dtanh_from_value(j)
+    dxh = gemm(cache.gates[:, : 2 * n], p.w_ij)
+    return cache.gates, dc_prev, dxh[:, m:] + duh[:, n:], dxh[:, :m]
 
 
 def cell_backward(p, cache, grad_c, grad_h):
-    """Dispatch on the cache type produced by the matching forward."""
-    if isinstance(cache, RlstmCache):
+    """Dispatch on the parameter type."""
+    if isinstance(p, RlstmParams):
         return rlstm_backward(p, cache, grad_c, grad_h)
-    if isinstance(cache, LstmCache):
+    if isinstance(p, LstmParams):
         return lstm_backward(p, cache, grad_c, grad_h)
-    raise TypeError(f"unknown cache type {type(cache)}")
+    raise TypeError(f"unknown cell parameters {type(p)}")
 
 
-def _uniform_matrix(rng: Rng, rows: int, cols: int, scale: float, dtype):
-    return rng.uniform(-scale, scale, (rows, cols)).astype(dtype)
+def _rows(a):
+    return a.reshape(-1, a.shape[-1])
 
 
-def _chrono_forget_bias(rng: Rng, n: int, t_max: float, dtype):
+def weight_grads(p, cache: CellCache):
+    """Weight and bias gradients from a cache whose gates hold pre-activation
+    gradients (after the backward of each of its steps): one gemm per fused
+    matrix and one sum for the bias, over every row of the cache."""
+    dpre = _rows(cache.gates)
+    b = dpre.sum(axis=0)
+    if isinstance(p, LstmParams):
+        return LstmParams(w=gemm(dpre.T, _rows(cache.xh)), b=b)
+    n = p.state_size
+    dpre_ij, dpre_f, dpre_o = dpre[:, : 2 * n], dpre[:, 2 * n : 3 * n], dpre[:, 3 * n :]
+    cm = cache.c if cache.state_mask is None else cache.c * cache.state_mask
+    return RlstmParams(
+        w_ij=gemm(dpre_ij.T, _rows(cache.xh)),
+        w_f=gemm(dpre_f.T, _rows(cache.uh)),
+        w_oc=gemm(dpre_o.T, _rows(cm)),
+        b=b,
+    )
+
+
+def _chrono_forget_bias(rng: Rng, n: int, t_max: float):
     # b_f ~ ln(U(1, t_max - 1)) spreads initial memory timescales up to t_max.
     if not t_max > 2.0:
         raise ValueError(f"t_max must exceed 2 (empty init range), got {t_max}")
-    return np.log(rng.uniform(1.0, t_max - 1.0, n)).astype(dtype)
+    return np.log(rng.uniform(1.0, t_max - 1.0, n))
+
+
+def _draw_gates(rng: Rng, p, t_max: float):
+    """Every weight block U(-1/sqrt(n), 1/sqrt(n)) in gate_views order, then
+    the chrono forget bias; the other biases stay zero."""
+    views = gate_views(p)
+    scale = 1.0 / np.sqrt(p.state_size)
+    for name, block in views.items():
+        if name.startswith("w_"):
+            block[...] = rng.uniform(-scale, scale, block.shape)
+    views["b_f"][...] = _chrono_forget_bias(rng, p.state_size, t_max)
+    return p
 
 
 def init_lstm_params(rng: Rng, m: int, n: int, t_max: float, dtype=np.float64) -> LstmParams:
-    scale = 1.0 / np.sqrt(n)
-    weights = {
-        name: _uniform_matrix(rng, n, m if name.endswith("x") else n, scale, dtype)
-        for name in ("w_ix", "w_ih", "w_jx", "w_jh", "w_fx", "w_fh", "w_ox", "w_oh")
-    }
-    zeros = lambda: np.zeros(n, dtype=dtype)
-    return LstmParams(
-        **weights,
-        b_i=zeros(),
-        b_j=zeros(),
-        b_f=_chrono_forget_bias(rng, n, t_max, dtype),
-        b_o=zeros(),
-    )
+    p = LstmParams(np.empty((4 * n, m + n), dtype), np.zeros(4 * n, dtype))
+    return _draw_gates(rng, p, t_max)
 
 
 def init_rlstm_params(rng: Rng, m: int, n: int, t_max: float, dtype=np.float64) -> RlstmParams:
-    scale = 1.0 / np.sqrt(n)
-    weights = {
-        name: _uniform_matrix(rng, n, m if name.endswith("x") else n, scale, dtype)
-        for name in ("w_ix", "w_ih", "w_jx", "w_jh", "w_fu", "w_fh", "w_oc")
-    }
-    zeros = lambda: np.zeros(n, dtype=dtype)
-    return RlstmParams(
-        **weights,
-        b_i=zeros(),
-        b_j=zeros(),
-        b_f=_chrono_forget_bias(rng, n, t_max, dtype),
-        b_o=zeros(),
-    )
+    empty = [np.empty(shape, dtype) for shape in ((2 * n, m + n), (n, 2 * n), (n, n))]
+    return _draw_gates(rng, RlstmParams(*empty, np.zeros(4 * n, dtype)), t_max)
 
 
 def init_cell_params(rng: Rng, m: int, n: int, kind: str, t_max: float, dtype=np.float64):

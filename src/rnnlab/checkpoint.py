@@ -6,9 +6,13 @@ Layout:
   bytes 8-15  header length H, unsigned 64-bit little-endian
   H bytes     canonical JSON header (sorted keys, no whitespace): model
               config, optimizer scalars, averaging tail bookkeeping, rng
-              state, best validation loss, learning rate, payload sizes
+              state, best validation loss, learning rate, payload sizes,
+              zlib.crc32 of the payload
   rest        little-endian float64 payload: flattened parameters, first
               moment, second moment, long-tail mean, short-tail mean
+
+Version 2 stores the cell gates as fused matrices, which changes the flat
+parameter order, and adds the payload checksum; version 1 files are refused.
 
 JSON serializes floats via repr, which round-trips their binary values
 exactly, so save -> load -> save reproduces the file byte for byte."""
@@ -18,6 +22,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
+import zlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,7 +33,7 @@ from .ptree import flatten, unflatten_into
 from .training import RAdamState, Tail, TtaState
 
 MAGIC = b"RNLB"
-VERSION = 1
+VERSION = 2
 
 
 class CheckpointError(Exception):
@@ -51,7 +56,7 @@ class Checkpoint:
     lr: float
 
 
-def _header_dict(ckpt: Checkpoint, param_count: int) -> dict:
+def _header_dict(ckpt: Checkpoint, param_count: int, payload_crc32: int) -> dict:
     return {
         "model_config": dataclasses.asdict(ckpt.config),
         "radam": {
@@ -70,6 +75,7 @@ def _header_dict(ckpt: Checkpoint, param_count: int) -> dict:
         "best_val_nats": ckpt.best_val_nats,
         "lr": ckpt.lr,
         "param_count": param_count,
+        "payload_crc32": payload_crc32,
     }
 
 
@@ -84,17 +90,17 @@ def save_checkpoint(path, ckpt: Checkpoint):
     ):
         if vec.size != count:
             raise CheckpointError(f"{name} has {vec.size} entries, parameters have {count}")
-    header = json.dumps(_header_dict(ckpt, count), sort_keys=True, separators=(",", ":"))
-    header_bytes = header.encode("utf-8")
     payload = np.concatenate(
         [params_flat, ckpt.radam.m, ckpt.radam.v, ckpt.tta.long.mean, ckpt.tta.short.mean]
-    ).astype("<f8")
+    ).astype("<f8").tobytes()
+    header = _header_dict(ckpt, count, zlib.crc32(payload))
+    header_bytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
     blob = (
         MAGIC
         + np.uint32(ckpt.version).tobytes()
         + np.uint64(len(header_bytes)).tobytes()
         + header_bytes
-        + payload.tobytes()
+        + payload
     )
     tmp = f"{path}.tmp"
     with open(tmp, "wb") as fh:
@@ -137,6 +143,11 @@ def _decode(blob: bytes, version: int) -> Checkpoint:
         raise CheckpointError(
             f"payload has {len(payload_bytes)} bytes, expected {5 * 8 * count} "
             f"({5 * count} floats)"
+        )
+    crc = zlib.crc32(payload_bytes)
+    if crc != _field(header, "payload_crc32", int):
+        raise CheckpointError(
+            f"payload checksum {crc} differs from the header's {header['payload_crc32']}"
         )
     payload = np.frombuffer(payload_bytes, dtype="<f8")
     chunks = [payload[i * count : (i + 1) * count].astype(np.float64) for i in range(5)]

@@ -1,9 +1,9 @@
 """Command-line entry point.
 
 Subcommands: train, evaluate, dyneval, tune-temperature, gradcheck.
-Exit codes: 0 success, 1 usage or configuration error, 2 numerical failure
-(a gradient check above tolerance, or training diverging beyond the restart
-budget)."""
+Exit codes: 0 success, 1 usage, configuration or data error, 2 numerical
+failure (a gradient check above tolerance, or training diverging beyond the
+restart budget)."""
 
 from __future__ import annotations
 
@@ -61,6 +61,14 @@ def _load_run_config(args) -> RunConfig:
         cfg.checkpoint_path = args.checkpoint
     numerics.set_fast_gemm(cfg.fast_gemm)
     return cfg
+
+
+def _validated(config):
+    """config.validate(), its ValueError reported as a configuration error."""
+    try:
+        return config.validate()
+    except ValueError as err:
+        raise ConfigError(str(err)) from None
 
 
 def _require_paths(cfg: RunConfig, names):
@@ -124,8 +132,8 @@ def cmd_train(args) -> int:
     vocab, streams = data_mod.load_splits(
         cfg.train_path, cfg.valid_path, cfg.test_path, cfg.mode
     )
-    model_config = config_mod.to_model_config(cfg, vocab.size)
-    opts = config_mod.to_train_options(cfg)
+    model_config = _validated(config_mod.to_model_config(cfg, vocab.size))
+    opts = _validated(config_mod.to_train_options(cfg))
     rng = numerics.Rng(cfg.seed)
 
     log = open(cfg.metrics_path, "w", encoding="utf-8") if cfg.metrics_path else None
@@ -200,8 +208,12 @@ def _load_eval_setup(args):
     path = _split_path(cfg, split)
     if not path or not os.path.exists(path):
         raise ConfigError(f"{split}_path does not exist: {path!r}")
-    stream = data_mod.encode(vocab, data_mod.load_text(path))
-    return cfg, ckpt, vocab, split, stream
+    return cfg, ckpt, vocab, split, _encoded_split(cfg, vocab, split)
+
+
+def _encoded_split(cfg: RunConfig, vocab, split: str):
+    path = _split_path(cfg, split)
+    return data_mod.encode_split(vocab, data_mod.load_text(path), split, path)
 
 
 def cmd_evaluate(args) -> int:
@@ -222,11 +234,11 @@ def cmd_dyneval(args) -> int:
     cfg, ckpt, vocab, split, stream = _load_eval_setup(args)
     temperature = _eval_temperature(cfg)
     if cfg.dyn_tune:
-        tune_stream = data_mod.encode(vocab, data_mod.load_text(_split_path(cfg, "valid")))
+        tune_stream = _encoded_split(cfg, vocab, "valid")
         grid = evaluation.default_dyneval_grid(cfg.dyn_segment)
         dcfg, _ = evaluation.tune_dyneval(ckpt.params, ckpt.config, tune_stream, grid, temperature)
     else:
-        dcfg = config_mod.to_dyneval_config(cfg)
+        dcfg = _validated(config_mod.to_dyneval_config(cfg))
     report = evaluation.evaluate_dynamic(ckpt.params, ckpt.config, stream, dcfg, temperature)
     line = f"event=dyneval split={split} " + evaluation.format_report(report)
     print(line)
@@ -238,7 +250,7 @@ def cmd_dyneval(args) -> int:
 
 def cmd_tune_temperature(args) -> int:
     cfg, ckpt, vocab, _, _ = _load_eval_setup(args)
-    valid_stream = data_mod.encode(vocab, data_mod.load_text(_split_path(cfg, "valid")))
+    valid_stream = _encoded_split(cfg, vocab, "valid")
     grid = config_mod.temperature_grid(cfg)
     best = evaluation.tune_temperature(
         ckpt.params, ckpt.config, valid_stream, grid, cfg.eval_batch_size, cfg.eval_window
@@ -282,6 +294,9 @@ def main(argv=None) -> int:
         return handlers[args.command](args)
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
+        return EXIT_USAGE
+    except data_mod.UnknownSymbolError as err:
+        print(f"data error: {err}", file=sys.stderr)
         return EXIT_USAGE
     except ckpt_mod.CheckpointError as err:
         print(f"checkpoint error: {err}", file=sys.stderr)

@@ -41,6 +41,10 @@ class Vocab:
         return cls(mode=mode, symbols=symbols, index={s: i for i, s in enumerate(symbols)})
 
 
+class UnknownSymbolError(ValueError):
+    """Text holds a byte or character that the vocabulary lacks."""
+
+
 def build_vocab(text: str, mode: str) -> Vocab:
     if not text:
         raise ValueError("cannot build a vocabulary from empty text")
@@ -67,12 +71,12 @@ def encode(vocab: Vocab, text: str) -> np.ndarray:
         try:
             ids = [index[chr(b)] for b in text.encode("utf-8")]
         except KeyError as err:
-            raise ValueError(f"byte {err} not in vocabulary") from None
+            raise UnknownSymbolError(f"byte {err} not in vocabulary") from None
     elif vocab.mode == "char":
         try:
             ids = [index[ch] for ch in text]
         except KeyError as err:
-            raise ValueError(f"character {err} not in vocabulary") from None
+            raise UnknownSymbolError(f"character {err} not in vocabulary") from None
     elif vocab.mode == "word":
         unk = index[UNK]
         eos = index[EOS]
@@ -152,5 +156,14 @@ def load_splits(train_path, valid_path, test_path, mode: str, vocab=None):
     }
     if vocab is None:
         vocab = build_vocab(texts["train"], mode)
-    streams = {split: encode(vocab, text) for split, text in texts.items()}
+    paths = {"train": train_path, "valid": valid_path, "test": test_path}
+    streams = {split: encode_split(vocab, texts[split], split, paths[split]) for split in texts}
     return vocab, streams
+
+
+def encode_split(vocab: Vocab, text: str, split: str, path) -> np.ndarray:
+    """encode(), with an unknown symbol reported against the split and its file."""
+    try:
+        return encode(vocab, text)
+    except UnknownSymbolError as err:
+        raise UnknownSymbolError(f"{split} split {path}: {err} of the training split") from None

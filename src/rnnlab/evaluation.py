@@ -161,7 +161,7 @@ def tune_temperature(params, config, stream, grid=None, batch_size=1, window=128
 
 
 def evaluate_dynamic(
-    params, config, stream, dcfg: DynevalConfig, temperature=1.0, on_event=None
+    params, config, stream, dcfg: DynevalConfig, temperature=1.0, on_event=None, buffers=None
 ) -> EvalReport:
     """Score the stream in segments, adapting a copy of the weights after each
     segment has been scored: theta <- theta - lr * g_hat + decay * (theta0 - theta).
@@ -170,6 +170,8 @@ def evaluate_dynamic(
     forward pass aborts adaptation and returns the report for the tokens
     scored so far, flagged partial.  on_event, if given, receives
     ("score", k) and ("update", k) callbacks in execution order.
+    `buffers`, a model.WindowBuffers, holds the activations of the adapting
+    passes from one segment to the next.
     """
     dcfg.validate()
     stream = np.asarray(stream)
@@ -183,13 +185,15 @@ def evaluate_dynamic(
     total = 0.0
     count = 0
     partial = False
+    buffers = model.WindowBuffers() if buffers is None else buffers
     for k, batch in enumerate(data_mod.windows(rows, dcfg.segment)):
         if on_event is not None:
             on_event(("score", k))
         try:
             masks = model.ones_masks(config, *batch.inputs.shape)
             log_probs, cache, states = model.forward_window(
-                fast, config, batch.inputs, masks, states, temperature
+                fast, config, batch.inputs, masks, states, temperature,
+                buffers if adapting else None, backward=adapting,
             )
         except DivergenceError:
             partial = True
@@ -208,6 +212,7 @@ def evaluate_dynamic(
                 g = g / max(1.0, float(np.linalg.norm(g)))
             theta = flatten(fast)
             unflatten_into(fast, theta - dcfg.lr * g + dcfg.decay * (theta0 - theta))
+            buffers.recycle(cache)
     return make_report(total, count, temperature, dyneval=dcfg, partial=partial)
 
 
@@ -228,8 +233,9 @@ def tune_dyneval(params, config, stream, grid, temperature=1.0):
         raise ValueError("dyneval grid must be non-empty")
     best = None
     best_nats = math.inf
+    buffers = model.WindowBuffers()
     for dcfg in grid:
-        report = evaluate_dynamic(params, config, stream, dcfg, temperature)
+        report = evaluate_dynamic(params, config, stream, dcfg, temperature, buffers=buffers)
         nats = report.nats_per_token if not report.partial else math.inf
         if nats < best_nats:
             best = dcfg

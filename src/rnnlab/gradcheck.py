@@ -51,9 +51,9 @@ def _check_cell(kind: str, cap_input_gate: bool) -> float:
     x_grads = [np.zeros_like(x) for x in xs]
     dc, dh = probe_c.copy(), probe_h.copy()
     for t in range(steps - 1, -1, -1):
-        step_grads, dc, dh, dx = cells.cell_backward(params, caches[t], dc, dh)
+        _, dc, dh, dx = cells.cell_backward(params, caches[t], dc, dh)
         x_grads[t] = dx
-        accumulate(param_grads, step_grads)
+        accumulate(param_grads, cells.weight_grads(params, caches[t]))
     analytic = flatten([param_grads, x_grads])
     return max_relative_error(analytic, numeric)
 
@@ -78,44 +78,53 @@ def _check_mogrifier(rounds: int, rank: int) -> float:
     numeric = finite_difference_gradient(loss_fn, theta0)
     unflatten_into(pack, theta0)
     _, _, cache = mogrifier.mogrify_forward(params, h, x)
-    mog_grads, dh, dx = mogrifier.mogrify_backward(params, cache, probe_h, probe_x)
-    analytic = flatten([mog_grads, dh, dx])
+    _, dh, dx = mogrifier.mogrify_backward(params, cache, probe_h, probe_x)
+    analytic = flatten([mogrifier.weight_grads(params, cache), dh, dx])
     return max_relative_error(analytic, numeric)
 
 
-def _check_model(cell: str, tied: bool, samples: int, keep: float) -> float:
-    config = ModelConfig(
-        layers=2,
-        state_size=8,
-        vocab_size=6,
-        cell=cell,
-        mogrifier_rounds=2,
-        keep_in=keep,
-        keep_cell=keep,
-        keep_state=keep,
-        keep_out=keep,
-        tie_embeddings=tied,
-        dropout_samples=samples,
-        t_max=6.0,
+def _check_model(batch=1, carried=False, **overrides) -> float:
+    """A 2-layer model over a 4-step window; `overrides` are ModelConfig
+    fields, `carried` starts the window from random carried-in states."""
+    fields = dict(
+        layers=2, state_size=8, vocab_size=6, cell="rlstm", mogrifier_rounds=2,
+        tie_embeddings=False, t_max=6.0,
     )
+    fields.update(overrides)
+    config = ModelConfig(**fields)
     rng = Rng(999)
     params = model.init_model_params(rng, config)
-    inputs = rng.integers(0, config.vocab_size, (1, 4))
+    inputs = rng.integers(0, config.vocab_size, (batch, 4))
     inputs[0, 2] = inputs[0, 0]  # a repeated token exercises gradient scatter-add
-    targets = rng.integers(0, config.vocab_size, (1, 4))
-    masks = model.sample_masks(rng, config, 1, 4, samples)
-    batch = WindowBatch(inputs=inputs, targets=targets, states=None)
+    targets = rng.integers(0, config.vocab_size, (batch, 4))
+    masks = model.sample_masks(rng, config, batch, 4, config.dropout_samples)
+    states = None
+    if carried:
+        n = config.state_size
+        states = [
+            CellState(rng.uniform(-1.0, 1.0, (batch, n)), rng.uniform(-1.0, 1.0, (batch, n)))
+            for _ in range(config.layers)
+        ]
+    window = WindowBatch(inputs=inputs, targets=targets, states=states)
     theta0 = flatten(params)
 
     def loss_fn(theta):
         unflatten_into(params, theta)
-        loss, _, _ = model.window_loss_with_masks(params, config, batch, masks)
+        loss, _, _ = model.window_loss_with_masks(params, config, window, masks)
         return loss
 
     numeric = finite_difference_gradient(loss_fn, theta0)
     unflatten_into(params, theta0)
-    _, grads, _ = model.window_loss_with_masks(params, config, batch, masks)
+    _, grads, _ = model.window_loss_with_masks(params, config, window, masks)
     return max_relative_error(flatten(grads), numeric)
+
+
+def _dropout(keep: float) -> dict:
+    return dict(keep_in=keep, keep_cell=keep, keep_state=keep, keep_out=keep)
+
+
+# Smaller models for the configuration variants, so the suite stays quick.
+_SMALL = dict(state_size=4, vocab_size=5)
 
 
 def gradient_check_suite():
@@ -128,9 +137,22 @@ def gradient_check_suite():
     for rounds in (1, 2, 5):
         results.append((f"mogrify_r{rounds}", _check_mogrifier(rounds, 0)))
         results.append((f"mogrify_r{rounds}_lowrank", _check_mogrifier(rounds, 3)))
-    results.append(("model_rlstm", _check_model("rlstm", False, 1, 1.0)))
-    results.append(("model_lstm", _check_model("lstm", False, 1, 1.0)))
-    results.append(("model_rlstm_dropout", _check_model("rlstm", False, 1, 0.5)))
-    results.append(("model_tied", _check_model("rlstm", True, 1, 1.0)))
-    results.append(("model_multisample_d2", _check_model("rlstm", False, 2, 0.7)))
+    results += [
+        ("model_rlstm", _check_model()),
+        ("model_lstm", _check_model(cell="lstm")),
+        ("model_rlstm_dropout", _check_model(**_dropout(0.5))),
+        ("model_tied", _check_model(tie_embeddings=True)),
+        ("model_multisample_d2", _check_model(dropout_samples=2, **_dropout(0.7))),
+        ("model_lowrank_r3", _check_model(mogrifier_rank=3, **_SMALL)),
+        ("model_rounds3", _check_model(mogrifier_rounds=3, **_SMALL)),
+        (
+            "model_embedding_residual_row_mask",
+            _check_model(
+                residual_includes_embedding=True, input_mask_rows=True, **_dropout(0.6),
+                **_SMALL,
+            ),
+        ),
+        ("model_lstm_uncapped", _check_model(cell="lstm", cap_input_gate=False, **_SMALL)),
+        ("model_batch2_carried", _check_model(batch=2, carried=True, **_dropout(0.7), **_SMALL)),
+    ]
     return results

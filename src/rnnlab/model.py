@@ -23,7 +23,8 @@ from . import cells, mogrifier
 from .cells import CellState
 from .numerics import DivergenceError, Rng, bernoulli_mask, log_softmax, log_sum_exp
 from .numerics import gemm
-from .ptree import accumulate, zeros_like_tree
+# accumulate is unused here; perfbench/selftest.py checks that its tracer rebinds model.accumulate.
+from .ptree import accumulate, zeros_like_tree  # noqa: F401
 
 
 @dataclass
@@ -49,6 +50,8 @@ class ModelConfig:
     def validate(self):
         if self.layers < 1:
             raise ValueError(f"layers must be >= 1, got {self.layers}")
+        if self.state_size < 1:
+            raise ValueError(f"state_size must be >= 1, got {self.state_size}")
         if self.dropout_samples < 1:
             raise ValueError(f"dropout_samples must be >= 1, got {self.dropout_samples}")
         if self.cell not in ("lstm", "rlstm"):
@@ -196,15 +199,86 @@ def ones_masks(config: ModelConfig, batch: int, horizon: int) -> MaskSet:
     )
 
 
+class WindowBuffers:
+    """Memory for the activation buffers of one window at a time, reused
+    window after window.  The first write to a fresh page is slow (about
+    0.6 ms per MB on a 2-vCPU cloud VM) and a training window at batch 32
+    needs about 150 MB of buffers, so allocating them anew for every window
+    would cost it a fifth of its time.  forward_window cuts a window's
+    buffers out of one block and recycle() hands the block back once the
+    window's cache is spent; smaller windows (validation between training
+    windows) fit in the same block."""
+
+    def __init__(self):
+        self._block = None
+
+    def lend(self, nbytes: int) -> "_Carver":
+        if self._block is None or self._block.size < nbytes:
+            self._block = None  # free the old block before taking a larger one
+            self._block = np.empty(nbytes, np.uint8)
+        block, self._block = self._block, None
+        return _Carver(block)
+
+    def recycle(self, cache):
+        """Take the block back from a spent cache, and clear the cache so
+        that nothing reads its buffers once they are reused."""
+        self._block = cache.buffers.block
+        cache.buffers = cache.outputs = None
+        cache.cell_windows = cache.mog_windows = cache.cell_caches = cache.mog_caches = None
+
+
+class _Carver:
+    """An np.empty that cuts arrays out of a block one after the other.
+    Without a block it only counts the bytes they would take and hands out
+    placeholders of the right shape."""
+
+    ALIGN = 64
+
+    def __init__(self, block=None):
+        self.block = block
+        self.used = 0
+
+    def __call__(self, shape, dtype):
+        dtype = np.dtype(dtype)
+        start = -(-self.used // self.ALIGN) * self.ALIGN
+        self.used = start + math.prod(shape) * dtype.itemsize
+        if self.block is None:
+            return np.broadcast_to(np.empty((), dtype), shape)
+        return self.block[start : self.used].view(dtype).reshape(shape)
+
+
 @dataclass
 class WindowCache:
     inputs: np.ndarray
     masks: MaskSet
-    mog_caches: list  # [t][l]
-    cell_caches: list  # [t][l]
-    layer_sums: list  # [t] -> (B, n) sum of masked layer outputs
+    mog_windows: list  # [l] -> MogrifyCache of (T, B, .) buffers
+    cell_windows: list  # [l] -> CellCache of (T, B, .) buffers
+    mog_caches: list  # [t][l] -> the step-t view of mog_windows[l]
+    cell_caches: list  # [t][l] -> the step-t view of cell_windows[l]
+    outputs: np.ndarray  # (T, B, n) masked sum of layer outputs, the input of the output layer
     probs: np.ndarray  # (B, T, V)
     temperature: float
+    buffers: _Carver | None  # the block the window's buffers were cut from
+
+
+def _window_buffers(params, config, masks, steps, horizon, batch, empty):
+    """Activation buffers allocated with `empty`: per layer a cell cache and a
+    mogrifier cache of `steps` steps, whose ladder tops are the two halves of
+    the cell's input, and the (T, B, n) input of the output layer."""
+    n = config.state_size
+    dtype = config.np_dtype
+    cell_windows = []
+    mog_windows = []
+    for l, layer in enumerate(params.layers):
+        cell_window = cells.new_cache(config.cell, (steps, batch), n, n, dtype, empty)
+        if config.cell == "rlstm":
+            cell_window.state_mask = masks.m_state[l]
+        tops = (cell_window.xh[..., :n], cell_window.xh[..., n:])
+        cell_windows.append(cell_window)
+        mog_windows.append(
+            mogrifier.new_cache(layer.mog, (steps, batch), n, n, dtype, tops, empty)
+        )
+    return cell_windows, mog_windows, empty((horizon, batch, n), dtype)
 
 
 def forward_window(
@@ -214,8 +288,15 @@ def forward_window(
     masks: MaskSet,
     states: list | None = None,
     temperature: float = 1.0,
+    buffers: WindowBuffers | None = None,
+    backward: bool = True,
 ):
-    """Run one BPTT window. Returns (log_probs (B,T,V), cache, final states)."""
+    """Run one BPTT window. Returns (log_probs (B,T,V), cache, final states).
+
+    Activations go into (T, B, .) window buffers, cut from `buffers` when
+    given, so backward_window can form each weight gradient with one gemm
+    over the window.  With backward=False (scoring only) every step reuses
+    one step's buffers and the cache is None."""
     inputs = np.asarray(inputs)
     batch, horizon = inputs.shape
     if inputs.min() < 0 or inputs.max() >= config.vocab_size:
@@ -223,17 +304,24 @@ def forward_window(
     if states is None:
         states = zero_states(config, batch)
     states = [s.copy() for s in states]
-    e_out = params.e_out
+    n = config.state_size
+    steps = horizon if backward else 1
+    carver = None
+    if buffers is not None:
+        size = _Carver()
+        _window_buffers(params, config, masks, steps, horizon, batch, size)
+        carver = buffers.lend(size.used)
+    cell_windows, mog_windows, outputs = _window_buffers(
+        params, config, masks, steps, horizon, batch, carver or np.empty
+    )
 
     mog_caches = []
     cell_caches = []
-    layer_sums = []
-    all_logits = np.empty((batch, horizon, config.vocab_size), dtype=np.float64)
     for t in range(horizon):
         ids = inputs[:, t]
         x0 = params.e_in[ids] * masks.m_in[t]
-        mog_t = []
-        cell_t = []
+        mog_t = [window.at(t % steps) for window in mog_windows]
+        cell_t = [window.at(t % steps) for window in cell_windows]
         xhats = []
         for l, layer in enumerate(params.layers):
             if l == 0:
@@ -245,94 +333,117 @@ def forward_window(
                 if config.residual_includes_embedding:
                     x_in += x0
             h_masked_prev = states[l].h * masks.m_state[l]
-            mog_h, mog_x, mog_cache = mogrifier.mogrify_forward(layer.mog, h_masked_prev, x_in)
+            # The mogrifier writes its outputs into the cell's input buffer.
+            mog_h, _, _ = mogrifier.mogrify_forward(layer.mog, h_masked_prev, x_in, mog_t[l])
             entry_state = CellState(states[l].c, mog_h)
             if config.cell == "rlstm":
-                new_state, cell_cache = cells.rlstm_forward(
-                    layer.cell, entry_state, mog_x, state_mask=masks.m_state[l]
+                new_state, _ = cells.rlstm_forward(
+                    layer.cell, entry_state, None, masks.m_state[l], cell_t[l]
                 )
             else:
-                new_state, cell_cache = cells.lstm_forward(
-                    layer.cell, entry_state, mog_x, cap_input_gate=config.cap_input_gate
+                new_state, _ = cells.lstm_forward(
+                    layer.cell, entry_state, None, config.cap_input_gate, cell_t[l]
                 )
             states[l] = new_state
             xhats.append(new_state.h * masks.m_cell[l, t])
-            mog_t.append(mog_cache)
-            cell_t.append(cell_cache)
         total = xhats[0].copy()
         for xh in xhats[1:]:
             total += xh
-        logits = gemm(total * masks.m_out[t], e_out) + params.b_out
-        if not np.all(np.isfinite(logits)):
-            raise DivergenceError("non-finite logits")
-        all_logits[:, t, :] = logits
+        np.multiply(total, masks.m_out[t], out=outputs[t])
         mog_caches.append(mog_t)
         cell_caches.append(cell_t)
-        layer_sums.append(total)
 
-    log_probs = log_softmax(all_logits, temperature)
+    # One gemm for the whole window.  At batch 1 its rows are formed one at a
+    # time: BLAS picks its kernel by the row count, and a batch-1 token's
+    # score must not depend on the window it falls in.
+    logits = gemm(outputs.reshape(-1, n), params.e_out, rowwise=batch == 1)
+    logits += params.b_out
+    if not np.all(np.isfinite(logits)):
+        raise DivergenceError("non-finite logits")
+    logits = logits.reshape(horizon, batch, -1).transpose(1, 0, 2)
+    log_probs = log_softmax(logits, temperature)
+    final_states = [CellState(s.c.copy(), s.h) for s in states]
+    if not backward:
+        return log_probs, None, final_states
     cache = WindowCache(
         inputs=inputs,
         masks=masks,
+        mog_windows=mog_windows,
+        cell_windows=cell_windows,
         mog_caches=mog_caches,
         cell_caches=cell_caches,
-        layer_sums=layer_sums,
+        outputs=outputs,
         probs=np.exp(log_probs),
         temperature=temperature,
+        buffers=carver,
     )
-    return log_probs, cache, states
+    return log_probs, cache, final_states
 
 
 def backward_window(params: ModelParams, config: ModelConfig, cache: WindowCache, grad_log_probs):
     """Gradients of a scalar loss given its gradient on the log-probs.
 
     Backpropagation is truncated at the window start: no gradient flows into
-    the carried-in states.  Tied embeddings accumulate both the input-side and
-    the output-side contribution into the single e_in gradient.
+    the carried-in states.  Tied embeddings sum the input-side and the
+    output-side contribution into the single e_in gradient.  The time loop
+    runs the per-step backward passes, which leave pre-activation gradients in
+    the window buffers; every weight gradient is then one gemm over the
+    window.  The gate buffers are overwritten, so a cache serves one backward.
     """
     batch, horizon = cache.inputs.shape
+    n = config.state_size
     masks = cache.masks
-    grads = zeros_like_tree(params)
-    e_out = params.e_out
-    e_out_grad = grads.e_in.T if params.tied else grads.e_out_untied
 
     # d log_softmax: dlogit = (dlogp - p * sum(dlogp)) / temperature
     row_sums = np.sum(grad_log_probs, axis=-1, keepdims=True)
     dlogits = (grad_log_probs - cache.probs * row_sums) / cache.temperature
+    dlogits = dlogits.transpose(1, 0, 2).reshape(horizon * batch, -1)  # rows as in outputs
+    e_out_grad = gemm(cache.outputs.reshape(-1, n).T, dlogits)
+    b_out_grad = dlogits.sum(axis=0)
+    dsum = gemm(dlogits, params.e_out.T).reshape(horizon, batch, n)
+    dsum *= masks.m_out
 
-    grad_c = [np.zeros((batch, config.state_size)) for _ in range(config.layers)]
-    grad_h_masked = [np.zeros((batch, config.state_size)) for _ in range(config.layers)]
+    grad_c = [np.zeros((batch, n)) for _ in range(config.layers)]
+    grad_h_masked = [np.zeros((batch, n)) for _ in range(config.layers)]
     for t in range(horizon - 1, -1, -1):
-        dlog_t = np.ascontiguousarray(dlogits[:, t, :])
-        masked_sum = cache.layer_sums[t] * masks.m_out[t]
-        e_out_grad += gemm(masked_sum.T, dlog_t)
-        grads.b_out += dlog_t.sum(axis=0)
-        dsum = gemm(dlog_t, e_out.T) * masks.m_out[t]
-
-        dx_residual = np.zeros((batch, config.state_size))  # grad flowing into lower xhats
-        dx0 = np.zeros((batch, config.state_size))
+        dx_residual = np.zeros((batch, n))  # grad flowing into lower xhats
+        dx0 = np.zeros((batch, n))
         for l in range(config.layers - 1, -1, -1):
-            dxhat = dsum + dx_residual
+            layer = params.layers[l]
+            dxhat = dsum[t] + dx_residual
             dh = dxhat * masks.m_cell[l, t] + grad_h_masked[l] * masks.m_state[l]
-            cell_grads, dc_prev, dmog_h, dmog_x = cells.cell_backward(
-                params.layers[l].cell, cache.cell_caches[t][l], grad_c[l], dh
+            _, grad_c[l], dmog_h, dmog_x = cells.cell_backward(
+                layer.cell, cache.cell_caches[t][l], grad_c[l], dh
             )
-            accumulate(grads.layers[l].cell, cell_grads)
-            mog_grads, dh_masked_prev, dx_in = mogrifier.mogrify_backward(
-                params.layers[l].mog, cache.mog_caches[t][l], dmog_h, dmog_x
+            _, grad_h_masked[l], dx_in = mogrifier.mogrify_backward(
+                layer.mog, cache.mog_caches[t][l], dmog_h, dmog_x
             )
-            accumulate(grads.layers[l].mog, mog_grads)
-            grad_c[l] = dc_prev
-            grad_h_masked[l] = dh_masked_prev
             if l == 0:
                 dx0 += dx_in
             else:
                 dx_residual += dx_in
                 if config.residual_includes_embedding:
                     dx0 += dx_in
-        dx0_masked = dx0 * masks.m_in[t]
-        np.add.at(grads.e_in, cache.inputs[:, t], dx0_masked)
-    return grads
+        np.multiply(dx0, masks.m_in[t], out=dsum[t])  # dsum[t] is spent; it now holds dx0
+
+    e_in_grad = e_out_grad.T.copy() if params.tied else np.zeros_like(params.e_in)
+    np.add.at(e_in_grad, cache.inputs.T.ravel(), dsum.reshape(-1, n))
+    layers = [
+        LayerParams(
+            cell=cells.weight_grads(layer.cell, cell_window),
+            mog=mogrifier.weight_grads(layer.mog, mog_window),
+        )
+        for layer, cell_window, mog_window in zip(
+            params.layers, cache.cell_windows, cache.mog_windows, strict=True
+        )
+    ]
+    return ModelParams(
+        e_in=e_in_grad,
+        b_out=b_out_grad,
+        layers=layers,
+        e_out_untied=None if params.tied else e_out_grad,
+        tied=params.tied,
+    )
 
 
 def nll_from_log_probs(log_probs, targets):
@@ -355,14 +466,14 @@ def mix_sample_log_probs(sample_log_probs):
     return log_sum_exp(stacked, axis=0) - np.log(stacked.shape[0])
 
 
-def window_loss_with_masks(params, config, batch: WindowBatch, masks):
+def window_loss_with_masks(params, config, batch: WindowBatch, masks, buffers=None):
     """Multi-sample loss over explicit mask draws.
 
     `masks` holds D draws stacked along the batch axis (D*B rows, as
     sample_masks returns them); a list of per-draw MaskSets is stacked first.
     The D samples run as one forward and one backward pass at batch D*B, so
     gradients flow through all of them.  Carried-out states come from the
-    first sample."""
+    first sample.  `buffers` (a WindowBuffers) lends the window buffers."""
     if not isinstance(masks, MaskSet):
         masks = stack_masks(masks)
     bsz, horizon = batch.inputs.shape
@@ -380,7 +491,9 @@ def window_loss_with_masks(params, config, batch: WindowBatch, masks):
             CellState(np.tile(s.c, (num_samples, 1)), np.tile(s.h, (num_samples, 1)))
             for s in states
         ]
-    log_probs, cache, final_states = forward_window(params, config, inputs, masks, states)
+    log_probs, cache, final_states = forward_window(
+        params, config, inputs, masks, states, buffers=buffers
+    )
 
     rows = np.arange(num_samples * bsz)[:, None]
     cols = np.arange(horizon)[None, :]
@@ -395,17 +508,19 @@ def window_loss_with_masks(params, config, batch: WindowBatch, masks):
     grad_lp = np.zeros_like(cache.probs)
     grad_lp[rows, cols, targets] = -weights.reshape(num_samples * bsz, horizon) / count
     grads = backward_window(params, config, cache, grad_lp)
+    if buffers is not None:
+        buffers.recycle(cache)
     return loss, grads, [CellState(s.c[:bsz].copy(), s.h[:bsz].copy()) for s in final_states]
 
 
-def loss_multisample(params, config, batch: WindowBatch, rng: Rng, num_samples: int):
+def loss_multisample(params, config, batch: WindowBatch, rng: Rng, num_samples: int, buffers=None):
     """Average predicted probabilities over independent dropout draws.
     num_samples == 1 is exactly the standard single-sample objective."""
     if num_samples < 1:
         raise ValueError(f"num_samples must be >= 1, got {num_samples}")
     bsz, horizon = batch.inputs.shape
     masks = sample_masks(rng, config, bsz, horizon, num_samples)
-    return window_loss_with_masks(params, config, batch, masks)
+    return window_loss_with_masks(params, config, batch, masks, buffers)
 
 
 def predict_deterministic(params, config, inputs, temperature=1.0, states=None):
@@ -414,6 +529,6 @@ def predict_deterministic(params, config, inputs, temperature=1.0, states=None):
     inputs = np.asarray(inputs)
     masks = ones_masks(config, *inputs.shape)
     log_probs, _, final_states = forward_window(
-        params, config, inputs, masks, states, temperature
+        params, config, inputs, masks, states, temperature, backward=False
     )
     return log_probs, final_states

@@ -5,6 +5,11 @@ through 2*sigmoid gates; zero weights make every gate the identity.  Gate
 matrices may be full or low-rank factored.  The returned pair is the top of
 each ladder, which coincides with indices 2*floor(r/2) for the state and
 2*floor((r+1)/2) - 1 for the input.
+
+As in cells, a forward step writes into a cache of one step or of a window,
+the backward step writes each round's pre-activation gradient over its gate
+values, and `weight_grads` forms the gate-matrix gradients over every row of
+a cache at once.
 """
 
 from __future__ import annotations
@@ -44,85 +49,129 @@ class MogrifierParams:
 
 @dataclass
 class MogrifyCache:
+    """Activations of one step, arrays (B, .), or of a window, arrays (T, B, .)
+    of which `at(t)` views one step."""
+
     x_ladder: list  # x^-1, x^1, x^3, ...
     h_ladder: list  # h^0, h^2, h^4, ...
-    gates: list  # per round: the 2*sigmoid gate values
-    lowrank_mids: list  # per round: v-projected input for factored gates, else None
+    gates: list  # per round: 2*sigmoid gate values, then (backward) their pre-activation gradients
+
+    def at(self, t) -> "MogrifyCache":
+        return MogrifyCache(
+            [x[t] for x in self.x_ladder], [h[t] for h in self.h_ladder], [g[t] for g in self.gates]
+        )
+
+
+def new_cache(
+    p: MogrifierParams, shape, m: int, n: int, dtype=np.float64, tops=None, empty=np.empty
+):
+    """Uninitialised ladders and gates of one step (shape (B,)) or of a window
+    (shape (T, B)), from `empty`; mogrify_forward fills them.  `tops`, an
+    (x, h) pair of arrays, holds the top of each ladder instead of new ones,
+    so the outputs land where their consumer reads them."""
+
+    def buf(width):
+        return empty((*shape, width), dtype)
+
+    x_top, h_top = tops if tops is not None else (buf(m), buf(n))
+    return MogrifyCache(
+        x_ladder=[buf(m) for _ in range((p.rounds + 1) // 2)] + [x_top],
+        h_ladder=[buf(n) for _ in range(p.rounds // 2)] + [h_top],
+        gates=[buf(m if index % 2 == 1 else n) for index in range(1, p.rounds + 1)],
+    )
 
 
 def _apply_gate_matrix(w, vec):
-    """Return (pre_activation, lowrank_mid) for w @ vec with batched rows."""
     if isinstance(w, LowRank):
-        mid = gemm(vec, w.v.T)
-        return gemm(mid, w.u.T), mid
-    return gemm(vec, w.T), None
+        return gemm(gemm(vec, w.v.T), w.u.T)
+    return gemm(vec, w.T)
 
 
-def mogrify_forward(p: MogrifierParams, h: np.ndarray, x: np.ndarray):
+def mogrify_forward(p: MogrifierParams, h: np.ndarray, x: np.ndarray, cache=None):
+    """Run the rounds; returns (h out, x out, cache).  With `cache` (a step of
+    new_cache) the inputs are copied into the bottom of its ladders and every
+    activation is written into it; without one, a fresh cache is made whose
+    ladders start at h and x themselves."""
     p.validate()
-    x_ladder = [x]
-    h_ladder = [h]
-    gates = []
-    mids = []
+    if cache is None:
+        cache = new_cache(p, x.shape[:-1], x.shape[-1], h.shape[-1], np.result_type(h, x))
+        cache.x_ladder[0], cache.h_ladder[0] = x, h
+    else:
+        cache.x_ladder[0][...] = x
+        cache.h_ladder[0][...] = h
+    xs, hs = cache.x_ladder, cache.h_ladder
     for index in range(1, p.rounds + 1):
+        k = index // 2
+        gate = cache.gates[index - 1]
         if index % 2 == 1:
-            pre, mid = _apply_gate_matrix(p.x_gates[index // 2], h_ladder[-1])
-            gate = 2.0 * sigmoid(pre)
-            x_ladder.append(gate * x_ladder[-1])
+            sigmoid(_apply_gate_matrix(p.x_gates[k], hs[k]), out=gate)
+            gate *= 2.0
+            np.multiply(gate, xs[k], out=xs[k + 1])
         else:
-            pre, mid = _apply_gate_matrix(p.h_gates[index // 2 - 1], x_ladder[-1])
-            gate = 2.0 * sigmoid(pre)
-            h_ladder.append(gate * h_ladder[-1])
-        gates.append(gate)
-        mids.append(mid)
-    cache = MogrifyCache(x_ladder, h_ladder, gates, mids)
-    return h_ladder[-1], x_ladder[-1], cache
+            sigmoid(_apply_gate_matrix(p.h_gates[k - 1], xs[k]), out=gate)
+            gate *= 2.0
+            np.multiply(gate, hs[k - 1], out=hs[k])
+    return hs[-1], xs[-1], cache
 
 
-def _gate_backward(w, dpre, applied_to):
-    """Gradients of pre = w(applied_to): returns (w-shaped grads, d_applied_to)."""
+def _input_grad(w, dpre):
+    """Gradient of pre = w(applied_to) with respect to applied_to."""
     if isinstance(w, LowRank):
-        mid_grad = gemm(dpre, w.u)
-        grads = LowRank(u=gemm(dpre.T, gemm(applied_to, w.v.T)), v=gemm(mid_grad.T, applied_to))
-        return grads, gemm(mid_grad, w.v)
-    return gemm(dpre.T, applied_to), gemm(dpre, w)
+        return gemm(gemm(dpre, w.u), w.v)
+    return gemm(dpre, w)
 
 
 def mogrify_backward(p: MogrifierParams, cache: MogrifyCache, grad_h_out, grad_x_out):
-    """Exact gradients through the gating ladder.
+    """Exact gradients through the gating ladder: (dpre, dh, dx), where dpre,
+    the per-round pre-activation gradients, is written over cache.gates.
 
     d(2*sigmoid)/dpre written via the gate value g: g * (1 - g/2).
     """
-    x_grads = [None] * len(p.x_gates)
-    h_grads = [None] * len(p.h_gates)
     dh = grad_h_out
     dx = grad_x_out
-    x_top = len(cache.x_ladder) - 1
-    h_top = len(cache.h_ladder) - 1
+    xs, hs = cache.x_ladder, cache.h_ladder
     for index in range(p.rounds, 0, -1):
+        k = index // 2
         gate = cache.gates[index - 1]
         if index % 2 == 1:
-            x_old = cache.x_ladder[x_top - 1]
-            h_cur = cache.h_ladder[h_top]
-            dgate = dx * x_old
+            dgate = dx * xs[k]
             dx = dx * gate
-            dpre = dgate * gate * (1.0 - 0.5 * gate)
-            w_grad, dh_extra = _gate_backward(p.x_gates[index // 2], dpre, h_cur)
-            x_grads[index // 2] = w_grad
-            dh = dh + dh_extra
-            x_top -= 1
+            gate[...] = dgate * gate * (1.0 - 0.5 * gate)
+            dh = dh + _input_grad(p.x_gates[k], gate)
         else:
-            h_old = cache.h_ladder[h_top - 1]
-            x_cur = cache.x_ladder[x_top]
-            dgate = dh * h_old
+            dgate = dh * hs[k - 1]
             dh = dh * gate
-            dpre = dgate * gate * (1.0 - 0.5 * gate)
-            w_grad, dx_extra = _gate_backward(p.h_gates[index // 2 - 1], dpre, x_cur)
-            h_grads[index // 2 - 1] = w_grad
-            dx = dx + dx_extra
-            h_top -= 1
-    grads = MogrifierParams(rounds=p.rounds, x_gates=x_grads, h_gates=h_grads)
-    return grads, dh, dx
+            gate[...] = dgate * gate * (1.0 - 0.5 * gate)
+            dx = dx + _input_grad(p.h_gates[k - 1], gate)
+    return cache.gates, dh, dx
+
+
+def _rows(a):
+    return a.reshape(-1, a.shape[-1])
+
+
+def _gate_weight_grad(w, dpre, applied_to):
+    if isinstance(w, LowRank):
+        return LowRank(
+            u=gemm(dpre.T, gemm(applied_to, w.v.T)), v=gemm(gemm(dpre, w.u).T, applied_to)
+        )
+    return gemm(dpre.T, applied_to)
+
+
+def weight_grads(p: MogrifierParams, cache: MogrifyCache) -> MogrifierParams:
+    """Gate-matrix gradients from a cache whose gates hold pre-activation
+    gradients: one gemm per full matrix (four per factored one) over every
+    row of the cache."""
+    x_grads = []
+    h_grads = []
+    for index in range(1, p.rounds + 1):
+        k = index // 2
+        dpre = _rows(cache.gates[index - 1])
+        if index % 2 == 1:
+            x_grads.append(_gate_weight_grad(p.x_gates[k], dpre, _rows(cache.h_ladder[k])))
+        else:
+            h_grads.append(_gate_weight_grad(p.h_gates[k - 1], dpre, _rows(cache.x_ladder[k])))
+    return MogrifierParams(rounds=p.rounds, x_gates=x_grads, h_gates=h_grads)
 
 
 def _init_gate(rng: Rng, d_out: int, d_in: int, rank: int, scale: float, dtype):

@@ -32,12 +32,15 @@ def fast_gemm_enabled() -> bool:
     return _fast_gemm
 
 
-def gemm(a, b):
+def gemm(a, b, rowwise=False):
     """Matrix product with a fixed summation order.
 
     The default path accumulates over the inner dimension sequentially
     (outer-product updates), which is bitwise identical to the classic
-    i-j-k triple loop in IEEE double precision.
+    i-j-k triple loop in IEEE double precision; each row of the result is
+    then independent of the other rows.  The BLAS path picks its kernels by
+    the shape, so a row's bits can depend on how many rows come with it;
+    `rowwise` makes it form each row as a product of its own (still one call).
     """
     a = np.asarray(a)
     b = np.asarray(b)
@@ -46,19 +49,19 @@ def gemm(a, b):
     if a.shape[1] != b.shape[0]:
         raise ValueError(f"gemm dimension mismatch: {a.shape} x {b.shape}")
     if _fast_gemm:
-        return a @ b
+        return np.matmul(a[:, None, :], b)[:, 0, :] if rowwise else a @ b
     out = np.zeros((a.shape[0], b.shape[1]), dtype=np.result_type(a, b))
     for k in range(a.shape[1]):
         out += a[:, k : k + 1] * b[k : k + 1, :]
     return out
 
 
-def sigmoid(x):
+def sigmoid(x, out=None):
     # exp overflow for very negative x saturates to 0 through 1/inf, which is
     # the correct limit; silence the spurious warning.
     x = np.asarray(x, dtype=np.result_type(x, np.float32))
     with np.errstate(over="ignore"):
-        return 1.0 / (1.0 + np.exp(-x))
+        return np.divide(1.0, 1.0 + np.exp(-x), out=out)
 
 
 def dsigmoid_from_value(s):

@@ -272,6 +272,7 @@ def train(
         raise ValueError("training stream too short for one window")
 
     best = _take_snapshot(params, radam, tta, float("inf"), rng)
+    buffers = model.WindowBuffers()
     tta_average = flatten(params)
     tta_val = float("inf")
     metrics = []
@@ -344,7 +345,7 @@ def train(
             new_states = None
             try:
                 loss, grads, new_states = model.loss_multisample(
-                    params, config, batch, rng, config.dropout_samples
+                    params, config, batch, rng, config.dropout_samples, buffers
                 )
             except DivergenceError as err:
                 diverged = str(err)

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from rnnlab import cells
-from rnnlab.cells import CellState, LstmCache
+from rnnlab.cells import CellCache, CellState
 from rnnlab.numerics import DivergenceError, Rng, sigmoid
+from rnnlab.ptree import accumulate, flatten, zeros_like_tree
 
 
 def random_lstm(rng, m=6, n=5, t_max=8.0):
@@ -28,23 +29,25 @@ class TestLstmForward:
         x = rng.uniform(-1, 1, (3, 6))
         new, cache = cells.lstm_forward(p, state, x, cap_input_gate=True)
 
-        i = sigmoid(x @ p.w_ix.T + state.h @ p.w_ih.T + p.b_i)
-        j = np.tanh(x @ p.w_jx.T + state.h @ p.w_jh.T + p.b_j)
-        f = sigmoid(x @ p.w_fx.T + state.h @ p.w_fh.T + p.b_f)
-        o = sigmoid(x @ p.w_ox.T + state.h @ p.w_oh.T + p.b_o)
+        v = cells.gate_views(p)
+        i = sigmoid(x @ v["w_ix"].T + state.h @ v["w_ih"].T + v["b_i"])
+        j = np.tanh(x @ v["w_jx"].T + state.h @ v["w_jh"].T + v["b_j"])
+        f = sigmoid(x @ v["w_fx"].T + state.h @ v["w_fh"].T + v["b_f"])
+        o = sigmoid(x @ v["w_ox"].T + state.h @ v["w_oh"].T + v["b_o"])
         g = np.minimum(i, 1 - f)
         c = f * state.c + g * j
         assert np.allclose(new.c, c, atol=1e-13)
         assert np.allclose(new.h, o * np.tanh(c), atol=1e-13)
-        assert np.allclose(cache.g, g, atol=1e-13)
+        assert np.allclose(cache.gates, np.concatenate([i, j, f, o], axis=1), atol=1e-13)
 
     def test_uncapped_uses_raw_input_gate(self):
         rng = Rng(101)
         p = random_lstm(rng)
         state = random_state(rng, 2, 5)
         x = rng.uniform(-1, 1, (2, 6))
-        _, cache = cells.lstm_forward(p, state, x, cap_input_gate=False)
-        assert np.array_equal(cache.g, cache.i)
+        new, cache = cells.lstm_forward(p, state, x, cap_input_gate=False)
+        i, j, f, _ = np.split(cache.gates, 4, axis=1)
+        assert np.array_equal(new.c, f * state.c + i * j)
 
     def test_capped_state_stays_bounded(self):
         rng = Rng(102)
@@ -59,9 +62,10 @@ class TestLstmForward:
         # Push i and f toward 1 so c accumulates: the cap is what bounds it.
         rng = Rng(103)
         p = random_lstm(rng)
-        p.b_i[:] = 10.0
-        p.b_f[:] = 10.0
-        p.b_j[:] = 3.0
+        v = cells.gate_views(p)
+        v["b_i"][:] = 10.0
+        v["b_f"][:] = 10.0
+        v["b_j"][:] = 3.0
         state = CellState.zeros(1, 5)
         for _ in range(10):
             x = rng.uniform(-0.1, 0.1, (1, 6))
@@ -71,7 +75,7 @@ class TestLstmForward:
     def test_non_finite_state_raises(self):
         rng = Rng(104)
         p = random_lstm(rng)
-        p.w_jx[:] = np.nan
+        cells.gate_views(p)["w_jx"][:] = np.nan
         with pytest.raises(DivergenceError):
             cells.lstm_forward(p, CellState.zeros(1, 5), np.ones((1, 6)))
 
@@ -85,12 +89,13 @@ class TestRlstmForward:
         mask = 0.5 + rng.random((3, 5))
         new, cache = cells.rlstm_forward(p, state, x, state_mask=mask)
 
-        i = sigmoid(x @ p.w_ix.T + state.h @ p.w_ih.T + p.b_i)
-        j = np.tanh(x @ p.w_jx.T + state.h @ p.w_jh.T + p.b_j)
-        f = sigmoid((i * j) @ p.w_fu.T + state.h @ p.w_fh.T + p.b_f)
+        v = cells.gate_views(p)
+        i = sigmoid(x @ v["w_ix"].T + state.h @ v["w_ih"].T + v["b_i"])
+        j = np.tanh(x @ v["w_jx"].T + state.h @ v["w_jh"].T + v["b_j"])
+        f = sigmoid((i * j) @ v["w_fu"].T + state.h @ v["w_fh"].T + v["b_f"])
         g = np.minimum(i, 1 - f)
         c = f * state.c + g * j
-        o = sigmoid((c * mask) @ p.w_oc.T + p.b_o)
+        o = sigmoid((c * mask) @ v["w_oc"].T + v["b_o"])
         assert np.allclose(new.c, c, atol=1e-13)
         assert np.allclose(new.h, o * np.tanh(c), atol=1e-13)
 
@@ -98,13 +103,14 @@ class TestRlstmForward:
         # f depends on x only through i*j; with w_fu zero, f ignores x entirely.
         rng = Rng(111)
         p = random_rlstm(rng)
-        p.w_fu[:] = 0.0
+        cells.gate_views(p)["w_fu"][:] = 0.0
         state = random_state(rng, 2, 5)
         x1 = rng.uniform(-1, 1, (2, 6))
         x2 = rng.uniform(-1, 1, (2, 6))
         _, cache1 = cells.rlstm_forward(p, state.copy(), x1)
         _, cache2 = cells.rlstm_forward(p, state.copy(), x2)
-        assert np.array_equal(cache1.f, cache2.f)
+        f1, f2 = (np.split(cache.gates, 4, axis=1)[2] for cache in (cache1, cache2))
+        assert np.array_equal(f1, f2)
 
     def test_output_gate_reads_masked_cell_state(self):
         rng = Rng(112)
@@ -117,7 +123,9 @@ class TestRlstmForward:
         with_ones, _ = cells.rlstm_forward(p, state.copy(), x, state_mask=ones)
         assert np.array_equal(no_mask.h, with_ones.h)
         zeroed, cache = cells.rlstm_forward(p, state.copy(), x, state_mask=mask)
-        assert np.allclose(cache.o, sigmoid(np.broadcast_to(p.b_o, (2, 5))), atol=1e-14)
+        o = np.split(cache.gates, 4, axis=1)[3]
+        b_o = cells.gate_views(p)["b_o"]
+        assert np.allclose(o, sigmoid(np.broadcast_to(b_o, (2, 5))), atol=1e-14)
         assert not np.array_equal(zeroed.h, no_mask.h)
 
     def test_state_always_bounded(self):
@@ -159,7 +167,8 @@ class TestBackward:
         numeric = finite_difference_gradient(loss, theta0)
         unflatten_into(p, theta0)
         _, cache = run()
-        grads, _, _, _ = cells.cell_backward(p, cache, probe_c, probe_h)
+        cells.cell_backward(p, cache, probe_c, probe_h)
+        grads = cells.weight_grads(p, cache)
         assert max_relative_error(flatten(grads), numeric) < 1e-6
 
     def test_lstm_capped_gradients(self):
@@ -177,25 +186,21 @@ class TestBackward:
         n = 3
         i = np.full((1, n), 0.25)
         f = np.full((1, n), 0.75)
-        cache = LstmCache(
-            x=np.zeros((1, 2)),
-            c_prev=np.zeros((1, n)),
-            h_prev=np.zeros((1, n)),
-            i=i,
-            j=np.full((1, n), 0.5),
-            f=f,
-            o=np.full((1, n), 0.5),
-            g=np.minimum(i, 1 - f),
+        cache = CellCache(
+            xh=np.zeros((1, 2 + n)),
+            gates=np.concatenate([i, np.full((1, n), 0.5), f, np.full((1, n), 0.5)], axis=1),
             c=np.zeros((1, n)),
             tanh_c=np.zeros((1, n)),
+            c_prev=np.zeros((1, n)),
             capped=True,
         )
         p = cells.init_lstm_params(Rng(0), 2, n, 4.0)
-        grads, _, _, _ = cells.lstm_backward(p, cache, np.ones((1, n)), np.zeros((1, n)))
+        cells.lstm_backward(p, cache, np.ones((1, n)), np.zeros((1, n)))
+        grads = cells.gate_views(cells.weight_grads(p, cache))
         # dg = c_prev-free path: dc * j = 1 * 0.5; routed to i means b_i grad
         # is nonzero and the -dg part of b_f grad is absent (df = dc*c_prev = 0).
-        assert np.all(grads.b_i != 0.0)
-        assert np.all(grads.b_f == 0.0)
+        assert np.all(grads["b_i"] != 0.0)
+        assert np.all(grads["b_f"] == 0.0)
 
     def test_unknown_cache_type_rejected(self):
         with pytest.raises(TypeError):
@@ -206,10 +211,10 @@ class TestInit:
     def test_chrono_forget_bias_range(self):
         rng = Rng(130)
         t_max = 50.0
-        p = cells.init_lstm_params(rng, 4, 64, t_max)
-        assert np.all(p.b_f >= np.log(1.0) - 1e-12)
-        assert np.all(p.b_f <= np.log(t_max - 1.0) + 1e-12)
-        assert np.all(p.b_i == 0) and np.all(p.b_j == 0) and np.all(p.b_o == 0)
+        v = cells.gate_views(cells.init_lstm_params(rng, 4, 64, t_max))
+        assert np.all(v["b_f"] >= np.log(1.0) - 1e-12)
+        assert np.all(v["b_f"] <= np.log(t_max - 1.0) + 1e-12)
+        assert np.all(v["b_i"] == 0) and np.all(v["b_j"] == 0) and np.all(v["b_o"] == 0)
 
     def test_t_max_must_exceed_two(self):
         with pytest.raises(ValueError):
@@ -220,9 +225,9 @@ class TestInit:
     def test_weight_scale(self):
         rng = Rng(131)
         n = 100
-        p = cells.init_rlstm_params(rng, n, n, 8.0)
+        v = cells.gate_views(cells.init_rlstm_params(rng, n, n, 8.0))
         bound = 1.0 / np.sqrt(n)
-        for w in (p.w_ix, p.w_ih, p.w_fu, p.w_oc):
+        for w in (v["w_ix"], v["w_ih"], v["w_fu"], v["w_oc"]):
             assert np.max(np.abs(w)) <= bound
 
     def test_dispatch(self):
@@ -230,3 +235,56 @@ class TestInit:
         assert isinstance(cells.init_cell_params(Rng(0), 3, 3, "rlstm", 5.0), cells.RlstmParams)
         with pytest.raises(ValueError):
             cells.init_cell_params(Rng(0), 3, 3, "gru", 5.0)
+
+
+class TestFusedLayout:
+    @pytest.mark.parametrize("kind", ["lstm", "rlstm"])
+    def test_init_draws_the_per_gate_blocks_in_order(self, kind):
+        # The fused matrices hold the numbers one draw per gate block would
+        # give, and init leaves the rng where those draws would.
+        m, n, t_max = 3, 5, 8.0
+        names = {
+            "lstm": ["w_ix", "w_ih", "w_jx", "w_jh", "w_fx", "w_fh", "w_ox", "w_oh"],
+            "rlstm": ["w_ix", "w_ih", "w_jx", "w_jh", "w_fu", "w_fh", "w_oc"],
+        }[kind]
+        rng_ref = Rng(140)
+        scale = 1.0 / np.sqrt(n)
+        ref = {
+            name: rng_ref.uniform(-scale, scale, (n, m if name.endswith("x") else n))
+            for name in names
+        }
+        ref["b_f"] = np.log(rng_ref.uniform(1.0, t_max - 1.0, n))
+        rng = Rng(140)
+        views = cells.gate_views(cells.init_cell_params(rng, m, n, kind, t_max))
+        assert list(views)[: len(names)] == names
+        for name, value in ref.items():
+            assert views[name].tobytes() == value.tobytes()
+        for name in ("b_i", "b_j", "b_o"):
+            assert np.all(views[name] == 0.0)
+        assert rng.state() == rng_ref.state()
+
+    @pytest.mark.parametrize("kind", ["lstm", "rlstm"])
+    def test_window_weight_grads_sum_the_steps(self, kind):
+        rng = Rng(141)
+        batch, horizon, m, n = 3, 4, 6, 5
+        p = cells.init_cell_params(rng, m, n, kind, 8.0)
+        window = cells.new_cache(kind, (horizon, batch), m, n)
+        mask = 0.5 + rng.random((batch, n)) if kind == "rlstm" else None
+        window.state_mask = mask
+        state = random_state(rng, batch, n)
+        steps = []
+        for t in range(horizon):
+            x = rng.uniform(-1, 1, (batch, m))
+            step = window.at(t)
+            if kind == "rlstm":
+                state, _ = cells.rlstm_forward(p, state, x, mask, step)
+            else:
+                state, _ = cells.lstm_forward(p, state, x, True, step)
+            steps.append(step)
+        dc, dh = rng.uniform(-1, 1, (batch, n)), rng.uniform(-1, 1, (batch, n))
+        total = zeros_like_tree(p)
+        for step in reversed(steps):
+            _, dc, dh, _ = cells.cell_backward(p, step, dc, dh)
+            accumulate(total, cells.weight_grads(p, step))
+        window_grads = flatten(cells.weight_grads(p, window))
+        assert np.allclose(window_grads, flatten(total), rtol=1e-12, atol=1e-14)

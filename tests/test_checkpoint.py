@@ -1,3 +1,7 @@
+import json
+import pathlib
+import zlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -120,6 +124,22 @@ class TestErrors:
         assert str(ckpt_mod.VERSION + 41) in message
         assert f"version {ckpt_mod.VERSION}" in message
 
+    def test_real_version_1_file_is_refused(self):
+        # Written by the last version-1 build: one rlstm layer of width 2.
+        path = pathlib.Path(__file__).parent / "data" / "version1.ckpt"
+        with pytest.raises(CheckpointVersionError) as err:
+            load_checkpoint(path)
+        assert "format version 1;" in str(err.value)
+        assert f"reads version {ckpt_mod.VERSION}" in str(err.value)
+
+    def test_header_holds_the_payload_checksum(self, tmp_path):
+        path = tmp_path / "crc.ckpt"
+        save_checkpoint(path, make_checkpoint())
+        blob = path.read_bytes()
+        header_len = int(np.frombuffer(blob[8:16], dtype="<u8")[0])
+        header = json.loads(blob[16 : 16 + header_len])
+        assert header["payload_crc32"] == zlib.crc32(blob[16 + header_len :])
+
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "not.ckpt"
         path.write_bytes(b"JUNKJUNKJUNKJUNK")
@@ -199,6 +219,17 @@ class TestCorruptFiles:
         damaged[position] ^= flip
         self.load_or_reject(root, bytes(damaged))
 
+    @FUZZ
+    @given(data=st.data())
+    def test_byte_flip_in_payload_is_caught(self, saved, data):
+        root, blob, regions = saved
+        position = data.draw(st.integers(*regions["payload"]).filter(lambda n: n < len(blob)))
+        damaged = bytearray(blob)
+        damaged[position] ^= data.draw(st.integers(1, 255))
+        (root / "flipped.ckpt").write_bytes(bytes(damaged))
+        with pytest.raises(CheckpointError, match="checksum"):
+            load_checkpoint(root / "flipped.ckpt")
+
     @pytest.mark.parametrize(
         "blob, message",
         [
@@ -208,6 +239,8 @@ class TestCorruptFiles:
         ],
     )
     def test_named_failures(self, tmp_path, blob, message):
+        if len(blob) >= 16:  # a whole preamble: give it the version this build reads
+            blob = blob[:4] + np.uint32(ckpt_mod.VERSION).tobytes() + blob[8:]
         path = tmp_path / "bad.ckpt"
         path.write_bytes(blob)
         with pytest.raises(CheckpointError, match=message):

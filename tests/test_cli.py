@@ -136,6 +136,32 @@ class TestTrainCommand:
         err = capsys.readouterr().err
         assert "line 2" in err and "wibble" in err
 
+    @pytest.mark.parametrize(
+        "key, message",
+        [
+            ("layers", "layers must be >= 1"),
+            ("state_size", "state_size must be >= 1"),
+            ("keep_in", "keep_in must be in (0, 1]"),
+            ("epochs", "epochs must be >= 1"),
+        ],
+    )
+    def test_invalid_setting_is_a_config_error(self, trained_run, tmp_path, capsys, key, message):
+        config = write_config(tmp_path / "bad.cfg", trained_run["corpus"], tmp_path, **{key: 0})
+        assert cli.main(["train", "--config", str(config)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and message in err
+        assert not (tmp_path / "model.ckpt").exists()
+
+    def test_byte_missing_from_the_training_split_exits_one(self, tmp_path, capsys):
+        # This corpus puts bytes '6' and 'L' into valid and '7' into test only.
+        corpus.write_splits(tmp_path / "corpus", total_bytes=3000, seed=1)
+        config = write_config(tmp_path / "run.cfg", tmp_path / "corpus", tmp_path)
+        assert cli.main(["train", "--config", str(config)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("data error: valid split") and "valid.txt" in err
+        assert "'6'" in err
+        assert not (tmp_path / "model.ckpt").exists()
+
     def test_seed_override_lands_in_metrics_header(self, trained_run, tmp_path, capsys):
         run_dir = tmp_path
         config = write_config(
@@ -235,6 +261,24 @@ class TestEvaluateCommand:
         assert err.startswith("checkpoint error:") and "cut.ckpt" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "command, split",
+        [("evaluate", "test"), ("dyneval", "valid"), ("tune-temperature", "valid")],
+    )
+    def test_byte_missing_from_the_vocabulary_exits_one(
+        self, trained_run, tmp_path, capsys, command, split
+    ):
+        strange = tmp_path / "strange.txt"
+        strange.write_text("plain text with a bell \a in it\n")
+        config = write_config(
+            tmp_path / "strange.cfg", trained_run["corpus"], trained_run["root"],
+            dyn_tune="true", **{f"{split}_path": strange},
+        )
+        assert cli.main([command, "--config", str(config)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: {split} split") and "strange.txt" in err
+        assert "'\\x07'" in err
+
     def test_csv_export(self, trained_run, tmp_path, capsys):
         csv_path = tmp_path / "eval.csv"
         cli.main(
@@ -247,6 +291,14 @@ class TestEvaluateCommand:
 
 
 class TestDynevalCommand:
+    def test_invalid_setting_is_a_config_error(self, trained_run, tmp_path, capsys):
+        config = write_config(
+            tmp_path / "neg.cfg", trained_run["corpus"], trained_run["root"], dyn_lr=-1.0
+        )
+        assert cli.main(["dyneval", "--config", str(config)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "lr must be >= 0" in err
+
     def test_lr_zero_matches_static_exactly(self, trained_run, tmp_path, capsys):
         config = write_config(
             tmp_path / "dyn.cfg", trained_run["corpus"], trained_run["root"],

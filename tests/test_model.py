@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from rnnlab import model, numerics
+from rnnlab import cells, model, mogrifier, numerics, ptree
 from rnnlab.cells import CellState
 from rnnlab.model import ModelConfig, WindowBatch
 from rnnlab.numerics import DivergenceError, Rng, max_relative_error
@@ -57,19 +57,19 @@ def oracle_forward(params, config, inputs, masks, temperature=1.0):
                     if hasattr(w, "u"):
                         w = w.u @ w.v
                     hh = 2.0 * naive_sigmoid(x @ w.T) * hh
-            cp = p.cell
-            i = naive_sigmoid(x @ cp.w_ix.T + hh @ cp.w_ih.T + cp.b_i)
-            j = np.tanh(x @ cp.w_jx.T + hh @ cp.w_jh.T + cp.b_j)
+            cp = cells.gate_views(p.cell)
+            i = naive_sigmoid(x @ cp["w_ix"].T + hh @ cp["w_ih"].T + cp["b_i"])
+            j = np.tanh(x @ cp["w_jx"].T + hh @ cp["w_jh"].T + cp["b_j"])
             if config.cell == "rlstm":
-                f = naive_sigmoid((i * j) @ cp.w_fu.T + hh @ cp.w_fh.T + cp.b_f)
+                f = naive_sigmoid((i * j) @ cp["w_fu"].T + hh @ cp["w_fh"].T + cp["b_f"])
                 g = np.minimum(i, 1.0 - f)
                 c[l] = f * c[l] + g * j
-                o = naive_sigmoid((c[l] * masks.m_state[l]) @ cp.w_oc.T + cp.b_o)
+                o = naive_sigmoid((c[l] * masks.m_state[l]) @ cp["w_oc"].T + cp["b_o"])
             else:
-                f = naive_sigmoid(x @ cp.w_fx.T + hh @ cp.w_fh.T + cp.b_f)
+                f = naive_sigmoid(x @ cp["w_fx"].T + hh @ cp["w_fh"].T + cp["b_f"])
                 g = np.minimum(i, 1.0 - f) if config.cap_input_gate else i
                 c[l] = f * c[l] + g * j
-                o = naive_sigmoid(x @ cp.w_ox.T + hh @ cp.w_oh.T + cp.b_o)
+                o = naive_sigmoid(x @ cp["w_ox"].T + hh @ cp["w_oh"].T + cp["b_o"])
             h[l] = o * np.tanh(c[l])
             xhats.append(h[l] * masks.m_cell[l, t])
         logits = (sum(xhats) * masks.m_out[t]) @ e_out + params.b_out
@@ -527,3 +527,332 @@ class TestConfigValidation:
         filled = model.init_model_params(Rng(5), config)
         assert flatten(empty).size == flatten(filled).size
         assert np.all(flatten(empty) == 0.0)
+
+
+# --- Reference: the per-gate, per-step model ---------------------------------
+# One gemm per gate and input, the output layer at every step, and every
+# weight gradient formed at every step and summed into a zero tree.  The
+# module under test fuses the gates and forms each weight gradient once per
+# window; the two must agree to rounding.
+
+
+def ref_mogrify(mp, h, x):
+    gemm = numerics.gemm
+    xs, hs, gates = [x], [h], []
+    for index in range(1, mp.rounds + 1):
+        w = mp.x_gates[index // 2] if index % 2 == 1 else mp.h_gates[index // 2 - 1]
+        src = hs[-1] if index % 2 == 1 else xs[-1]
+        pre = gemm(gemm(src, w.v.T), w.u.T) if hasattr(w, "u") else gemm(src, w.T)
+        gate = 2.0 * numerics.sigmoid(pre)
+        if index % 2 == 1:
+            xs.append(gate * xs[-1])
+        else:
+            hs.append(gate * hs[-1])
+        gates.append(gate)
+    return xs, hs, gates
+
+
+def ref_gate_backward(w, w_grad, dpre, applied_to):
+    gemm = numerics.gemm
+    if hasattr(w, "u"):
+        mid_grad = gemm(dpre, w.u)
+        w_grad.u += gemm(dpre.T, gemm(applied_to, w.v.T))
+        w_grad.v += gemm(mid_grad.T, applied_to)
+        return gemm(mid_grad, w.v)
+    w_grad += gemm(dpre.T, applied_to)
+    return gemm(dpre, w)
+
+
+def ref_mogrify_backward(mp, mg, xs, hs, gates, dh, dx):
+    x_top, h_top = len(xs) - 1, len(hs) - 1
+    for index in range(mp.rounds, 0, -1):
+        gate = gates[index - 1]
+        if index % 2 == 1:
+            dgate = dx * xs[x_top - 1]
+            dx = dx * gate
+            dpre = dgate * gate * (1.0 - 0.5 * gate)
+            k = index // 2
+            dh = dh + ref_gate_backward(mp.x_gates[k], mg.x_gates[k], dpre, hs[h_top])
+            x_top -= 1
+        else:
+            dgate = dh * hs[h_top - 1]
+            dh = dh * gate
+            dpre = dgate * gate * (1.0 - 0.5 * gate)
+            k = index // 2 - 1
+            dx = dx + ref_gate_backward(mp.h_gates[k], mg.h_gates[k], dpre, xs[x_top])
+            h_top -= 1
+    return dh, dx
+
+
+def ref_cell_forward(config, cp, c_prev, h_prev, x, state_mask):
+    gemm, sigmoid = numerics.gemm, numerics.sigmoid
+    v = cells.gate_views(cp)
+    i = sigmoid(gemm(x, v["w_ix"].T) + gemm(h_prev, v["w_ih"].T) + v["b_i"])
+    j = np.tanh(gemm(x, v["w_jx"].T) + gemm(h_prev, v["w_jh"].T) + v["b_j"])
+    u = cm = None
+    if config.cell == "rlstm":
+        u = i * j
+        f = sigmoid(gemm(u, v["w_fu"].T) + gemm(h_prev, v["w_fh"].T) + v["b_f"])
+        g = np.minimum(i, 1.0 - f)
+        c = f * c_prev + g * j
+        cm = c * state_mask
+        o = sigmoid(gemm(cm, v["w_oc"].T) + v["b_o"])
+    else:
+        f = sigmoid(gemm(x, v["w_fx"].T) + gemm(h_prev, v["w_fh"].T) + v["b_f"])
+        o = sigmoid(gemm(x, v["w_ox"].T) + gemm(h_prev, v["w_oh"].T) + v["b_o"])
+        g = np.minimum(i, 1.0 - f) if config.cap_input_gate else i
+        c = f * c_prev + g * j
+    tanh_c = np.tanh(c)
+    step = dict(x=x, c_prev=c_prev, h_prev=h_prev, i=i, j=j, f=f, o=o, g=g, tanh_c=tanh_c,
+                u=u, cm=cm, state_mask=state_mask)
+    return c, o * tanh_c, step
+
+
+def ref_cell_backward(config, cp, cg, s, grad_c, grad_h):
+    gemm = numerics.gemm
+    v, gv = cells.gate_views(cp), cells.gate_views(cg)
+    rewired = config.cell == "rlstm"
+    do = grad_h * s["tanh_c"]
+    dc = grad_c + grad_h * s["o"] * (1.0 - s["tanh_c"] ** 2)
+    dpre = {"o": do * s["o"] * (1.0 - s["o"])}
+    if rewired:
+        dc = dc + gemm(dpre["o"], v["w_oc"]) * s["state_mask"]
+    df = dc * s["c_prev"]
+    dg = dc * s["j"]
+    dj = dc * s["g"]
+    dc_prev = dc * s["f"]
+    if rewired or config.cap_input_gate:
+        take_i = s["i"] <= 1.0 - s["f"]
+        di = dg * take_i
+        df = df - dg * (~take_i)
+    else:
+        di = dg
+    dpre["f"] = df * s["f"] * (1.0 - s["f"])
+    if rewired:
+        du = gemm(dpre["f"], v["w_fu"])
+        di = di + du * s["j"]
+        dj = dj + du * s["i"]
+    dpre["i"] = di * s["i"] * (1.0 - s["i"])
+    dpre["j"] = dj * (1.0 - s["j"] ** 2)
+    for g, d in dpre.items():
+        gv[f"b_{g}"] += d.sum(axis=0)
+    inputs = {"x": s["x"], "h": s["h_prev"], "u": s["u"], "c": s["cm"]}
+    dx = 0.0
+    dh = 0.0
+    for name, block in v.items():
+        if not name.startswith("w_"):
+            continue
+        g, src = name[2], name[3]
+        gv[name] += gemm(dpre[g].T, inputs[src])
+        if src == "x":
+            dx = dx + gemm(dpre[g], block)
+        elif src == "h":
+            dh = dh + gemm(dpre[g], block)
+    return dc_prev, dh, dx
+
+
+def ref_window(params, config, inputs, masks, states, grad_of_log_probs):
+    """(log_probs, grads) of the per-gate, per-step model; the log-prob
+    gradient comes from grad_of_log_probs(log_probs)."""
+    gemm = numerics.gemm
+    batch, horizon = inputs.shape
+    n = config.state_size
+    c = [s.c for s in states]
+    h = [s.h for s in states]
+    logits = np.empty((batch, horizon, config.vocab_size))
+    steps = []
+    for t in range(horizon):
+        x0 = params.e_in[inputs[:, t]] * masks.m_in[t]
+        xhats, step = [], []
+        for l, layer in enumerate(params.layers):
+            x = x0 if l == 0 else sum(xhats[1:], xhats[0].copy())
+            if l > 0 and config.residual_includes_embedding:
+                x = x + x0
+            xs, hs, gates = ref_mogrify(layer.mog, h[l] * masks.m_state[l], x)
+            c[l], h[l], cell = ref_cell_forward(
+                config, layer.cell, c[l], hs[-1], xs[-1], masks.m_state[l]
+            )
+            xhats.append(h[l] * masks.m_cell[l, t])
+            step.append((xs, hs, gates, cell))
+        total = sum(xhats[1:], xhats[0].copy())
+        logits[:, t, :] = gemm(total * masks.m_out[t], params.e_out) + params.b_out
+        steps.append((total, step))
+    log_probs = numerics.log_softmax(logits)
+    grad_lp = grad_of_log_probs(log_probs)
+
+    grads = zeros_like_tree(params)
+    e_out_grad = grads.e_in.T if params.tied else grads.e_out_untied
+    dlogits = grad_lp - np.exp(log_probs) * np.sum(grad_lp, axis=-1, keepdims=True)
+    grad_c = [np.zeros((batch, n)) for _ in params.layers]
+    grad_h = [np.zeros((batch, n)) for _ in params.layers]
+    for t in range(horizon - 1, -1, -1):
+        total, step = steps[t]
+        dlog_t = np.ascontiguousarray(dlogits[:, t, :])
+        e_out_grad += gemm((total * masks.m_out[t]).T, dlog_t)
+        grads.b_out += dlog_t.sum(axis=0)
+        dsum = gemm(dlog_t, params.e_out.T) * masks.m_out[t]
+        dx_residual = np.zeros((batch, n))
+        dx0 = np.zeros((batch, n))
+        for l in range(config.layers - 1, -1, -1):
+            layer, layer_grads = params.layers[l], grads.layers[l]
+            xs, hs, gates, cell = step[l]
+            dh = (dsum + dx_residual) * masks.m_cell[l, t] + grad_h[l] * masks.m_state[l]
+            grad_c[l], dmog_h, dmog_x = ref_cell_backward(
+                config, layer.cell, layer_grads.cell, cell, grad_c[l], dh
+            )
+            grad_h[l], dx_in = ref_mogrify_backward(
+                layer.mog, layer_grads.mog, xs, hs, gates, dmog_h, dmog_x
+            )
+            if l == 0:
+                dx0 += dx_in
+            else:
+                dx_residual += dx_in
+                if config.residual_includes_embedding:
+                    dx0 += dx_in
+        np.add.at(grads.e_in, inputs[:, t], dx0 * masks.m_in[t])
+    return log_probs, grads
+
+
+class TestAgainstPerGateReference:
+    @staticmethod
+    def make_case(cell, batch, seed, **overrides):
+        fields = dict(
+            cell=cell, state_size=6, vocab_size=7, mogrifier_rounds=3, keep_in=0.7,
+            keep_cell=0.8, keep_state=0.75, keep_out=0.85, residual_includes_embedding=True,
+            tie_embeddings=False,
+        )
+        fields.update(overrides)
+        config = tiny_config(**fields)
+        rng = Rng(seed)
+        params = model.init_model_params(rng, config)
+        inputs = rng.integers(0, config.vocab_size, (batch, 5))
+        targets = rng.integers(0, config.vocab_size, (batch, 5))
+        states = [
+            CellState(rng.uniform(-1, 1, (batch, 6)), rng.uniform(-1, 1, (batch, 6)))
+            for _ in range(config.layers)
+        ]
+        masks = model.sample_masks(rng, config, batch, 5)
+        return config, params, inputs, targets, states, masks
+
+    @pytest.mark.parametrize("cell", ["lstm", "rlstm"])
+    @pytest.mark.parametrize("fast", [False, True])
+    @pytest.mark.parametrize(
+        "batch, overrides",
+        [(3, {}), (1, {"tie_embeddings": True}), (2, {"mogrifier_rank": 2}),
+         (2, {"cap_input_gate": False, "input_mask_rows": True})],
+    )
+    def test_log_probs_and_gradients(self, cell, fast, batch, overrides):
+        numerics.set_fast_gemm(fast)
+        config, params, inputs, targets, states, masks = self.make_case(
+            cell, batch, 400 + batch, **overrides
+        )
+        log_probs, cache, _ = model.forward_window(params, config, inputs, masks, states)
+        _, grad_lp = model.nll_from_log_probs(log_probs, targets)
+        grads = model.backward_window(params, config, cache, grad_lp)
+
+        ref_log_probs, ref_grads = ref_window(
+            params, config, inputs, masks, states,
+            lambda lp: model.nll_from_log_probs(lp, targets)[1],
+        )
+        tiny = np.finfo(np.float64).tiny
+        assert max_relative_error(log_probs, ref_log_probs, floor=tiny) <= 1e-12
+        assert max_relative_error(flatten(grads), flatten(ref_grads), floor=tiny) <= 1e-10
+
+    def test_backward_window_makes_no_accumulate_call(self, monkeypatch):
+        import rnnlab
+
+        calls = []
+        original = ptree.accumulate
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        for module in (ptree, rnnlab, cells, mogrifier, model):
+            if getattr(module, "accumulate", None) is original:
+                monkeypatch.setattr(module, "accumulate", counted)
+        config, params, inputs, targets, states, masks = self.make_case("rlstm", 3, 410)
+        log_probs, cache, _ = model.forward_window(params, config, inputs, masks, states)
+        _, grad_lp = model.nll_from_log_probs(log_probs, targets)
+        model.backward_window(params, config, cache, grad_lp)
+        assert calls == []
+
+    @pytest.mark.parametrize("fast", [False, True])
+    @pytest.mark.parametrize("cut", [13, 30])
+    def test_batch_one_logits_do_not_depend_on_the_window(self, fast, cut):
+        # A token scored at batch 1 gets the same bits whatever window it
+        # falls in, which keeps dyneval with lr = 0 equal to static scoring.
+        # (With BLAS and one product over all rows, this model gives other
+        # bits in windows of 13 + 27 and of 30 + 10 tokens than in one of 40.)
+        numerics.set_fast_gemm(fast)
+        config = tiny_config(layers=1, state_size=32, vocab_size=40, mogrifier_rounds=0)
+        rng = Rng(420)
+        params = model.init_model_params(rng, config)
+        stream = rng.integers(0, config.vocab_size, (1, 40))
+        whole, _ = model.predict_deterministic(params, config, stream)
+        first, states = model.predict_deterministic(params, config, stream[:, :cut])
+        rest, _ = model.predict_deterministic(params, config, stream[:, cut:], states=states)
+        assert np.concatenate([first, rest], axis=1).tobytes() == whole.tobytes()
+
+
+class TestWindowBuffers:
+    def test_reused_buffers_give_the_same_bits(self):
+        config = tiny_config(keep_in=0.8, keep_cell=0.7, keep_state=0.9, keep_out=0.8)
+        rng = Rng(430)
+        params = model.init_model_params(rng, config)
+        inputs = rng.integers(0, config.vocab_size, (3, 6))
+        batch = WindowBatch(inputs, rng.integers(0, config.vocab_size, (3, 6)))
+        masks = model.sample_masks(rng, config, 3, 6)
+        loss, grads, states = model.window_loss_with_masks(params, config, batch, masks)
+        buffers = model.WindowBuffers()
+        for _ in range(3):
+            again, again_grads, again_states = model.window_loss_with_masks(
+                params, config, batch, masks, buffers
+            )
+            assert again == loss
+            assert flatten(again_grads).tobytes() == flatten(grads).tobytes()
+            for a, b in zip(again_states, states):
+                assert a.c.tobytes() == b.c.tobytes() and a.h.tobytes() == b.h.tobytes()
+
+    def test_spent_window_lends_its_block_and_is_cleared(self):
+        config = tiny_config()
+        params = model.init_model_params(Rng(431), config)
+        masks = model.ones_masks(config, 3, 4)
+        buffers = model.WindowBuffers()
+        _, first, _ = model.forward_window(params, config, np.zeros((3, 4), np.int64), masks,
+                                           buffers=buffers)
+        buffers.recycle(first)
+        assert first.buffers is None and first.cell_caches is None
+        # A smaller window is cut from the block the first one left behind.
+        small = model.ones_masks(config, 2, 3)
+        _, second, _ = model.forward_window(params, config, np.zeros((2, 3), np.int64), small,
+                                            buffers=buffers)
+        block = second.buffers.block
+        assert all(np.shares_memory(w.gates, block) for w in second.cell_windows)
+        assert np.shares_memory(second.outputs, block)
+        buffers.recycle(second)
+        # A larger window frees the block and takes a larger one.
+        wide = model.ones_masks(config, 5, 4)
+        _, third, _ = model.forward_window(params, config, np.zeros((5, 4), np.int64), wide,
+                                           buffers=buffers)
+        assert third.buffers.block.size > block.size
+
+    @pytest.mark.parametrize("fast", [False, True])
+    def test_scoring_pass_gives_the_same_bits(self, fast):
+        # Without a backward pass the steps share one step's buffers.
+        numerics.set_fast_gemm(fast)
+        config = tiny_config(mogrifier_rounds=3)
+        rng = Rng(432)
+        params = model.init_model_params(rng, config)
+        inputs = rng.integers(0, config.vocab_size, (2, 7))
+        states = [CellState(rng.uniform(-1, 1, (2, 4)), rng.uniform(-1, 1, (2, 4)))
+                  for _ in range(config.layers)]
+        masks = model.ones_masks(config, 2, 7)
+        kept, cache, kept_states = model.forward_window(params, config, inputs, masks, states)
+        scored, none, scored_states = model.forward_window(
+            params, config, inputs, masks, states, backward=False
+        )
+        assert none is None and cache is not None
+        assert scored.tobytes() == kept.tobytes()
+        for a, b in zip(scored_states, kept_states):
+            assert a.c.tobytes() == b.c.tobytes() and a.h.tobytes() == b.h.tobytes()

@@ -128,7 +128,8 @@ class TestBackward:
         numeric = finite_difference_gradient(loss, theta0)
         unflatten_into(p, theta0)
         _, _, cache = mogrifier.mogrify_forward(p, h, x)
-        grads, _, _ = mogrifier.mogrify_backward(p, cache, probe_h, probe_x)
+        mogrifier.mogrify_backward(p, cache, probe_h, probe_x)
+        grads = mogrifier.weight_grads(p, cache)
         assert max_relative_error(flatten(grads), numeric) < 1e-6
 
     def test_input_gradients(self):
@@ -156,3 +157,30 @@ class TestBackward:
                 down = float(np.sum(h_m * probe_h) + np.sum(x_m * probe_x))
                 arr.flat[k] = orig
                 assert abs(grad.flat[k] - (up - down) / (2 * eps)) < 1e-7
+
+    @pytest.mark.parametrize("rounds", [3, 4])
+    @pytest.mark.parametrize("rank", [0, 2])
+    def test_window_cache_matches_fresh_steps(self, rounds, rank):
+        # A (T, B) cache filled step by step gives the outputs, input gradients
+        # and summed weight gradients of separate one-step caches.
+        from rnnlab.ptree import accumulate, flatten, zeros_like_tree
+
+        rng = Rng(240 + rounds)
+        p = mogrifier.init_mogrifier_params(rng, m=4, n=5, rounds=rounds, rank=rank)
+        horizon, batch = 3, 2
+        hs = rng.uniform(-1, 1, (horizon, batch, 5))
+        xs = rng.uniform(-1, 1, (horizon, batch, 4))
+        probe_h = rng.uniform(-1, 1, (batch, 5))
+        probe_x = rng.uniform(-1, 1, (batch, 4))
+        window = mogrifier.new_cache(p, (horizon, batch), 4, 5)
+        summed = zeros_like_tree(p)
+        for t in range(horizon):
+            h_w, x_w, step = mogrifier.mogrify_forward(p, hs[t], xs[t], window.at(t))
+            h_f, x_f, fresh = mogrifier.mogrify_forward(p, hs[t], xs[t])
+            assert np.array_equal(h_w, h_f) and np.array_equal(x_w, x_f)
+            _, dh_w, dx_w = mogrifier.mogrify_backward(p, step, probe_h, probe_x)
+            _, dh_f, dx_f = mogrifier.mogrify_backward(p, fresh, probe_h, probe_x)
+            assert np.array_equal(dh_w, dh_f) and np.array_equal(dx_w, dx_f)
+            accumulate(summed, mogrifier.weight_grads(p, fresh))
+        window_grads = flatten(mogrifier.weight_grads(p, window))
+        assert np.allclose(window_grads, flatten(summed), rtol=1e-12, atol=1e-14)
