@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numerics import DivergenceError, Rng, dsigmoid_from_value, dtanh_from_value, gemm, sigmoid
+from .ptree import zeros_like_tree
 
 
 @dataclass
@@ -245,23 +246,24 @@ def _rows(a):
     return a.reshape(-1, a.shape[-1])
 
 
-def weight_grads(p, cache: CellCache):
+def weight_grads(p, cache: CellCache, out=None):
     """Weight and bias gradients from a cache whose gates hold pre-activation
     gradients (after the backward of each of its steps): one gemm per fused
-    matrix and one sum for the bias, over every row of the cache."""
+    matrix and one sum for the bias, over every row of the cache.  They are
+    written into `out`, parameters of p's shapes (new ones by default)."""
+    out = zeros_like_tree(p) if out is None else out
     dpre = _rows(cache.gates)
-    b = dpre.sum(axis=0)
+    out.b[...] = dpre.sum(axis=0)
     if isinstance(p, LstmParams):
-        return LstmParams(w=gemm(dpre.T, _rows(cache.xh)), b=b)
+        out.w[...] = gemm(dpre.T, _rows(cache.xh))
+        return out
     n = p.state_size
     dpre_ij, dpre_f, dpre_o = dpre[:, : 2 * n], dpre[:, 2 * n : 3 * n], dpre[:, 3 * n :]
     cm = cache.c if cache.state_mask is None else cache.c * cache.state_mask
-    return RlstmParams(
-        w_ij=gemm(dpre_ij.T, _rows(cache.xh)),
-        w_f=gemm(dpre_f.T, _rows(cache.uh)),
-        w_oc=gemm(dpre_o.T, _rows(cm)),
-        b=b,
-    )
+    out.w_ij[...] = gemm(dpre_ij.T, _rows(cache.xh))
+    out.w_f[...] = gemm(dpre_f.T, _rows(cache.uh))
+    out.w_oc[...] = gemm(dpre_o.T, _rows(cm))
+    return out
 
 
 def _chrono_forget_bias(rng: Rng, n: int, t_max: float):
@@ -271,9 +273,10 @@ def _chrono_forget_bias(rng: Rng, n: int, t_max: float):
     return np.log(rng.uniform(1.0, t_max - 1.0, n))
 
 
-def _draw_gates(rng: Rng, p, t_max: float):
+def draw_params(rng: Rng, p, t_max: float):
     """Every weight block U(-1/sqrt(n), 1/sqrt(n)) in gate_views order, then
-    the chrono forget bias; the other biases stay zero."""
+    the chrono forget bias, written into p; the other biases are left as
+    they are (zero in new_params)."""
     views = gate_views(p)
     scale = 1.0 / np.sqrt(p.state_size)
     for name, block in views.items():
@@ -283,19 +286,15 @@ def _draw_gates(rng: Rng, p, t_max: float):
     return p
 
 
-def init_lstm_params(rng: Rng, m: int, n: int, t_max: float, dtype=np.float64) -> LstmParams:
-    p = LstmParams(np.empty((4 * n, m + n), dtype), np.zeros(4 * n, dtype))
-    return _draw_gates(rng, p, t_max)
-
-
-def init_rlstm_params(rng: Rng, m: int, n: int, t_max: float, dtype=np.float64) -> RlstmParams:
-    empty = [np.empty(shape, dtype) for shape in ((2 * n, m + n), (n, 2 * n), (n, n))]
-    return _draw_gates(rng, RlstmParams(*empty, np.zeros(4 * n, dtype)), t_max)
+def new_params(kind: str, m: int, n: int, dtype=np.float64, empty=np.zeros):
+    """Cell parameters of these sizes with arrays from `empty`, not drawn."""
+    if kind == "lstm":
+        return LstmParams(empty((4 * n, m + n), dtype), empty((4 * n,), dtype))
+    if kind == "rlstm":
+        shapes = ((2 * n, m + n), (n, 2 * n), (n, n), (4 * n,))
+        return RlstmParams(*(empty(shape, dtype) for shape in shapes))
+    raise ValueError(f"unknown cell kind '{kind}' (expected 'lstm' or 'rlstm')")
 
 
 def init_cell_params(rng: Rng, m: int, n: int, kind: str, t_max: float, dtype=np.float64):
-    if kind == "lstm":
-        return init_lstm_params(rng, m, n, t_max, dtype)
-    if kind == "rlstm":
-        return init_rlstm_params(rng, m, n, t_max, dtype)
-    raise ValueError(f"unknown cell kind '{kind}' (expected 'lstm' or 'rlstm')")
+    return draw_params(rng, new_params(kind, m, n, dtype), t_max)

@@ -8,7 +8,7 @@ Layout:
               config, optimizer scalars, averaging tail bookkeeping, rng
               state, best validation loss, learning rate, payload sizes,
               zlib.crc32 of the payload
-  rest        little-endian float64 payload: flattened parameters, first
+  rest        little-endian float64 payload: the parameter vector, first
               moment, second moment, long-tail mean, short-tail mean
 
 Version 2 stores the cell gates as fused matrices, which changes the flat
@@ -19,6 +19,7 @@ exactly, so save -> load -> save reproduces the file byte for byte."""
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import json
 import os
@@ -29,7 +30,6 @@ import numpy as np
 
 from . import model
 from .model import ModelConfig, ModelParams
-from .ptree import flatten, unflatten_into
 from .training import RAdamState, Tail, TtaState
 
 MAGIC = b"RNLB"
@@ -80,8 +80,7 @@ def _header_dict(ckpt: Checkpoint, param_count: int, payload_crc32: int) -> dict
 
 
 def save_checkpoint(path, ckpt: Checkpoint):
-    params_flat = flatten(ckpt.params)
-    count = params_flat.size
+    count = ckpt.params.vector.size
     for name, vec in (
         ("first moment", ckpt.radam.m),
         ("second moment", ckpt.radam.v),
@@ -91,7 +90,7 @@ def save_checkpoint(path, ckpt: Checkpoint):
         if vec.size != count:
             raise CheckpointError(f"{name} has {vec.size} entries, parameters have {count}")
     payload = np.concatenate(
-        [params_flat, ckpt.radam.m, ckpt.radam.v, ckpt.tta.long.mean, ckpt.tta.short.mean]
+        [ckpt.params.vector, ckpt.radam.m, ckpt.radam.v, ckpt.tta.long.mean, ckpt.tta.short.mean]
     ).astype("<f8").tobytes()
     header = _header_dict(ckpt, count, zlib.crc32(payload))
     header_bytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
@@ -153,8 +152,7 @@ def _decode(blob: bytes, version: int) -> Checkpoint:
     chunks = [payload[i * count : (i + 1) * count].astype(np.float64) for i in range(5)]
 
     config = ModelConfig(**_field(header, "model_config", dict))
-    params = model.empty_model_params(config)
-    unflatten_into(params, chunks[0])
+    params = model.empty_model_params(config, chunks[0])
     r = _field(header, "radam", dict)
     radam = RAdamState(
         m=chunks[1], v=chunks[2], step=_field(r, "step", int), lr=_field(r, "lr", float),
@@ -194,24 +192,17 @@ def _field(section, key: str, kind: type):
 def checkpoint_from_snapshot(
     config: ModelConfig, snap, beta1=0.9, beta2=0.999, eps=1e-8
 ) -> Checkpoint:
-    """Build a Checkpoint from a training best-state snapshot."""
-    params = model.empty_model_params(config)
-    unflatten_into(params, snap.params_flat)
+    """Build a Checkpoint from a training best-state snapshot (copying it)."""
     radam = RAdamState(
         m=snap.m.copy(), v=snap.v.copy(), step=snap.opt_step, lr=snap.lr,
         beta1=beta1, beta2=beta2, eps=eps,
     )
-    tta = TtaState(
-        long=Tail(snap.tta_long.mean.copy(), snap.tta_long.start, snap.tta_long.count),
-        short=Tail(snap.tta_short.mean.copy(), snap.tta_short.start, snap.tta_short.count),
-        step=snap.tta_step,
-    )
     return Checkpoint(
         version=VERSION,
         config=config,
-        params=params,
+        params=model.empty_model_params(config, snap.params_flat.copy()),
         radam=radam,
-        tta=tta,
+        tta=copy.deepcopy(snap.tta),
         rng_state=snap.rng_state,
         best_val_nats=snap.val_nats,
         lr=snap.lr,

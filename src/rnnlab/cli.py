@@ -9,15 +9,15 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import os
 import sys
 
 from . import checkpoint as ckpt_mod
 from . import config as config_mod
 from . import data as data_mod
-from . import evaluation, gradcheck, numerics, training
+from . import evaluation, gradcheck, model, numerics, training
 from .config import ConfigError, RunConfig
-from .ptree import unflatten_into
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -90,6 +90,16 @@ def _header_lines(cfg: RunConfig, vocab_size: int):
     return lines
 
 
+def _require_rows(stream, rows: int, split: str, path, key: str = ""):
+    """A data error unless the split fills `rows` rows (the setting `key`)
+    of two tokens, an input and its target, or more."""
+    if stream.size < 2 * rows:
+        needs = f"{key} = {rows} needs" if key else "scoring needs"
+        raise data_mod.DataError(
+            f"{split} split {path} has {stream.size} tokens; {needs} at least {2 * rows}"
+        )
+
+
 def _split_path(cfg: RunConfig, split: str) -> str:
     try:
         return {"train": cfg.train_path, "valid": cfg.valid_path, "test": cfg.test_path}[split]
@@ -132,8 +142,10 @@ def cmd_train(args) -> int:
     vocab, streams = data_mod.load_splits(
         cfg.train_path, cfg.valid_path, cfg.test_path, cfg.mode
     )
-    model_config = _validated(config_mod.to_model_config(cfg, vocab.size))
-    opts = _validated(config_mod.to_train_options(cfg))
+    model_config = _validated(config_mod.section(cfg, model.ModelConfig, vocab_size=vocab.size))
+    opts = _validated(config_mod.section(cfg, training.TrainOptions))
+    _require_rows(streams["train"], opts.batch_size, "train", cfg.train_path, "batch_size")
+    _require_rows(streams["valid"], opts.val_batch_size, "valid", cfg.valid_path, "val_batch_size")
     rng = numerics.Rng(cfg.seed)
 
     log = open(cfg.metrics_path, "w", encoding="utf-8") if cfg.metrics_path else None
@@ -157,14 +169,14 @@ def cmd_train(args) -> int:
 
     vocab.save(_vocab_file(cfg))
     best = ckpt_mod.checkpoint_from_snapshot(
-        model_config, result.best, cfg.beta1, cfg.beta2, cfg.eps
+        model_config, result.best, opts.beta1, opts.beta2, opts.eps
     )
     ckpt_mod.save_checkpoint(cfg.checkpoint_path, best)
-    tta_ckpt = ckpt_mod.checkpoint_from_snapshot(
-        model_config, result.best, cfg.beta1, cfg.beta2, cfg.eps
+    tta_ckpt = dataclasses.replace(
+        best,
+        params=model.empty_model_params(model_config, result.tta_average),
+        best_val_nats=result.tta_val_nats,
     )
-    unflatten_into(tta_ckpt.params, result.tta_average)
-    tta_ckpt.best_val_nats = result.tta_val_nats
     ckpt_mod.save_checkpoint(cfg.tta_checkpoint_path or cfg.checkpoint_path + ".tta", tta_ckpt)
 
     ppl, bpc = evaluation.convert_metrics(result.best_val_nats)
@@ -218,6 +230,7 @@ def _encoded_split(cfg: RunConfig, vocab, split: str):
 
 def cmd_evaluate(args) -> int:
     cfg, ckpt, _, split, stream = _load_eval_setup(args)
+    _require_rows(stream, cfg.eval_batch_size, split, _split_path(cfg, split), "eval_batch_size")
     temperature = _eval_temperature(cfg)
     report = evaluation.evaluate_static(
         ckpt.params, ckpt.config, stream, temperature, cfg.eval_batch_size, cfg.eval_window
@@ -232,13 +245,15 @@ def cmd_evaluate(args) -> int:
 
 def cmd_dyneval(args) -> int:
     cfg, ckpt, vocab, split, stream = _load_eval_setup(args)
+    _require_rows(stream, 1, split, _split_path(cfg, split))
     temperature = _eval_temperature(cfg)
     if cfg.dyn_tune:
         tune_stream = _encoded_split(cfg, vocab, "valid")
+        _require_rows(tune_stream, 1, "valid", cfg.valid_path)
         grid = evaluation.default_dyneval_grid(cfg.dyn_segment)
         dcfg, _ = evaluation.tune_dyneval(ckpt.params, ckpt.config, tune_stream, grid, temperature)
     else:
-        dcfg = _validated(config_mod.to_dyneval_config(cfg))
+        dcfg = _validated(config_mod.section(cfg, evaluation.DynevalConfig))
     report = evaluation.evaluate_dynamic(ckpt.params, ckpt.config, stream, dcfg, temperature)
     line = f"event=dyneval split={split} " + evaluation.format_report(report)
     print(line)
@@ -251,6 +266,7 @@ def cmd_dyneval(args) -> int:
 def cmd_tune_temperature(args) -> int:
     cfg, ckpt, vocab, _, _ = _load_eval_setup(args)
     valid_stream = _encoded_split(cfg, vocab, "valid")
+    _require_rows(valid_stream, cfg.eval_batch_size, "valid", cfg.valid_path, "eval_batch_size")
     grid = config_mod.temperature_grid(cfg)
     best = evaluation.tune_temperature(
         ckpt.params, ckpt.config, valid_stream, grid, cfg.eval_batch_size, cfg.eval_window
@@ -295,7 +311,7 @@ def main(argv=None) -> int:
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_USAGE
-    except data_mod.UnknownSymbolError as err:
+    except data_mod.DataError as err:
         print(f"data error: {err}", file=sys.stderr)
         return EXIT_USAGE
     except ckpt_mod.CheckpointError as err:

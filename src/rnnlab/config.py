@@ -1,5 +1,7 @@
 """Run configuration: a flat key = value file format (no code execution) and
-the dataclass of every knob with its default.
+RunConfig, the dataclass of every key with its default.  The model,
+optimization and dynamic-evaluation keys and defaults are those of
+ModelConfig, TrainOptions and DynevalConfig; `section` builds those back.
 
 Section headers like [model] are allowed for readability and ignored; keys
 are global.  Unknown or duplicate keys are rejected with their line number.
@@ -8,7 +10,6 @@ are global.  Unknown or duplicate keys are rejected with their line number.
 from __future__ import annotations
 
 import dataclasses
-import math
 from dataclasses import dataclass
 
 from .evaluation import DynevalConfig
@@ -23,49 +24,16 @@ class ConfigError(Exception):
 
 
 @dataclass
-class RunConfig:
-    # model
-    layers: int = 2
-    state_size: int = 128
-    cell: str = "rlstm"
-    cap_input_gate: bool = True
-    mogrifier_rounds: int = 4
-    mogrifier_rank: int = 0
-    keep_in: float = 1.0
-    keep_cell: float = 1.0
-    keep_state: float = 1.0
-    keep_out: float = 1.0
-    tie_embeddings: bool = False
-    dropout_samples: int = 1
-    residual_includes_embedding: bool = False
-    input_mask_rows: bool = False
-    t_max: float = math.e**3
-    dtype: str = "float64"
-    # data
+class _Data:
     mode: str = "byte"
     train_path: str = ""
     valid_path: str = ""
     test_path: str = ""
     vocab_path: str = ""
-    # optimization
-    lr: float = 3e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    clip_norm: float = 10.0
-    divergence_factor: float = 3.0
-    lr_decay_on_restart: float = 0.9
-    max_restarts: int = 20
-    epochs: int = 1
-    batch_size: int = 32
-    window: int = 128
-    val_interval: int = 0
-    patience: int = 0
-    target_val_nats: float = 0.0
-    max_train_seconds: float = 0.0
-    val_batch_size: int = 16
-    val_window: int = 128
-    # evaluation
+
+
+@dataclass
+class _Evaluation:
     eval_split: str = "test"
     eval_batch_size: int = 1
     eval_window: int = 128
@@ -74,18 +42,42 @@ class RunConfig:
     temperature_grid_max: float = 1.30
     temperature_grid_step: float = 0.02
     temperature_file: str = ""
-    # dynamic evaluation
-    dyn_segment: int = 100
-    dyn_lr: float = 0.0
-    dyn_decay: float = 0.0
-    dyn_norm: str = "none"
-    dyn_tune: bool = False
-    # run plumbing
+
+
+@dataclass
+class _Run:
+    dyn_tune: bool = False  # pick the dyn_* setting on the valid split instead
     seed: int = 0
     checkpoint_path: str = "checkpoint.bin"
     tta_checkpoint_path: str = ""
     metrics_path: str = "metrics.log"
     fast_gemm: bool = True
+
+
+# The dataclasses whose fields are the config keys, in metrics-header order,
+# and the prefix that a section's keys carry.
+_SECTIONS = (ModelConfig, _Data, TrainOptions, _Evaluation, DynevalConfig, _Run)
+_PREFIX = {DynevalConfig: "dyn_"}
+
+
+def _keys(section):
+    return [
+        (_PREFIX.get(section, "") + f.name, f.type, dataclasses.field(default=f.default))
+        for f in dataclasses.fields(section)
+        if f.name != "vocab_size"  # a property of the data, not a setting
+    ]
+
+
+RunConfig = dataclasses.make_dataclass(
+    "RunConfig",
+    [key for section in _SECTIONS for key in _keys(section)],
+    namespace={
+        "__module__": __name__,
+        "__doc__": "Every config key with its default, in metrics-header order: the "
+        "fields of ModelConfig (but vocab_size), the data paths, TrainOptions, the "
+        "evaluation settings, DynevalConfig (keys dyn_<field>), then the run plumbing.",
+    },
+)
 
 
 _FIELDS = {f.name: f for f in dataclasses.fields(RunConfig)}
@@ -148,54 +140,14 @@ def resolved_items(cfg: RunConfig):
     return [(f.name, getattr(cfg, f.name)) for f in dataclasses.fields(RunConfig)]
 
 
-def to_model_config(cfg: RunConfig, vocab_size: int) -> ModelConfig:
-    return ModelConfig(
-        layers=cfg.layers,
-        state_size=cfg.state_size,
-        vocab_size=vocab_size,
-        cell=cfg.cell,
-        cap_input_gate=cfg.cap_input_gate,
-        mogrifier_rounds=cfg.mogrifier_rounds,
-        mogrifier_rank=cfg.mogrifier_rank,
-        keep_in=cfg.keep_in,
-        keep_cell=cfg.keep_cell,
-        keep_state=cfg.keep_state,
-        keep_out=cfg.keep_out,
-        tie_embeddings=cfg.tie_embeddings,
-        dropout_samples=cfg.dropout_samples,
-        residual_includes_embedding=cfg.residual_includes_embedding,
-        input_mask_rows=cfg.input_mask_rows,
-        t_max=cfg.t_max,
-        dtype=cfg.dtype,
-    )
-
-
-def to_train_options(cfg: RunConfig) -> TrainOptions:
-    return TrainOptions(
-        lr=cfg.lr,
-        beta1=cfg.beta1,
-        beta2=cfg.beta2,
-        eps=cfg.eps,
-        clip_norm=cfg.clip_norm,
-        divergence_factor=cfg.divergence_factor,
-        lr_decay_on_restart=cfg.lr_decay_on_restart,
-        max_restarts=cfg.max_restarts,
-        epochs=cfg.epochs,
-        batch_size=cfg.batch_size,
-        window=cfg.window,
-        val_interval=cfg.val_interval,
-        patience=cfg.patience,
-        target_val_nats=cfg.target_val_nats,
-        max_train_seconds=cfg.max_train_seconds,
-        val_batch_size=cfg.val_batch_size,
-        val_window=cfg.val_window,
-    )
-
-
-def to_dyneval_config(cfg: RunConfig) -> DynevalConfig:
-    return DynevalConfig(
-        segment=cfg.dyn_segment, lr=cfg.dyn_lr, decay=cfg.dyn_decay, norm_mode=cfg.dyn_norm
-    )
+def section(cfg: RunConfig, cls, **given):
+    """The ModelConfig, TrainOptions or DynevalConfig that cfg's keys set;
+    `given` supplies the fields that are not keys (vocab_size)."""
+    prefix = _PREFIX.get(cls, "")
+    values = {
+        f.name: getattr(cfg, prefix + f.name) for f in dataclasses.fields(cls) if f.name not in given
+    }
+    return cls(**values, **given)
 
 
 def temperature_grid(cfg: RunConfig):

@@ -41,13 +41,17 @@ class Vocab:
         return cls(mode=mode, symbols=symbols, index={s: i for i, s in enumerate(symbols)})
 
 
-class UnknownSymbolError(ValueError):
+class DataError(ValueError):
+    """A split the run cannot use as it is."""
+
+
+class UnknownSymbolError(DataError):
     """Text holds a byte or character that the vocabulary lacks."""
 
 
 def build_vocab(text: str, mode: str) -> Vocab:
     if not text:
-        raise ValueError("cannot build a vocabulary from empty text")
+        raise DataError("cannot build a vocabulary from empty text")
     if mode == "byte":
         symbols = [chr(b) for b in sorted(set(text.encode("utf-8")))]
     elif mode == "char":

@@ -18,7 +18,6 @@ import numpy as np
 from . import data as data_mod
 from . import model
 from .numerics import DivergenceError
-from .ptree import copy_tree, flatten, unflatten_into
 
 
 def convert_metrics(nats_per_token: float):
@@ -38,7 +37,7 @@ class DynevalConfig:
     segment: int = 100  # tokens scored (then adapted on) per update
     lr: float = 0.0  # 0 disables adaptation entirely
     decay: float = 0.0  # pull toward the slow weights, in [0, 1)
-    norm_mode: str = "none"  # none | global (g / max(1, ||g||))
+    norm: str = "none"  # none | global (g / max(1, ||g||))
 
     def validate(self):
         if self.segment < 1:
@@ -47,8 +46,8 @@ class DynevalConfig:
             raise ValueError(f"lr must be >= 0, got {self.lr}")
         if not 0.0 <= self.decay < 1.0:
             raise ValueError(f"decay must be in [0, 1), got {self.decay}")
-        if self.norm_mode not in ("none", "global"):
-            raise ValueError(f"norm_mode must be 'none' or 'global', got '{self.norm_mode}'")
+        if self.norm not in ("none", "global"):
+            raise ValueError(f"norm must be 'none' or 'global', got '{self.norm}'")
         return self
 
 
@@ -90,7 +89,7 @@ def format_report(report: EvalReport) -> str:
     if report.dyneval is not None:
         d = report.dyneval
         parts.append(
-            f"dyn_segment={d.segment} dyn_lr={d.lr!r} dyn_decay={d.decay!r} dyn_norm={d.norm_mode}"
+            f"dyn_segment={d.segment} dyn_lr={d.lr!r} dyn_decay={d.decay!r} dyn_norm={d.norm}"
         )
     if report.partial:
         parts.append("partial=true")
@@ -178,8 +177,9 @@ def evaluate_dynamic(
     if stream.size < 2:
         raise ValueError("evaluation stream needs at least two tokens")
     adapting = dcfg.lr > 0.0 or dcfg.decay > 0.0
-    fast = copy_tree(params)
-    theta0 = flatten(params)
+    theta0 = params.vector
+    fast = model.empty_model_params(config, theta0.copy())
+    theta = fast.vector
     rows = stream[None, :]
     states = None
     total = 0.0
@@ -206,12 +206,10 @@ def evaluate_dynamic(
             if on_event is not None:
                 on_event(("update", k))
             _, grad_lp = model.nll_from_log_probs(log_probs, batch.targets)
-            grads = model.backward_window(fast, config, cache, grad_lp)
-            g = flatten(grads)
-            if dcfg.norm_mode == "global":
+            g = model.backward_window(fast, config, cache, grad_lp).vector
+            if dcfg.norm == "global":
                 g = g / max(1.0, float(np.linalg.norm(g)))
-            theta = flatten(fast)
-            unflatten_into(fast, theta - dcfg.lr * g + dcfg.decay * (theta0 - theta))
+            theta[...] = theta - dcfg.lr * g + dcfg.decay * (theta0 - theta)
             buffers.recycle(cache)
     return make_report(total, count, temperature, dyneval=dcfg, partial=partial)
 
@@ -219,10 +217,10 @@ def evaluate_dynamic(
 def default_dyneval_grid(segment: int):
     """Candidate adaptation settings; the first entry disables adaptation, so
     tuning can never do worse than static evaluation."""
-    grid = [DynevalConfig(segment=segment, lr=0.0, decay=0.0, norm_mode="none")]
+    grid = [DynevalConfig(segment=segment, lr=0.0, decay=0.0, norm="none")]
     for lr in (1e-4, 3e-4, 1e-3, 3e-3, 1e-2):
         for decay in (0.0, 0.02):
-            grid.append(DynevalConfig(segment=segment, lr=lr, decay=decay, norm_mode="global"))
+            grid.append(DynevalConfig(segment=segment, lr=lr, decay=decay, norm="global"))
     return grid
 
 

@@ -1,7 +1,8 @@
 """Finite-difference verification of every hand-derived backward pass.
 
 Each check builds a tiny fixed instance, packs the differentiable leaves
-(parameters plus, where relevant, inputs) into one flat vector, and compares
+(parameters plus, where relevant, inputs) into one flat vector (the model's
+own parameter vector for the model checks), and compares
 the analytic gradient of a scalar probe loss against central differences.
 Used by the gradcheck CLI command and the acceptance tests."""
 
@@ -106,17 +107,17 @@ def _check_model(batch=1, carried=False, **overrides) -> float:
             for _ in range(config.layers)
         ]
     window = WindowBatch(inputs=inputs, targets=targets, states=states)
-    theta0 = flatten(params)
+    theta0 = params.vector.copy()
 
     def loss_fn(theta):
-        unflatten_into(params, theta)
+        params.vector[...] = theta
         loss, _, _ = model.window_loss_with_masks(params, config, window, masks)
         return loss
 
     numeric = finite_difference_gradient(loss_fn, theta0)
-    unflatten_into(params, theta0)
+    params.vector[...] = theta0
     _, grads, _ = model.window_loss_with_masks(params, config, window, masks)
-    return max_relative_error(flatten(grads), numeric)
+    return max_relative_error(grads.vector, numeric)
 
 
 def _dropout(keep: float) -> dict:

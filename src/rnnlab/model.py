@@ -23,15 +23,16 @@ from . import cells, mogrifier
 from .cells import CellState
 from .numerics import DivergenceError, Rng, bernoulli_mask, log_softmax, log_sum_exp
 from .numerics import gemm
+from .ptree import named_arrays, vector_field, views
 # accumulate is unused here; perfbench/selftest.py checks that its tracer rebinds model.accumulate.
-from .ptree import accumulate, zeros_like_tree  # noqa: F401
+from .ptree import accumulate  # noqa: F401
 
 
 @dataclass
 class ModelConfig:
-    layers: int
-    state_size: int  # shared input/state width; residual sums need them equal
-    vocab_size: int
+    layers: int = 2
+    state_size: int = 128  # shared input/state width; residual sums need them equal
+    vocab_size: int = field(kw_only=True)
     cell: str = "rlstm"  # "lstm" | "rlstm"
     cap_input_gate: bool = True  # lstm only; rlstm caps by construction
     mogrifier_rounds: int = 4
@@ -84,6 +85,7 @@ class ModelParams:
     layers: list  # LayerParams per layer
     e_out_untied: np.ndarray | None = None  # (n, V) when not tied
     tied: bool = True
+    vector: np.ndarray | None = vector_field()  # every array above views it, canonical order
 
     @property
     def e_out(self) -> np.ndarray:
@@ -106,35 +108,47 @@ class WindowBatch:
     states: list | None = None  # per-layer CellState, None = zeros
 
 
-def init_model_params(rng: Rng, config: ModelConfig) -> ModelParams:
+def empty_model_params(config: ModelConfig, vector=None) -> ModelParams:
+    """Parameters of this config's shapes whose arrays are views into one
+    vector, params.vector, in canonical order: `vector` (cast to the model's
+    dtype if it has another), or a new zero vector."""
     config.validate()
-    n = config.state_size
-    dtype = config.np_dtype
-    scale = 1.0 / np.sqrt(n)
-    e_in = rng.uniform(-scale, scale, (config.vocab_size, n)).astype(dtype)
-    e_out_untied = None
-    if not config.tie_embeddings:
-        e_out_untied = rng.uniform(-scale, scale, (n, config.vocab_size)).astype(dtype)
-    layers = []
-    for _ in range(config.layers):
-        cell = cells.init_cell_params(rng, n, n, config.cell, config.t_max, dtype)
-        mog = mogrifier.init_mogrifier_params(
-            rng, n, n, config.mogrifier_rounds, config.mogrifier_rank, dtype
-        )
-        layers.append(LayerParams(cell=cell, mog=mog))
-    return ModelParams(
-        e_in=e_in,
-        b_out=np.zeros(config.vocab_size, dtype=dtype),
-        layers=layers,
-        e_out_untied=e_out_untied,
+    n, vocab, dtype = config.state_size, config.vocab_size, config.np_dtype
+    shapes = ModelParams(
+        e_in=np.empty((vocab, n)),
+        b_out=np.empty(vocab),
+        layers=[
+            LayerParams(
+                cell=cells.new_params(config.cell, n, n, empty=np.empty),
+                mog=mogrifier.new_params(
+                    n, n, config.mogrifier_rounds, config.mogrifier_rank, empty=np.empty
+                ),
+            )
+            for _ in range(config.layers)
+        ],
+        e_out_untied=None if config.tie_embeddings else np.empty((n, vocab)),
         tied=config.tie_embeddings,
     )
+    if vector is None:
+        vector = np.zeros(sum(arr.size for _, arr in named_arrays(shapes)), dtype)
+    vector = vector.astype(dtype, copy=False)
+    params = views(shapes, vector)
+    params.vector = vector
+    return params
 
 
-def empty_model_params(config: ModelConfig) -> ModelParams:
-    """Zero-filled parameters with the exact structure init_model_params would
-    produce for this config; checkpoint loading writes a flat vector into it."""
-    return zeros_like_tree(init_model_params(Rng(0), config))
+def init_model_params(rng: Rng, config: ModelConfig) -> ModelParams:
+    """Embeddings U(-1/sqrt(n), 1/sqrt(n)), then per layer the cell and the
+    mogrifier gates, drawn in that order; zero output bias."""
+    params = empty_model_params(config)
+    scale = 1.0 / np.sqrt(config.state_size)
+    embeddings = [params.e_in] if params.tied else [params.e_in, params.e_out_untied]
+    for table in embeddings:
+        table[...] = rng.uniform(-scale, scale, table.shape)
+    for layer in params.layers:
+        cells.draw_params(rng, layer.cell, config.t_max)
+        mogrifier.draw_params(rng, layer.mog, config.state_size)
+    return params
 
 
 def zero_states(config: ModelConfig, batch: int) -> list:
@@ -388,26 +402,28 @@ def backward_window(params: ModelParams, config: ModelConfig, cache: WindowCache
     output-side contribution into the single e_in gradient.  The time loop
     runs the per-step backward passes, which leave pre-activation gradients in
     the window buffers; every weight gradient is then one gemm over the
-    window.  The gate buffers are overwritten, so a cache serves one backward.
+    window, written into its view of the gradient vector, grads.vector.  The
+    gate buffers are overwritten, so a cache serves one backward.
     """
     batch, horizon = cache.inputs.shape
     n = config.state_size
     masks = cache.masks
+    grads = empty_model_params(config)
 
     # d log_softmax: dlogit = (dlogp - p * sum(dlogp)) / temperature
     row_sums = np.sum(grad_log_probs, axis=-1, keepdims=True)
     dlogits = (grad_log_probs - cache.probs * row_sums) / cache.temperature
     dlogits = dlogits.transpose(1, 0, 2).reshape(horizon * batch, -1)  # rows as in outputs
     e_out_grad = gemm(cache.outputs.reshape(-1, n).T, dlogits)
-    b_out_grad = dlogits.sum(axis=0)
+    grads.b_out[...] = dlogits.sum(axis=0)
     dsum = gemm(dlogits, params.e_out.T).reshape(horizon, batch, n)
     dsum *= masks.m_out
 
-    grad_c = [np.zeros((batch, n)) for _ in range(config.layers)]
-    grad_h_masked = [np.zeros((batch, n)) for _ in range(config.layers)]
+    grad_c = [np.zeros((batch, n), config.np_dtype) for _ in range(config.layers)]
+    grad_h_masked = [np.zeros((batch, n), config.np_dtype) for _ in range(config.layers)]
     for t in range(horizon - 1, -1, -1):
-        dx_residual = np.zeros((batch, n))  # grad flowing into lower xhats
-        dx0 = np.zeros((batch, n))
+        dx_residual = np.zeros((batch, n), config.np_dtype)  # grad flowing into lower xhats
+        dx0 = np.zeros((batch, n), config.np_dtype)
         for l in range(config.layers - 1, -1, -1):
             layer = params.layers[l]
             dxhat = dsum[t] + dx_residual
@@ -426,24 +442,17 @@ def backward_window(params: ModelParams, config: ModelConfig, cache: WindowCache
                     dx0 += dx_in
         np.multiply(dx0, masks.m_in[t], out=dsum[t])  # dsum[t] is spent; it now holds dx0
 
-    e_in_grad = e_out_grad.T.copy() if params.tied else np.zeros_like(params.e_in)
-    np.add.at(e_in_grad, cache.inputs.T.ravel(), dsum.reshape(-1, n))
-    layers = [
-        LayerParams(
-            cell=cells.weight_grads(layer.cell, cell_window),
-            mog=mogrifier.weight_grads(layer.mog, mog_window),
-        )
-        for layer, cell_window, mog_window in zip(
-            params.layers, cache.cell_windows, cache.mog_windows, strict=True
-        )
-    ]
-    return ModelParams(
-        e_in=e_in_grad,
-        b_out=b_out_grad,
-        layers=layers,
-        e_out_untied=None if params.tied else e_out_grad,
-        tied=params.tied,
-    )
+    if params.tied:
+        grads.e_in[...] = e_out_grad.T
+    else:
+        grads.e_out_untied[...] = e_out_grad
+    np.add.at(grads.e_in, cache.inputs.T.ravel(), dsum.reshape(-1, n))
+    for layer, grad, cell_window, mog_window in zip(
+        params.layers, grads.layers, cache.cell_windows, cache.mog_windows, strict=True
+    ):
+        cells.weight_grads(layer.cell, cell_window, out=grad.cell)
+        mogrifier.weight_grads(layer.mog, mog_window, out=grad.mog)
+    return grads
 
 
 def nll_from_log_probs(log_probs, targets):

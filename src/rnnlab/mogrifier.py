@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .numerics import Rng, gemm, sigmoid
+from .ptree import zeros_like_tree
 
 
 @dataclass
@@ -150,51 +151,64 @@ def _rows(a):
     return a.reshape(-1, a.shape[-1])
 
 
-def _gate_weight_grad(w, dpre, applied_to):
+def _gate_weight_grad(w, dpre, applied_to, out):
     if isinstance(w, LowRank):
-        return LowRank(
-            u=gemm(dpre.T, gemm(applied_to, w.v.T)), v=gemm(gemm(dpre, w.u).T, applied_to)
-        )
-    return gemm(dpre.T, applied_to)
+        out.u[...] = gemm(dpre.T, gemm(applied_to, w.v.T))
+        out.v[...] = gemm(gemm(dpre, w.u).T, applied_to)
+    else:
+        out[...] = gemm(dpre.T, applied_to)
 
 
-def weight_grads(p: MogrifierParams, cache: MogrifyCache) -> MogrifierParams:
+def weight_grads(p: MogrifierParams, cache: MogrifyCache, out=None) -> MogrifierParams:
     """Gate-matrix gradients from a cache whose gates hold pre-activation
     gradients: one gemm per full matrix (four per factored one) over every
-    row of the cache."""
-    x_grads = []
-    h_grads = []
+    row of the cache, written into `out`, parameters of p's shapes (new ones
+    by default)."""
+    out = zeros_like_tree(p) if out is None else out
     for index in range(1, p.rounds + 1):
         k = index // 2
         dpre = _rows(cache.gates[index - 1])
         if index % 2 == 1:
-            x_grads.append(_gate_weight_grad(p.x_gates[k], dpre, _rows(cache.h_ladder[k])))
+            _gate_weight_grad(p.x_gates[k], dpre, _rows(cache.h_ladder[k]), out.x_gates[k])
         else:
-            h_grads.append(_gate_weight_grad(p.h_gates[k - 1], dpre, _rows(cache.x_ladder[k])))
-    return MogrifierParams(rounds=p.rounds, x_gates=x_grads, h_gates=h_grads)
+            _gate_weight_grad(
+                p.h_gates[k - 1], dpre, _rows(cache.x_ladder[k]), out.h_gates[k - 1]
+            )
+    return out
 
 
-def _init_gate(rng: Rng, d_out: int, d_in: int, rank: int, scale: float, dtype):
-    if rank > 0:
-        return LowRank(
-            u=rng.uniform(-scale, scale, (d_out, rank)).astype(dtype),
-            v=rng.uniform(-scale, scale, (rank, d_in)).astype(dtype),
-        )
-    return rng.uniform(-scale, scale, (d_out, d_in)).astype(dtype)
+def new_params(
+    m: int, n: int, rounds: int, rank: int = 0, dtype=np.float64, empty=np.zeros
+) -> MogrifierParams:
+    """Gate matrices for these sizes with arrays from `empty`, not drawn;
+    rank 0 means full matrices."""
+    if rounds < 0:
+        raise ValueError(f"rounds must be >= 0, got {rounds}")
+
+    def gate(d_out, d_in):
+        if rank > 0:
+            return LowRank(u=empty((d_out, rank), dtype), v=empty((rank, d_in), dtype))
+        return empty((d_out, d_in), dtype)
+
+    return MogrifierParams(
+        rounds=rounds,
+        x_gates=[gate(m, n) for _ in range((rounds + 1) // 2)],
+        h_gates=[gate(n, m) for _ in range(rounds // 2)],
+    )
+
+
+def draw_params(rng: Rng, p: MogrifierParams, n: int) -> MogrifierParams:
+    """Every gate matrix U(-1/sqrt(n), 1/sqrt(n)) like the cell weights, in
+    round order (a factored gate u, then v), written into p."""
+    scale = 1.0 / np.sqrt(n)
+    for index in range(1, p.rounds + 1):
+        gate = p.x_gates[index // 2] if index % 2 == 1 else p.h_gates[index // 2 - 1]
+        for block in (gate.u, gate.v) if isinstance(gate, LowRank) else (gate,):
+            block[...] = rng.uniform(-scale, scale, block.shape)
+    return p
 
 
 def init_mogrifier_params(
     rng: Rng, m: int, n: int, rounds: int, rank: int = 0, dtype=np.float64
 ) -> MogrifierParams:
-    """Gates drawn like cell weights; rank 0 means full matrices."""
-    if rounds < 0:
-        raise ValueError(f"rounds must be >= 0, got {rounds}")
-    scale = 1.0 / np.sqrt(n)
-    x_gates = []
-    h_gates = []
-    for index in range(1, rounds + 1):
-        if index % 2 == 1:
-            x_gates.append(_init_gate(rng, m, n, rank, scale, dtype))
-        else:
-            h_gates.append(_init_gate(rng, n, m, rank, scale, dtype))
-    return MogrifierParams(rounds=rounds, x_gates=x_gates, h_gates=h_gates)
+    return draw_params(rng, new_params(m, n, rounds, rank, dtype), n)

@@ -124,9 +124,6 @@ class Rng:
     def integers(self, low, high=None, size=None):
         return self._gen.integers(low, high, size)
 
-    def choice(self, seq):
-        return seq[int(self._gen.integers(0, len(seq)))]
-
     def state(self) -> dict:
         raw = self._gen.bit_generator.state
         return {

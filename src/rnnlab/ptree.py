@@ -3,7 +3,10 @@
 Parameter objects are dataclasses whose fields are numpy arrays, nested
 dataclasses, or lists thereof.  These helpers walk that structure in a fixed
 order (field declaration order, list index order), which defines the canonical
-flattening used by the optimizer, weight averaging, and checkpoints.
+order of the flat parameter vector: the model's arrays are views into that
+vector (`views`), and the optimizer, weight averaging, dynamic evaluation and
+checkpoints work on the vector itself.  A field declared with `vector_field()`
+holds that vector and is not part of the tree.
 """
 
 from __future__ import annotations
@@ -13,12 +16,22 @@ import dataclasses
 import numpy as np
 
 
+def vector_field():
+    """A dataclass field for the vector that the other fields are views into;
+    the tree walks skip it."""
+    return dataclasses.field(default=None, repr=False, compare=False, metadata={"vector": True})
+
+
+def _fields(obj):
+    return [f for f in dataclasses.fields(obj) if "vector" not in f.metadata]
+
+
 def named_arrays(obj, prefix=""):
     """Yield (path, array) pairs in canonical order."""
     if isinstance(obj, np.ndarray):
         yield prefix, obj
     elif dataclasses.is_dataclass(obj):
-        for field in dataclasses.fields(obj):
+        for field in _fields(obj):
             value = getattr(obj, field.name)
             path = f"{prefix}.{field.name}" if prefix else field.name
             yield from named_arrays(value, path)
@@ -32,14 +45,12 @@ def named_arrays(obj, prefix=""):
 
 
 def map_arrays(obj, fn):
-    """Rebuild the structure with fn applied to every array leaf."""
+    """Rebuild the structure with fn applied to every array leaf, in canonical
+    order; vector fields are left at their default."""
     if isinstance(obj, np.ndarray):
         return fn(obj)
     if dataclasses.is_dataclass(obj):
-        kwargs = {
-            field.name: map_arrays(getattr(obj, field.name), fn)
-            for field in dataclasses.fields(obj)
-        }
+        kwargs = {field.name: map_arrays(getattr(obj, field.name), fn) for field in _fields(obj)}
         return type(obj)(**kwargs)
     if isinstance(obj, list):
         return [map_arrays(value, fn) for value in obj]
@@ -50,12 +61,19 @@ def map_arrays(obj, fn):
     raise TypeError(f"unsupported node in parameter tree: {type(obj)}")
 
 
+def views(obj, vector: np.ndarray):
+    """Rebuild the structure with each array leaf replaced by a view of the
+    next stretch of `vector`, in canonical order; only the leaves' shapes are
+    read.  The vector must hold exactly as many entries as the leaves."""
+    sizes = [arr.size for _, arr in named_arrays(obj)]
+    if sum(sizes) != vector.size:
+        raise ValueError(f"vector has {vector.size} entries, tree has {sum(sizes)}")
+    stretches = iter(np.split(vector, np.cumsum(sizes)[:-1]))
+    return map_arrays(obj, lambda arr: next(stretches).reshape(arr.shape))
+
+
 def zeros_like_tree(obj):
     return map_arrays(obj, np.zeros_like)
-
-
-def copy_tree(obj):
-    return map_arrays(obj, np.copy)
 
 
 def accumulate(dst, src, scale=1.0):
@@ -66,10 +84,6 @@ def accumulate(dst, src, scale=1.0):
         if path_d != path_s or arr_d.shape != arr_s.shape:
             raise ValueError(f"tree mismatch: {path_d}{arr_d.shape} vs {path_s}{arr_s.shape}")
         arr_d += scale * arr_s
-
-
-def num_elements(obj) -> int:
-    return sum(arr.size for _, arr in named_arrays(obj))
 
 
 def flatten(obj) -> np.ndarray:
@@ -95,6 +109,8 @@ def unflatten_into(obj, vec: np.ndarray):
 
 
 def global_norm(obj) -> float:
+    """Euclidean norm over every leaf: one float64 sum of squares per leaf,
+    added up in canonical order."""
     total = 0.0
     for _, arr in named_arrays(obj):
         total += float(np.sum(np.asarray(arr, dtype=np.float64) ** 2))

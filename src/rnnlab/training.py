@@ -2,13 +2,16 @@
 clipping, and a training loop with divergence restarts (restore the best
 checkpoint, multiply the learning rate by 0.9).
 
-The optimizer and the averager operate on flat float64 vectors in the
-canonical parameter order defined by ptree; the loop writes updates back into
-the model's arrays in place.
+The model's arrays are views into one parameter vector and its gradients
+views into one gradient vector, both in the canonical order of ptree and in
+the model's dtype.  The optimizer, the averager, the clipping and the
+best-state snapshot work on those vectors directly; the optimizer moments
+and the averaging tails are float64.
 """
 
 from __future__ import annotations
 
+import copy
 import time
 from dataclasses import dataclass
 
@@ -18,21 +21,22 @@ from . import data as data_mod
 from . import evaluation, model
 from .model import ModelConfig
 from .numerics import DivergenceError, Rng
-from .ptree import flatten, global_norm, named_arrays, unflatten_into
+from .ptree import global_norm
+# flatten is unused here; perfbench/selftest.py checks that its tracer rebinds training.flatten.
+from .ptree import flatten  # noqa: F401
 
 
 class TrainingDiverged(Exception):
     """Raised when training diverges more than max_restarts times."""
 
 
-def clip_global_norm(grads, max_norm: float) -> float:
-    """Scale the gradient tree in place so its global norm is at most
-    max_norm; returns the pre-clip norm. max_norm <= 0 disables clipping."""
-    norm = global_norm(grads)
+def clip_global_norm(g, max_norm: float) -> float:
+    """Scale the gradient vector of g, a gradient tree (g.vector), in place so
+    its global norm is at most max_norm; returns the pre-clip norm, summed
+    leaf by leaf.  max_norm <= 0 disables clipping."""
+    norm = global_norm(g)
     if max_norm > 0.0 and norm > max_norm:
-        scale = max_norm / norm
-        for _, arr in named_arrays(grads):
-            arr *= scale
+        g.vector *= max_norm / norm
     return norm
 
 
@@ -47,11 +51,9 @@ class RAdamState:
     eps: float = 1e-8
 
 
-def radam_init(params, lr: float, beta1=0.9, beta2=0.999, eps=1e-8) -> RAdamState:
-    size = flatten(params).size
-    return RAdamState(
-        m=np.zeros(size), v=np.zeros(size), step=0, lr=lr, beta1=beta1, beta2=beta2, eps=eps
-    )
+def radam_init(theta, lr: float, beta1=0.9, beta2=0.999, eps=1e-8) -> RAdamState:
+    size = theta.size
+    return RAdamState(np.zeros(size), np.zeros(size), 0, lr, beta1, beta2, eps)
 
 
 def rectification_rho(step: int, beta2: float) -> float:
@@ -73,14 +75,14 @@ def rectification_term(step: int, beta2: float):
     )
 
 
-def radam_step(state: RAdamState, params, grads):
-    """One Rectified Adam update, in place on the params tree.
+def radam_step(state: RAdamState, theta: np.ndarray, g: np.ndarray):
+    """One Rectified Adam update of the parameter vector theta, in place,
+    from the gradient vector g.
 
     While the variance estimate is untrustworthy (rho_t <= 4) only the
     bias-corrected momentum is applied; afterwards the usual adaptive step is
     scaled by the rectification term.
     """
-    g = flatten(grads)
     if not np.all(np.isfinite(g)):
         raise DivergenceError("non-finite gradient; no update applied")
     state.step += 1
@@ -94,8 +96,7 @@ def radam_step(state: RAdamState, params, grads):
     else:
         v_hat = np.sqrt(state.v / (1.0 - state.beta2**t))
         update = state.lr * r * m_hat / (v_hat + state.eps)
-    unflatten_into(params, flatten(params) - update)
-    return params, state
+    theta -= update
 
 
 @dataclass
@@ -112,20 +113,17 @@ class TtaState:
     step: int  # iterates seen so far
 
 
-def tta_init(params) -> TtaState:
-    size = flatten(params).size
-    return TtaState(
-        long=Tail(np.zeros(size), 0, 0), short=Tail(np.zeros(size), 0, 0), step=0
-    )
+def tta_init(theta) -> TtaState:
+    return TtaState(Tail(np.zeros(theta.size), 0, 0), Tail(np.zeros(theta.size), 0, 0), 0)
 
 
-def tta_update(state: TtaState, params) -> TtaState:
-    """Fold the current iterate into both running means."""
-    w = flatten(params)
+def tta_update(state: TtaState, theta) -> TtaState:
+    """Fold the current iterate, the parameter vector theta, into both
+    running means."""
     state.step += 1
     for tail in (state.long, state.short):
         tail.count += 1
-        tail.mean += (w - tail.mean) / tail.count
+        tail.mean += (theta - tail.mean) / tail.count
     return state
 
 
@@ -189,30 +187,20 @@ class TrainOptions:
 class _Snapshot:
     """Bitwise copy of everything a restart restores."""
 
-    params_flat: np.ndarray
+    params_flat: np.ndarray  # the parameter vector
     m: np.ndarray
     v: np.ndarray
     opt_step: int
-    tta_long: Tail
-    tta_short: Tail
-    tta_step: int
-    val_nats: float
     lr: float
+    tta: TtaState
+    val_nats: float
     rng_state: dict
 
 
-def _take_snapshot(params, radam: RAdamState, tta: TtaState, val_nats, rng: Rng) -> _Snapshot:
+def _take_snapshot(theta, radam: RAdamState, tta: TtaState, val_nats, rng: Rng) -> _Snapshot:
     return _Snapshot(
-        params_flat=flatten(params),
-        m=radam.m.copy(),
-        v=radam.v.copy(),
-        opt_step=radam.step,
-        tta_long=Tail(tta.long.mean.copy(), tta.long.start, tta.long.count),
-        tta_short=Tail(tta.short.mean.copy(), tta.short.start, tta.short.count),
-        tta_step=tta.step,
-        val_nats=val_nats,
-        lr=radam.lr,
-        rng_state=rng.state(),
+        theta.copy(), radam.m.copy(), radam.v.copy(), radam.step, radam.lr, copy.deepcopy(tta),
+        val_nats, rng.state(),
     )
 
 
@@ -262,18 +250,18 @@ def train(
     config.validate()
     opts.validate()
     params = model.init_model_params(rng, config)
-    radam = radam_init(params, opts.lr, opts.beta1, opts.beta2, opts.eps)
-    tta = tta_init(params)
-    scratch = model.empty_model_params(config)  # holds tail means during validation
+    theta = params.vector
+    radam = radam_init(theta, opts.lr, opts.beta1, opts.beta2, opts.eps)
+    tta = tta_init(theta)
 
     rows = data_mod.batchify(np.asarray(train_stream), opts.batch_size)
     windows_per_epoch = data_mod.count_windows(rows.shape[1], opts.window)
     if windows_per_epoch == 0:
         raise ValueError("training stream too short for one window")
 
-    best = _take_snapshot(params, radam, tta, float("inf"), rng)
+    best = _take_snapshot(theta, radam, tta, float("inf"), rng)
     buffers = model.WindowBuffers()
-    tta_average = flatten(params)
+    tta_average = theta.astype(np.float64)
     tta_val = float("inf")
     metrics = []
     restarts = 0
@@ -291,22 +279,18 @@ def train(
             metrics_sink(line)
 
     def restore_from_best():
+        """Put the parameters, the optimizer moments and step, and the tails
+        back to the best snapshot and decay the learning rate.  The rng is
+        not rewound: the masks after a restart are fresh draws, so the run
+        does not replay the draws that led it to diverge."""
         nonlocal tta
-        new_lr = radam.lr * opts.lr_decay_on_restart
-        unflatten_into(params, best.params_flat)
-        radam.m = best.m.copy()
-        radam.v = best.v.copy()
-        radam.step = best.opt_step
-        radam.lr = new_lr
-        tta = TtaState(
-            long=Tail(best.tta_long.mean.copy(), best.tta_long.start, best.tta_long.count),
-            short=Tail(best.tta_short.mean.copy(), best.tta_short.start, best.tta_short.count),
-            step=best.tta_step,
-        )
+        theta[...] = best.params_flat
+        radam.m, radam.v, radam.step = best.m.copy(), best.v.copy(), best.opt_step
+        radam.lr *= opts.lr_decay_on_restart
+        tta = copy.deepcopy(best.tta)
 
-    def tail_loss(flat_weights) -> float:
-        unflatten_into(scratch, flat_weights)
-        return _validation_nats(scratch, config, valid_stream, opts)
+    def tail_loss(mean) -> float:
+        return _validation_nats(model.empty_model_params(config, mean), config, valid_stream, opts)
 
     def validate(epoch: int) -> bool:
         """Run a validation event; returns True when training should stop."""
@@ -316,7 +300,7 @@ def train(
             tta_average, tta_val, _ = tta_evaluate_and_swap(tta, tail_loss)
         improved = val_nats < best.val_nats
         if improved:
-            best = _take_snapshot(params, radam, tta, val_nats, rng)
+            best = _take_snapshot(theta, radam, tta, val_nats, rng)
         train_nats = loss_sum / max(loss_count, 1)
         loss_sum = 0.0
         loss_count = 0
@@ -362,7 +346,7 @@ def train(
             if diverged is None and grads is not None:
                 clip_global_norm(grads, opts.clip_norm)
                 try:
-                    radam_step(radam, params, grads)
+                    radam_step(radam, theta, grads.vector)
                 except DivergenceError as err:
                     diverged = str(err)
             if diverged is not None:
@@ -379,7 +363,7 @@ def train(
                     f"lr={radam.lr!r} restarts={restarts}"
                 )
                 continue
-            tta_update(tta, params)
+            tta_update(tta, theta)
             states = new_states
             loss_sum += loss
             loss_count += 1

@@ -8,11 +8,11 @@ from rnnlab.ptree import accumulate, flatten, zeros_like_tree
 
 
 def random_lstm(rng, m=6, n=5, t_max=8.0):
-    return cells.init_lstm_params(rng, m, n, t_max)
+    return cells.init_cell_params(rng, m, n, "lstm", t_max)
 
 
 def random_rlstm(rng, m=6, n=5, t_max=8.0):
-    return cells.init_rlstm_params(rng, m, n, t_max)
+    return cells.init_cell_params(rng, m, n, "rlstm", t_max)
 
 
 def random_state(rng, batch, n, bounded=True):
@@ -194,7 +194,7 @@ class TestBackward:
             c_prev=np.zeros((1, n)),
             capped=True,
         )
-        p = cells.init_lstm_params(Rng(0), 2, n, 4.0)
+        p = cells.init_cell_params(Rng(0), 2, n, "lstm", 4.0)
         cells.lstm_backward(p, cache, np.ones((1, n)), np.zeros((1, n)))
         grads = cells.gate_views(cells.weight_grads(p, cache))
         # dg = c_prev-free path: dc * j = 1 * 0.5; routed to i means b_i grad
@@ -211,21 +211,21 @@ class TestInit:
     def test_chrono_forget_bias_range(self):
         rng = Rng(130)
         t_max = 50.0
-        v = cells.gate_views(cells.init_lstm_params(rng, 4, 64, t_max))
+        v = cells.gate_views(cells.init_cell_params(rng, 4, 64, "lstm", t_max))
         assert np.all(v["b_f"] >= np.log(1.0) - 1e-12)
         assert np.all(v["b_f"] <= np.log(t_max - 1.0) + 1e-12)
         assert np.all(v["b_i"] == 0) and np.all(v["b_j"] == 0) and np.all(v["b_o"] == 0)
 
     def test_t_max_must_exceed_two(self):
         with pytest.raises(ValueError):
-            cells.init_lstm_params(Rng(0), 4, 4, 2.0)
+            cells.init_cell_params(Rng(0), 4, 4, "lstm", 2.0)
         with pytest.raises(ValueError):
-            cells.init_rlstm_params(Rng(0), 4, 4, 1.5)
+            cells.init_cell_params(Rng(0), 4, 4, "rlstm", 1.5)
 
     def test_weight_scale(self):
         rng = Rng(131)
         n = 100
-        v = cells.gate_views(cells.init_rlstm_params(rng, n, n, 8.0))
+        v = cells.gate_views(cells.init_cell_params(rng, n, n, "rlstm", 8.0))
         bound = 1.0 / np.sqrt(n)
         for w in (v["w_ix"], v["w_ih"], v["w_fu"], v["w_oc"]):
             assert np.max(np.abs(w)) <= bound

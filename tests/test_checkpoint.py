@@ -260,11 +260,11 @@ class TestSnapshotConversion:
         config = ModelConfig(layers=1, state_size=4, vocab_size=4)
         rng = Rng(601)
         params = model.init_model_params(rng, config)
-        radam = radam_init(params, lr=1e-3)
-        tta = tta_init(params)
+        radam = radam_init(params.vector, lr=1e-3)
+        tta = tta_init(params.vector)
         from rnnlab.training import _take_snapshot
 
-        snap = _take_snapshot(params, radam, tta, 2.5, rng)
+        snap = _take_snapshot(params.vector, radam, tta, 2.5, rng)
         ckpt = ckpt_mod.checkpoint_from_snapshot(config, snap, beta2=0.99)
         assert np.array_equal(flatten(ckpt.params), snap.params_flat)
         assert ckpt.radam.beta2 == 0.99
@@ -273,3 +273,8 @@ class TestSnapshotConversion:
         save_checkpoint(path, ckpt)
         loaded = load_checkpoint(path)
         assert np.array_equal(flatten(loaded.params), snap.params_flat)
+        # The checkpoint holds copies: changing it leaves the snapshot alone.
+        ckpt.params.vector[0] += 1.0
+        ckpt.tta.long.mean[0] += 1.0
+        assert snap.params_flat[0] != ckpt.params.vector[0]
+        assert snap.tta.long.mean[0] != ckpt.tta.long.mean[0]

@@ -290,6 +290,40 @@ class TestEvaluateCommand:
         assert float(rows[1].split(",")[0]) == float(field(out, "nats_per_token"))
 
 
+class TestShortSplits:
+    @pytest.mark.parametrize(
+        "command, split, key, rows",
+        [
+            ("train", "train", "batch_size", 32),
+            ("train", "valid", "val_batch_size", 16),
+            ("evaluate", "test", "eval_batch_size", 4),
+            ("tune-temperature", "valid", "eval_batch_size", 4),
+            ("dyneval", "test", "", 1),
+        ],
+    )
+    def test_split_too_short_for_its_batch_exits_one(
+        self, trained_run, tmp_path, capsys, command, split, key, rows
+    ):
+        # A split needs `rows` rows of an input and its target at least.
+        text = (trained_run["corpus"] / "train.txt").read_text()
+        short = tmp_path / "short.txt"
+        short.write_text(text[: 2 * rows - 1])
+        paths = {f"{split}_path": short}
+        if split == "train":
+            paths.update(valid_path=short, test_path=short)
+        settings = {key: rows} if key else {}
+        run_dir = tmp_path if command == "train" else trained_run["root"]
+        config = write_config(
+            tmp_path / "short.cfg", trained_run["corpus"], run_dir, **paths, **settings
+        )
+        assert cli.main([command, "--config", str(config)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: {split} split") and "short.txt" in err
+        assert f"has {2 * rows - 1} tokens" in err and f"at least {2 * rows}" in err
+        assert err.count("\n") == 1
+        assert not (tmp_path / "model.ckpt").exists()
+
+
 class TestDynevalCommand:
     def test_invalid_setting_is_a_config_error(self, trained_run, tmp_path, capsys):
         config = write_config(

@@ -1,4 +1,7 @@
+import dataclasses
 import math
+import re
+from pathlib import Path
 
 import pytest
 
@@ -9,11 +12,12 @@ from rnnlab.config import (
     load_config,
     parse_config,
     resolved_items,
+    section,
     temperature_grid,
-    to_dyneval_config,
-    to_model_config,
-    to_train_options,
 )
+from rnnlab.evaluation import DynevalConfig
+from rnnlab.model import ModelConfig
+from rnnlab.training import TrainOptions
 
 
 class TestParse:
@@ -100,9 +104,23 @@ class TestResolvedItems:
         assert names[0] == "layers"
         assert len(names) == len(set(names))
         assert dict(items)["layers"] == 5
-        import dataclasses
-
         assert set(names) == {f.name for f in dataclasses.fields(RunConfig)}
+
+    def test_header_order_is_pinned(self):
+        # The metrics log header lists the keys in this order; reordering
+        # them would change every metrics log.
+        assert [name for name, _ in resolved_items(RunConfig())] == (
+            "layers state_size cell cap_input_gate mogrifier_rounds mogrifier_rank keep_in "
+            "keep_cell keep_state keep_out tie_embeddings dropout_samples "
+            "residual_includes_embedding input_mask_rows t_max dtype mode train_path "
+            "valid_path test_path vocab_path lr beta1 beta2 eps clip_norm divergence_factor "
+            "lr_decay_on_restart max_restarts epochs batch_size window val_interval patience "
+            "target_val_nats max_train_seconds val_batch_size val_window eval_split "
+            "eval_batch_size eval_window temperature temperature_grid_min "
+            "temperature_grid_max temperature_grid_step temperature_file dyn_segment dyn_lr "
+            "dyn_decay dyn_norm dyn_tune seed checkpoint_path tta_checkpoint_path "
+            "metrics_path fast_gemm"
+        ).split()
 
 
 class TestConversions:
@@ -111,7 +129,7 @@ class TestConversions:
             "layers = 3\nstate_size = 50\ncell = lstm\nkeep_cell = 0.7\n"
             "tie_embeddings = yes\ndropout_samples = 4\nmogrifier_rank = 8\n"
         )
-        mc = to_model_config(cfg, vocab_size=99)
+        mc = section(cfg, ModelConfig, vocab_size=99)
         assert mc.layers == 3
         assert mc.state_size == 50
         assert mc.vocab_size == 99
@@ -124,7 +142,7 @@ class TestConversions:
 
     def test_train_options_fields(self):
         cfg = parse_config("lr = 5e-4\nepochs = 7\nclip_norm = 2.5\npatience = 3\n")
-        opts = to_train_options(cfg)
+        opts = section(cfg, TrainOptions)
         assert opts.lr == 5e-4
         assert opts.epochs == 7
         assert opts.clip_norm == 2.5
@@ -133,11 +151,25 @@ class TestConversions:
 
     def test_dyneval_fields(self):
         cfg = parse_config("dyn_segment = 42\ndyn_lr = 1e-3\ndyn_norm = global\n")
-        dcfg = to_dyneval_config(cfg)
+        dcfg = section(cfg, DynevalConfig)
         assert dcfg.segment == 42
         assert dcfg.lr == 1e-3
-        assert dcfg.norm_mode == "global"
+        assert dcfg.norm == "global"
         dcfg.validate()
+
+    @pytest.mark.parametrize("cls,prefix", [
+        (ModelConfig, ""), (TrainOptions, ""), (DynevalConfig, "dyn_"),
+    ])
+    def test_keys_and_defaults_come_from_the_dataclass(self, cls, prefix):
+        keys = {f.name: f for f in dataclasses.fields(RunConfig)}
+        for f in dataclasses.fields(cls):
+            if f.name == "vocab_size":
+                assert f.name not in keys
+                continue
+            assert keys[prefix + f.name].default == f.default
+            assert keys[prefix + f.name].type == f.type
+        given = {"vocab_size": 5} if cls is ModelConfig else {}
+        assert section(RunConfig(), cls, **given) == cls(**given)
 
 
 class TestTemperatureGrid:
@@ -182,3 +214,13 @@ class TestDefaults:
         assert cfg.mode == "byte"
         assert cfg.eval_batch_size == 1
         assert cfg.dyn_lr == 0.0
+
+
+class TestReadme:
+    def test_configuration_section_lists_every_key(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        text = readme.split("\n## Configuration\n", 1)[1].split("\n## ", 1)[0]
+        (listing,) = [block for block in text.split("\n\n") if block.startswith("- **")]
+        listed = re.findall(r"`([a-z][a-z0-9_]*)`", listing)
+        assert len(listed) == len(set(listed))
+        assert set(listed) == {f.name for f in dataclasses.fields(RunConfig)}

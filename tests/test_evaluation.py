@@ -207,7 +207,7 @@ class TestEvaluateDynamic:
         stream = np.tile([0, 1, 2, 3], 120)
         static = evaluate_static(params, config, stream)
         dyn = evaluate_dynamic(
-            params, config, stream, DynevalConfig(segment=16, lr=0.05, decay=0.0, norm_mode="global")
+            params, config, stream, DynevalConfig(segment=16, lr=0.05, decay=0.0, norm="global")
         )
         assert dyn.nats_per_token < static.nats_per_token
 
@@ -259,7 +259,7 @@ class TestEvaluateDynamic:
                 params,
                 config,
                 stream,
-                DynevalConfig(segment=10, lr=1e200, decay=0.0, norm_mode="none"),
+                DynevalConfig(segment=10, lr=1e200, decay=0.0, norm="none"),
             )
         assert dyn.partial
         assert dyn.token_count < 399
@@ -274,7 +274,7 @@ class TestEvaluateDynamic:
         with pytest.raises(ValueError):
             DynevalConfig(decay=1.0).validate()
         with pytest.raises(ValueError):
-            DynevalConfig(norm_mode="per-layer").validate()
+            DynevalConfig(norm="per-layer").validate()
 
 
 class TestTuneDyneval:
@@ -303,7 +303,7 @@ class TestTuneDyneval:
         # static entry must win.
         grid = [
             DynevalConfig(segment=10, lr=0.0, decay=0.0),
-            DynevalConfig(segment=10, lr=0.0, decay=0.0, norm_mode="global"),
+            DynevalConfig(segment=10, lr=0.0, decay=0.0, norm="global"),
         ]
         best, _ = tune_dyneval(params, config, stream, grid)
         assert best is grid[0]

@@ -241,7 +241,7 @@ class TestTiedEmbeddings:
     def test_tied_output_matrix_is_a_view(self):
         config = tiny_config(tie_embeddings=True)
         params = model.init_model_params(Rng(330), config)
-        assert params.e_out.base is params.e_in
+        assert np.shares_memory(params.e_out, params.e_in)
         params.e_in[0, 0] = 123.0
         assert params.e_out[0, 0] == 123.0
 
@@ -527,6 +527,47 @@ class TestConfigValidation:
         filled = model.init_model_params(Rng(5), config)
         assert flatten(empty).size == flatten(filled).size
         assert np.all(flatten(empty) == 0.0)
+        assert [(path, arr.shape) for path, arr in ptree.named_arrays(empty)] == [
+            (path, arr.shape) for path, arr in ptree.named_arrays(filled)
+        ]
+
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    def test_arrays_view_one_vector_in_canonical_order(self, dtype):
+        config = tiny_config(tie_embeddings=False, mogrifier_rank=2, dtype=dtype)
+        params = model.init_model_params(Rng(5), config)
+        vector = params.vector
+        assert vector.dtype == np.dtype(dtype) and vector.flags.c_contiguous
+        offset = 0
+        for _, arr in ptree.named_arrays(params):
+            assert arr.dtype == vector.dtype
+            assert np.shares_memory(arr, vector[offset : offset + arr.size])
+            offset += arr.size
+        assert offset == vector.size
+        assert np.array_equal(flatten(params), vector)
+        batch = WindowBatch(inputs=np.array([[0, 1, 2]]), targets=np.array([[1, 2, 3]]))
+        _, grads, _ = model.loss_multisample(params, config, batch, Rng(6), 1)
+        assert grads.vector.dtype == vector.dtype and grads.vector.size == vector.size
+        assert all(np.shares_memory(arr, grads.vector) for _, arr in ptree.named_arrays(grads))
+
+    def test_init_draws_match_separate_arrays(self):
+        # Drawing into views of the vector gives the values and leaves the
+        # rng where drawing each array on its own did: embeddings, then per
+        # layer the cell and the mogrifier.
+        config = tiny_config(tie_embeddings=False, mogrifier_rank=2)
+        rng = Rng(12)
+        params = model.init_model_params(rng, config)
+        ref = Rng(12)
+        n, v = config.state_size, config.vocab_size
+        expected = [ref.uniform(-1 / np.sqrt(n), 1 / np.sqrt(n), (v, n))]
+        e_out = ref.uniform(-1 / np.sqrt(n), 1 / np.sqrt(n), (n, v))
+        for _ in range(config.layers):
+            expected.append(flatten(cells.init_cell_params(ref, n, n, config.cell, config.t_max)))
+            expected.append(
+                flatten(mogrifier.init_mogrifier_params(ref, n, n, config.mogrifier_rounds, 2))
+            )
+        assert ref.state() == rng.state()
+        layout = [expected[0].ravel(), np.zeros(v), *expected[1:], e_out.ravel()]
+        assert np.array_equal(params.vector, np.concatenate(layout))
 
 
 # --- Reference: the per-gate, per-step model ---------------------------------

@@ -69,17 +69,16 @@ class TestFlatten:
 
 
 class TestTreeOps:
-    def test_zeros_and_copy_are_independent(self):
+    def test_zeros_are_independent(self):
         tree = make_tree()
         zeros = ptree.zeros_like_tree(tree)
         assert ptree.global_norm(zeros) == 0.0
-        copy = ptree.copy_tree(tree)
-        copy.first.w[0, 0] = 99.0
-        assert tree.first.w[0, 0] == 0.0
+        zeros.first.w[0, 1] = 99.0
+        assert tree.first.w[0, 1] == 1.0
 
     def test_accumulate(self):
         tree = make_tree()
-        other = ptree.copy_tree(tree)
+        other = make_tree()
         ptree.accumulate(tree, other, scale=2.0)
         assert tree.first.b.tolist() == [3.0, 6.0]
 
@@ -94,5 +93,38 @@ class TestTreeOps:
         flat = ptree.flatten(tree)
         assert ptree.global_norm(tree) == pytest.approx(float(np.linalg.norm(flat)), rel=1e-15)
 
-    def test_num_elements(self):
-        assert ptree.num_elements(make_tree()) == 11
+
+@dataclass
+class Owner:
+    inner: Inner
+    vector: np.ndarray | None = ptree.vector_field()
+
+
+class TestViews:
+    def test_leaves_view_the_vector_in_canonical_order(self):
+        vector = np.arange(11.0)
+        tree = ptree.views(make_tree(), vector)
+        assert np.shares_memory(tree.first.w, vector)
+        assert ptree.flatten(tree).tolist() == vector.tolist()
+        vector[6] = -1.0
+        assert tree.first.b[0] == -1.0
+        tree.items[1].w[0, 0] = 7.0
+        assert vector[9] == 7.0
+
+    def test_keeps_the_vector_dtype(self):
+        tree = ptree.views(make_tree(), np.zeros(11, dtype=np.float32))
+        assert all(arr.dtype == np.float32 for _, arr in ptree.named_arrays(tree))
+
+    def test_size_mismatch_rejected(self):
+        with pytest.raises(ValueError):
+            ptree.views(make_tree(), np.zeros(10))
+        with pytest.raises(ValueError):
+            ptree.views(make_tree(), np.zeros(12))
+
+    def test_vector_field_is_not_a_leaf(self):
+        vector = np.arange(6.0)
+        owner = Owner(inner=ptree.views(Inner(w=np.empty((2, 2)), b=np.empty(2)), vector))
+        owner.vector = vector
+        assert [path for path, _ in ptree.named_arrays(owner)] == ["inner.w", "inner.b"]
+        assert ptree.flatten(owner).tolist() == vector.tolist()
+        assert ptree.zeros_like_tree(owner).vector is None

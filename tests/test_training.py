@@ -4,10 +4,10 @@ import re
 import numpy as np
 import pytest
 
-from rnnlab import cells, training
+from rnnlab import checkpoint, model, training
 from rnnlab.model import ModelConfig
 from rnnlab.numerics import DivergenceError, Rng
-from rnnlab.ptree import flatten, global_norm, unflatten_into, zeros_like_tree
+from rnnlab.ptree import flatten, global_norm, named_arrays
 from rnnlab.training import (
     Tail,
     TrainingDiverged,
@@ -25,7 +25,9 @@ from rnnlab.training import (
 
 
 def small_tree():
-    return cells.init_lstm_params(Rng(42), 2, 2, 4.0)
+    """A small model whose arrays view one parameter vector, small_tree().vector."""
+    config = ModelConfig(layers=1, state_size=2, vocab_size=3, mogrifier_rounds=1, t_max=4.0)
+    return model.init_model_params(Rng(42), config)
 
 
 def radam_reference(theta0, grad_seq, lr, beta1, beta2, eps):
@@ -56,18 +58,15 @@ def radam_reference(theta0, grad_seq, lr, beta1, beta2, eps):
 class TestRAdam:
     @pytest.mark.parametrize("beta2", [0.999, 0.9])
     def test_matches_reference_trajectory(self, beta2):
-        params = small_tree()
-        theta0 = flatten(params)
+        theta = small_tree().vector
         rng = Rng(400)
-        grad_seq = [rng.uniform(-1, 1, theta0.size) for _ in range(12)]
-        reference = radam_reference(theta0, grad_seq, 0.05, 0.9, beta2, 1e-8)
+        grad_seq = [rng.uniform(-1, 1, theta.size) for _ in range(12)]
+        reference = radam_reference(theta, grad_seq, 0.05, 0.9, beta2, 1e-8)
 
-        state = radam_init(params, lr=0.05, beta2=beta2)
-        grads = zeros_like_tree(params)
+        state = radam_init(theta, lr=0.05, beta2=beta2)
         for g, ref in zip(grad_seq, reference):
-            unflatten_into(grads, g)
-            radam_step(state, params, grads)
-            assert np.max(np.abs(flatten(params) - ref)) < 1e-12
+            radam_step(state, theta, g)
+            assert np.max(np.abs(theta - ref)) < 1e-12
 
     def test_warmup_boundary_at_beta2_default(self):
         # With beta2 = 0.999 the rectifier stays off through step 4 and
@@ -80,61 +79,54 @@ class TestRAdam:
         params = small_tree()
         theta0 = flatten(params)
         g = Rng(401).uniform(-1, 1, theta0.size)
-        grads = zeros_like_tree(params)
-        unflatten_into(grads, g)
-        state = radam_init(params, lr=0.1)
-        radam_step(state, params, grads)
+        state = radam_init(params.vector, lr=0.1)
+        radam_step(state, params.vector, g)
+        # The update lands in the model's arrays, which view the vector.
         assert np.allclose(flatten(params), theta0 - 0.1 * g, rtol=1e-14, atol=0)
 
     def test_zero_gradient_is_a_no_op_on_params(self):
-        params = small_tree()
-        theta0 = flatten(params)
-        state = radam_init(params, lr=0.1)
-        radam_step(state, params, zeros_like_tree(params))
-        assert np.array_equal(flatten(params), theta0)
+        theta = small_tree().vector
+        theta0 = theta.copy()
+        state = radam_init(theta, lr=0.1)
+        radam_step(state, theta, np.zeros(theta.size))
+        assert np.array_equal(theta, theta0)
         assert state.step == 1
         assert np.all(state.m == 0.0) and np.all(state.v == 0.0)
 
     def test_non_finite_gradient_leaves_state_untouched(self):
-        params = small_tree()
-        theta0 = flatten(params)
-        state = radam_init(params, lr=0.1)
-        good = zeros_like_tree(params)
-        unflatten_into(good, Rng(402).uniform(-1, 1, theta0.size))
-        radam_step(state, params, good)
+        theta = small_tree().vector
+        state = radam_init(theta, lr=0.1)
+        radam_step(state, theta, Rng(402).uniform(-1, 1, theta.size))
         m_before = state.m.copy()
         v_before = state.v.copy()
-        theta_before = flatten(params)
+        theta_before = theta.copy()
 
-        bad = zeros_like_tree(params)
-        bad_vec = np.ones(theta0.size)
-        bad_vec[3] = np.nan
-        unflatten_into(bad, bad_vec)
+        bad = np.ones(theta.size)
+        bad[3] = np.nan
         with pytest.raises(DivergenceError):
-            radam_step(state, params, bad)
+            radam_step(state, theta, bad)
         assert state.step == 1
         assert np.array_equal(state.m, m_before)
         assert np.array_equal(state.v, v_before)
-        assert np.array_equal(flatten(params), theta_before)
+        assert np.array_equal(theta, theta_before)
 
-        bad_vec[3] = np.inf
-        unflatten_into(bad, bad_vec)
+        bad[3] = np.inf
         with pytest.raises(DivergenceError):
-            radam_step(state, params, bad)
+            radam_step(state, theta, bad)
         assert state.step == 1
 
 
 class TestClip:
     def test_below_threshold_unchanged(self):
         grads = small_tree()
-        before = flatten(grads)
+        before = grads.vector.copy()
         norm = clip_global_norm(grads, max_norm=1e9)
         assert norm == pytest.approx(float(np.linalg.norm(before)), rel=1e-12)
-        assert np.array_equal(flatten(grads), before)
+        assert np.array_equal(grads.vector, before)
 
     def test_above_threshold_scaled_to_max(self):
         grads = small_tree()
-        before = flatten(grads)
+        before = grads.vector.copy()
         target = 0.25 * float(np.linalg.norm(before))
         returned = clip_global_norm(grads, max_norm=target)
         assert returned == pytest.approx(float(np.linalg.norm(before)), rel=1e-12)
@@ -145,21 +137,30 @@ class TestClip:
 
     def test_zero_max_norm_disables(self):
         grads = small_tree()
-        before = flatten(grads)
+        before = grads.vector.copy()
         clip_global_norm(grads, max_norm=0.0)
-        assert np.array_equal(flatten(grads), before)
+        assert np.array_equal(grads.vector, before)
+
+    def test_norm_sums_leaf_by_leaf(self):
+        # The norm adds one sum of squares per leaf, in canonical order,
+        # which fixes its last bits.
+        grads = small_tree()
+        total = 0.0
+        for _, arr in named_arrays(grads):
+            total += float(np.sum(arr**2))
+        assert clip_global_norm(grads, max_norm=0.0) == float(np.sqrt(total))
 
 
 class TestTailAveraging:
     def test_running_means_match_brute_force(self):
-        params = small_tree()
-        state = tta_init(params)
+        theta = small_tree().vector
+        state = tta_init(theta)
         rng = Rng(410)
         seen = []
         for _ in range(7):
-            unflatten_into(params, rng.uniform(-1, 1, flatten(params).size))
-            seen.append(flatten(params))
-            tta_update(state, params)
+            theta[...] = rng.uniform(-1, 1, theta.size)
+            seen.append(theta.copy())
+            tta_update(state, theta)
         stack = np.stack(seen)
         assert np.allclose(state.long.mean, stack.mean(axis=0), atol=1e-14)
         assert np.allclose(state.short.mean, stack.mean(axis=0), atol=1e-14)
@@ -167,23 +168,21 @@ class TestTailAveraging:
         assert state.step == 7
 
     def test_swap_promotes_improving_short_tail(self):
-        size = flatten(small_tree()).size
+        theta = small_tree().vector
+        size = theta.size
         target = np.ones(size)
-        params = small_tree()
-        state = tta_init(params)
+        state = tta_init(theta)
         # Early iterates far from the target, later ones close: make the two
         # tails differ by swapping once in between.
         iterates = [np.full(size, 10.0), np.full(size, 8.0), np.full(size, 0.9), target.copy()]
         loss = lambda w: float(np.sum((w - target) ** 2))
 
         for w in iterates[:2]:
-            unflatten_into(params, w)
-            tta_update(state, params)
+            tta_update(state, w)
         tta_evaluate_and_swap(state, loss)  # equal tails: promote + reset short
         assert state.short.count == 0 and state.short.start == 2
         for w in iterates[2:]:
-            unflatten_into(params, w)
-            tta_update(state, params)
+            tta_update(state, w)
 
         # short now averages the last two iterates only; long all four.
         assert np.allclose(state.short.mean, np.stack(iterates[2:]).mean(axis=0), atol=1e-14)
@@ -200,18 +199,15 @@ class TestTailAveraging:
         assert np.all(state.short.mean == 0.0)
 
     def test_worse_short_tail_keeps_long(self):
-        size = flatten(small_tree()).size
+        size = small_tree().vector.size
         target = np.zeros(size)
-        params = small_tree()
-        state = tta_init(params)
+        state = tta_init(target)
         loss = lambda w: float(np.sum((w - target) ** 2))
-        unflatten_into(params, np.zeros(size))
-        tta_update(state, params)
+        tta_update(state, np.zeros(size))
         tta_evaluate_and_swap(state, loss)
         # Post-swap iterates drift away from the target: short is worse.
         for value in (5.0, 7.0):
-            unflatten_into(params, np.full(size, value))
-            tta_update(state, params)
+            tta_update(state, np.full(size, value))
         best, best_loss, state = tta_evaluate_and_swap(state, loss)
         long_before_mean = state.long.mean.copy()
         assert best_loss == pytest.approx(loss(state.long.mean), rel=1e-12)
@@ -220,18 +216,18 @@ class TestTailAveraging:
         assert state.short.count == 2
 
     def test_tie_counts_as_swap(self):
-        params = small_tree()
-        state = tta_init(params)
-        tta_update(state, params)
+        theta = small_tree().vector
+        state = tta_init(theta)
+        tta_update(state, theta)
         _, _, state = tta_evaluate_and_swap(state, lambda w: 1.0)
         assert state.short.count == 0 and state.long.count == 1
 
     def test_empty_tail_rejected(self):
-        params = small_tree()
-        state = tta_init(params)
+        theta = small_tree().vector
+        state = tta_init(theta)
         with pytest.raises(ValueError):
             tta_evaluate_and_swap(state, lambda w: 0.0)
-        tta_update(state, params)
+        tta_update(state, theta)
         _, _, state = tta_evaluate_and_swap(state, lambda w: 0.0)
         with pytest.raises(ValueError):
             tta_evaluate_and_swap(state, lambda w: 0.0)
@@ -361,6 +357,42 @@ class TestTrainLoop:
         recorded = float(re.search(r"val_nats=(\S+)", final_val).group(1))
         assert recorded == result.best_val_nats
 
+    def test_restart_keeps_drawing_fresh_masks(self):
+        # A restart restores the best snapshot (taken at the step-3
+        # validation) but not its rng state: the masks after it are new
+        # draws.  Rewinding would make step 6 draw step 4's masks again and
+        # leave the rng where step 4 left it.
+        rng = Rng(503)
+        states = {}
+
+        def hook(step, loss):
+            states[step] = repr(rng.state())
+            return float("nan") if step == 5 else loss
+
+        result = train(
+            tiny_train_config(keep_in=0.8, keep_cell=0.8, keep_state=0.8, keep_out=0.8),
+            tiny_train_opts(epochs=1, val_interval=3),
+            pattern_stream(52),
+            pattern_stream(40),
+            rng,
+            loss_hook=hook,
+        )
+        assert result.restarts == 1
+        assert sorted(states) == list(range(1, 8))
+        assert len(set(states.values())) == len(states)
+
+    def test_parameters_view_one_vector(self):
+        result = train(
+            tiny_train_config(),
+            tiny_train_opts(epochs=1, val_interval=3),
+            pattern_stream(52),
+            pattern_stream(40),
+            Rng(510),
+        )
+        vector = result.params.vector
+        assert all(np.shares_memory(arr, vector) for _, arr in named_arrays(result.params))
+        assert np.array_equal(flatten(result.params), vector)
+
     def test_loss_spike_above_divergence_factor_restarts(self):
         def hook(step, loss):
             return 1e6 if step == 4 else loss
@@ -449,3 +481,33 @@ class TestTrainLoop:
             TrainOptions(divergence_factor=1.0).validate()
         with pytest.raises(ValueError):
             TrainOptions(max_restarts=-1).validate()
+
+
+class TestFloat32:
+    def test_trains_and_checkpoints_in_float32(self, tmp_path):
+        # The parameters and gradients are float32, the optimizer moments,
+        # the tails and the checkpoint payload float64.
+        def run(dtype):
+            return train(
+                tiny_train_config(dtype=dtype, keep_in=0.9, keep_out=0.9),
+                tiny_train_opts(epochs=2, val_interval=3),
+                pattern_stream(52),
+                pattern_stream(40),
+                Rng(511),
+            )
+
+        single = run("float32")
+        double = run("float64")
+        vector = single.params.vector
+        assert vector.dtype == np.float32
+        for _, arr in named_arrays(single.params):
+            assert arr.dtype == np.float32 and np.shares_memory(arr, vector)
+        assert single.radam.m.dtype == single.tta.long.mean.dtype == np.float64
+        assert single.best_val_nats == pytest.approx(double.best_val_nats, rel=1e-6)
+
+        config = tiny_train_config(dtype="float32", keep_in=0.9, keep_out=0.9)
+        ckpt = checkpoint.checkpoint_from_snapshot(config, single.best)
+        checkpoint.save_checkpoint(tmp_path / "f32.ckpt", ckpt)
+        loaded = checkpoint.load_checkpoint(tmp_path / "f32.ckpt")
+        assert loaded.params.vector.dtype == np.float32
+        assert loaded.params.vector.tobytes() == single.best.params_flat.tobytes()
