@@ -212,19 +212,23 @@ def _report_csv(path, report: evaluation.EvalReport):
         )
 
 
-def _load_eval_setup(args):
+def _load_model(args):
+    """The run config, the checkpoint and the vocabulary of a scoring command."""
     cfg = _load_run_config(args)
     ckpt = ckpt_mod.load_checkpoint(cfg.checkpoint_path)
-    vocab = _load_vocab_for_eval(cfg, ckpt.config.vocab_size)
+    return cfg, ckpt, _load_vocab_for_eval(cfg, ckpt.config.vocab_size)
+
+
+def _load_eval_setup(args):
+    cfg, ckpt, vocab = _load_model(args)
     split = cfg.eval_split
-    path = _split_path(cfg, split)
-    if not path or not os.path.exists(path):
-        raise ConfigError(f"{split}_path does not exist: {path!r}")
     return cfg, ckpt, vocab, split, _encoded_split(cfg, vocab, split)
 
 
 def _encoded_split(cfg: RunConfig, vocab, split: str):
     path = _split_path(cfg, split)
+    if not path or not os.path.exists(path):
+        raise ConfigError(f"{split}_path does not exist: {path!r}")
     return data_mod.encode_split(vocab, data_mod.load_text(path), split, path)
 
 
@@ -264,7 +268,7 @@ def cmd_dyneval(args) -> int:
 
 
 def cmd_tune_temperature(args) -> int:
-    cfg, ckpt, vocab, _, _ = _load_eval_setup(args)
+    cfg, ckpt, vocab = _load_model(args)
     valid_stream = _encoded_split(cfg, vocab, "valid")
     _require_rows(valid_stream, cfg.eval_batch_size, "valid", cfg.valid_path, "eval_batch_size")
     grid = config_mod.temperature_grid(cfg)

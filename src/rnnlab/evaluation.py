@@ -17,7 +17,7 @@ import numpy as np
 
 from . import data as data_mod
 from . import model
-from .numerics import DivergenceError
+from .numerics import DivergenceError, log_softmax
 
 
 def convert_metrics(nats_per_token: float):
@@ -103,6 +103,47 @@ def _picked_log_probs(log_probs, targets):
     return log_probs[rows, cols, targets]
 
 
+def _minus_picked(total: float, picked) -> float:
+    """total minus the picked log-probs of one window.  A batch-1 window is
+    subtracted one token after the other in stream order (cumsum runs
+    strictly left to right, unlike np.sum), so totals do not depend on the
+    windowing; wider batches subtract their sum."""
+    if picked.shape[0] == 1:
+        return float(np.cumsum(np.concatenate(([total], -picked[0])))[-1])
+    return total - float(np.sum(picked))
+
+
+def require_scorable(stream, batch_size: int, name: str = "evaluation stream"):
+    """A ValueError unless the stream fills `batch_size` rows of two tokens
+    or more: an input and its target."""
+    size = np.asarray(stream).size
+    if size < 2 * batch_size:
+        raise ValueError(
+            f"{name} has {size} tokens; batch size {batch_size} needs at least {2 * batch_size}"
+        )
+
+
+def _scored_totals(params, config, stream, temperatures, batch_size, window):
+    """Total nats at each temperature and the number of scored tokens, from
+    one deterministic pass over the stream with carried state, laid out as
+    evaluate_static says.  Each window's logits are kept until every
+    temperature has scored them with the log_softmax the model applies."""
+    stream = np.asarray(stream)
+    require_scorable(stream, batch_size)
+    rows = stream[None, :] if batch_size == 1 else data_mod.batchify(stream, batch_size)
+    states = None
+    totals = [0.0] * len(temperatures)
+    count = 0
+    for batch in data_mod.windows(rows, window):
+        logits, states = model.predict_deterministic(params, config, batch.inputs, None, states)
+        for k, temp in enumerate(temperatures):
+            picked = _picked_log_probs(log_softmax(logits, temp), batch.targets)
+            totals[k] = _minus_picked(totals[k], picked)
+        del logits  # freed before the next window runs, not held through it
+        count += batch.targets.size
+    return totals, count
+
+
 def evaluate_static(
     params, config, stream, temperature=1.0, batch_size=1, window=128
 ) -> EvalReport:
@@ -111,24 +152,7 @@ def evaluate_static(
     batch_size > 1 lays the stream out as contiguous rows (dropping the
     remainder) for speed; batch_size 1 scores every target token exactly.
     """
-    stream = np.asarray(stream)
-    if stream.size < 2:
-        raise ValueError("evaluation stream needs at least two tokens")
-    rows = stream[None, :] if batch_size == 1 else data_mod.batchify(stream, batch_size)
-    states = None
-    total = 0.0
-    count = 0
-    for batch in data_mod.windows(rows, window):
-        log_probs, states = model.predict_deterministic(
-            params, config, batch.inputs, temperature, states
-        )
-        picked = _picked_log_probs(log_probs, batch.targets)
-        if batch_size == 1:
-            for value in picked[0]:
-                total -= float(value)
-        else:
-            total -= float(np.sum(picked))
-        count += picked.size
+    (total,), count = _scored_totals(params, config, stream, [temperature], batch_size, window)
     return make_report(total, count, temperature)
 
 
@@ -137,17 +161,15 @@ def default_temperature_grid():
 
 
 def temperature_sweep(params, config, stream, grid=None, batch_size=1, window=128):
-    """Validation nats/token at every grid temperature, in grid order."""
+    """Validation nats/token at every grid temperature, in grid order, from
+    one forward pass: temperature only rescales the logits."""
     grid = default_temperature_grid() if grid is None else list(grid)
     if not grid:
         raise ValueError("temperature grid must be non-empty")
     if any(t <= 0 for t in grid):
         raise ValueError("temperatures must be positive")
-    results = []
-    for temp in grid:
-        report = evaluate_static(params, config, stream, temp, batch_size, window)
-        results.append((temp, report.nats_per_token))
-    return results
+    totals, count = _scored_totals(params, config, stream, grid, batch_size, window)
+    return [(temp, total / count) for temp, total in zip(grid, totals, strict=True)]
 
 
 def tune_temperature(params, config, stream, grid=None, batch_size=1, window=128) -> float:
@@ -174,8 +196,7 @@ def evaluate_dynamic(
     """
     dcfg.validate()
     stream = np.asarray(stream)
-    if stream.size < 2:
-        raise ValueError("evaluation stream needs at least two tokens")
+    require_scorable(stream, 1)
     adapting = dcfg.lr > 0.0 or dcfg.decay > 0.0
     theta0 = params.vector
     fast = model.empty_model_params(config, theta0.copy())
@@ -199,8 +220,7 @@ def evaluate_dynamic(
             partial = True
             break
         picked = _picked_log_probs(log_probs, batch.targets)
-        for value in picked[0]:
-            total -= float(value)
+        total = _minus_picked(total, picked)
         count += picked.size
         if adapting:
             if on_event is not None:

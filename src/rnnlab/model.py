@@ -310,9 +310,13 @@ def forward_window(
     Activations go into (T, B, .) window buffers, cut from `buffers` when
     given, so backward_window can form each weight gradient with one gemm
     over the window.  With backward=False (scoring only) every step reuses
-    one step's buffers and the cache is None."""
+    one step's buffers and the cache is None; temperature=None then returns
+    the logits in place of the log-probs, for the caller to apply its own
+    temperatures with log_softmax."""
     inputs = np.asarray(inputs)
     batch, horizon = inputs.shape
+    if temperature is None and backward:
+        raise ValueError("a window run for its backward pass needs a temperature")
     if inputs.min() < 0 or inputs.max() >= config.vocab_size:
         raise ValueError("token id out of vocabulary range")
     if states is None:
@@ -375,8 +379,10 @@ def forward_window(
     if not np.all(np.isfinite(logits)):
         raise DivergenceError("non-finite logits")
     logits = logits.reshape(horizon, batch, -1).transpose(1, 0, 2)
-    log_probs = log_softmax(logits, temperature)
     final_states = [CellState(s.c.copy(), s.h) for s in states]
+    if temperature is None:
+        return logits, None, final_states
+    log_probs = log_softmax(logits, temperature)
     if not backward:
         return log_probs, None, final_states
     cache = WindowCache(
@@ -534,10 +540,11 @@ def loss_multisample(params, config, batch: WindowBatch, rng: Rng, num_samples: 
 
 def predict_deterministic(params, config, inputs, temperature=1.0, states=None):
     """Evaluation-time forward: every mask replaced by its expectation (ones),
-    logits divided by the softmax temperature.  Returns (log_probs, states)."""
+    logits divided by the softmax temperature.  Returns (log_probs, states),
+    or (logits, states) with temperature=None."""
     inputs = np.asarray(inputs)
     masks = ones_masks(config, *inputs.shape)
-    log_probs, _, final_states = forward_window(
+    scores, _, final_states = forward_window(
         params, config, inputs, masks, states, temperature, backward=False
     )
-    return log_probs, final_states
+    return scores, final_states

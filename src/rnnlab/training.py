@@ -249,6 +249,7 @@ def train(
     """
     config.validate()
     opts.validate()
+    evaluation.require_scorable(valid_stream, opts.val_batch_size, "validation stream")
     params = model.init_model_params(rng, config)
     theta = params.vector
     radam = radam_init(theta, opts.lr, opts.beta1, opts.beta2, opts.eps)

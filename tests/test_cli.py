@@ -401,6 +401,18 @@ class TestTuneTemperature:
         plain_valid = float(field(capsys.readouterr().out, "nats_per_token"))
         assert tuned_valid <= plain_valid + 1e-12
 
+    def test_needs_no_test_split(self, trained_run, tmp_path, capsys):
+        corpus_dir = tmp_path / "corpus"
+        shutil.copytree(trained_run["corpus"], corpus_dir)
+        (corpus_dir / "test.txt").unlink()
+        temp_file = tmp_path / "temp.txt"
+        config = write_config(
+            tmp_path / "t.cfg", corpus_dir, trained_run["root"], temperature_file=temp_file
+        )
+        assert cli.main(["tune-temperature", "--config", str(config)]) == 0
+        tuned = float(field(capsys.readouterr().out, "temperature"))
+        assert float(temp_file.read_text()) == tuned
+
 
 class TestMemorization:
     def test_tiny_corpus_memorized_to_low_bits(self, tmp_path, capsys):

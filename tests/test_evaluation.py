@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from rnnlab import evaluation, model
+from rnnlab import data, evaluation, model, numerics
 from rnnlab.evaluation import (
     DynevalConfig,
     convert_metrics,
@@ -186,6 +186,112 @@ class TestTemperature:
             temperature_sweep(params, config, stream, grid=[])
         with pytest.raises(ValueError):
             temperature_sweep(params, config, stream, grid=[1.0, -0.5])
+
+
+def scored_nats_one_pass_per_temperature(params, config, stream, temperature, batch_size, window):
+    """Static scoring before the sweep shared its forward pass: a whole
+    pass at one temperature, batch-1 tokens subtracted one at a time."""
+    rows = stream[None, :] if batch_size == 1 else data.batchify(stream, batch_size)
+    states = None
+    total = 0.0
+    count = 0
+    for batch in data.windows(rows, window):
+        log_probs, states = model.predict_deterministic(
+            params, config, batch.inputs, temperature, states
+        )
+        bsz, horizon = batch.targets.shape
+        picked = log_probs[np.arange(bsz)[:, None], np.arange(horizon)[None, :], batch.targets]
+        if batch_size == 1:
+            for value in picked[0]:
+                total -= float(value)
+        else:
+            total -= float(np.sum(picked))
+        count += picked.size
+    return total, count
+
+
+class TestOnePassSweep:
+    @pytest.mark.parametrize("cell", ["lstm", "rlstm"])
+    @pytest.mark.parametrize("batch_size", [1, 3])
+    @pytest.mark.parametrize("fast", [False, True])
+    def test_sweep_bitwise_equals_one_pass_per_temperature(self, cell, batch_size, fast):
+        numerics.set_fast_gemm(fast)
+        config = tiny_config(cell=cell, vocab_size=7)
+        params = trained_ish_params(config)
+        stream = random_stream(100, config.vocab_size)
+        window = 7  # divides neither 99 nor 32 targets per row: states carried, last window short
+        grid = default_temperature_grid()
+        sweep = temperature_sweep(params, config, stream, grid, batch_size, window)
+        assert [t for t, _ in sweep] == grid
+        for temp, nats in sweep:
+            total, count = scored_nats_one_pass_per_temperature(
+                params, config, stream, temp, batch_size, window
+            )
+            assert nats == total / count
+            report = evaluate_static(params, config, stream, temp, batch_size, window)
+            assert (report.total_nats, report.token_count) == (total, count)
+
+    def test_one_forward_pass_per_window_for_the_whole_grid(self, monkeypatch):
+        config = tiny_config()
+        params = trained_ish_params(config)
+        stream = random_stream(50, config.vocab_size)
+        calls = []
+        original = model.forward_window
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(model, "forward_window", counting)
+        grid = default_temperature_grid()
+        assert len(grid) == 31
+        tune_temperature(params, config, stream, grid, batch_size=1, window=8)
+        assert len(calls) == data.count_windows(50, 8) == 7
+
+    def test_logits_returned_without_a_temperature(self):
+        config = tiny_config()
+        params = trained_ish_params(config)
+        inputs = random_stream(12, config.vocab_size)[None, :]
+        logits, states = model.predict_deterministic(params, config, inputs, None)
+        log_probs, same_states = model.predict_deterministic(params, config, inputs, 0.9)
+        assert np.array_equal(numerics.log_softmax(logits, 0.9), log_probs)
+        for a, b in zip(states, same_states):
+            assert np.array_equal(a.c, b.c) and np.array_equal(a.h, b.h)
+        with pytest.raises(ValueError, match="needs a temperature"):
+            model.forward_window(
+                params, config, inputs, model.ones_masks(config, 1, 12), temperature=None
+            )
+
+
+class TestUnscorableStreams:
+    """A batched stream of one-token rows has no target to score."""
+
+    def test_static_refuses_rows_without_a_target(self):
+        config = tiny_config()
+        params = trained_ish_params(config)
+        with pytest.raises(ValueError, match="has 6 tokens; batch size 4 needs at least 8"):
+            evaluate_static(params, config, np.arange(6) % 4, batch_size=4, window=4)
+
+    def test_sweep_and_tuning_refuse_rows_without_a_target(self):
+        config = tiny_config()
+        params = trained_ish_params(config)
+        stream = np.arange(6) % 4
+        with pytest.raises(ValueError, match="has 6 tokens; batch size 4"):
+            temperature_sweep(params, config, stream, batch_size=4, window=4)
+        with pytest.raises(ValueError, match="has 6 tokens; batch size 4"):
+            tune_temperature(params, config, stream, batch_size=4, window=4)
+
+    def test_two_tokens_per_row_are_enough(self):
+        config = tiny_config()
+        params = trained_ish_params(config)
+        report = evaluate_static(params, config, np.arange(8) % 4, batch_size=4, window=4)
+        assert report.token_count == 4 and math.isfinite(report.bpc)
+
+    def test_dynamic_refuses_a_single_token(self):
+        config = tiny_config()
+        params = trained_ish_params(config)
+        with pytest.raises(ValueError, match="has 1 tokens; batch size 1 needs at least 2"):
+            evaluate_dynamic(params, config, np.array([1]), DynevalConfig(segment=4))
 
 
 class TestEvaluateDynamic:

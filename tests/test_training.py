@@ -472,6 +472,21 @@ class TestTrainLoop:
                 Rng(509),
             )
 
+    def test_valid_stream_without_a_target_per_row_refused_before_training(self):
+        # Six tokens over four validation rows leave one-token rows: no
+        # validation could score a token.
+        rng = Rng(2)
+        before = rng.state()
+        with pytest.raises(ValueError, match="validation stream has 6 tokens; batch size 4"):
+            train(
+                ModelConfig(layers=1, state_size=4, vocab_size=4, mogrifier_rounds=1),
+                TrainOptions(batch_size=2, window=4, val_batch_size=4, val_window=4),
+                pattern_stream(40),
+                pattern_stream(6),
+                rng,
+            )
+        assert rng.state() == before  # refused before the first draw
+
     def test_options_validation(self):
         with pytest.raises(ValueError):
             TrainOptions(lr=0.0).validate()
