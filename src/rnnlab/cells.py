@@ -20,7 +20,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numerics import DivergenceError, Rng, dsigmoid_from_value, dtanh_from_value, gemm, sigmoid
-from .ptree import zeros_like_tree
 
 
 @dataclass
@@ -246,12 +245,11 @@ def _rows(a):
     return a.reshape(-1, a.shape[-1])
 
 
-def weight_grads(p, cache: CellCache, out=None):
+def weight_grads(p, cache: CellCache, out):
     """Weight and bias gradients from a cache whose gates hold pre-activation
     gradients (after the backward of each of its steps): one gemm per fused
     matrix and one sum for the bias, over every row of the cache.  They are
-    written into `out`, parameters of p's shapes (new ones by default)."""
-    out = zeros_like_tree(p) if out is None else out
+    written into `out`, parameters of p's shapes, which is returned."""
     dpre = _rows(cache.gates)
     out.b[...] = dpre.sum(axis=0)
     if isinstance(p, LstmParams):

@@ -137,33 +137,32 @@ def _decode(blob: bytes, version: int) -> Checkpoint:
         raise CheckpointError(f"header of {header_len} bytes runs past the end of the file")
     header = json.loads(blob[16 : 16 + header_len].decode("utf-8"))
     count = _field(header, "param_count", int)
-    payload_bytes = blob[16 + header_len :]
-    if len(payload_bytes) != 5 * 8 * count:
+    payload = memoryview(blob)[16 + header_len :]  # a view: the file is not copied
+    if len(payload) != 5 * 8 * count:
         raise CheckpointError(
-            f"payload has {len(payload_bytes)} bytes, expected {5 * 8 * count} "
-            f"({5 * count} floats)"
+            f"payload has {len(payload)} bytes, expected {5 * 8 * count} ({5 * count} floats)"
         )
-    crc = zlib.crc32(payload_bytes)
+    crc = zlib.crc32(payload)
     if crc != _field(header, "payload_crc32", int):
         raise CheckpointError(
             f"payload checksum {crc} differs from the header's {header['payload_crc32']}"
         )
-    payload = np.frombuffer(payload_bytes, dtype="<f8")
-    chunks = [payload[i * count : (i + 1) * count].astype(np.float64) for i in range(5)]
-
     config = ModelConfig(**_field(header, "model_config", dict))
-    params = model.empty_model_params(config, chunks[0])
+    # Each vector is copied out of the file once, the parameters in the model's dtype.
+    floats = np.frombuffer(payload, dtype="<f8")
+    params = model.empty_model_params(config, floats[:count].astype(config.np_dtype))
+    m, v, long_mean, short_mean = (part.astype(np.float64) for part in np.split(floats[count:], 4))
     r = _field(header, "radam", dict)
     radam = RAdamState(
-        m=chunks[1], v=chunks[2], step=_field(r, "step", int), lr=_field(r, "lr", float),
+        m=m, v=v, step=_field(r, "step", int), lr=_field(r, "lr", float),
         beta1=_field(r, "beta1", float), beta2=_field(r, "beta2", float),
         eps=_field(r, "eps", float),
     )
     t = _field(header, "tta", dict)
     long, short = (_field(t, name, dict) for name in ("long", "short"))
     tta = TtaState(
-        long=Tail(chunks[3], _field(long, "start", int), _field(long, "count", int)),
-        short=Tail(chunks[4], _field(short, "start", int), _field(short, "count", int)),
+        long=Tail(long_mean, _field(long, "start", int), _field(long, "count", int)),
+        short=Tail(short_mean, _field(short, "start", int), _field(short, "count", int)),
         step=_field(t, "step", int),
     )
     return Checkpoint(

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import math
 import os
 import sys
 
@@ -84,12 +85,6 @@ def _vocab_file(cfg: RunConfig) -> str:
     return cfg.vocab_path or cfg.checkpoint_path + ".vocab"
 
 
-def _header_lines(cfg: RunConfig, vocab_size: int):
-    lines = [f"# config {key}={value!r}" for key, value in config_mod.resolved_items(cfg)]
-    lines.append(f"# vocab_size={vocab_size}")
-    return lines
-
-
 def _require_rows(stream, rows: int, split: str, path, key: str = ""):
     """A data error unless the split fills `rows` rows (the setting `key`)
     of two tokens, an input and its target, or more."""
@@ -122,7 +117,9 @@ def _load_vocab_for_eval(cfg: RunConfig, expected_size: int):
     return vocab
 
 
-def _append_metrics(cfg: RunConfig, line: str):
+def _emit(cfg: RunConfig, line: str):
+    """Print a result line and append it to the metrics log."""
+    print(line)
     if cfg.metrics_path:
         with open(cfg.metrics_path, "a", encoding="utf-8") as fh:
             fh.write(line + "\n")
@@ -130,10 +127,17 @@ def _append_metrics(cfg: RunConfig, line: str):
 
 def _eval_temperature(cfg: RunConfig) -> float:
     path = cfg.temperature_file or cfg.checkpoint_path + ".temperature"
-    if os.path.exists(path):
-        with open(path, encoding="ascii") as fh:
-            return float(fh.read().strip())
-    return cfg.temperature
+    if not os.path.exists(path):
+        return cfg.temperature
+    with open(path, encoding="ascii", errors="replace") as fh:
+        text = fh.read().strip()
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not 0.0 < value < math.inf:
+        raise ConfigError(f"temperature file {path} holds {text!r}, not a positive finite number")
+    return value
 
 
 def cmd_train(args) -> int:
@@ -148,24 +152,18 @@ def cmd_train(args) -> int:
     _require_rows(streams["valid"], opts.val_batch_size, "valid", cfg.valid_path, "val_batch_size")
     rng = numerics.Rng(cfg.seed)
 
-    log = open(cfg.metrics_path, "w", encoding="utf-8") if cfg.metrics_path else None
-    try:
-        if log is not None:
-            for line in _header_lines(cfg, vocab.size):
-                log.write(line + "\n")
-            log.flush()
+    with open(cfg.metrics_path or os.devnull, "w", encoding="utf-8") as log:
 
         def sink(line):
-            if log is not None:
-                log.write(line + "\n")
-                log.flush()
+            log.write(line + "\n")
+            log.flush()
 
+        for key, value in config_mod.resolved_items(cfg):
+            sink(f"# config {key}={value!r}")
+        sink(f"# vocab_size={vocab.size}")
         result = training.train(
             model_config, opts, streams["train"], streams["valid"], rng, metrics_sink=sink
         )
-    finally:
-        if log is not None:
-            log.close()
 
     vocab.save(_vocab_file(cfg))
     best = ckpt_mod.checkpoint_from_snapshot(
@@ -202,19 +200,24 @@ def _write_train_csv(path, metrics_lines):
             writer.writerow([pairs.get(f, "") for f in fields])
 
 
-def _report_csv(path, report: evaluation.EvalReport):
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["nats_per_token", "perplexity", "bpc", "tokens", "temperature"])
-        writer.writerow(
-            [report.nats_per_token, report.perplexity, report.bpc,
-             report.token_count, report.temperature]
-        )
+def _report(args, cfg: RunConfig, event: str, split: str, report: evaluation.EvalReport) -> int:
+    """Emit an evaluation report and, with --csv-out, export it."""
+    _emit(cfg, f"event={event} split={split} " + evaluation.format_report(report))
+    if args.csv_out:
+        with open(args.csv_out, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["nats_per_token", "perplexity", "bpc", "tokens", "temperature"])
+            writer.writerow(
+                [report.nats_per_token, report.perplexity, report.bpc,
+                 report.token_count, report.temperature]
+            )
+    return EXIT_OK
 
 
 def _load_model(args):
     """The run config, the checkpoint and the vocabulary of a scoring command."""
     cfg = _load_run_config(args)
+    _validated(config_mod.section(cfg, evaluation.EvalSettings))
     ckpt = ckpt_mod.load_checkpoint(cfg.checkpoint_path)
     return cfg, ckpt, _load_vocab_for_eval(cfg, ckpt.config.vocab_size)
 
@@ -239,12 +242,7 @@ def cmd_evaluate(args) -> int:
     report = evaluation.evaluate_static(
         ckpt.params, ckpt.config, stream, temperature, cfg.eval_batch_size, cfg.eval_window
     )
-    line = f"event=eval split={split} " + evaluation.format_report(report)
-    print(line)
-    _append_metrics(cfg, line)
-    if args.csv_out:
-        _report_csv(args.csv_out, report)
-    return EXIT_OK
+    return _report(args, cfg, "eval", split, report)
 
 
 def cmd_dyneval(args) -> int:
@@ -259,12 +257,7 @@ def cmd_dyneval(args) -> int:
     else:
         dcfg = _validated(config_mod.section(cfg, evaluation.DynevalConfig))
     report = evaluation.evaluate_dynamic(ckpt.params, ckpt.config, stream, dcfg, temperature)
-    line = f"event=dyneval split={split} " + evaluation.format_report(report)
-    print(line)
-    _append_metrics(cfg, line)
-    if args.csv_out:
-        _report_csv(args.csv_out, report)
-    return EXIT_OK
+    return _report(args, cfg, "dyneval", split, report)
 
 
 def cmd_tune_temperature(args) -> int:
@@ -278,9 +271,7 @@ def cmd_tune_temperature(args) -> int:
     path = cfg.temperature_file or cfg.checkpoint_path + ".temperature"
     with open(path, "w", encoding="ascii") as fh:
         fh.write(f"{best!r}\n")
-    line = f"event=tune_temperature temperature={best!r} file={path}"
-    print(line)
-    _append_metrics(cfg, line)
+    _emit(cfg, f"event=tune_temperature temperature={best!r} file={path}")
     return EXIT_OK
 
 

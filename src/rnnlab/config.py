@@ -1,7 +1,8 @@
 """Run configuration: a flat key = value file format (no code execution) and
 RunConfig, the dataclass of every key with its default.  The model,
-optimization and dynamic-evaluation keys and defaults are those of
-ModelConfig, TrainOptions and DynevalConfig; `section` builds those back.
+optimization, evaluation and dynamic-evaluation keys and defaults are those
+of ModelConfig, TrainOptions, EvalSettings and DynevalConfig; `section`
+builds those back.
 
 Section headers like [model] are allowed for readability and ignored; keys
 are global.  Unknown or duplicate keys are rejected with their line number.
@@ -12,7 +13,7 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 
-from .evaluation import DynevalConfig
+from .evaluation import DynevalConfig, EvalSettings
 from .model import ModelConfig
 from .training import TrainOptions
 
@@ -33,18 +34,6 @@ class _Data:
 
 
 @dataclass
-class _Evaluation:
-    eval_split: str = "test"
-    eval_batch_size: int = 1
-    eval_window: int = 128
-    temperature: float = 1.0
-    temperature_grid_min: float = 0.70
-    temperature_grid_max: float = 1.30
-    temperature_grid_step: float = 0.02
-    temperature_file: str = ""
-
-
-@dataclass
 class _Run:
     dyn_tune: bool = False  # pick the dyn_* setting on the valid split instead
     seed: int = 0
@@ -56,7 +45,7 @@ class _Run:
 
 # The dataclasses whose fields are the config keys, in metrics-header order,
 # and the prefix that a section's keys carry.
-_SECTIONS = (ModelConfig, _Data, TrainOptions, _Evaluation, DynevalConfig, _Run)
+_SECTIONS = (ModelConfig, _Data, TrainOptions, EvalSettings, DynevalConfig, _Run)
 _PREFIX = {DynevalConfig: "dyn_"}
 
 
@@ -74,8 +63,8 @@ RunConfig = dataclasses.make_dataclass(
     namespace={
         "__module__": __name__,
         "__doc__": "Every config key with its default, in metrics-header order: the "
-        "fields of ModelConfig (but vocab_size), the data paths, TrainOptions, the "
-        "evaluation settings, DynevalConfig (keys dyn_<field>), then the run plumbing.",
+        "fields of ModelConfig (but vocab_size), the data paths, TrainOptions, "
+        "EvalSettings, DynevalConfig (keys dyn_<field>), then the run plumbing.",
     },
 )
 
@@ -141,8 +130,8 @@ def resolved_items(cfg: RunConfig):
 
 
 def section(cfg: RunConfig, cls, **given):
-    """The ModelConfig, TrainOptions or DynevalConfig that cfg's keys set;
-    `given` supplies the fields that are not keys (vocab_size)."""
+    """The ModelConfig, TrainOptions, EvalSettings or DynevalConfig that cfg's
+    keys set; `given` supplies the fields that are not keys (vocab_size)."""
     prefix = _PREFIX.get(cls, "")
     values = {
         f.name: getattr(cfg, prefix + f.name) for f in dataclasses.fields(cls) if f.name not in given
@@ -151,8 +140,7 @@ def section(cfg: RunConfig, cls, **given):
 
 
 def temperature_grid(cfg: RunConfig):
-    lo, hi, step = cfg.temperature_grid_min, cfg.temperature_grid_max, cfg.temperature_grid_step
-    if step <= 0 or hi < lo:
-        raise ConfigError("temperature grid requires step > 0 and max >= min")
-    count = int(round((hi - lo) / step)) + 1
-    return [round(lo + k * step, 10) for k in range(count)]
+    try:
+        return section(cfg, EvalSettings).temperature_grid()
+    except ValueError as err:
+        raise ConfigError(str(err)) from None

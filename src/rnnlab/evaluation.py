@@ -52,6 +52,37 @@ class DynevalConfig:
 
 
 @dataclass
+class EvalSettings:
+    """The evaluation keys of a run config: how a split is scored, at which
+    temperature, and the grid that tune-temperature searches."""
+
+    eval_split: str = "test"
+    eval_batch_size: int = 1
+    eval_window: int = 128
+    temperature: float = 1.0
+    temperature_grid_min: float = 0.70
+    temperature_grid_max: float = 1.30
+    temperature_grid_step: float = 0.02
+    temperature_file: str = ""
+
+    def validate(self):
+        for name in ("eval_batch_size", "eval_window"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if not 0.0 < self.temperature < math.inf:
+            raise ValueError(f"temperature must be positive and finite, got {self.temperature}")
+        return self
+
+    def temperature_grid(self):
+        """min, min + step, ... up to max, each rounded to 10 decimals."""
+        lo, hi = self.temperature_grid_min, self.temperature_grid_max
+        step = self.temperature_grid_step
+        if not (step > 0 and 0 < lo <= hi < math.inf):
+            raise ValueError("temperature grid requires step > 0 and 0 < min <= max < inf")
+        return [round(lo + k * step, 10) for k in range(int(round((hi - lo) / step)) + 1)]
+
+
+@dataclass
 class EvalReport:
     total_nats: float
     token_count: int
@@ -157,7 +188,7 @@ def evaluate_static(
 
 
 def default_temperature_grid():
-    return [round(0.70 + 0.02 * k, 2) for k in range(31)]
+    return EvalSettings().temperature_grid()
 
 
 def temperature_sweep(params, config, stream, grid=None, batch_size=1, window=128):

@@ -1,10 +1,11 @@
 """Finite-difference verification of every hand-derived backward pass.
 
-Each check builds a tiny fixed instance, packs the differentiable leaves
-(parameters plus, where relevant, inputs) into one flat vector (the model's
-own parameter vector for the model checks), and compares
-the analytic gradient of a scalar probe loss against central differences.
-Used by the gradcheck CLI command and the acceptance tests."""
+Each check builds a tiny fixed instance whose differentiable leaves
+(parameters plus, where relevant, inputs) are views of one float64 vector,
+the model's own parameter vector for the model checks; it perturbs that
+vector in place and compares the analytic gradient of a scalar probe loss,
+formed on the model's window path, against central differences.  Used by the
+gradcheck CLI command and the acceptance tests."""
 
 from __future__ import annotations
 
@@ -14,73 +15,70 @@ from . import cells, mogrifier, model
 from .cells import CellState
 from .model import ModelConfig, WindowBatch
 from .numerics import Rng, finite_difference_gradient, max_relative_error
-from .ptree import accumulate, flatten, unflatten_into, zeros_like_tree
+from .ptree import named_arrays, views
+
+
+def _on_one_vector(shapes):
+    """`shapes` rebuilt with each array leaf a view of one new float64 vector,
+    in canonical order, and that vector."""
+    vector = np.zeros(sum(arr.size for _, arr in named_arrays(shapes)))
+    return views(shapes, vector), vector
 
 
 def _check_cell(kind: str, cap_input_gate: bool) -> float:
     rng = Rng(1234)
     batch, width, steps = 2, 8, 3
-    params = cells.init_cell_params(rng, width, width, kind, t_max=8.0)
-    xs = [rng.uniform(-1.0, 1.0, (batch, width)) for _ in range(steps)]
+    shapes = [cells.new_params(kind, width, width), np.empty((steps, batch, width))]
+    (params, xs), theta = _on_one_vector(shapes)
+    cells.draw_params(rng, params, t_max=8.0)
+    xs[...] = rng.uniform(-1.0, 1.0, xs.shape)
     probe_h = rng.uniform(-1.0, 1.0, (batch, width))
     probe_c = rng.uniform(-1.0, 1.0, (batch, width))
     state_mask = 0.5 + rng.random((batch, width)) if kind == "rlstm" else None
+    # The steps write into a window cache, as in model.forward_window.
+    window = cells.new_cache(kind, (steps, batch), width, width)
+    window.state_mask = state_mask
+    caches = [window.at(t) for t in range(steps)]
 
-    pack = [params, xs]
-    theta0 = flatten(pack)
-
-    def rollout():
+    def loss(_):
         state = CellState.zeros(batch, width)
-        caches = []
-        for x in xs:
+        for x, cache in zip(xs, caches):
             if kind == "rlstm":
-                state, cache = cells.rlstm_forward(params, state, x, state_mask)
+                state, _ = cells.rlstm_forward(params, state, x, state_mask, cache)
             else:
-                state, cache = cells.lstm_forward(params, state, x, cap_input_gate)
-            caches.append(cache)
-        return state, caches
-
-    def loss_fn(theta):
-        unflatten_into(pack, theta)
-        state, _ = rollout()
+                state, _ = cells.lstm_forward(params, state, x, cap_input_gate, cache)
         return float(np.sum(state.h * probe_h) + np.sum(state.c * probe_c))
 
-    numeric = finite_difference_gradient(loss_fn, theta0)
-    unflatten_into(pack, theta0)
-    _, caches = rollout()
-    param_grads = zeros_like_tree(params)
-    x_grads = [np.zeros_like(x) for x in xs]
+    numeric = finite_difference_gradient(loss, theta)
+    loss(theta)  # fill the caches at theta for the backward pass
+    (param_grads, x_grads), analytic = _on_one_vector(shapes)
     dc, dh = probe_c.copy(), probe_h.copy()
     for t in range(steps - 1, -1, -1):
-        _, dc, dh, dx = cells.cell_backward(params, caches[t], dc, dh)
-        x_grads[t] = dx
-        accumulate(param_grads, cells.weight_grads(params, caches[t]))
-    analytic = flatten([param_grads, x_grads])
+        _, dc, dh, x_grads[t][...] = cells.cell_backward(params, caches[t], dc, dh)
+    cells.weight_grads(params, window, out=param_grads)
     return max_relative_error(analytic, numeric)
 
 
 def _check_mogrifier(rounds: int, rank: int) -> float:
     rng = Rng(4321)
-    batch, x_width, h_width = 2, 6, 8
-    params = mogrifier.init_mogrifier_params(rng, x_width, h_width, rounds, rank)
-    h = rng.uniform(-1.0, 1.0, (batch, h_width))
-    x = rng.uniform(-1.0, 1.0, (batch, x_width))
-    probe_h = rng.uniform(-1.0, 1.0, (batch, h_width))
-    probe_x = rng.uniform(-1.0, 1.0, (batch, x_width))
+    batch, m, n = 2, 6, 8
+    shapes = [mogrifier.new_params(m, n, rounds, rank), np.empty((batch, n)), np.empty((batch, m))]
+    (params, h, x), theta = _on_one_vector(shapes)
+    mogrifier.draw_params(rng, params, n)
+    h[...] = rng.uniform(-1.0, 1.0, h.shape)
+    x[...] = rng.uniform(-1.0, 1.0, x.shape)
+    probe_h = rng.uniform(-1.0, 1.0, h.shape)
+    probe_x = rng.uniform(-1.0, 1.0, x.shape)
 
-    pack = [params, h, x]
-    theta0 = flatten(pack)
-
-    def loss_fn(theta):
-        unflatten_into(pack, theta)
+    def loss(_):
         h_out, x_out, _ = mogrifier.mogrify_forward(params, h, x)
         return float(np.sum(h_out * probe_h) + np.sum(x_out * probe_x))
 
-    numeric = finite_difference_gradient(loss_fn, theta0)
-    unflatten_into(pack, theta0)
+    numeric = finite_difference_gradient(loss, theta)
     _, _, cache = mogrifier.mogrify_forward(params, h, x)
-    _, dh, dx = mogrifier.mogrify_backward(params, cache, probe_h, probe_x)
-    analytic = flatten([mogrifier.weight_grads(params, cache), dh, dx])
+    (param_grads, dh, dx), analytic = _on_one_vector(shapes)
+    _, dh[...], dx[...] = mogrifier.mogrify_backward(params, cache, probe_h, probe_x)
+    mogrifier.weight_grads(params, cache, out=param_grads)
     return max_relative_error(analytic, numeric)
 
 
@@ -107,15 +105,11 @@ def _check_model(batch=1, carried=False, **overrides) -> float:
             for _ in range(config.layers)
         ]
     window = WindowBatch(inputs=inputs, targets=targets, states=states)
-    theta0 = params.vector.copy()
 
-    def loss_fn(theta):
-        params.vector[...] = theta
-        loss, _, _ = model.window_loss_with_masks(params, config, window, masks)
-        return loss
+    def loss(_):
+        return model.window_loss_with_masks(params, config, window, masks)[0]
 
-    numeric = finite_difference_gradient(loss_fn, theta0)
-    params.vector[...] = theta0
+    numeric = finite_difference_gradient(loss, params.vector)
     _, grads, _ = model.window_loss_with_masks(params, config, window, masks)
     return max_relative_error(grads.vector, numeric)
 

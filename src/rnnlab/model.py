@@ -49,20 +49,20 @@ class ModelConfig:
     dtype: str = "float64"
 
     def validate(self):
-        if self.layers < 1:
-            raise ValueError(f"layers must be >= 1, got {self.layers}")
-        if self.state_size < 1:
-            raise ValueError(f"state_size must be >= 1, got {self.state_size}")
-        if self.dropout_samples < 1:
-            raise ValueError(f"dropout_samples must be >= 1, got {self.dropout_samples}")
+        for name, low in (
+            ("layers", 1), ("state_size", 1), ("vocab_size", 2), ("dropout_samples", 1),
+            ("mogrifier_rounds", 0), ("mogrifier_rank", 0),
+        ):
+            if getattr(self, name) < low:
+                raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
+        if not self.t_max > 2.0:
+            raise ValueError(f"t_max must exceed 2 (empty init range), got {self.t_max}")
         if self.cell not in ("lstm", "rlstm"):
             raise ValueError(f"cell must be 'lstm' or 'rlstm', got '{self.cell}'")
         for name in ("keep_in", "keep_cell", "keep_state", "keep_out"):
             value = getattr(self, name)
             if not 0.0 < value <= 1.0:
                 raise ValueError(f"{name} must be in (0, 1], got {value}")
-        if self.vocab_size < 2:
-            raise ValueError(f"vocab_size must be >= 2, got {self.vocab_size}")
         if self.dtype not in ("float64", "float32"):
             raise ValueError(f"dtype must be float64 or float32, got '{self.dtype}'")
         return self
@@ -114,19 +114,20 @@ def empty_model_params(config: ModelConfig, vector=None) -> ModelParams:
     dtype if it has another), or a new zero vector."""
     config.validate()
     n, vocab, dtype = config.state_size, config.vocab_size, config.np_dtype
+    empty = _Carver()  # placeholders of the right shapes; views reads nothing else
     shapes = ModelParams(
-        e_in=np.empty((vocab, n)),
-        b_out=np.empty(vocab),
+        e_in=empty((vocab, n), dtype),
+        b_out=empty((vocab,), dtype),
         layers=[
             LayerParams(
-                cell=cells.new_params(config.cell, n, n, empty=np.empty),
+                cell=cells.new_params(config.cell, n, n, empty=empty),
                 mog=mogrifier.new_params(
-                    n, n, config.mogrifier_rounds, config.mogrifier_rank, empty=np.empty
+                    n, n, config.mogrifier_rounds, config.mogrifier_rank, empty=empty
                 ),
             )
             for _ in range(config.layers)
         ],
-        e_out_untied=None if config.tie_embeddings else np.empty((n, vocab)),
+        e_out_untied=None if config.tie_embeddings else empty((n, vocab), dtype),
         tied=config.tie_embeddings,
     )
     if vector is None:

@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .numerics import Rng, gemm, sigmoid
-from .ptree import zeros_like_tree
 
 
 @dataclass
@@ -159,12 +158,11 @@ def _gate_weight_grad(w, dpre, applied_to, out):
         out[...] = gemm(dpre.T, applied_to)
 
 
-def weight_grads(p: MogrifierParams, cache: MogrifyCache, out=None) -> MogrifierParams:
+def weight_grads(p: MogrifierParams, cache: MogrifyCache, out) -> MogrifierParams:
     """Gate-matrix gradients from a cache whose gates hold pre-activation
     gradients: one gemm per full matrix (four per factored one) over every
-    row of the cache, written into `out`, parameters of p's shapes (new ones
-    by default)."""
-    out = zeros_like_tree(p) if out is None else out
+    row of the cache, written into `out`, parameters of p's shapes, which is
+    returned."""
     for index in range(1, p.rounds + 1):
         k = index // 2
         dpre = _rows(cache.gates[index - 1])

@@ -164,23 +164,28 @@ def bernoulli_mask(rng: Rng, shape, keep_prob: float, out=None):
 
 
 def finite_difference_gradient(f, theta, eps=1e-5):
-    """Central-difference gradient of a scalar function of a 1-D parameter vector."""
+    """Central-difference gradient of f(theta), a scalar, with respect to the
+    1-D float64 vector theta.  Each entry of theta is perturbed in place and
+    restored before the next, so f may read theta through views of it."""
     if not eps > 0:
         raise ValueError(f"eps must be positive, got {eps}")
-    theta = np.array(theta, dtype=np.float64)
+    if theta.dtype != np.float64 or theta.ndim != 1:
+        raise ValueError(f"theta must be a 1-D float64 vector, got {theta.ndim}-D {theta.dtype}")
     grad = np.zeros_like(theta)
     for idx in range(theta.size):
-        saved = theta.flat[idx]
-        theta.flat[idx] = saved + eps
-        f_plus = f(theta)
-        theta.flat[idx] = saved - eps
-        f_minus = f(theta)
-        theta.flat[idx] = saved
+        saved = theta[idx]
+        try:
+            theta[idx] = saved + eps
+            f_plus = f(theta)
+            theta[idx] = saved - eps
+            f_minus = f(theta)
+        finally:
+            theta[idx] = saved
         if not (np.isfinite(f_plus) and np.isfinite(f_minus)):
             raise DivergenceError(
                 f"non-finite function value while perturbing parameter index {idx}"
             )
-        grad.flat[idx] = (f_plus - f_minus) / (2.0 * eps)
+        grad[idx] = (f_plus - f_minus) / (2.0 * eps)
     return grad
 
 

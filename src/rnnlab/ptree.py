@@ -72,10 +72,6 @@ def views(obj, vector: np.ndarray):
     return map_arrays(obj, lambda arr: next(stretches).reshape(arr.shape))
 
 
-def zeros_like_tree(obj):
-    return map_arrays(obj, np.zeros_like)
-
-
 def accumulate(dst, src, scale=1.0):
     """In-place dst += scale * src over matching tree structures."""
     for (path_d, arr_d), (path_s, arr_s) in zip(

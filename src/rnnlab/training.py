@@ -172,10 +172,9 @@ class TrainOptions:
     def validate(self):
         if self.lr <= 0:
             raise ValueError(f"lr must be positive, got {self.lr}")
-        if self.epochs < 1:
-            raise ValueError(f"epochs must be >= 1, got {self.epochs}")
-        if self.batch_size < 1 or self.window < 1:
-            raise ValueError("batch_size and window must be >= 1")
+        for name in ("epochs", "batch_size", "window", "val_batch_size", "val_window"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if not 1.0 < self.divergence_factor:
             raise ValueError(f"divergence_factor must exceed 1, got {self.divergence_factor}")
         if self.max_restarts < 0:

@@ -4,7 +4,7 @@ import pytest
 from rnnlab import cells
 from rnnlab.cells import CellCache, CellState
 from rnnlab.numerics import DivergenceError, Rng, sigmoid
-from rnnlab.ptree import accumulate, flatten, zeros_like_tree
+from rnnlab.ptree import accumulate, flatten
 
 
 def random_lstm(rng, m=6, n=5, t_max=8.0):
@@ -143,7 +143,7 @@ class TestBackward:
         # One-step finite-difference probe; multi-step rollouts live in the
         # gradcheck suite.
         from rnnlab.numerics import finite_difference_gradient, max_relative_error
-        from rnnlab.ptree import flatten, unflatten_into, zeros_like_tree
+        from rnnlab.ptree import flatten, unflatten_into
 
         rng = Rng(120)
         p = (random_rlstm if kind == "rlstm" else random_lstm)(rng)
@@ -168,7 +168,7 @@ class TestBackward:
         unflatten_into(p, theta0)
         _, cache = run()
         cells.cell_backward(p, cache, probe_c, probe_h)
-        grads = cells.weight_grads(p, cache)
+        grads = cells.weight_grads(p, cache, out=cells.new_params(kind, 6, 5))
         assert max_relative_error(flatten(grads), numeric) < 1e-6
 
     def test_lstm_capped_gradients(self):
@@ -196,7 +196,7 @@ class TestBackward:
         )
         p = cells.init_cell_params(Rng(0), 2, n, "lstm", 4.0)
         cells.lstm_backward(p, cache, np.ones((1, n)), np.zeros((1, n)))
-        grads = cells.gate_views(cells.weight_grads(p, cache))
+        grads = cells.gate_views(cells.weight_grads(p, cache, out=cells.new_params("lstm", 2, n)))
         # dg = c_prev-free path: dc * j = 1 * 0.5; routed to i means b_i grad
         # is nonzero and the -dg part of b_f grad is absent (df = dc*c_prev = 0).
         assert np.all(grads["b_i"] != 0.0)
@@ -282,9 +282,9 @@ class TestFusedLayout:
                 state, _ = cells.lstm_forward(p, state, x, True, step)
             steps.append(step)
         dc, dh = rng.uniform(-1, 1, (batch, n)), rng.uniform(-1, 1, (batch, n))
-        total = zeros_like_tree(p)
+        total = cells.new_params(kind, m, n)
         for step in reversed(steps):
             _, dc, dh, _ = cells.cell_backward(p, step, dc, dh)
-            accumulate(total, cells.weight_grads(p, step))
-        window_grads = flatten(cells.weight_grads(p, window))
+            accumulate(total, cells.weight_grads(p, step, out=cells.new_params(kind, m, n)))
+        window_grads = flatten(cells.weight_grads(p, window, out=cells.new_params(kind, m, n)))
         assert np.allclose(window_grads, flatten(total), rtol=1e-12, atol=1e-14)

@@ -1,5 +1,6 @@
 import json
 import pathlib
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -169,6 +170,22 @@ class TestErrors:
             save_checkpoint(target, ckpt)
         assert not target.exists()
         assert not (tmp_path / "p.ckpt.tmp").exists()
+
+
+class TestLoadMemory:
+    def test_peak_is_the_file_and_one_copy_of_each_vector(self, tmp_path):
+        # A 2 x 128 rlstm with 4 mogrifier rounds: a 15 MB file.
+        path = tmp_path / "big.ckpt"
+        save_checkpoint(
+            path, make_checkpoint(state_size=128, vocab_size=74, mogrifier_rounds=4)
+        )
+        tracemalloc.start()
+        try:
+            load_checkpoint(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.1 * path.stat().st_size
 
 
 class TestCorruptFiles:

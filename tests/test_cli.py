@@ -324,6 +324,53 @@ class TestShortSplits:
         assert not (tmp_path / "model.ckpt").exists()
 
 
+class TestBadSettings:
+    """Every bad setting ends in one `config error:` line and exit 1."""
+
+    @pytest.mark.parametrize(
+        "command, key, value, message",
+        [
+            ("train", "mogrifier_rounds", -1, "mogrifier_rounds must be >= 0"),
+            ("train", "mogrifier_rank", -2, "mogrifier_rank must be >= 0"),
+            ("train", "t_max", 2.0, "t_max must exceed 2"),
+            ("train", "val_window", 0, "val_window must be >= 1"),
+            ("train", "val_batch_size", 0, "val_batch_size must be >= 1"),
+            ("evaluate", "eval_batch_size", 0, "eval_batch_size must be >= 1"),
+            ("evaluate", "eval_window", 0, "eval_window must be >= 1"),
+            ("evaluate", "temperature", 0, "temperature must be positive"),
+            ("tune-temperature", "eval_window", 0, "eval_window must be >= 1"),
+            ("tune-temperature", "eval_batch_size", 0, "eval_batch_size must be >= 1"),
+            ("tune-temperature", "temperature_grid_min", 0, "temperature grid requires"),
+            ("dyneval", "temperature", 0, "temperature must be positive"),
+        ],
+    )
+    def test_setting(self, trained_run, tmp_path, capsys, command, key, value, message):
+        run_dir = tmp_path if command == "train" else trained_run["root"]
+        config = write_config(
+            tmp_path / "bad.cfg", trained_run["corpus"], run_dir,
+            temperature_file=tmp_path / "temperature.txt", **{key: value},
+        )
+        assert cli.main([command, "--config", str(config)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and message in err
+        assert err.count("\n") == 1
+        assert not (tmp_path / "model.ckpt").exists()
+        assert not (tmp_path / "temperature.txt").exists()
+
+    @pytest.mark.parametrize("text", ["abc", "0", ""])
+    def test_temperature_file(self, trained_run, tmp_path, capsys, text):
+        temperature_file = tmp_path / "temperature.txt"
+        temperature_file.write_text(text)
+        config = write_config(
+            tmp_path / "t.cfg", trained_run["corpus"], trained_run["root"],
+            temperature_file=temperature_file,
+        )
+        assert cli.main(["evaluate", "--config", str(config)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: temperature file") and repr(text) in err
+        assert err.count("\n") == 1
+
+
 class TestDynevalCommand:
     def test_invalid_setting_is_a_config_error(self, trained_run, tmp_path, capsys):
         config = write_config(

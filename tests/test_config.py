@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from rnnlab import config as config_mod
+from rnnlab import evaluation
 from rnnlab.config import (
     ConfigError,
     RunConfig,
@@ -180,6 +181,10 @@ class TestTemperatureGrid:
         assert len(grid) == 31
         assert all(b - a == pytest.approx(0.02, abs=1e-9) for a, b in zip(grid, grid[1:]))
 
+    def test_one_default_grid(self):
+        assert temperature_grid(RunConfig()) == evaluation.default_temperature_grid()
+        assert section(RunConfig(), evaluation.EvalSettings) == evaluation.EvalSettings()
+
     def test_custom_grid(self):
         cfg = parse_config(
             "temperature_grid_min = 1.0\ntemperature_grid_max = 3.0\n"
@@ -198,6 +203,9 @@ class TestTemperatureGrid:
             temperature_grid(
                 parse_config("temperature_grid_min = 2.0\ntemperature_grid_max = 1.0\n")
             )
+        for bad in ("temperature_grid_min = 0\n", "temperature_grid_max = inf\n"):
+            with pytest.raises(ConfigError):
+                temperature_grid(parse_config(bad))
 
 
 class TestDefaults:

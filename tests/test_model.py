@@ -5,7 +5,7 @@ from rnnlab import cells, model, mogrifier, numerics, ptree
 from rnnlab.cells import CellState
 from rnnlab.model import ModelConfig, WindowBatch
 from rnnlab.numerics import DivergenceError, Rng, max_relative_error
-from rnnlab.ptree import accumulate, flatten, zeros_like_tree
+from rnnlab.ptree import accumulate, flatten
 
 
 def tiny_config(**overrides):
@@ -342,7 +342,7 @@ def sequential_multisample(params, config, batch, mask_sets):
     count = bsz * horizon
     loss = -float(np.sum(model.mix_sample_log_probs(picked))) / count
     weights = np.exp(picked - numerics.log_sum_exp(picked, axis=0)[None, :, :])
-    grads = zeros_like_tree(params)
+    grads = model.empty_model_params(config)
     for d, (lp, cache, _) in enumerate(runs):
         grad_lp = np.zeros_like(lp)
         grad_lp[rows, cols, batch.targets] = -weights[d] / count
@@ -721,7 +721,7 @@ def ref_window(params, config, inputs, masks, states, grad_of_log_probs):
     log_probs = numerics.log_softmax(logits)
     grad_lp = grad_of_log_probs(log_probs)
 
-    grads = zeros_like_tree(params)
+    grads = model.empty_model_params(config)
     e_out_grad = grads.e_in.T if params.tied else grads.e_out_untied
     dlogits = grad_lp - np.exp(log_probs) * np.sum(grad_lp, axis=-1, keepdims=True)
     grad_c = [np.zeros((batch, n)) for _ in params.layers]

@@ -129,7 +129,7 @@ class TestBackward:
         unflatten_into(p, theta0)
         _, _, cache = mogrifier.mogrify_forward(p, h, x)
         mogrifier.mogrify_backward(p, cache, probe_h, probe_x)
-        grads = mogrifier.weight_grads(p, cache)
+        grads = mogrifier.weight_grads(p, cache, out=mogrifier.new_params(4, 5, rounds, rank))
         assert max_relative_error(flatten(grads), numeric) < 1e-6
 
     def test_input_gradients(self):
@@ -163,7 +163,7 @@ class TestBackward:
     def test_window_cache_matches_fresh_steps(self, rounds, rank):
         # A (T, B) cache filled step by step gives the outputs, input gradients
         # and summed weight gradients of separate one-step caches.
-        from rnnlab.ptree import accumulate, flatten, zeros_like_tree
+        from rnnlab.ptree import accumulate, flatten
 
         rng = Rng(240 + rounds)
         p = mogrifier.init_mogrifier_params(rng, m=4, n=5, rounds=rounds, rank=rank)
@@ -173,7 +173,11 @@ class TestBackward:
         probe_h = rng.uniform(-1, 1, (batch, 5))
         probe_x = rng.uniform(-1, 1, (batch, 4))
         window = mogrifier.new_cache(p, (horizon, batch), 4, 5)
-        summed = zeros_like_tree(p)
+
+        def zeros():
+            return mogrifier.new_params(4, 5, rounds, rank)
+
+        summed = zeros()
         for t in range(horizon):
             h_w, x_w, step = mogrifier.mogrify_forward(p, hs[t], xs[t], window.at(t))
             h_f, x_f, fresh = mogrifier.mogrify_forward(p, hs[t], xs[t])
@@ -181,6 +185,6 @@ class TestBackward:
             _, dh_w, dx_w = mogrifier.mogrify_backward(p, step, probe_h, probe_x)
             _, dh_f, dx_f = mogrifier.mogrify_backward(p, fresh, probe_h, probe_x)
             assert np.array_equal(dh_w, dh_f) and np.array_equal(dx_w, dx_f)
-            accumulate(summed, mogrifier.weight_grads(p, fresh))
-        window_grads = flatten(mogrifier.weight_grads(p, window))
+            accumulate(summed, mogrifier.weight_grads(p, fresh, out=zeros()))
+        window_grads = flatten(mogrifier.weight_grads(p, window, out=zeros()))
         assert np.allclose(window_grads, flatten(summed), rtol=1e-12, atol=1e-14)

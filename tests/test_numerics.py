@@ -183,6 +183,35 @@ class TestFiniteDifferences:
         with pytest.raises(DivergenceError):
             finite_difference_gradient(f, np.zeros(2))
 
+    def test_perturbs_in_place_and_restores(self):
+        theta = np.array([0.3, -1.2, 2.5])
+        tail = theta[1:]  # f reads theta through a view
+
+        def f(t):
+            assert t is theta
+            return float(np.sum(tail**2))
+
+        before = theta.tobytes()
+        grad = finite_difference_gradient(f, theta)
+        assert theta.tobytes() == before
+        assert grad[0] == 0.0
+        assert max_relative_error(grad[1:], 2 * theta[1:]) < 1e-9
+
+    def test_entry_restored_when_f_raises(self):
+        theta = np.array([1.0, 2.0])
+
+        def f(t):
+            raise RuntimeError("probe failed")
+
+        with pytest.raises(RuntimeError):
+            finite_difference_gradient(f, theta)
+        assert theta.tolist() == [1.0, 2.0]
+
+    def test_needs_a_float64_vector(self):
+        for bad in (np.zeros(2, dtype=np.float32), np.zeros((2, 2))):
+            with pytest.raises(ValueError):
+                finite_difference_gradient(lambda t: 0.0, bad)
+
     def test_max_relative_error_floor(self):
         # Differences far below the floor are measured against the floor.
         assert max_relative_error(np.array([0.0]), np.array([1e-9])) == pytest.approx(1e-5)

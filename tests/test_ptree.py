@@ -71,7 +71,7 @@ class TestFlatten:
 class TestTreeOps:
     def test_zeros_are_independent(self):
         tree = make_tree()
-        zeros = ptree.zeros_like_tree(tree)
+        zeros = ptree.map_arrays(tree, np.zeros_like)
         assert ptree.global_norm(zeros) == 0.0
         zeros.first.w[0, 1] = 99.0
         assert tree.first.w[0, 1] == 1.0
@@ -127,4 +127,4 @@ class TestViews:
         owner.vector = vector
         assert [path for path, _ in ptree.named_arrays(owner)] == ["inner.w", "inner.b"]
         assert ptree.flatten(owner).tolist() == vector.tolist()
-        assert ptree.zeros_like_tree(owner).vector is None
+        assert ptree.map_arrays(owner, np.zeros_like).vector is None

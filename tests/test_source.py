@@ -1,0 +1,89 @@
+"""Static checks over the package source: no unused imports, no calls to the
+parameter-tree round trips, and every function the benchmark's span tracer
+(perfbench/tracer.py) wraps still exists."""
+
+import ast
+import importlib
+import pathlib
+
+import pytest
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+MODULES = sorted(p for p in (ROOT / "src" / "rnnlab").glob("*.py") if p.name != "__init__.py")
+
+
+def parsed(path):
+    source = path.read_text(encoding="utf-8")
+    return source.splitlines(), ast.parse(source)
+
+
+def unused_imports(path):
+    """Names a module imports and never reads, except on `# noqa: F401` lines."""
+    lines, tree = parsed(path)
+    imported = {}  # bound name -> line of its alias
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import) or (
+            isinstance(node, ast.ImportFrom) and node.module != "__future__"
+        ):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                imported[name] = alias.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(
+        name
+        for name, line in imported.items()
+        if name not in used and "# noqa: F401" not in lines[line - 1]
+    )
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unused_imports(path):
+    assert unused_imports(path) == []
+
+
+def test_unused_import_is_caught(tmp_path):
+    module = tmp_path / "m.py"
+    module.write_text(
+        "from .ptree import unflatten_into, views\n"
+        "import numpy as np\n"
+        "from .ptree import flatten  # noqa: F401\n"
+        "x = views\n"
+    )
+    assert unused_imports(module) == ["np", "unflatten_into"]
+
+
+ROUND_TRIPS = {"accumulate", "unflatten_into", "zeros_like_tree"}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_tree_round_trip_calls(path):
+    _, tree = parsed(path)
+    called = {
+        getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+    }
+    assert called & ROUND_TRIPS == set()
+
+
+def tracer_targets():
+    _, tree = parsed(ROOT / "perfbench" / "tracer.py")
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == "TARGETS" for target in node.targets
+        ):
+            return ast.literal_eval(node.value)
+    raise AssertionError("perfbench/tracer.py assigns no TARGETS")
+
+
+@pytest.mark.parametrize("module, name", tracer_targets())
+def test_tracer_target_exists(module, name):
+    assert callable(getattr(importlib.import_module(f"rnnlab.{module}"), name, None))
+
+
+def test_tracer_bindings_are_the_ptree_originals():
+    # The tracer's self-check reads these two bindings.
+    from rnnlab import model, ptree, training
+
+    assert model.accumulate is ptree.accumulate
+    assert training.flatten is ptree.flatten
