@@ -64,42 +64,20 @@ def _load_run_config(args) -> RunConfig:
     return cfg
 
 
-def _validated(config):
-    """config.validate(), its ValueError reported as a configuration error."""
-    try:
-        return config.validate()
-    except ValueError as err:
-        raise ConfigError(str(err)) from None
-
-
-def _require_paths(cfg: RunConfig, names):
-    for name in names:
-        path = getattr(cfg, name)
-        if not path:
-            raise ConfigError(f"{name} is required for this command")
-        if not os.path.exists(path):
-            raise ConfigError(f"{name} does not exist: {path}")
+def _split_file(cfg: RunConfig, split: str) -> str:
+    """The file that `<split>_path` names; a config error unless it exists."""
+    path = getattr(cfg, f"{split}_path")
+    if not path or not os.path.exists(path):
+        raise ConfigError(f"{split}_path does not exist: {path!r}")
+    return path
 
 
 def _vocab_file(cfg: RunConfig) -> str:
     return cfg.vocab_path or cfg.checkpoint_path + ".vocab"
 
 
-def _require_rows(stream, rows: int, split: str, path, key: str = ""):
-    """A data error unless the split fills `rows` rows (the setting `key`)
-    of two tokens, an input and its target, or more."""
-    if stream.size < 2 * rows:
-        needs = f"{key} = {rows} needs" if key else "scoring needs"
-        raise data_mod.DataError(
-            f"{split} split {path} has {stream.size} tokens; {needs} at least {2 * rows}"
-        )
-
-
-def _split_path(cfg: RunConfig, split: str) -> str:
-    try:
-        return {"train": cfg.train_path, "valid": cfg.valid_path, "test": cfg.test_path}[split]
-    except KeyError:
-        raise ConfigError(f"eval_split must be train, valid, or test, got '{split}'") from None
+def _temperature_file(cfg: RunConfig) -> str:
+    return cfg.temperature_file or cfg.checkpoint_path + ".temperature"
 
 
 def _load_vocab_for_eval(cfg: RunConfig, expected_size: int):
@@ -126,7 +104,7 @@ def _emit(cfg: RunConfig, line: str):
 
 
 def _eval_temperature(cfg: RunConfig) -> float:
-    path = cfg.temperature_file or cfg.checkpoint_path + ".temperature"
+    path = _temperature_file(cfg)
     if not os.path.exists(path):
         return cfg.temperature
     with open(path, encoding="ascii", errors="replace") as fh:
@@ -142,14 +120,12 @@ def _eval_temperature(cfg: RunConfig) -> float:
 
 def cmd_train(args) -> int:
     cfg = _load_run_config(args)
-    _require_paths(cfg, ("train_path", "valid_path", "test_path"))
-    vocab, streams = data_mod.load_splits(
-        cfg.train_path, cfg.valid_path, cfg.test_path, cfg.mode
-    )
-    model_config = _validated(config_mod.section(cfg, model.ModelConfig, vocab_size=vocab.size))
-    opts = _validated(config_mod.section(cfg, training.TrainOptions))
-    _require_rows(streams["train"], opts.batch_size, "train", cfg.train_path, "batch_size")
-    _require_rows(streams["valid"], opts.val_batch_size, "valid", cfg.valid_path, "val_batch_size")
+    paths = {split: _split_file(cfg, split) for split in ("train", "valid", "test")}
+    vocab, streams = data_mod.load_splits(*paths.values(), cfg.mode)
+    model_config = config_mod.section(cfg, model.ModelConfig, vocab_size=vocab.size)
+    opts = config_mod.section(cfg, training.TrainOptions)
+    for split, rows in (("train", opts.batch_size), ("valid", opts.val_batch_size)):
+        evaluation.require_scorable(streams[split], rows, f"{split} split {paths[split]}")
     rng = numerics.Rng(cfg.seed)
 
     with open(cfg.metrics_path or os.devnull, "w", encoding="utf-8") as log:
@@ -217,58 +193,49 @@ def _report(args, cfg: RunConfig, event: str, split: str, report: evaluation.Eva
 def _load_model(args):
     """The run config, the checkpoint and the vocabulary of a scoring command."""
     cfg = _load_run_config(args)
-    _validated(config_mod.section(cfg, evaluation.EvalSettings))
     ckpt = ckpt_mod.load_checkpoint(cfg.checkpoint_path)
     return cfg, ckpt, _load_vocab_for_eval(cfg, ckpt.config.vocab_size)
 
 
-def _load_eval_setup(args):
-    cfg, ckpt, vocab = _load_model(args)
-    split = cfg.eval_split
-    return cfg, ckpt, vocab, split, _encoded_split(cfg, vocab, split)
-
-
-def _encoded_split(cfg: RunConfig, vocab, split: str):
-    path = _split_path(cfg, split)
-    if not path or not os.path.exists(path):
-        raise ConfigError(f"{split}_path does not exist: {path!r}")
-    return data_mod.encode_split(vocab, data_mod.load_text(path), split, path)
+def _encoded_split(cfg: RunConfig, vocab, split: str, rows: int):
+    """A split's tokens; a data error unless they fill `rows` scoring rows."""
+    path = _split_file(cfg, split)
+    stream = data_mod.encode_split(vocab, data_mod.load_text(path), split, path)
+    evaluation.require_scorable(stream, rows, f"{split} split {path}")
+    return stream
 
 
 def cmd_evaluate(args) -> int:
-    cfg, ckpt, _, split, stream = _load_eval_setup(args)
-    _require_rows(stream, cfg.eval_batch_size, split, _split_path(cfg, split), "eval_batch_size")
+    cfg, ckpt, vocab = _load_model(args)
+    stream = _encoded_split(cfg, vocab, cfg.eval_split, cfg.eval_batch_size)
     temperature = _eval_temperature(cfg)
     report = evaluation.evaluate_static(
         ckpt.params, ckpt.config, stream, temperature, cfg.eval_batch_size, cfg.eval_window
     )
-    return _report(args, cfg, "eval", split, report)
+    return _report(args, cfg, "eval", cfg.eval_split, report)
 
 
 def cmd_dyneval(args) -> int:
-    cfg, ckpt, vocab, split, stream = _load_eval_setup(args)
-    _require_rows(stream, 1, split, _split_path(cfg, split))
+    cfg, ckpt, vocab = _load_model(args)
+    stream = _encoded_split(cfg, vocab, cfg.eval_split, 1)
     temperature = _eval_temperature(cfg)
+    dcfg = config_mod.section(cfg, evaluation.DynevalConfig)
     if cfg.dyn_tune:
-        tune_stream = _encoded_split(cfg, vocab, "valid")
-        _require_rows(tune_stream, 1, "valid", cfg.valid_path)
-        grid = evaluation.default_dyneval_grid(cfg.dyn_segment)
+        tune_stream = _encoded_split(cfg, vocab, "valid", 1)
+        grid = evaluation.default_dyneval_grid(dcfg.segment)
         dcfg, _ = evaluation.tune_dyneval(ckpt.params, ckpt.config, tune_stream, grid, temperature)
-    else:
-        dcfg = _validated(config_mod.section(cfg, evaluation.DynevalConfig))
     report = evaluation.evaluate_dynamic(ckpt.params, ckpt.config, stream, dcfg, temperature)
-    return _report(args, cfg, "dyneval", split, report)
+    return _report(args, cfg, "dyneval", cfg.eval_split, report)
 
 
 def cmd_tune_temperature(args) -> int:
     cfg, ckpt, vocab = _load_model(args)
-    valid_stream = _encoded_split(cfg, vocab, "valid")
-    _require_rows(valid_stream, cfg.eval_batch_size, "valid", cfg.valid_path, "eval_batch_size")
-    grid = config_mod.temperature_grid(cfg)
+    valid_stream = _encoded_split(cfg, vocab, "valid", cfg.eval_batch_size)
+    grid = config_mod.section(cfg, evaluation.EvalSettings).temperature_grid()
     best = evaluation.tune_temperature(
         ckpt.params, ckpt.config, valid_stream, grid, cfg.eval_batch_size, cfg.eval_window
     )
-    path = cfg.temperature_file or cfg.checkpoint_path + ".temperature"
+    path = _temperature_file(cfg)
     with open(path, "w", encoding="ascii") as fh:
         fh.write(f"{best!r}\n")
     _emit(cfg, f"event=tune_temperature temperature={best!r} file={path}")

@@ -2,7 +2,9 @@
 RunConfig, the dataclass of every key with its default.  The model,
 optimization, evaluation and dynamic-evaluation keys and defaults are those
 of ModelConfig, TrainOptions, EvalSettings and DynevalConfig; `section`
-builds those back.
+builds those back, validated.  Parsing checks every section but the model's,
+which needs the vocabulary size, so a bad value is refused before any data
+or checkpoint is read.
 
 Section headers like [model] are allowed for readability and ignored; keys
 are global.  Unknown or duplicate keys are rejected with their line number.
@@ -31,6 +33,11 @@ class _Data:
     valid_path: str = ""
     test_path: str = ""
     vocab_path: str = ""
+
+    def validate(self):
+        if self.mode not in ("byte", "char", "word"):
+            raise ValueError(f"mode must be byte, char, or word, got '{self.mode}'")
+        return self
 
 
 @dataclass
@@ -111,7 +118,10 @@ def parse_config(text: str) -> RunConfig:
             raise ConfigError(f"duplicate key '{key}' (first set on line {lines[key]})", lineno)
         values[key] = _convert(key, raw_value, lineno)
         lines[key] = lineno
-    return RunConfig(**values)
+    cfg = RunConfig(**values)
+    for cls in (_Data, TrainOptions, EvalSettings, DynevalConfig):  # ModelConfig needs vocab_size
+        section(cfg, cls)
+    return cfg
 
 
 def load_config(path) -> RunConfig:
@@ -130,17 +140,16 @@ def resolved_items(cfg: RunConfig):
 
 
 def section(cfg: RunConfig, cls, **given):
-    """The ModelConfig, TrainOptions, EvalSettings or DynevalConfig that cfg's
-    keys set; `given` supplies the fields that are not keys (vocab_size)."""
+    """The validated ModelConfig, TrainOptions, EvalSettings, DynevalConfig or
+    data section that cfg's keys set; `given` supplies the fields that are not
+    keys (vocab_size).  A value out of range is a ConfigError naming its key:
+    each validate message begins with a field name, which the prefix makes
+    the key."""
     prefix = _PREFIX.get(cls, "")
     values = {
         f.name: getattr(cfg, prefix + f.name) for f in dataclasses.fields(cls) if f.name not in given
     }
-    return cls(**values, **given)
-
-
-def temperature_grid(cfg: RunConfig):
     try:
-        return section(cfg, EvalSettings).temperature_grid()
+        return cls(**values, **given).validate()
     except ValueError as err:
-        raise ConfigError(str(err)) from None
+        raise ConfigError(prefix + str(err)) from None

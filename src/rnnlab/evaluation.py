@@ -42,7 +42,7 @@ class DynevalConfig:
     def validate(self):
         if self.segment < 1:
             raise ValueError(f"segment must be >= 1, got {self.segment}")
-        if self.lr < 0:
+        if not self.lr >= 0:
             raise ValueError(f"lr must be >= 0, got {self.lr}")
         if not 0.0 <= self.decay < 1.0:
             raise ValueError(f"decay must be in [0, 1), got {self.decay}")
@@ -66,19 +66,31 @@ class EvalSettings:
     temperature_file: str = ""
 
     def validate(self):
+        if self.eval_split not in ("train", "valid", "test"):
+            raise ValueError(f"eval_split must be train, valid, or test, got '{self.eval_split}'")
         for name in ("eval_batch_size", "eval_window"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if not 0.0 < self.temperature < math.inf:
             raise ValueError(f"temperature must be positive and finite, got {self.temperature}")
+        self.temperature_grid()
         return self
 
     def temperature_grid(self):
-        """min, min + step, ... up to max, each rounded to 10 decimals."""
+        """min, min + step, ... up to max, each rounded to 10 decimals; at
+        most 10,001 of them."""
         lo, hi = self.temperature_grid_min, self.temperature_grid_max
         step = self.temperature_grid_step
-        if not (step > 0 and 0 < lo <= hi < math.inf):
-            raise ValueError("temperature grid requires step > 0 and 0 < min <= max < inf")
+        if not 0 < lo <= hi < math.inf:
+            raise ValueError(
+                "temperature grid requires 0 < temperature_grid_min <= temperature_grid_max "
+                f"< inf, got {lo} and {hi}"
+            )
+        if not (0 < step < math.inf and (hi - lo) / step < 10_000):
+            raise ValueError(
+                "temperature grid requires a finite temperature_grid_step > 0 that gives at "
+                f"most 10,001 points, got {step}"
+            )
         return [round(lo + k * step, 10) for k in range(int(round((hi - lo) / step)) + 1)]
 
 
@@ -145,11 +157,12 @@ def _minus_picked(total: float, picked) -> float:
 
 
 def require_scorable(stream, batch_size: int, name: str = "evaluation stream"):
-    """A ValueError unless the stream fills `batch_size` rows of two tokens
-    or more: an input and its target."""
+    """A data.DataError (a ValueError) unless the stream fills `batch_size`
+    rows of two tokens or more: an input and its target.  `name` names the
+    stream in the message."""
     size = np.asarray(stream).size
     if size < 2 * batch_size:
-        raise ValueError(
+        raise data_mod.DataError(
             f"{name} has {size} tokens; batch size {batch_size} needs at least {2 * batch_size}"
         )
 

@@ -55,8 +55,8 @@ class ModelConfig:
         ):
             if getattr(self, name) < low:
                 raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
-        if not self.t_max > 2.0:
-            raise ValueError(f"t_max must exceed 2 (empty init range), got {self.t_max}")
+        if not 2.0 < self.t_max < math.inf:
+            raise ValueError(f"t_max must exceed 2 and be finite, got {self.t_max}")
         if self.cell not in ("lstm", "rlstm"):
             raise ValueError(f"cell must be 'lstm' or 'rlstm', got '{self.cell}'")
         for name in ("keep_in", "keep_cell", "keep_state", "keep_out"):

@@ -170,15 +170,24 @@ class TrainOptions:
     val_window: int = 128
 
     def validate(self):
-        if self.lr <= 0:
-            raise ValueError(f"lr must be positive, got {self.lr}")
+        """self, unless a value is out of range; NaN fails every check."""
+        for name in ("lr", "eps", "lr_decay_on_restart"):
+            if not 0 < getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)}")
+        for name in ("beta1", "beta2"):
+            if not 0.0 <= getattr(self, name) < 1.0:
+                raise ValueError(f"{name} must be in [0, 1), got {getattr(self, name)}")
         for name in ("epochs", "batch_size", "window", "val_batch_size", "val_window"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        for name in (
+            "clip_norm", "max_restarts", "val_interval", "patience", "target_val_nats",
+            "max_train_seconds",
+        ):
+            if not getattr(self, name) >= 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
         if not 1.0 < self.divergence_factor:
             raise ValueError(f"divergence_factor must exceed 1, got {self.divergence_factor}")
-        if self.max_restarts < 0:
-            raise ValueError(f"max_restarts must be >= 0, got {self.max_restarts}")
         return self
 
 

@@ -342,13 +342,38 @@ class TestBadSettings:
             ("tune-temperature", "eval_batch_size", 0, "eval_batch_size must be >= 1"),
             ("tune-temperature", "temperature_grid_min", 0, "temperature grid requires"),
             ("dyneval", "temperature", 0, "temperature must be positive"),
+            ("train", "t_max", "inf", "t_max must exceed 2 and be finite, got inf"),
+            ("train", "lr", "nan", "lr must be positive and finite, got nan"),
+            ("train", "eps", "inf", "eps must be positive and finite"),
+            ("train", "beta1", -0.1, "beta1 must be in [0, 1)"),
+            ("train", "beta2", 1.0, "beta2 must be in [0, 1)"),
+            ("train", "eps", -1, "eps must be positive"),
+            ("train", "eps", 0, "eps must be positive"),
+            ("train", "lr_decay_on_restart", -1, "lr_decay_on_restart must be positive"),
+            ("train", "clip_norm", "nan", "clip_norm must be >= 0, got nan"),
+            ("train", "clip_norm", -1, "clip_norm must be >= 0"),
+            ("train", "patience", -1, "patience must be >= 0"),
+            ("train", "val_interval", -1, "val_interval must be >= 0"),
+            ("train", "target_val_nats", -1, "target_val_nats must be >= 0"),
+            ("train", "max_train_seconds", -1, "max_train_seconds must be >= 0"),
+            ("train", "mode", "bogus", "mode must be byte, char, or word"),
+            ("train", "eval_split", "bogus", "eval_split must be train, valid, or test"),
+            ("evaluate", "temperature_grid_step", 0, "temperature_grid_step > 0"),
+            ("evaluate", "temperature_grid_step", 1e-5, "at most 10,001 points"),
+            ("tune-temperature", "temperature_grid_step", "inf", "finite temperature_grid_step"),
+            ("dyneval", "dyn_lr", "nan", "dyn_lr must be >= 0, got nan"),
+            ("dyneval", "dyn_segment", 0, "dyn_segment must be >= 1"),
+            ("dyneval", "dyn_norm", "bogus", "dyn_norm must be 'none' or 'global'"),
         ],
     )
     def test_setting(self, trained_run, tmp_path, capsys, command, key, value, message):
         run_dir = tmp_path if command == "train" else trained_run["root"]
+        # dyneval rows tune: tuning ignores dyn_lr, dyn_decay and dyn_norm,
+        # yet a bad value of theirs is still refused.
+        tune = {"dyn_tune": "true"} if command == "dyneval" else {}
         config = write_config(
             tmp_path / "bad.cfg", trained_run["corpus"], run_dir,
-            temperature_file=tmp_path / "temperature.txt", **{key: value},
+            temperature_file=tmp_path / "temperature.txt", **tune, **{key: value},
         )
         assert cli.main([command, "--config", str(config)]) == 1
         err = capsys.readouterr().err
@@ -369,6 +394,41 @@ class TestBadSettings:
         err = capsys.readouterr().err
         assert err.startswith("config error: temperature file") and repr(text) in err
         assert err.count("\n") == 1
+
+
+class TestOneRefusal:
+    """The whole config is checked where it is loaded, so every command
+    refuses a bad value of each checked section with the same line, before
+    it reads a split or a checkpoint or writes anything."""
+
+    @pytest.mark.parametrize(
+        "command", ["train", "evaluate", "dyneval", "tune-temperature", "gradcheck"]
+    )
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("mode", "bogus", "mode must be byte, char, or word, got 'bogus'"),
+            ("beta2", 1.0, "beta2 must be in [0, 1), got 1.0"),
+            ("eval_split", "bogus", "eval_split must be train, valid, or test, got 'bogus'"),
+            ("temperature_grid_step", 0, "temperature grid requires a finite "
+             "temperature_grid_step > 0 that gives at most 10,001 points, got 0.0"),
+            ("dyn_lr", "nan", "dyn_lr must be >= 0, got nan"),
+        ],
+    )
+    def test_every_command_refuses_the_same_way(
+        self, trained_run, tmp_path, capsys, monkeypatch, command, key, value, message
+    ):
+        monkeypatch.setattr(cli.gradcheck, "gradient_check_suite", lambda: [])
+        checkpoint = tmp_path / "model.ckpt" if command == "train" else trained_run["checkpoint"]
+        config = write_config(
+            tmp_path / "bad.cfg", trained_run["corpus"], tmp_path,
+            checkpoint_path=checkpoint, temperature_file=tmp_path / "temperature.txt",
+            **{key: value},
+        )
+        assert cli.main([command, "--config", str(config)]) == 1
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", f"config error: {message}\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.cfg"]
 
 
 class TestDynevalCommand:

@@ -14,11 +14,14 @@ from rnnlab.config import (
     parse_config,
     resolved_items,
     section,
-    temperature_grid,
 )
-from rnnlab.evaluation import DynevalConfig
+from rnnlab.evaluation import DynevalConfig, EvalSettings
 from rnnlab.model import ModelConfig
 from rnnlab.training import TrainOptions
+
+
+def temperature_grid(cfg):
+    return section(cfg, EvalSettings).temperature_grid()
 
 
 class TestParse:
@@ -203,9 +206,31 @@ class TestTemperatureGrid:
             temperature_grid(
                 parse_config("temperature_grid_min = 2.0\ntemperature_grid_max = 1.0\n")
             )
-        for bad in ("temperature_grid_min = 0\n", "temperature_grid_max = inf\n"):
+        for bad in (
+            "temperature_grid_min = 0\n", "temperature_grid_max = inf\n",
+            "temperature_grid_min = nan\n", "temperature_grid_step = inf\n",
+            "temperature_grid_step = 1e-5\n",  # 60,001 points
+        ):
             with pytest.raises(ConfigError):
                 temperature_grid(parse_config(bad))
+
+
+class TestCheckedAtParse:
+    @pytest.mark.parametrize("text, message", [
+        ("mode = bogus", "mode must be byte, char, or word, got 'bogus'"),
+        ("beta2 = 1.0", "beta2 must be in [0, 1), got 1.0"),
+        ("eval_split = bogus", "eval_split must be train, valid, or test"),
+        ("dyn_lr = nan", "dyn_lr must be >= 0, got nan"),
+        ("dyn_segment = 0", "dyn_segment must be >= 1"),
+    ])
+    def test_bad_value_names_its_key(self, text, message):
+        with pytest.raises(ConfigError, match="^" + re.escape(message)):
+            parse_config(text)
+
+    def test_model_keys_wait_for_the_vocabulary(self):
+        cfg = parse_config("layers = 0\n")
+        with pytest.raises(ConfigError, match="^layers must be >= 1"):
+            section(cfg, ModelConfig, vocab_size=5)
 
 
 class TestDefaults:

@@ -1,6 +1,7 @@
 """Static checks over the package source: no unused imports, no calls to the
-parameter-tree round trips, and every function the benchmark's span tracer
-(perfbench/tracer.py) wraps still exists."""
+parameter-tree round trips, config validity decided in config.py alone, and
+every function the benchmark's span tracer (perfbench/tracer.py) wraps still
+exists."""
 
 import ast
 import importlib
@@ -64,6 +65,54 @@ def test_no_tree_round_trip_calls(path):
         if isinstance(node, ast.Call)
     }
     assert called & ROUND_TRIPS == set()
+
+
+def config_errors_from_value_errors(path):
+    """Lines where an `except ... ValueError` handler raises a ConfigError."""
+    _, tree = parsed(path)
+    return sorted(
+        node.lineno
+        for handler in ast.walk(tree)
+        if isinstance(handler, ast.ExceptHandler)
+        and handler.type is not None
+        and "ValueError" in ast.unparse(handler.type)
+        for node in ast.walk(handler)
+        if isinstance(node, ast.Raise) and node.exc and "ConfigError" in ast.unparse(node.exc)
+    )
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in MODULES if p.name != "config.py"], ids=lambda p: p.name
+)
+def test_only_config_turns_value_errors_into_config_errors(path):
+    assert config_errors_from_value_errors(path) == []
+
+
+def test_cli_calls_no_validate():
+    # config.section returns validated sections; the CLI decides nothing.
+    _, tree = parsed(ROOT / "src" / "rnnlab" / "cli.py")
+    called = {
+        node.func.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+    }
+    assert "validate" not in called
+
+
+def test_value_error_conversion_is_caught(tmp_path):
+    module = tmp_path / "m.py"
+    module.write_text(
+        "try:\n"
+        "    x = 1\n"
+        "except (KeyError, ValueError) as err:\n"
+        "    raise ConfigError(str(err)) from None\n"
+        "try:\n"
+        "    x = 2\n"
+        "except ValueError:\n"
+        "    x = None\n"
+    )
+    assert config_errors_from_value_errors(module) == [4]
+    assert config_errors_from_value_errors(ROOT / "src" / "rnnlab" / "config.py") != []
 
 
 def tracer_targets():
