@@ -134,8 +134,10 @@ def lstm_forward(p: LstmParams, state: CellState, x, cap_input_gate: bool = True
     """One LSTM step. With the cap enabled the effective input gate is
     min(i, 1 - f), which keeps |c| bounded by 1 when it starts there.
 
-    The activations go into `cache` (a step of new_cache), or a fresh one.
+    The activations go into `cache` (a step of new_cache, whose caller checks
+    that the state is finite), or a fresh one, after which the step checks.
     x = None says that cache.xh holds [x, state.h] already."""
+    own_cache = cache is None
     cache = _step_cache("lstm", p, state, x, cache)
     i, j, f, o = _blocks(cache.gates, 4)
     pre = gemm(cache.xh, p.w.T) + p.b
@@ -145,13 +147,15 @@ def lstm_forward(p: LstmParams, state: CellState, x, cap_input_gate: bool = True
     c = np.multiply(f, state.c, out=cache.c)
     c += g * j
     cache.capped = cap_input_gate
-    return _finite(CellState(c, o * np.tanh(c, out=cache.tanh_c))), cache
+    new_state = CellState(c, o * np.tanh(c, out=cache.tanh_c))
+    return (_finite(new_state) if own_cache else new_state), cache
 
 
 def rlstm_forward(p: RlstmParams, state: CellState, x, state_mask=None, cache=None):
     """One rewired-LSTM step: f is computed from i*j and h_prev, the input
     gate is capped at 1 - f, and o reads the (optionally masked) cell state.
     `cache` and x = None as for lstm_forward."""
+    own_cache = cache is None
     cache = _step_cache("rlstm", p, state, x, cache)
     n = p.state_size
     b_ij, b_f, b_o = p.b[: 2 * n], p.b[2 * n : 3 * n], p.b[3 * n :]
@@ -167,7 +171,8 @@ def rlstm_forward(p: RlstmParams, state: CellState, x, state_mask=None, cache=No
     cm = c if state_mask is None else c * state_mask
     sigmoid(gemm(cm, p.w_oc.T) + b_o, out=o)
     cache.state_mask = state_mask
-    return _finite(CellState(c, o * np.tanh(c, out=cache.tanh_c))), cache
+    new_state = CellState(c, o * np.tanh(c, out=cache.tanh_c))
+    return (_finite(new_state) if own_cache else new_state), cache
 
 
 def lstm_backward(p: LstmParams, cache: CellCache, grad_c, grad_h):

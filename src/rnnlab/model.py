@@ -234,10 +234,14 @@ class WindowBuffers:
         block, self._block = self._block, None
         return _Carver(block)
 
+    def take_back(self, carver: "_Carver"):
+        """Take back the block that `lend` handed out as `carver`."""
+        self._block = carver.block
+
     def recycle(self, cache):
         """Take the block back from a spent cache, and clear the cache so
         that nothing reads its buffers once they are reused."""
-        self._block = cache.buffers.block
+        self.take_back(cache.buffers)
         cache.buffers = cache.outputs = None
         cache.cell_windows = cache.mog_windows = cache.cell_caches = cache.mog_caches = None
 
@@ -296,51 +300,13 @@ def _window_buffers(params, config, masks, steps, horizon, batch, empty):
     return cell_windows, mog_windows, empty((horizon, batch, n), dtype)
 
 
-def forward_window(
-    params: ModelParams,
-    config: ModelConfig,
-    inputs: np.ndarray,
-    masks: MaskSet,
-    states: list | None = None,
-    temperature: float = 1.0,
-    buffers: WindowBuffers | None = None,
-    backward: bool = True,
-):
-    """Run one BPTT window. Returns (log_probs (B,T,V), cache, final states).
-
-    Activations go into (T, B, .) window buffers, cut from `buffers` when
-    given, so backward_window can form each weight gradient with one gemm
-    over the window.  With backward=False (scoring only) every step reuses
-    one step's buffers and the cache is None; temperature=None then returns
-    the logits in place of the log-probs, for the caller to apply its own
-    temperatures with log_softmax."""
-    inputs = np.asarray(inputs)
-    batch, horizon = inputs.shape
-    if temperature is None and backward:
-        raise ValueError("a window run for its backward pass needs a temperature")
-    if inputs.min() < 0 or inputs.max() >= config.vocab_size:
-        raise ValueError("token id out of vocabulary range")
-    if states is None:
-        states = zero_states(config, batch)
-    states = [s.copy() for s in states]
-    n = config.state_size
-    steps = horizon if backward else 1
-    carver = None
-    if buffers is not None:
-        size = _Carver()
-        _window_buffers(params, config, masks, steps, horizon, batch, size)
-        carver = buffers.lend(size.used)
-    cell_windows, mog_windows, outputs = _window_buffers(
-        params, config, masks, steps, horizon, batch, carver or np.empty
-    )
-
-    mog_caches = []
-    cell_caches = []
-    for t in range(horizon):
+def _run_steps(params, config, inputs, masks, states, mog_caches, cell_caches, outputs):
+    """forward_window's time loop; step t fills outputs[t] and the views [t % steps]."""
+    steps = len(mog_caches)
+    for t in range(inputs.shape[1]):
         ids = inputs[:, t]
         x0 = params.e_in[ids] * masks.m_in[t]
-        mog_t = [window.at(t % steps) for window in mog_windows]
-        cell_t = [window.at(t % steps) for window in cell_windows]
+        mog_t, cell_t = mog_caches[t % steps], cell_caches[t % steps]
         xhats = []
         for l, layer in enumerate(params.layers):
             if l == 0:
@@ -369,21 +335,73 @@ def forward_window(
         for xh in xhats[1:]:
             total += xh
         np.multiply(total, masks.m_out[t], out=outputs[t])
-        mog_caches.append(mog_t)
-        cell_caches.append(cell_t)
 
-    # One gemm for the whole window.  At batch 1 its rows are formed one at a
-    # time: BLAS picks its kernel by the row count, and a batch-1 token's
-    # score must not depend on the window it falls in.
-    logits = gemm(outputs.reshape(-1, n), params.e_out, rowwise=batch == 1)
-    logits += params.b_out
-    if not np.all(np.isfinite(logits)):
-        raise DivergenceError("non-finite logits")
-    logits = logits.reshape(horizon, batch, -1).transpose(1, 0, 2)
-    final_states = [CellState(s.c.copy(), s.h) for s in states]
-    if temperature is None:
-        return logits, None, final_states
-    log_probs = log_softmax(logits, temperature)
+
+def forward_window(
+    params: ModelParams,
+    config: ModelConfig,
+    inputs: np.ndarray,
+    masks: MaskSet,
+    states: list | None = None,
+    temperature: float = 1.0,
+    buffers: WindowBuffers | None = None,
+    backward: bool = True,
+):
+    """Run one BPTT window. Returns (log_probs (B,T,V), cache, final states).
+
+    Activations go into (T, B, .) window buffers, cut from `buffers` when
+    given, so backward_window can form each weight gradient with one gemm
+    over the window.  With backward=False (scoring only) every step reuses
+    one step's buffers and the cache is None; temperature=None then returns
+    the logits in place of the log-probs, for the caller to apply its own
+    temperatures with log_softmax."""
+    inputs = np.asarray(inputs)
+    batch, horizon = inputs.shape
+    if temperature is None and backward:
+        raise ValueError("a window run for its backward pass needs a temperature")
+    if inputs.min() < 0 or inputs.max() >= config.vocab_size:
+        raise ValueError("token id out of vocabulary range")
+    for layer in params.layers:
+        layer.mog.validate()  # once here; the steps below are given caches and skip it
+    if states is None:
+        states = zero_states(config, batch)
+    states = [s.copy() for s in states]
+    n = config.state_size
+    steps = horizon if backward else 1
+    carver = None
+    if buffers is not None:
+        size = _Carver()
+        _window_buffers(params, config, masks, steps, horizon, batch, size)
+        carver = buffers.lend(size.used)
+    try:
+        cell_windows, mog_windows, outputs = _window_buffers(
+            params, config, masks, steps, horizon, batch, carver or np.empty
+        )
+        # The step views, made once: scoring (steps == 1) reuses one step's.
+        mog_caches = [[window.at(t) for window in mog_windows] for t in range(steps)]
+        cell_caches = [[window.at(t) for window in cell_windows] for t in range(steps)]
+        with np.errstate(over="ignore"):  # exp overflow in sigmoid gives the right limit
+            _run_steps(params, config, inputs, masks, states, mog_caches, cell_caches, outputs)
+        # The steps leave this check to the window: every h flows into outputs
+        # (NaN * 0 is NaN), and a non-finite c stays so to the window's end.
+        if not (np.all(np.isfinite(outputs)) and all(np.all(np.isfinite(s.c)) for s in states)):
+            raise DivergenceError("non-finite cell activations")
+        # One gemm for the whole window.  At batch 1 its rows are formed one at a
+        # time: BLAS picks its kernel by the row count, and a batch-1 token's
+        # score must not depend on the window it falls in.
+        logits = gemm(outputs.reshape(-1, n), params.e_out, rowwise=batch == 1)
+        logits += params.b_out
+        if not np.all(np.isfinite(logits)):
+            raise DivergenceError("non-finite logits")
+        logits = logits.reshape(horizon, batch, -1).transpose(1, 0, 2)
+        final_states = [CellState(s.c.copy(), s.h) for s in states]
+        if temperature is None:
+            return logits, None, final_states
+        log_probs = log_softmax(logits, temperature)
+    except BaseException:
+        if carver is not None:
+            buffers.take_back(carver)  # the window never hands its cache to recycle
+        raise
     if not backward:
         return log_probs, None, final_states
     cache = WindowCache(

@@ -90,10 +90,10 @@ def _apply_gate_matrix(w, vec):
 def mogrify_forward(p: MogrifierParams, h: np.ndarray, x: np.ndarray, cache=None):
     """Run the rounds; returns (h out, x out, cache).  With `cache` (a step of
     new_cache) the inputs are copied into the bottom of its ladders and every
-    activation is written into it; without one, a fresh cache is made whose
-    ladders start at h and x themselves."""
-    p.validate()
+    activation is written into it (the caller validates p); without one, p is
+    validated and a fresh cache is made whose ladders start at h and x."""
     if cache is None:
+        p.validate()
         cache = new_cache(p, x.shape[:-1], x.shape[-1], h.shape[-1], np.result_type(h, x))
         cache.x_ladder[0], cache.h_ladder[0] = x, h
     else:

@@ -57,11 +57,18 @@ def gemm(a, b, rowwise=False):
 
 
 def sigmoid(x, out=None):
-    # exp overflow for very negative x saturates to 0 through 1/inf, which is
-    # the correct limit; silence the spurious warning.
-    x = np.asarray(x, dtype=np.result_type(x, np.float32))
-    with np.errstate(over="ignore"):
-        return np.divide(1.0, 1.0 + np.exp(-x), out=out)
+    """1 / (1 + exp(-x)), formed in place in `out` (of x's dtype) by steps that
+    round the same way.  exp overflow for very negative x gives 0 through 1/inf,
+    the correct limit; its warning is silenced here without `out`, and by the
+    caller with it (forward_window does so once per window)."""
+    if out is None:
+        x = np.asarray(x, dtype=np.result_type(x, np.float32))
+        with np.errstate(over="ignore"):
+            return np.divide(1.0, 1.0 + np.exp(-x))
+    np.negative(x, out=out)
+    np.exp(out, out=out)
+    out += 1.0
+    return np.reciprocal(out, out=out)
 
 
 def dsigmoid_from_value(s):

@@ -372,6 +372,28 @@ class TestEvaluateDynamic:
         assert math.isfinite(dyn.total_nats)
         assert "partial=true" in format_report(dyn)
 
+    @pytest.mark.parametrize("cell", ["lstm", "rlstm"])
+    def test_second_segment_divergence_keeps_the_first(self, cell):
+        # A NaN put into one slow-weight cell bias after segment 0 is scored
+        # reaches the fast weights through the decay pull, so segment 1's
+        # forward pass diverges and only segment 0's tokens are reported.
+        config = tiny_config(cell=cell)
+        params = trained_ish_params(config)
+        stream = random_stream(41, config.vocab_size)
+        first = evaluate_static(params, config, stream[:11], window=10)
+
+        def poison(event):
+            if event == ("update", 0):
+                params.layers[0].cell.b[0] = np.nan
+
+        dyn = evaluate_dynamic(
+            params, config, stream, DynevalConfig(segment=10, lr=1e-3, decay=0.02),
+            on_event=poison,
+        )
+        assert dyn.partial
+        assert dyn.token_count == 10
+        assert dyn.total_nats == first.total_nats
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             DynevalConfig(segment=0).validate()

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -897,3 +899,121 @@ class TestWindowBuffers:
         assert scored.tobytes() == kept.tobytes()
         for a, b in zip(scored_states, kept_states):
             assert a.c.tobytes() == b.c.tobytes() and a.h.tobytes() == b.h.tobytes()
+
+
+def poisoned_params(config, seed=440):
+    """Parameters with a NaN in one cell weight of the first layer."""
+    params = model.init_model_params(Rng(seed), config)
+    cell = params.layers[0].cell
+    (cell.w if config.cell == "lstm" else cell.w_ij)[1, 2] = np.nan
+    return params
+
+
+class TestLeanStep:
+    """The steps of forward_window carry no guard work of their own: overflow
+    is silenced, finiteness checked and the mogrifiers validated once per
+    window, with the same errors as a per-step check would raise."""
+
+    @pytest.mark.parametrize("cell", ["lstm", "rlstm"])
+    @pytest.mark.parametrize("backward", [False, True])
+    def test_non_finite_weight_raises_the_cell_error(self, cell, backward):
+        config = tiny_config(cell=cell)
+        params = poisoned_params(config)
+        batch = 3 if backward else 1
+        rng = Rng(441)
+        states = [CellState(rng.uniform(-1, 1, (batch, 4)), rng.uniform(-1, 1, (batch, 4)))
+                  for _ in range(config.layers)]
+        before = [(s.c.copy(), s.h.copy()) for s in states]
+        inputs = rng.integers(0, config.vocab_size, (batch, 5))
+        masks = model.ones_masks(config, batch, 5)
+        with pytest.raises(DivergenceError) as raised:
+            model.forward_window(params, config, inputs, masks, states, backward=backward)
+        assert str(raised.value) == "non-finite cell activations"
+        for s, (c, h) in zip(states, before):
+            assert s.c.tobytes() == c.tobytes() and s.h.tobytes() == h.tobytes()
+
+    @pytest.mark.parametrize("cell", ["lstm", "rlstm"])
+    def test_infinite_cell_state_alone_raises(self, cell):
+        # An infinite c leaves h = o * tanh(c) finite, so only the check of
+        # the final c sees it.
+        config = tiny_config(cell=cell)
+        params = model.init_model_params(Rng(442), config)
+        states = model.zero_states(config, 1)
+        states[0].c[0, 1] = np.inf
+        masks = model.ones_masks(config, 1, 3)
+        with pytest.raises(DivergenceError, match="^non-finite cell activations$"):
+            model.forward_window(params, config, np.zeros((1, 3), np.int64), masks, states,
+                                 backward=False)
+
+    @pytest.mark.parametrize("cell", ["lstm", "rlstm"])
+    def test_non_finite_output_alone_raises_the_cell_error(self, cell):
+        # A NaN output gate in the top layer's one step leaves every c finite;
+        # the check of the outputs must see it before the logits check does.
+        config = tiny_config(cell=cell)
+        params = model.init_model_params(Rng(449), config)
+        cells.gate_views(params.layers[-1].cell)["b_o"][0] = np.nan
+        masks = model.ones_masks(config, 1, 1)
+        with pytest.raises(DivergenceError, match="^non-finite cell activations$"):
+            model.forward_window(params, config, np.zeros((1, 1), np.int64), masks,
+                                 backward=False)
+
+    @pytest.mark.parametrize("cell", ["lstm", "rlstm"])
+    def test_error_state_is_kept_and_overflow_silenced(self, cell):
+        config = tiny_config(cell=cell)
+        params = model.init_model_params(Rng(443), config)
+        params.vector *= 1e4  # pre-activations far beyond where exp overflows
+        inputs = Rng(444).integers(0, config.vocab_size, (2, 5))
+        masks = model.ones_masks(config, 2, 5)
+        before = np.geterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            log_probs, _, _ = model.forward_window(params, config, inputs, masks)
+        assert np.all(np.isfinite(log_probs))
+        assert np.geterr() == before
+        with pytest.raises(DivergenceError):
+            model.forward_window(poisoned_params(config), config, inputs, masks)
+        assert np.geterr() == before
+
+    @pytest.mark.parametrize("backward", [False, True])
+    def test_validates_once_per_layer_and_checks_no_step(self, monkeypatch, backward):
+        config = tiny_config(layers=3)
+        params = model.init_model_params(Rng(445), config)
+        calls = {"validate": 0, "finite": 0}
+        validate = mogrifier.MogrifierParams.validate
+        finite = cells._finite
+
+        def counted_validate(p):
+            calls["validate"] += 1
+            return validate(p)
+
+        def counted_finite(state):
+            calls["finite"] += 1
+            return finite(state)
+
+        monkeypatch.setattr(mogrifier.MogrifierParams, "validate", counted_validate)
+        monkeypatch.setattr(cells, "_finite", counted_finite)
+        inputs = Rng(446).integers(0, config.vocab_size, (2, 6))
+        model.forward_window(params, config, inputs, model.ones_masks(config, 2, 6),
+                             backward=backward)
+        assert calls == {"validate": config.layers, "finite": 0}
+
+    def test_mogrifier_with_the_wrong_gate_count_is_refused(self):
+        config = tiny_config()
+        params = model.init_model_params(Rng(447), config)
+        params.layers[1].mog.rounds = 3  # its gates are for 2 rounds
+        with pytest.raises(ValueError, match="rounds=3 needs 2 x-gates and 1 h-gates"):
+            model.forward_window(params, config, np.zeros((1, 2), np.int64),
+                                 model.ones_masks(config, 1, 2), buffers=model.WindowBuffers())
+
+    def test_diverging_window_gives_its_block_back(self):
+        config = tiny_config()
+        params = model.init_model_params(Rng(448), config)
+        inputs = np.zeros((3, 4), np.int64)
+        masks = model.ones_masks(config, 3, 4)
+        buffers = model.WindowBuffers()
+        _, cache, _ = model.forward_window(params, config, inputs, masks, buffers=buffers)
+        block = cache.buffers.block
+        buffers.recycle(cache)
+        with pytest.raises(DivergenceError):
+            model.forward_window(poisoned_params(config), config, inputs, masks, buffers=buffers)
+        assert np.shares_memory(buffers.lend(block.size).block, block)

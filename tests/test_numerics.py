@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -72,6 +73,38 @@ class TestActivations:
         out = sigmoid(np.array([-1000.0, -50.0, 50.0, 1000.0]))
         assert np.all(np.isfinite(out))
         assert out[0] == 0.0 and out[-1] == 1.0
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("form", ["scalar", "0-d", "2-D"])
+    def test_sigmoid_bits_with_and_without_out(self, dtype, form):
+        # The in-place steps (negate, exp, += 1, reciprocal) round exactly as
+        # the formula does, and neither form warns where its overflow is
+        # silenced: by sigmoid itself without `out`, by the caller with it.
+        values = [-1000.0, -30.0, -0.5, 0.0, 0.25, 30.0, 1000.0]
+        inputs = {
+            "scalar": [dtype(v) for v in values],
+            "0-d": [np.array(v, dtype) for v in values],
+            "2-D": [np.array(values, dtype).reshape(1, -1).repeat(3, axis=0)],
+        }[form]
+        for x in inputs:
+            with np.errstate(over="ignore"):
+                want = np.asarray(1 / (1 + np.exp(-np.asarray(x, dtype))))
+            out = np.empty(np.shape(x), dtype)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = np.asarray(sigmoid(x))
+                with np.errstate(over="ignore"):
+                    in_place = sigmoid(x, out=out)
+            assert in_place is out
+            for result in (got, out):
+                assert result.dtype == want.dtype and result.tobytes() == want.tobytes()
+
+    def test_sigmoid_out_leaves_overflow_to_the_callers_error_state(self):
+        x = np.array([-1000.0, 0.0])
+        with np.errstate(over="raise"):
+            assert sigmoid(x)[0] == 0.0
+            with pytest.raises(FloatingPointError):
+                sigmoid(x, out=np.empty(2))
 
     def test_derivatives_from_values_match_finite_differences(self):
         for x0 in (-2.0, -0.3, 0.0, 1.7):

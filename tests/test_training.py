@@ -409,6 +409,33 @@ class TestTrainLoop:
         cause = [l for l in result.metrics_lines if l.startswith("event=restart ")][0]
         assert "above" in cause
 
+    def test_non_finite_parameters_restart_with_the_cell_cause(self, monkeypatch):
+        # A NaN written into one cell bias after the first update makes the
+        # second window's forward pass diverge; its cause is logged verbatim.
+        config = tiny_train_config()
+        update = training.radam_step
+        poisoned = []
+
+        def poisoning_update(state, theta, g):
+            update(state, theta, g)
+            if not poisoned:
+                poisoned.append(True)
+                model.empty_model_params(config, theta).layers[0].cell.b[0] = np.nan
+
+        monkeypatch.setattr(training, "radam_step", poisoning_update)
+        result = train(
+            config,
+            tiny_train_opts(epochs=1, val_interval=3),
+            pattern_stream(52),
+            pattern_stream(40),
+            Rng(506),
+        )
+        assert result.restarts == 1
+        restart_lines = [l for l in result.metrics_lines if l.startswith("event=restart ")]
+        assert len(restart_lines) == 1
+        assert restart_lines[0].startswith("event=restart step=2 ")
+        assert " cause='non-finite cell activations' " in restart_lines[0]
+
     def test_repeated_divergence_raises(self):
         def hook(step, loss):
             return float("nan")
