@@ -231,10 +231,12 @@ def evaluate_dynamic(
     """Score the stream in segments, adapting a copy of the weights after each
     segment has been scored: theta <- theta - lr * g_hat + decay * (theta0 - theta).
 
-    Every token is predicted by weights that never saw it.  A non-finite
+    Every token is predicted by weights that never saw it, and nothing adapts
+    on the last segment, whose weights no token reads.  A non-finite
     forward pass aborts adaptation and returns the report for the tokens
     scored so far, flagged partial.  on_event, if given, receives
-    ("score", k) and ("update", k) callbacks in execution order.
+    ("score", k) and ("update", k) callbacks in execution order, ending with
+    the last segment's ("score", k).
     `buffers`, a model.WindowBuffers, holds the activations of the adapting
     passes from one segment to the next.
     """
@@ -242,6 +244,7 @@ def evaluate_dynamic(
     stream = np.asarray(stream)
     require_scorable(stream, 1)
     adapting = dcfg.lr > 0.0 or dcfg.decay > 0.0
+    last = (stream.size - 2) // dcfg.segment  # no token reads the weights adapted on it
     theta0 = params.vector
     fast = model.empty_model_params(config, theta0.copy())
     theta = fast.vector
@@ -252,13 +255,14 @@ def evaluate_dynamic(
     partial = False
     buffers = model.WindowBuffers() if buffers is None else buffers
     for k, batch in enumerate(data_mod.windows(rows, dcfg.segment)):
+        update = adapting and k < last
         if on_event is not None:
             on_event(("score", k))
         try:
             masks = model.ones_masks(config, *batch.inputs.shape)
             log_probs, cache, states = model.forward_window(
                 fast, config, batch.inputs, masks, states, temperature,
-                buffers if adapting else None, backward=adapting,
+                buffers if update else None, backward=update,
             )
         except DivergenceError:
             partial = True
@@ -266,7 +270,7 @@ def evaluate_dynamic(
         picked = _picked_log_probs(log_probs, batch.targets)
         total = _minus_picked(total, picked)
         count += picked.size
-        if adapting:
+        if update:
             if on_event is not None:
                 on_event(("update", k))
             _, grad_lp = model.nll_from_log_probs(log_probs, batch.targets)

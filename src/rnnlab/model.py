@@ -95,10 +95,19 @@ class ModelParams:
 
 @dataclass
 class MaskSet:
-    m_in: np.ndarray  # (T, B, n)
-    m_cell: np.ndarray  # (L, T, B, n)
-    m_state: np.ndarray  # (L, B, n); reused at every timestep of the window
-    m_out: np.ndarray  # (T, B, n)
+    """The dropout masks of a window's batch rows.  A family whose keep is 1
+    is None: it is not drawn, stored or multiplied in."""
+
+    rows: int  # batch rows: D*B for D stacked draws
+    m_in: np.ndarray | None = None  # (T, rows, n)
+    m_cell: np.ndarray | None = None  # (L, T, rows, n)
+    m_state: np.ndarray | None = None  # (L, rows, n); reused at every timestep of the window
+    m_out: np.ndarray | None = None  # (T, rows, n)
+
+
+def _masked(x, mask, index):
+    """x times mask[index], or x itself where the family is absent (keep 1)."""
+    return x if mask is None else x * mask[index]
 
 
 @dataclass
@@ -162,56 +171,46 @@ def sample_masks(
     rng: Rng, config: ModelConfig, batch: int, horizon: int, samples: int = 1
 ) -> MaskSet:
     """Fresh input/cell/output masks per timestep; one state mask per layer
-    shared across the whole window.
+    shared across the whole window.  Only the families whose keep is below 1
+    are drawn; the others are None.
 
     `samples` independent draws are stacked along the batch axis, draw d in
     rows d*batch:(d+1)*batch.  Each family is drawn once, straight into its
     slot, in the order `samples` separate calls would use the rng: draw 0's
-    four families, then draw 1's, and so on."""
-    n = config.state_size
-    dtype = config.np_dtype
-    rows = samples * batch
-    masks = MaskSet(
-        m_in=np.empty((horizon, rows, n), dtype=dtype),
-        m_cell=np.empty((config.layers, horizon, rows, n), dtype=dtype),
-        m_state=np.empty((config.layers, rows, n), dtype=dtype),
-        m_out=np.empty((horizon, rows, n), dtype=dtype),
-    )
+    families, then draw 1's, and so on."""
+    n, layers = config.state_size, config.layers
     in_width = 1 if config.input_mask_rows else n  # rows: one draw per embedding vector
+    draws = {  # family: (keep, shape of one draw), whose rows axis is second to last
+        "m_in": (config.keep_in, (horizon, batch, in_width)),
+        "m_cell": (config.keep_cell, (layers, horizon, batch, n)),
+        "m_state": (config.keep_state, (layers, batch, n)),
+        "m_out": (config.keep_out, (horizon, batch, n)),
+    }
+    draws = {name: draw for name, draw in draws.items() if draw[0] < 1.0}
+    masks = MaskSet(samples * batch, **{
+        name: np.empty((*shape[:-2], samples * batch, n), config.np_dtype)
+        for name, (_, shape) in draws.items()
+    })
     for d in range(samples):
-        part = slice(d * batch, (d + 1) * batch)
-        bernoulli_mask(rng, (horizon, batch, in_width), config.keep_in, out=masks.m_in[:, part])
-        bernoulli_mask(
-            rng, (config.layers, horizon, batch, n), config.keep_cell,
-            out=masks.m_cell[:, :, part],
-        )
-        bernoulli_mask(
-            rng, (config.layers, batch, n), config.keep_state, out=masks.m_state[:, part]
-        )
-        bernoulli_mask(rng, (horizon, batch, n), config.keep_out, out=masks.m_out[:, part])
+        for name, (keep, shape) in draws.items():
+            part = getattr(masks, name)[..., d * batch : (d + 1) * batch, :]
+            bernoulli_mask(rng, shape, keep, out=part)
     return masks
 
 
 def stack_masks(mask_sets: list) -> MaskSet:
     """Stack per-draw mask sets along the batch axis, draw d in rows d*B:(d+1)*B."""
-    return MaskSet(
-        m_in=np.concatenate([m.m_in for m in mask_sets], axis=1),
-        m_cell=np.concatenate([m.m_cell for m in mask_sets], axis=2),
-        m_state=np.concatenate([m.m_state for m in mask_sets], axis=1),
-        m_out=np.concatenate([m.m_out for m in mask_sets], axis=1),
-    )
+    return MaskSet(sum(m.rows for m in mask_sets), **{
+        name: np.concatenate([getattr(m, name) for m in mask_sets], axis=-2)
+        for name in ("m_in", "m_cell", "m_state", "m_out")
+        if getattr(mask_sets[0], name) is not None
+    })
 
 
 def ones_masks(config: ModelConfig, batch: int, horizon: int) -> MaskSet:
-    """Expectation of inverted dropout: deterministic evaluation masks."""
-    n = config.state_size
-    dtype = config.np_dtype
-    return MaskSet(
-        m_in=np.ones((horizon, batch, n), dtype=dtype),
-        m_cell=np.ones((config.layers, horizon, batch, n), dtype=dtype),
-        m_state=np.ones((config.layers, batch, n), dtype=dtype),
-        m_out=np.ones((horizon, batch, n), dtype=dtype),
-    )
+    """Expectation of inverted dropout, deterministic evaluation: every
+    family is all ones, so none is stored."""
+    return MaskSet(batch)
 
 
 class WindowBuffers:
@@ -290,7 +289,7 @@ def _window_buffers(params, config, masks, steps, horizon, batch, empty):
     mog_windows = []
     for l, layer in enumerate(params.layers):
         cell_window = cells.new_cache(config.cell, (steps, batch), n, n, dtype, empty)
-        if config.cell == "rlstm":
+        if config.cell == "rlstm" and masks.m_state is not None:
             cell_window.state_mask = masks.m_state[l]
         tops = (cell_window.xh[..., :n], cell_window.xh[..., n:])
         cell_windows.append(cell_window)
@@ -305,7 +304,7 @@ def _run_steps(params, config, inputs, masks, states, mog_caches, cell_caches, o
     steps = len(mog_caches)
     for t in range(inputs.shape[1]):
         ids = inputs[:, t]
-        x0 = params.e_in[ids] * masks.m_in[t]
+        x0 = _masked(params.e_in[ids], masks.m_in, t)
         mog_t, cell_t = mog_caches[t % steps], cell_caches[t % steps]
         xhats = []
         for l, layer in enumerate(params.layers):
@@ -317,24 +316,23 @@ def _run_steps(params, config, inputs, masks, states, mog_caches, cell_caches, o
                     x_in += xh
                 if config.residual_includes_embedding:
                     x_in += x0
-            h_masked_prev = states[l].h * masks.m_state[l]
+            h_masked_prev = _masked(states[l].h, masks.m_state, l)
             # The mogrifier writes its outputs into the cell's input buffer.
             mog_h, _, _ = mogrifier.mogrify_forward(layer.mog, h_masked_prev, x_in, mog_t[l])
             entry_state = CellState(states[l].c, mog_h)
             if config.cell == "rlstm":
                 new_state, _ = cells.rlstm_forward(
-                    layer.cell, entry_state, None, masks.m_state[l], cell_t[l]
+                    layer.cell, entry_state, None, cell_t[l].state_mask, cell_t[l]
                 )
             else:
                 new_state, _ = cells.lstm_forward(
                     layer.cell, entry_state, None, config.cap_input_gate, cell_t[l]
                 )
             states[l] = new_state
-            xhats.append(new_state.h * masks.m_cell[l, t])
-        total = xhats[0].copy()
-        for xh in xhats[1:]:
-            total += xh
-        np.multiply(total, masks.m_out[t], out=outputs[t])
+            xhats.append(_masked(new_state.h, masks.m_cell, (l, t)))
+        outputs[t] = sum(xhats[1:], xhats[0])
+        if masks.m_out is not None:
+            outputs[t] *= masks.m_out[t]
 
 
 def forward_window(
@@ -442,7 +440,8 @@ def backward_window(params: ModelParams, config: ModelConfig, cache: WindowCache
     e_out_grad = gemm(cache.outputs.reshape(-1, n).T, dlogits)
     grads.b_out[...] = dlogits.sum(axis=0)
     dsum = gemm(dlogits, params.e_out.T).reshape(horizon, batch, n)
-    dsum *= masks.m_out
+    if masks.m_out is not None:
+        dsum *= masks.m_out
 
     grad_c = [np.zeros((batch, n), config.np_dtype) for _ in range(config.layers)]
     grad_h_masked = [np.zeros((batch, n), config.np_dtype) for _ in range(config.layers)]
@@ -452,7 +451,7 @@ def backward_window(params: ModelParams, config: ModelConfig, cache: WindowCache
         for l in range(config.layers - 1, -1, -1):
             layer = params.layers[l]
             dxhat = dsum[t] + dx_residual
-            dh = dxhat * masks.m_cell[l, t] + grad_h_masked[l] * masks.m_state[l]
+            dh = _masked(dxhat, masks.m_cell, (l, t)) + _masked(grad_h_masked[l], masks.m_state, l)
             _, grad_c[l], dmog_h, dmog_x = cells.cell_backward(
                 layer.cell, cache.cell_caches[t][l], grad_c[l], dh
             )
@@ -465,7 +464,7 @@ def backward_window(params: ModelParams, config: ModelConfig, cache: WindowCache
                 dx_residual += dx_in
                 if config.residual_includes_embedding:
                     dx0 += dx_in
-        np.multiply(dx0, masks.m_in[t], out=dsum[t])  # dsum[t] is spent; it now holds dx0
+        dsum[t] = _masked(dx0, masks.m_in, t)  # dsum[t] is spent; it now holds dx0
 
     if params.tied:
         grads.e_in[...] = e_out_grad.T
@@ -511,10 +510,10 @@ def window_loss_with_masks(params, config, batch: WindowBatch, masks, buffers=No
     if not isinstance(masks, MaskSet):
         masks = stack_masks(masks)
     bsz, horizon = batch.inputs.shape
-    num_samples, leftover = divmod(masks.m_state.shape[1], bsz)
+    num_samples, leftover = divmod(masks.rows, bsz)
     if leftover or num_samples < 1:
         raise ValueError(
-            f"masks have {masks.m_state.shape[1]} batch rows, "
+            f"masks have {masks.rows} batch rows, "
             f"not a positive multiple of batch {bsz}"
         )
     inputs = np.tile(batch.inputs, (num_samples, 1))

@@ -62,7 +62,8 @@ def sigmoid(x, out=None):
     the correct limit; its warning is silenced here without `out`, and by the
     caller with it (forward_window does so once per window)."""
     if out is None:
-        x = np.asarray(x, dtype=np.result_type(x, np.float32))
+        x = np.asarray(x)
+        x = x.astype(np.result_type(x, np.float32), copy=False)
         with np.errstate(over="ignore"):
             return np.divide(1.0, 1.0 + np.exp(-x))
     np.negative(x, out=out)

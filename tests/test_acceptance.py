@@ -347,6 +347,7 @@ def _desk_train(cell, stop_bpc, vocab, streams):
     return result.best_val_nats / LN2, time.perf_counter() - t0, result
 
 
+@pytest.mark.slow
 def test_07_desk_scale_training(capsys, fast_gemm, desk_corpus):
     vocab, streams = desk_corpus
     bpc_rlstm, sec_rlstm, _ = _desk_train("rlstm", 2.4, vocab, streams)

@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
-from rnnlab import cells, model, mogrifier, numerics, ptree
+from rnnlab import cells, evaluation, model, mogrifier, numerics, ptree
 from rnnlab.cells import CellState
 from rnnlab.model import ModelConfig, WindowBatch
 from rnnlab.numerics import DivergenceError, Rng, max_relative_error
@@ -119,7 +119,7 @@ class TestForwardWindow:
         inputs = rng.integers(0, config.vocab_size, (2, 3))
         masks = model.ones_masks(config, 2, 3)
         log_probs, _, _ = model.forward_window(params, config, inputs, masks, temperature=1.7)
-        ref = oracle_forward(params, config, inputs, masks, temperature=1.7)
+        ref = oracle_forward(params, config, inputs, ones_reference(config, 2, 3), temperature=1.7)
         assert np.max(np.abs(log_probs - ref)) < 1e-12
 
     def test_zero_params_uniform_output(self):
@@ -200,11 +200,13 @@ class TestStatefulness:
 
 class TestMasks:
     def test_state_mask_time_invariant_within_window(self):
-        config = tiny_config(keep_state=0.5)
+        config = tiny_config(keep_state=0.5, keep_in=0.5, keep_cell=0.5)
         masks = model.sample_masks(Rng(320), config, batch=3, horizon=6)
+        assert masks.rows == 3
         assert masks.m_state.shape == (config.layers, 3, config.state_size)
         assert masks.m_in.shape == (6, 3, config.state_size)
         assert masks.m_cell.shape == (config.layers, 6, 3, config.state_size)
+        assert masks.m_out is None  # keep_out is 1
 
     def test_per_step_masks_vary_over_time(self):
         config = tiny_config(keep_in=0.5, keep_cell=0.5, keep_out=0.5)
@@ -213,11 +215,14 @@ class TestMasks:
         assert not all(np.array_equal(masks.m_out[0], masks.m_out[t]) for t in range(1, 12))
 
     def test_keep_one_gives_exact_ones(self):
+        # At keep 1 every family is all ones, so none is drawn or stored: the
+        # draw is the deterministic set and leaves the rng where it was.
         config = tiny_config()
-        masks = model.sample_masks(Rng(322), config, batch=2, horizon=3)
-        ones = model.ones_masks(config, 2, 3)
-        for name in ("m_in", "m_cell", "m_state", "m_out"):
-            assert np.array_equal(getattr(masks, name), getattr(ones, name))
+        rng = Rng(322)
+        before = rng.state()
+        masks = model.sample_masks(rng, config, batch=2, horizon=3, samples=2)
+        assert masks == model.ones_masks(config, 4, 3) == model.MaskSet(4)
+        assert rng.state() == before
 
     def test_inverted_scaling(self):
         config = tiny_config(keep_cell=0.25)
@@ -353,19 +358,46 @@ def sequential_multisample(params, config, batch, mask_sets):
 
 
 def reference_masks(rng, config, batch, horizon):
-    """One draw of the four mask families, each drawn as a float64 array and
-    then cast; the stacked sampler must reproduce it bit for bit."""
+    """One draw of the mask families whose keep is below 1, in the order in,
+    cell, state, out, each drawn as a float64 array and then cast; the
+    stacked sampler must reproduce it bit for bit.  A family whose keep is 1
+    is not drawn and stays None."""
     n = config.state_size
-    if config.input_mask_rows:
-        m_in = numerics.bernoulli_mask(rng, (horizon, batch, 1), config.keep_in)
-        m_in = np.broadcast_to(m_in, (horizon, batch, n))
-    else:
-        m_in = numerics.bernoulli_mask(rng, (horizon, batch, n), config.keep_in)
-    m_cell = numerics.bernoulli_mask(rng, (config.layers, horizon, batch, n), config.keep_cell)
-    m_state = numerics.bernoulli_mask(rng, (config.layers, batch, n), config.keep_state)
-    m_out = numerics.bernoulli_mask(rng, (horizon, batch, n), config.keep_out)
-    cast = [m.astype(config.np_dtype) for m in (m_in, m_cell, m_state, m_out)]
-    return model.MaskSet(*cast)
+    masks = model.MaskSet(batch)
+    if config.keep_in < 1.0:
+        width = 1 if config.input_mask_rows else n
+        m_in = numerics.bernoulli_mask(rng, (horizon, batch, width), config.keep_in)
+        masks.m_in = np.broadcast_to(m_in, (horizon, batch, n)).astype(config.np_dtype)
+    if config.keep_cell < 1.0:
+        m_cell = numerics.bernoulli_mask(rng, (config.layers, horizon, batch, n), config.keep_cell)
+        masks.m_cell = m_cell.astype(config.np_dtype)
+    if config.keep_state < 1.0:
+        m_state = numerics.bernoulli_mask(rng, (config.layers, batch, n), config.keep_state)
+        masks.m_state = m_state.astype(config.np_dtype)
+    if config.keep_out < 1.0:
+        m_out = numerics.bernoulli_mask(rng, (horizon, batch, n), config.keep_out)
+        masks.m_out = m_out.astype(config.np_dtype)
+    return masks
+
+
+def materialised(masks, config, horizon):
+    """`masks` with every absent (keep-1) family stored as an array of ones:
+    the reference path, which multiplies by all four families."""
+    n, layers, rows = config.state_size, config.layers, masks.rows
+    shapes = {
+        "m_in": (horizon, rows, n), "m_cell": (layers, horizon, rows, n),
+        "m_state": (layers, rows, n), "m_out": (horizon, rows, n),
+    }
+    filled = model.MaskSet(rows)
+    for name, shape in shapes.items():
+        mask = getattr(masks, name)
+        setattr(filled, name, np.ones(shape, config.np_dtype) if mask is None else mask)
+    return filled
+
+
+def ones_reference(config, batch, horizon):
+    """The deterministic masks with all four families stored as ones."""
+    return materialised(model.MaskSet(batch), config, horizon)
 
 
 class TestBatchedSamples:
@@ -450,6 +482,148 @@ class TestBatchedSamples:
         masks = model.sample_masks(rng, config, 2, 5, samples=2)
         with pytest.raises(ValueError, match="multiple"):
             model.window_loss_with_masks(params, config, batch, masks)
+
+
+class TestAbsentFamilies:
+    """A family whose keep is 1 is None: it is not drawn, stored or multiplied
+    in.  As x * 1 == x, every result keeps the bits of the reference path,
+    which multiplies by materialised arrays of ones."""
+
+    @staticmethod
+    def make_case(cell, seed, batch=3, **keeps):
+        config = tiny_config(
+            cell=cell, state_size=6, vocab_size=7, mogrifier_rounds=3,
+            residual_includes_embedding=True, tie_embeddings=False, **keeps,
+        )
+        rng = Rng(seed)
+        params = model.init_model_params(rng, config)
+        inputs = rng.integers(0, config.vocab_size, (batch, 5))
+        targets = rng.integers(0, config.vocab_size, (batch, 5))
+        states = [
+            CellState(rng.uniform(-1, 1, (batch, 6)), rng.uniform(-1, 1, (batch, 6)))
+            for _ in range(config.layers)
+        ]
+        return config, params, WindowBatch(inputs, targets, states), rng
+
+    @staticmethod
+    def assert_same_bits(got, want):
+        (loss, grads, states), (ref_loss, ref_grads, ref_states) = got, want
+        assert loss == ref_loss
+        assert grads.vector.tobytes() == ref_grads.vector.tobytes()
+        for a, b in zip(states, ref_states, strict=True):
+            assert a.c.tobytes() == b.c.tobytes() and a.h.tobytes() == b.h.tobytes()
+
+    @pytest.mark.parametrize("cell", ["lstm", "rlstm"])
+    @pytest.mark.parametrize("num_samples", [1, 2])
+    @pytest.mark.parametrize("fast", [False, True])
+    def test_keep_one_window_matches_the_ones_reference(self, cell, num_samples, fast):
+        numerics.set_fast_gemm(fast)
+        config, params, batch, rng = self.make_case(cell, 500 + num_samples)
+        before = rng.state()
+        got = model.loss_multisample(params, config, batch, rng, num_samples)
+        assert rng.state() == before
+        reference = ones_reference(config, num_samples * 3, 5)
+        self.assert_same_bits(got, model.window_loss_with_masks(params, config, batch, reference))
+
+    @pytest.mark.parametrize("cell", ["lstm", "rlstm"])
+    @pytest.mark.parametrize("num_samples", [1, 2])
+    def test_mixed_keep_window_matches_the_ones_reference(self, cell, num_samples):
+        config, params, batch, rng = self.make_case(cell, 510, keep_cell=0.8, keep_out=0.7)
+        masks = model.sample_masks(rng, config, 3, 5, num_samples)
+        assert masks.m_in is None and masks.m_state is None
+        got = model.window_loss_with_masks(params, config, batch, masks)
+        reference = materialised(masks, config, 5)
+        self.assert_same_bits(got, model.window_loss_with_masks(params, config, batch, reference))
+
+    def test_absent_masks_still_need_a_multiple_of_the_batch(self):
+        config, params, batch, _ = self.make_case("rlstm", 515)
+        with pytest.raises(ValueError, match="masks have 2 batch rows"):
+            model.window_loss_with_masks(params, config, batch, model.ones_masks(config, 2, 5))
+
+    @pytest.mark.parametrize("cell", ["lstm", "rlstm"])
+    @pytest.mark.parametrize("batch", [1, 3])
+    @pytest.mark.parametrize("fast", [False, True])
+    def test_deterministic_scoring_matches_the_ones_reference(self, cell, batch, fast):
+        numerics.set_fast_gemm(fast)
+        config, params, window, _ = self.make_case(cell, 520, batch=batch)
+        for temperature in (0.8, None):
+            scores, states = model.predict_deterministic(
+                params, config, window.inputs, temperature, window.states
+            )
+            ref_scores, _, ref_states = model.forward_window(
+                params, config, window.inputs, ones_reference(config, batch, 5), window.states,
+                temperature, backward=False,
+            )
+            assert scores.tobytes() == ref_scores.tobytes()
+            for a, b in zip(states, ref_states, strict=True):
+                assert a.c.tobytes() == b.c.tobytes() and a.h.tobytes() == b.h.tobytes()
+
+    @pytest.mark.parametrize("cell", ["lstm", "rlstm"])
+    @pytest.mark.parametrize("fast", [False, True])
+    def test_dynamic_evaluation_matches_the_ones_reference(self, monkeypatch, cell, fast):
+        numerics.set_fast_gemm(fast)
+        config, params, _, rng = self.make_case(cell, 530)
+        stream = rng.integers(0, config.vocab_size, 40)
+        dcfg = evaluation.DynevalConfig(segment=9, lr=0.05, decay=0.02)
+        report = evaluation.evaluate_dynamic(params, config, stream, dcfg, temperature=0.9)
+        calls = []
+
+        def reference(config, batch, horizon):
+            calls.append(horizon)
+            return ones_reference(config, batch, horizon)
+
+        monkeypatch.setattr(model, "ones_masks", reference)
+        ref = evaluation.evaluate_dynamic(params, config, stream, dcfg, temperature=0.9)
+        assert calls == [9, 9, 9, 9, 3]
+        assert report == ref and not report.partial
+
+    @pytest.mark.parametrize("keep", [1.0, 0.5])
+    @pytest.mark.parametrize("num_samples", [1, 2])
+    def test_keep_one_window_draws_nothing(self, monkeypatch, keep, num_samples):
+        calls = {"bernoulli_mask": 0, "random": 0}
+        bernoulli_mask, random = model.bernoulli_mask, Rng.random
+
+        def counted_mask(*args, **kwargs):
+            calls["bernoulli_mask"] += 1
+            return bernoulli_mask(*args, **kwargs)
+
+        def counted_random(rng, size=None):
+            calls["random"] += 1
+            return random(rng, size)
+
+        monkeypatch.setattr(model, "bernoulli_mask", counted_mask)
+        monkeypatch.setattr(Rng, "random", counted_random)
+        keeps = dict(keep_in=keep, keep_cell=keep, keep_state=keep, keep_out=keep)
+        config, params, batch, rng = self.make_case("rlstm", 540, **keeps)
+        model.loss_multisample(params, config, batch, rng, num_samples, model.WindowBuffers())
+        draws = 0 if keep == 1.0 else 4 * num_samples
+        assert calls == {"bernoulli_mask": draws, "random": draws}
+
+    @pytest.mark.parametrize("samples", [1, 3])
+    @pytest.mark.parametrize("input_mask_rows", [False, True])
+    def test_mixed_keeps_draw_only_their_dropped_families_in_order(
+        self, monkeypatch, samples, input_mask_rows
+    ):
+        config = tiny_config(keep_in=0.6, keep_state=0.7, input_mask_rows=input_mask_rows)
+        drawn = []
+        bernoulli_mask = model.bernoulli_mask
+
+        def recorded(rng, shape, keep_prob, out=None):
+            drawn.append((keep_prob, shape))
+            return bernoulli_mask(rng, shape, keep_prob, out=out)
+
+        monkeypatch.setattr(model, "bernoulli_mask", recorded)
+        rng_a, rng_b = Rng(550), Rng(550)
+        masks = model.sample_masks(rng_a, config, 2, 5, samples)
+        in_width = 1 if input_mask_rows else 4
+        assert drawn == [(0.6, (5, 2, in_width)), (0.7, (2, 2, 4))] * samples
+        assert masks.m_cell is None and masks.m_out is None and masks.rows == 2 * samples
+        reference = model.stack_masks([reference_masks(rng_b, config, 2, 5) for _ in range(samples)])
+        assert reference.m_cell is None and reference.m_out is None
+        assert reference.rows == masks.rows
+        for name in ("m_in", "m_state"):
+            assert getattr(masks, name).tobytes() == getattr(reference, name).tobytes()
+        assert rng_a.state() == rng_b.state()
 
 
 class TestBackwardWindow:

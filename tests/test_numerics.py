@@ -65,9 +65,16 @@ class TestGemm:
 
 
 class TestActivations:
-    def test_sigmoid_matches_definition(self):
-        x = np.linspace(-10, 10, 41)
-        assert np.allclose(sigmoid(x), 1 / (1 + np.exp(-x)), atol=0, rtol=1e-15)
+    @pytest.mark.parametrize(
+        "x", [np.linspace(-10, 10, 41), 0.3, 3, [0.3, -2.0], np.float32(0.3)],
+        ids=["array", "float", "int", "list", "float32"],
+    )
+    def test_sigmoid_matches_definition(self, x):
+        # Python numbers and lists are taken as numpy takes them (float64, or
+        # int64 promoted to float64), not at float32.
+        want = np.asarray(1 / (1 + np.exp(-np.asarray(x))))
+        got = np.asarray(sigmoid(x))
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
     def test_sigmoid_extreme_inputs_finite(self):
         out = sigmoid(np.array([-1000.0, -50.0, 50.0, 1000.0]))
