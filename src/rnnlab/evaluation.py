@@ -42,8 +42,8 @@ class DynevalConfig:
     def validate(self):
         if self.segment < 1:
             raise ValueError(f"segment must be >= 1, got {self.segment}")
-        if not self.lr >= 0:
-            raise ValueError(f"lr must be >= 0, got {self.lr}")
+        if not 0 <= self.lr < math.inf:
+            raise ValueError(f"lr must be >= 0 and finite, got {self.lr}")
         if not 0.0 <= self.decay < 1.0:
             raise ValueError(f"decay must be in [0, 1), got {self.decay}")
         if self.norm not in ("none", "global"):
@@ -225,6 +225,79 @@ def tune_temperature(params, config, stream, grid=None, batch_size=1, window=128
     return min(contenders, key=lambda t: (abs(t - 1.0), t))
 
 
+@np.errstate(over="ignore", invalid="ignore")
+def _dynamic_reports(params, config, stream, grid, temperature, on_event=None, buffers=None):
+    """evaluate_dynamic's report for each grid entry, from one walk over the
+    segments.  A track is the entries of one segment length whose fast weights
+    have the same bytes, with their states and totals.  It scores a segment
+    once and, if some of its entries adapt on it, makes one backward pass;
+    entries whose updates have the same bytes go on as one track.  So each
+    entry scores the bits of a pass of its own (at batch 1 a pass run for its
+    backward scores as a scoring pass does).  A divergence ends only its track
+    (flagged partial) and warns nothing."""
+    for dcfg in grid:
+        dcfg.validate()
+    stream = np.asarray(stream)
+    require_scorable(stream, 1)
+    theta0 = params.vector
+    buffers = model.WindowBuffers() if buffers is None else buffers
+    on_event = on_event or (lambda event: None)
+    reports = [None] * len(grid)
+    for segment in dict.fromkeys(d.segment for d in grid):
+        last = (stream.size - 2) // segment  # no token reads the weights adapted on it
+        members = [(i, d) for i, d in enumerate(grid) if d.segment == segment]
+        tracks = [(model.empty_model_params(config, theta0.copy()), members, None, 0.0, 0)]
+        for k, batch in enumerate(data_mod.windows(stream[None, :], segment)):
+            live = []
+            for fast, members, states, total, count in tracks:
+                adapting = [(i, d) for i, d in members if k < last and d.lr + d.decay > 0]
+                on_event(("score", k))
+                try:
+                    log_probs, cache, states = model.forward_window(
+                        fast, config, batch.inputs, model.ones_masks(config, *batch.inputs.shape),
+                        states, temperature, buffers if adapting else None, backward=bool(adapting),
+                    )
+                except DivergenceError:
+                    for i, d in members:
+                        reports[i] = make_report(total, count, temperature, d, partial=True)
+                    continue
+                picked = _picked_log_probs(log_probs, batch.targets)
+                total, count = _minus_picked(total, picked), count + picked.size
+                if keep := [m for m in members if m not in adapting]:
+                    live.append((fast, keep, states, total, count))
+                if not adapting:
+                    continue
+                on_event(("update", k))
+                _, grad_lp = model.nll_from_log_probs(log_probs, batch.targets)
+                raw = model.backward_window(fast, config, cache, grad_lp).vector
+                buffers.recycle(cache)
+                g = {d.norm: raw for _, d in adapting}  # the raw gradient only if an entry reads it
+                if "global" in g:
+                    g["global"] = raw / max(1.0, float(np.linalg.norm(raw)))
+                del raw
+                theta = fast.vector
+                children = []  # (params, entries) per distinct byte string of new weights
+                for n, (i, d) in enumerate(adapting, 1):
+                    updated = theta - d.lr * g[d.norm] + d.decay * (theta0 - theta)
+                    if keep or n < len(adapting):
+                        new = model.empty_model_params(config, updated)
+                    else:  # nothing reads theta after this update: adapt in place
+                        theta[...] = updated
+                        new = fast
+                    for twin, entries in children:
+                        if np.array_equal(twin.vector.view(np.uint8), new.vector.view(np.uint8)):
+                            entries.append((i, d))
+                            break
+                    else:
+                        children.append((new, [(i, d)]))
+                live += [(new, group, states, total, count) for new, group in children]
+            tracks = live
+        for fast, members, states, total, count in tracks:
+            for i, d in members:
+                reports[i] = make_report(total, count, temperature, d)
+    return reports
+
+
 def evaluate_dynamic(
     params, config, stream, dcfg: DynevalConfig, temperature=1.0, on_event=None, buffers=None
 ) -> EvalReport:
@@ -240,46 +313,7 @@ def evaluate_dynamic(
     `buffers`, a model.WindowBuffers, holds the activations of the adapting
     passes from one segment to the next.
     """
-    dcfg.validate()
-    stream = np.asarray(stream)
-    require_scorable(stream, 1)
-    adapting = dcfg.lr > 0.0 or dcfg.decay > 0.0
-    last = (stream.size - 2) // dcfg.segment  # no token reads the weights adapted on it
-    theta0 = params.vector
-    fast = model.empty_model_params(config, theta0.copy())
-    theta = fast.vector
-    rows = stream[None, :]
-    states = None
-    total = 0.0
-    count = 0
-    partial = False
-    buffers = model.WindowBuffers() if buffers is None else buffers
-    for k, batch in enumerate(data_mod.windows(rows, dcfg.segment)):
-        update = adapting and k < last
-        if on_event is not None:
-            on_event(("score", k))
-        try:
-            masks = model.ones_masks(config, *batch.inputs.shape)
-            log_probs, cache, states = model.forward_window(
-                fast, config, batch.inputs, masks, states, temperature,
-                buffers if update else None, backward=update,
-            )
-        except DivergenceError:
-            partial = True
-            break
-        picked = _picked_log_probs(log_probs, batch.targets)
-        total = _minus_picked(total, picked)
-        count += picked.size
-        if update:
-            if on_event is not None:
-                on_event(("update", k))
-            _, grad_lp = model.nll_from_log_probs(log_probs, batch.targets)
-            g = model.backward_window(fast, config, cache, grad_lp).vector
-            if dcfg.norm == "global":
-                g = g / max(1.0, float(np.linalg.norm(g)))
-            theta[...] = theta - dcfg.lr * g + dcfg.decay * (theta0 - theta)
-            buffers.recycle(cache)
-    return make_report(total, count, temperature, dyneval=dcfg, partial=partial)
+    return _dynamic_reports(params, config, stream, [dcfg], temperature, on_event, buffers)[0]
 
 
 def default_dyneval_grid(segment: int):
@@ -297,13 +331,9 @@ def tune_dyneval(params, config, stream, grid, temperature=1.0):
     exact ties keep the earliest entry (grids put the static setting first)."""
     if not grid:
         raise ValueError("dyneval grid must be non-empty")
-    best = None
-    best_nats = math.inf
-    buffers = model.WindowBuffers()
-    for dcfg in grid:
-        report = evaluate_dynamic(params, config, stream, dcfg, temperature, buffers=buffers)
+    best, best_nats = None, math.inf
+    for dcfg, report in zip(grid, _dynamic_reports(params, config, stream, grid, temperature)):
         nats = report.nats_per_token if not report.partial else math.inf
         if nats < best_nats:
-            best = dcfg
-            best_nats = nats
+            best, best_nats = dcfg, nats
     return best, best_nats

@@ -361,7 +361,8 @@ class TestBadSettings:
             ("evaluate", "temperature_grid_step", 0, "temperature_grid_step > 0"),
             ("evaluate", "temperature_grid_step", 1e-5, "at most 10,001 points"),
             ("tune-temperature", "temperature_grid_step", "inf", "finite temperature_grid_step"),
-            ("dyneval", "dyn_lr", "nan", "dyn_lr must be >= 0, got nan"),
+            ("dyneval", "dyn_lr", "nan", "dyn_lr must be >= 0 and finite, got nan"),
+            ("dyneval", "dyn_lr", "inf", "dyn_lr must be >= 0 and finite, got inf"),
             ("dyneval", "dyn_segment", 0, "dyn_segment must be >= 1"),
             ("dyneval", "dyn_norm", "bogus", "dyn_norm must be 'none' or 'global'"),
         ],
@@ -412,7 +413,7 @@ class TestOneRefusal:
             ("eval_split", "bogus", "eval_split must be train, valid, or test, got 'bogus'"),
             ("temperature_grid_step", 0, "temperature grid requires a finite "
              "temperature_grid_step > 0 that gives at most 10,001 points, got 0.0"),
-            ("dyn_lr", "nan", "dyn_lr must be >= 0, got nan"),
+            ("dyn_lr", "nan", "dyn_lr must be >= 0 and finite, got nan"),
         ],
     )
     def test_every_command_refuses_the_same_way(

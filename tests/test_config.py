@@ -220,7 +220,7 @@ class TestCheckedAtParse:
         ("mode = bogus", "mode must be byte, char, or word, got 'bogus'"),
         ("beta2 = 1.0", "beta2 must be in [0, 1), got 1.0"),
         ("eval_split = bogus", "eval_split must be train, valid, or test"),
-        ("dyn_lr = nan", "dyn_lr must be >= 0, got nan"),
+        ("dyn_lr = nan", "dyn_lr must be >= 0 and finite, got nan"),
         ("dyn_segment = 0", "dyn_segment must be >= 1"),
     ])
     def test_bad_value_names_its_key(self, text, message):

@@ -374,6 +374,19 @@ class TestEvaluateDynamic:
         assert math.isfinite(dyn.total_nats)
         assert "partial=true" in format_report(dyn)
 
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_update_warns_nothing(self):
+        # A finite but absurd learning rate overflows the first update; the
+        # next forward pass reports the divergence, and numpy says nothing.
+        config = tiny_config()
+        params = trained_ish_params(config)
+        stream = random_stream(40, config.vocab_size)
+        dyn = evaluate_dynamic(
+            params, config, stream, DynevalConfig(segment=10, lr=1e308, norm="none")
+        )
+        assert dyn.partial
+        assert dyn.token_count == 10
+
     @pytest.mark.parametrize("cell", ["lstm", "rlstm"])
     def test_second_segment_divergence_keeps_the_first(self, cell):
         # A NaN put into one slow-weight cell bias after segment 0 is scored
@@ -401,6 +414,8 @@ class TestEvaluateDynamic:
             DynevalConfig(segment=0).validate()
         with pytest.raises(ValueError):
             DynevalConfig(lr=-1e-3).validate()
+        with pytest.raises(ValueError, match="lr must be >= 0 and finite, got inf"):
+            DynevalConfig(lr=math.inf).validate()
         with pytest.raises(ValueError):
             DynevalConfig(decay=1.0).validate()
         with pytest.raises(ValueError):
@@ -441,3 +456,147 @@ class TestTuneDyneval:
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
             tune_dyneval(None, None, None, [])
+
+
+def reference_dynamic(params, config, stream, dcfg, temperature=1.0):
+    """(total nats, token count, partial) of one entry, from dynamic
+    evaluation's own segment loop: a private copy of the weights, scored and
+    then adapted segment by segment, as before tuning shared its passes."""
+    adapting = dcfg.lr > 0.0 or dcfg.decay > 0.0
+    last = (stream.size - 2) // dcfg.segment
+    theta0 = params.vector
+    fast = model.empty_model_params(config, theta0.copy())
+    theta = fast.vector
+    states = None
+    total = 0.0
+    count = 0
+    for k, batch in enumerate(data.windows(stream[None, :], dcfg.segment)):
+        update = adapting and k < last
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                log_probs, cache, states = model.forward_window(
+                    fast, config, batch.inputs, model.ones_masks(config, *batch.inputs.shape),
+                    states, temperature, backward=update,
+                )
+        except numerics.DivergenceError:
+            return total, count, True
+        picked = log_probs[0, np.arange(batch.targets.shape[1]), batch.targets[0]]
+        for value in picked:
+            total -= float(value)
+        count += picked.size
+        if update:
+            _, grad_lp = model.nll_from_log_probs(log_probs, batch.targets)
+            g = model.backward_window(fast, config, cache, grad_lp).vector
+            with np.errstate(over="ignore", invalid="ignore"):
+                if dcfg.norm == "global":
+                    g = g / max(1.0, float(np.linalg.norm(g)))
+                theta[...] = theta - dcfg.lr * g + dcfg.decay * (theta0 - theta)
+    return total, count, False
+
+
+def reference_tune(params, config, stream, grid):
+    """The entry, and its nats/token, that one reference pass per entry picks."""
+    best, best_nats = None, math.inf
+    for dcfg in grid:
+        total, count, partial = reference_dynamic(params, config, stream, dcfg)
+        nats = math.inf if partial else total / count
+        if nats < best_nats:
+            best, best_nats = dcfg, nats
+    return best, best_nats
+
+
+def counted(monkeypatch, name):
+    """Replace model.<name> by a wrapper that records its calls."""
+    calls = []
+    original = getattr(model, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(model, name, wrapper)
+    return calls
+
+
+GRIDS = {
+    "default-2-segments": (41, default_dyneval_grid(segment=20)),
+    "default-5-segments": (101, default_dyneval_grid(segment=20)),
+    "one-diverges": (101, [
+        DynevalConfig(segment=20, lr=1e-3, decay=0.02, norm="global"),
+        DynevalConfig(segment=20, lr=1e200, decay=0.0, norm="none"),
+        DynevalConfig(segment=20, lr=0.0, decay=0.0),
+        DynevalConfig(segment=20, lr=1e-2, decay=0.0, norm="global"),
+    ]),
+    "two-segment-lengths": (61, [
+        DynevalConfig(segment=20, lr=1e-2, decay=0.0, norm="global"),
+        DynevalConfig(segment=7, lr=1e-2, decay=0.0, norm="global"),
+        DynevalConfig(segment=7, lr=0.0, decay=0.0),
+        DynevalConfig(segment=20, lr=1e-2, decay=0.02, norm="global"),
+        DynevalConfig(segment=7, lr=3e-3, decay=0.02, norm="none"),
+    ]),
+}
+
+
+class TestSharedDynevalWalk:
+    """Tuning walks the segments once and lets entries whose fast weights
+    have the same bytes share their passes; every entry keeps the bits of
+    its own pass."""
+
+    @pytest.mark.parametrize("cell", ["lstm", "rlstm"])
+    @pytest.mark.parametrize("fast", [False, True])
+    @pytest.mark.parametrize("name", list(GRIDS))
+    def test_every_entry_bitwise_equals_its_own_pass(self, cell, fast, name):
+        numerics.set_fast_gemm(fast)
+        config = tiny_config(cell=cell, vocab_size=7)
+        params = trained_ish_params(config)
+        length, grid = GRIDS[name]
+        stream = random_stream(length, config.vocab_size)
+        reports = evaluation._dynamic_reports(params, config, stream, grid, 1.0)
+        expected = [reference_dynamic(params, config, stream, dcfg) for dcfg in grid]
+        assert [(r.total_nats, r.token_count, r.partial) for r in reports] == expected
+        assert [r.dyneval for r in reports] == grid
+        assert any(not partial for _, _, partial in expected)
+        if name == "one-diverges":
+            assert [partial for _, _, partial in expected] == [False, True, False, False]
+        best, best_nats = tune_dyneval(params, config, stream, grid)
+        ref_best, ref_nats = reference_tune(params, config, stream, grid)
+        assert best is ref_best and best_nats == ref_nats
+
+    @pytest.mark.parametrize("order", [(0.0, 0.02), (0.02, 0.0)])
+    def test_exact_tie_keeps_the_earlier_entry(self, order):
+        # On a 2-segment stream only the first update is made, where
+        # theta0 - theta is 0: both decays give the same weights and nats.
+        config = tiny_config(vocab_size=7)
+        params = trained_ish_params(config)
+        stream = random_stream(41, config.vocab_size)
+        grid = [DynevalConfig(segment=20, lr=1e-2, decay=decay, norm="global") for decay in order]
+        first, second = (reference_dynamic(params, config, stream, dcfg) for dcfg in grid)
+        assert first == second
+        best, best_nats = tune_dyneval(params, config, stream, grid)
+        assert best is grid[0]
+        assert best_nats == first[0] / first[1]
+
+    def test_shared_prefix_counts_passes(self, monkeypatch):
+        # 127 targets in segments of 100: all 11 entries share segment 0's
+        # forward and backward pass; the first update splits them into the
+        # static entry and five learning rates, which score segment 1.
+        config = tiny_config(vocab_size=7)
+        params = trained_ish_params(config)
+        stream = random_stream(128, config.vocab_size)
+        grid = default_dyneval_grid(segment=100)
+        forwards = counted(monkeypatch, "forward_window")
+        backwards = counted(monkeypatch, "backward_window")
+        tune_dyneval(params, config, stream, grid)
+        assert (len(forwards), len(backwards)) == (7, 1)
+        forwards.clear()
+        backwards.clear()
+        reference_tune(params, config, stream, grid)
+        assert (len(forwards), len(backwards)) == (22, 10)
+
+    def test_slow_weights_unchanged(self):
+        config = tiny_config()
+        params = trained_ish_params(config)
+        before = params.vector.copy()
+        stream = random_stream(101, config.vocab_size)
+        tune_dyneval(params, config, stream, GRIDS["one-diverges"][1])
+        assert np.array_equal(params.vector, before)
