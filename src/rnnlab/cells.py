@@ -7,10 +7,13 @@ rewired cell applies w_ij (2n, m+n) to [x, h] for i and j, w_f (n, 2n) to
 [i*j, h] for f and w_oc (n, n) to the cell state for o.  b (4n,) holds the
 biases of i, j, f, o; `gate_views` names the per-gate blocks.
 
-Forward steps write into a CellCache of one step, (B, .) arrays, or of a
-window, (T, B, .) arrays viewed step by step with `at(t)`.  Backward steps
-write pre-activation gradients over the gate values; `weight_grads` then
-takes one gemm per fused matrix over all the rows of a cache.
+A forward step also runs the layers of a wavefront tick as one: parameters
+with a leading layer axis, (L, 4n, m+n) and so on, and states and caches of
+(L, B, .) arrays.  Forward steps write into a CellCache of one step, (B, .)
+or (L, B, .) arrays, or of a window, (T, B, .) arrays viewed step by step
+with `at(t)`.  Backward steps, one layer at a time, write pre-activation
+gradients over the gate values; `weight_grads` then takes one gemm per fused
+matrix over all the rows of a cache.
 """
 
 from __future__ import annotations
@@ -42,11 +45,11 @@ class LstmParams:
 
     @property
     def state_size(self) -> int:
-        return self.b.shape[0] // 4
+        return self.b.shape[-1] // 4
 
     @property
     def input_size(self) -> int:
-        return self.w.shape[1] - self.state_size
+        return self.w.shape[-1] - self.state_size
 
 
 @dataclass
@@ -58,11 +61,11 @@ class RlstmParams:
 
     @property
     def state_size(self) -> int:
-        return self.w_oc.shape[0]
+        return self.w_oc.shape[-1]
 
     @property
     def input_size(self) -> int:
-        return self.w_ij.shape[1] - self.state_size
+        return self.w_ij.shape[-1] - self.state_size
 
 
 def _blocks(a, count: int):
@@ -99,13 +102,18 @@ class CellCache:
     capped: bool = True  # lstm: whether the input gate is min(i, 1 - f)
 
     def at(self, t) -> "CellCache":
+        """The view [t] of every buffer; t is a step or any index of the leading axes."""
         uh = None if self.uh is None else self.uh[t]
-        return CellCache(self.xh[t], self.gates[t], self.c[t], self.tanh_c[t], uh, self.state_mask)
+        return CellCache(
+            self.xh[t], self.gates[t], self.c[t], self.tanh_c[t], uh, self.state_mask,
+            capped=self.capped,
+        )
 
 
 def new_cache(kind: str, shape, m: int, n: int, dtype=np.float64, empty=np.empty) -> CellCache:
     """Uninitialised activation buffers of one step (shape (B,)) or of a
-    window (shape (T, B)), from `empty`; forward steps fill them."""
+    window (shape (T, B)), or of either for a stack of layers (a leading L),
+    from `empty`; forward steps fill them."""
 
     def buf(width):
         return empty((*shape, width), dtype)
@@ -123,9 +131,9 @@ def _finite(state: CellState) -> CellState:
 def _step_cache(kind, p, state, x, cache) -> CellCache:
     """The cache of a step with [x, h] in its xh; x = None says it is there already."""
     if cache is None:
-        cache = new_cache(kind, x.shape[:1], x.shape[1], p.state_size, np.result_type(x, p.b))
+        cache = new_cache(kind, x.shape[:-1], x.shape[-1], p.state_size, np.result_type(x, p.b))
     if x is not None:
-        np.concatenate((x, state.h), axis=1, out=cache.xh)
+        np.concatenate((x, state.h), axis=-1, out=cache.xh)
     cache.c_prev = state.c
     return cache
 
@@ -140,7 +148,7 @@ def lstm_forward(p: LstmParams, state: CellState, x, cap_input_gate: bool = True
     own_cache = cache is None
     cache = _step_cache("lstm", p, state, x, cache)
     i, j, f, o = _blocks(cache.gates, 4)
-    pre = gemm(cache.xh, p.w.T) + p.b
+    pre = gemm(cache.xh, p.w.mT) + p.b[..., None, :]
     sigmoid(pre, out=cache.gates)
     np.tanh(_blocks(pre, 4)[1], out=j)
     g = np.minimum(i, 1.0 - f) if cap_input_gate else i
@@ -158,18 +166,24 @@ def rlstm_forward(p: RlstmParams, state: CellState, x, state_mask=None, cache=No
     own_cache = cache is None
     cache = _step_cache("rlstm", p, state, x, cache)
     n = p.state_size
-    b_ij, b_f, b_o = p.b[: 2 * n], p.b[2 * n : 3 * n], p.b[3 * n :]
-    i, j, f, o = _blocks(cache.gates, 4)
-    pre_i, pre_j = _blocks(gemm(cache.xh, p.w_ij.T) + b_ij, 2)
-    sigmoid(pre_i, out=i)
-    np.tanh(pre_j, out=j)
-    np.concatenate((i * j, state.h), axis=1, out=cache.uh)
-    sigmoid(gemm(cache.uh, p.w_f.T) + b_f, out=f)
+    b = p.b[..., None, :]
+    b_ij, b_f, b_o = b[..., : 2 * n], b[..., 2 * n : 3 * n], b[..., 3 * n :]
+    # The gates are formed in arrays of their own and written to the cache at
+    # once: elementwise work on the cache's gate blocks, strided views when
+    # layers are stacked, costs two to three times as much.
+    pre_i, pre_j = _blocks(gemm(cache.xh, p.w_ij.mT) + b_ij, 2)
+    i = sigmoid(pre_i, out=np.empty_like(pre_i))
+    j = np.tanh(pre_j)
+    np.concatenate((i * j, state.h), axis=-1, out=cache.uh)
+    f = gemm(cache.uh, p.w_f.mT) + b_f
+    sigmoid(f, out=f)
     g = np.minimum(i, 1.0 - f)
     c = np.multiply(f, state.c, out=cache.c)
     c += g * j
     cm = c if state_mask is None else c * state_mask
-    sigmoid(gemm(cm, p.w_oc.T) + b_o, out=o)
+    o = gemm(cm, p.w_oc.mT) + b_o
+    sigmoid(o, out=o)
+    np.concatenate((i, j, f, o), axis=-1, out=cache.gates)
     cache.state_mask = state_mask
     new_state = CellState(c, o * np.tanh(c, out=cache.tanh_c))
     return (_finite(new_state) if own_cache else new_state), cache

@@ -1,9 +1,9 @@
 """Command-line entry point.
 
 Subcommands: train, evaluate, dyneval, tune-temperature, gradcheck.
-Exit codes: 0 success, 1 usage, configuration or data error, 2 numerical
-failure (a gradient check above tolerance, or training diverging beyond the
-restart budget)."""
+Exit codes: 0 success, 1 usage, configuration or data error or a file that
+cannot be read or written, 2 numerical failure (a gradient check above
+tolerance, or training diverging beyond the restart budget)."""
 
 from __future__ import annotations
 
@@ -281,6 +281,9 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     except FileNotFoundError as err:
         print(f"missing file: {err}", file=sys.stderr)
+        return EXIT_USAGE
+    except OSError as err:  # a directory where a file belongs, a file it may not read, ...
+        print(f"file error: {err}", file=sys.stderr)
         return EXIT_USAGE
     except training.TrainingDiverged as err:
         print(f"training diverged: {err}", file=sys.stderr)

@@ -34,11 +34,29 @@ class Vocab:
 
     @classmethod
     def load(cls, path, mode: str) -> "Vocab":
-        symbols = []
-        with open(path, encoding="ascii") as fh:
-            for line in fh.read().split("\n")[:-1]:
-                symbols.append(line.encode("ascii").decode("unicode_escape"))
-        return cls(mode=mode, symbols=symbols, index={s: i for i, s in enumerate(symbols)})
+        """The vocabulary that `save` wrote to `path`; a DataError, naming the
+        file and line, for a line that is not one escaped symbol of ASCII or
+        that repeats an earlier line's symbol."""
+        # Bytes that are not ASCII come through as lone surrogates, which the
+        # encode below refuses with the line they are on.
+        with open(path, encoding="ascii", errors="surrogateescape") as fh:
+            lines = fh.read().split("\n")[:-1]
+        symbols, index = [], {}
+        for number, line in enumerate(lines, 1):
+            try:
+                symbol = line.encode("ascii").decode("unicode_escape")
+            except UnicodeError as err:
+                raise DataError(
+                    f"vocabulary file {path} line {number} is not one escaped ASCII symbol "
+                    f"({err.reason})"
+                ) from None
+            if symbol in index:
+                raise DataError(
+                    f"vocabulary file {path} line {number} repeats line {index[symbol] + 1}"
+                )
+            index[symbol] = len(symbols)
+            symbols.append(symbol)
+        return cls(mode=mode, symbols=symbols, index=index)
 
 
 class DataError(ValueError):

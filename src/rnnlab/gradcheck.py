@@ -4,8 +4,11 @@ Each check builds a tiny fixed instance whose differentiable leaves
 (parameters plus, where relevant, inputs) are views of one float64 vector,
 the model's own parameter vector for the model checks; it perturbs that
 vector in place and compares the analytic gradient of a scalar probe loss,
-formed on the model's window path, against central differences.  Used by the
-gradcheck CLI command and the acceptance tests."""
+formed on the model's window path, against central differences.  The model
+checks difference the forward-only loss, a scoring pass, and take the
+analytic side from the training pass, so a difference between the two paths
+shows as an error.  Used by the gradcheck CLI command and the acceptance
+tests."""
 
 from __future__ import annotations
 
@@ -82,9 +85,10 @@ def _check_mogrifier(rounds: int, rank: int) -> float:
     return max_relative_error(analytic, numeric)
 
 
-def _check_model(batch=1, carried=False, **overrides) -> float:
-    """A 2-layer model over a 4-step window; `overrides` are ModelConfig
-    fields, `carried` starts the window from random carried-in states."""
+def model_instance(batch=1, carried=False, **overrides):
+    """(params, config, window, masks) of a model check: a 2-layer model over
+    a 4-step window; `overrides` are ModelConfig fields, `carried` starts the
+    window from random carried-in states."""
     fields = dict(
         layers=2, state_size=8, vocab_size=6, cell="rlstm", mogrifier_rounds=2,
         tie_embeddings=False, t_max=6.0,
@@ -104,10 +108,16 @@ def _check_model(batch=1, carried=False, **overrides) -> float:
             CellState(rng.uniform(-1.0, 1.0, (batch, n)), rng.uniform(-1.0, 1.0, (batch, n)))
             for _ in range(config.layers)
         ]
-    window = WindowBatch(inputs=inputs, targets=targets, states=states)
+    return params, config, WindowBatch(inputs=inputs, targets=targets, states=states), masks
+
+
+def _check_model(**instance) -> float:
+    """The analytic gradient of the training window against central
+    differences of the forward-only loss, which runs as a scoring pass."""
+    params, config, window, masks = model_instance(**instance)
 
     def loss(_):
-        return model.window_loss_with_masks(params, config, window, masks)[0]
+        return model.window_loss_with_masks(params, config, window, masks, backward=False)[0]
 
     numeric = finite_difference_gradient(loss, params.vector)
     _, grads, _ = model.window_loss_with_masks(params, config, window, masks)
@@ -121,6 +131,23 @@ def _dropout(keep: float) -> dict:
 # Smaller models for the configuration variants, so the suite stays quick.
 _SMALL = dict(state_size=4, vocab_size=5)
 
+# (name, model_instance arguments) of the model checks, in suite order.
+MODEL_CHECKS = [
+    ("model_rlstm", {}),
+    ("model_lstm", dict(cell="lstm")),
+    ("model_rlstm_dropout", _dropout(0.5)),
+    ("model_tied", dict(tie_embeddings=True)),
+    ("model_multisample_d2", dict(dropout_samples=2, **_dropout(0.7))),
+    ("model_lowrank_r3", dict(mogrifier_rank=3, **_SMALL)),
+    ("model_rounds3", dict(mogrifier_rounds=3, **_SMALL)),
+    (
+        "model_embedding_residual_row_mask",
+        dict(residual_includes_embedding=True, input_mask_rows=True, **_dropout(0.6), **_SMALL),
+    ),
+    ("model_lstm_uncapped", dict(cell="lstm", cap_input_gate=False, **_SMALL)),
+    ("model_batch2_carried", dict(batch=2, carried=True, **_dropout(0.7), **_SMALL)),
+]
+
 
 def gradient_check_suite():
     """Run every gradient check; returns [(component name, max relative error)]."""
@@ -132,22 +159,5 @@ def gradient_check_suite():
     for rounds in (1, 2, 5):
         results.append((f"mogrify_r{rounds}", _check_mogrifier(rounds, 0)))
         results.append((f"mogrify_r{rounds}_lowrank", _check_mogrifier(rounds, 3)))
-    results += [
-        ("model_rlstm", _check_model()),
-        ("model_lstm", _check_model(cell="lstm")),
-        ("model_rlstm_dropout", _check_model(**_dropout(0.5))),
-        ("model_tied", _check_model(tie_embeddings=True)),
-        ("model_multisample_d2", _check_model(dropout_samples=2, **_dropout(0.7))),
-        ("model_lowrank_r3", _check_model(mogrifier_rank=3, **_SMALL)),
-        ("model_rounds3", _check_model(mogrifier_rounds=3, **_SMALL)),
-        (
-            "model_embedding_residual_row_mask",
-            _check_model(
-                residual_includes_embedding=True, input_mask_rows=True, **_dropout(0.6),
-                **_SMALL,
-            ),
-        ),
-        ("model_lstm_uncapped", _check_model(cell="lstm", cap_input_gate=False, **_SMALL)),
-        ("model_batch2_carried", _check_model(batch=2, carried=True, **_dropout(0.7), **_SMALL)),
-    ]
+    results += [(name, _check_model(**instance)) for name, instance in MODEL_CHECKS]
     return results

@@ -10,6 +10,16 @@ Layer wiring per timestep:
 The state mask is sampled once per window and reused at every timestep
 (variational dropout); for rewired cells it is also applied to the cell state
 inside the output gate.
+
+A window runs as a layer wavefront (Appleyard et al. 2016, arXiv 1604.01946).
+Layer l's step t needs only layer l-1's step t and its own step t-1, so at
+tick k layer l runs its step k - l, and the layers in range run as one step:
+one mogrifier and one cell call on (L, B, .) arrays, with weights that are
+zero-copy (L, ...) views of the parameter vector.  The window buffers are
+(L, T, B, .), one (T, B, .) window per layer, which the backward pass reads
+layer by layer; the ticks reach them through a skewed (L, T + L - 1, B, .)
+view whose [l, k] is layer l's step k - l.  Every sum keeps the order of a
+layer-by-layer loop: the schedule changes no bit.
 """
 
 from __future__ import annotations
@@ -23,7 +33,7 @@ from . import cells, mogrifier
 from .cells import CellState
 from .numerics import DivergenceError, Rng, bernoulli_mask, log_softmax, log_sum_exp
 from .numerics import gemm
-from .ptree import named_arrays, vector_field, views
+from .ptree import map_arrays, named_arrays, stacked_views, vector_field, views
 # accumulate is unused here; perfbench/selftest.py checks that its tracer rebinds model.accumulate.
 from .ptree import accumulate  # noqa: F401
 
@@ -279,60 +289,134 @@ class WindowCache:
     buffers: _Carver | None  # the block the window's buffers were cut from
 
 
-def _window_buffers(params, config, masks, steps, horizon, batch, empty):
-    """Activation buffers allocated with `empty`: per layer a cell cache and a
-    mogrifier cache of `steps` steps, whose ladder tops are the two halves of
-    the cell's input, and the (T, B, n) input of the output layer."""
-    n = config.state_size
-    dtype = config.np_dtype
-    cell_windows = []
-    mog_windows = []
-    for l, layer in enumerate(params.layers):
-        cell_window = cells.new_cache(config.cell, (steps, batch), n, n, dtype, empty)
+def _window_buffers(params, config, backward, horizon, batch, empty):
+    """Activation buffers allocated with `empty`: a cell cache and a mogrifier
+    cache of (L, T, B, .) arrays, whose ladder tops are the two halves of the
+    cell's input, and the (T, B, n) input of the output layer.  Without a
+    backward pass the caches hold one step, (L, 1, B, .), reused at every
+    tick."""
+    n, dtype = config.state_size, config.np_dtype
+    shape = (config.layers, horizon if backward else 1, batch)
+    cell_window = cells.new_cache(config.cell, shape, n, n, dtype, empty)
+    cell_window.capped = config.cap_input_gate
+    tops = (cell_window.xh[..., :n], cell_window.xh[..., n:])
+    mog_window = mogrifier.new_cache(params.layers[0].mog, shape, n, n, dtype, tops, empty)
+    return cell_window, mog_window, empty((horizon, batch, n), dtype)
+
+
+def _layer_stack(params: ModelParams) -> LayerParams:
+    """The layers' parameters as one LayerParams whose arrays have a leading
+    layer axis: zero-copy views of params.vector, in which the layers are
+    equal blocks one after the other, after e_in and b_out."""
+    first, count = params.layers[0], len(params.layers)
+    start = params.e_in.size + params.b_out.size
+    size = sum(arr.size for _, arr in named_arrays(first))
+    return stacked_views(first, params.vector[start : start + count * size], count)
+
+
+def _skewed(a, layers=None):
+    """An (L, T, ...) array viewed as (L, T + L - 1, ...) with [l, k] = a[l, k - l]:
+    row l shifted right by l, as the wavefront runs; with `layers`, a (T, ...)
+    array of the steps is read as the same for each layer.  Only the entries
+    with 0 <= k - l < T are a's, and only they may be read or written."""
+    if layers is not None:
+        a = np.broadcast_to(a, (layers, *a.shape))
+    layers, steps = a.shape[:2]
+    shape = (layers, steps + layers - 1, *a.shape[2:])
+    strides = (a.strides[0] - a.strides[1], *a.strides[1:])
+    return np.lib.stride_tricks.as_strided(a, shape, strides)
+
+
+def _run_steps(params, config, inputs, masks, c, h, cell_window, mog_window, outputs):
+    """forward_window's time loop, a layer wavefront.  Layer l's step t needs
+    layer l - 1's step t and its own step t - 1, so at tick k layer l runs its
+    step k - l, and the layers in range, lo to hi, run as one step on
+    (hi - lo + 1, B, .) arrays: one call of the mogrifier and one of the cell.
+    Tick k fills [lo:hi + 1, k] of the skewed window buffers, or [lo:hi + 1, 0]
+    of one step's, and, when the top layer runs, outputs[k - L + 1].  c and h,
+    (L, B, n), hold the layers' states and are updated in place.
+
+    Every sum keeps the order of a layer-by-layer loop: sums[l] holds the
+    masked outputs of layers 0 to l of layer l's last step, added left to
+    right, which is the input of layer l + 1 at the next tick."""
+    layers, horizon = config.layers, outputs.shape[0]
+    skew = cell_window.c.shape[1] > 1  # window buffers, not one step's
+    if skew:
+        cell_window, mog_window = map_arrays(cell_window, _skewed), map_arrays(mog_window, _skewed)
+    stack = _layer_stack(params)
+    ids, m_in = inputs.T, masks.m_in
+    m_cell = None if masks.m_cell is None else _skewed(masks.m_cell)
+    # [l, k]: the token ids and input masks of the step that layer l runs at tick k
+    ids_at, m_in_at = _skewed(ids, layers), None if m_in is None else _skewed(m_in, layers)
+    sums, spare = np.empty((2, *c.shape), outputs.dtype)
+    ticks = {}  # (lo, hi, position) -> the parameters, state mask and caches of a tick
+    for k in range(horizon + layers - 1):
+        lo, hi = max(0, k - horizon + 1), min(layers - 1, k)
+        rows, above = slice(lo, hi + 1), max(lo, 1)  # layers above 0 read sums
+        key = (lo, hi, k if skew else 0)
+        if key not in ticks:
+            ticks[key] = (
+                stack if hi - lo + 1 == layers else map_arrays(stack, lambda a: a[rows]),
+                None if masks.m_state is None else masks.m_state[rows],
+                mog_window.at((rows, key[2])),
+                cell_window.at((rows, key[2])),
+            )
+        part, m_state, mog_t, cell_t = ticks[key]
+
+        x_in = mog_t.x_ladder[0]  # written here; the mogrifier then starts from it
+        if lo == 0:
+            np.take(params.e_in, ids[k], axis=0, out=x_in[0])
+            if m_in is not None:
+                x_in[0] *= m_in[k]
+        if above <= hi and config.residual_includes_embedding:
+            x0 = params.e_in[ids_at[above : hi + 1, k]]
+            if m_in is not None:
+                x0 *= m_in_at[above : hi + 1, k]
+            np.add(sums[above - 1 : hi], x0, out=x_in[above - lo :])
+        elif above <= hi:
+            x_in[above - lo :] = sums[above - 1 : hi]
+        h_in = h[rows] if m_state is None else h[rows] * m_state
+        # The mogrifier writes its outputs into the cell's input buffer.
+        mog_h, _, _ = mogrifier.mogrify_forward(part.mog, h_in, x_in, mog_t)
+        entry_state = CellState(c[rows], mog_h)
+        if config.cell == "rlstm":
+            new_state, _ = cells.rlstm_forward(part.cell, entry_state, None, m_state, cell_t)
+        else:
+            new_state, _ = cells.lstm_forward(
+                part.cell, entry_state, None, config.cap_input_gate, cell_t
+            )
+        c[rows] = new_state.c
+        h[rows] = new_state.h
+        xhat = new_state.h if m_cell is None else new_state.h * m_cell[rows, k]
+        if lo == 0:
+            spare[0] = xhat[0]
+        if above <= hi:
+            np.add(sums[above - 1 : hi], xhat[above - lo :], out=spare[above : hi + 1])
+        sums, spare = spare, sums
+        if hi == layers - 1:
+            t = k - layers + 1
+            if masks.m_out is None:
+                outputs[t] = sums[-1]
+            else:
+                np.multiply(sums[-1], masks.m_out[t], out=outputs[t])
+
+
+def _layer_caches(config, masks, cell_window, mog_window, carried_c, horizon):
+    """The per-layer (T, B, .) windows, [l] of the window buffers, and their
+    per-step views, each cell step given the cell state it started from, as
+    backward_window reads them."""
+    cell_windows, mog_windows = [], []
+    for l in range(config.layers):
+        cell_windows.append(cell_window.at(l))
         if config.cell == "rlstm" and masks.m_state is not None:
-            cell_window.state_mask = masks.m_state[l]
-        tops = (cell_window.xh[..., :n], cell_window.xh[..., n:])
-        cell_windows.append(cell_window)
-        mog_windows.append(
-            mogrifier.new_cache(layer.mog, (steps, batch), n, n, dtype, tops, empty)
-        )
-    return cell_windows, mog_windows, empty((horizon, batch, n), dtype)
-
-
-def _run_steps(params, config, inputs, masks, states, mog_caches, cell_caches, outputs):
-    """forward_window's time loop; step t fills outputs[t] and the views [t % steps]."""
-    steps = len(mog_caches)
-    for t in range(inputs.shape[1]):
-        ids = inputs[:, t]
-        x0 = _masked(params.e_in[ids], masks.m_in, t)
-        mog_t, cell_t = mog_caches[t % steps], cell_caches[t % steps]
-        xhats = []
-        for l, layer in enumerate(params.layers):
-            if l == 0:
-                x_in = x0
-            else:
-                x_in = xhats[0].copy()
-                for xh in xhats[1:]:
-                    x_in += xh
-                if config.residual_includes_embedding:
-                    x_in += x0
-            h_masked_prev = _masked(states[l].h, masks.m_state, l)
-            # The mogrifier writes its outputs into the cell's input buffer.
-            mog_h, _, _ = mogrifier.mogrify_forward(layer.mog, h_masked_prev, x_in, mog_t[l])
-            entry_state = CellState(states[l].c, mog_h)
-            if config.cell == "rlstm":
-                new_state, _ = cells.rlstm_forward(
-                    layer.cell, entry_state, None, cell_t[l].state_mask, cell_t[l]
-                )
-            else:
-                new_state, _ = cells.lstm_forward(
-                    layer.cell, entry_state, None, config.cap_input_gate, cell_t[l]
-                )
-            states[l] = new_state
-            xhats.append(_masked(new_state.h, masks.m_cell, (l, t)))
-        outputs[t] = sum(xhats[1:], xhats[0])
-        if masks.m_out is not None:
-            outputs[t] *= masks.m_out[t]
+            cell_windows[l].state_mask = masks.m_state[l]
+        mog_windows.append(mog_window.at(l))
+    cell_caches = [[window.at(t) for window in cell_windows] for t in range(horizon)]
+    for l, window in enumerate(cell_windows):
+        for t in range(horizon):
+            cell_caches[t][l].c_prev = window.c[t - 1] if t else carried_c[l]
+    mog_caches = [[window.at(t) for window in mog_windows] for t in range(horizon)]
+    return cell_windows, mog_windows, cell_caches, mog_caches
 
 
 def forward_window(
@@ -347,12 +431,12 @@ def forward_window(
 ):
     """Run one BPTT window. Returns (log_probs (B,T,V), cache, final states).
 
-    Activations go into (T, B, .) window buffers, cut from `buffers` when
-    given, so backward_window can form each weight gradient with one gemm
-    over the window.  With backward=False (scoring only) every step reuses
-    one step's buffers and the cache is None; temperature=None then returns
-    the logits in place of the log-probs, for the caller to apply its own
-    temperatures with log_softmax."""
+    Activations go into window buffers, cut from `buffers` when given, whose
+    per-layer (T, B, .) windows let backward_window form each weight gradient
+    with one gemm over the window.  With backward=False (scoring only) every
+    tick reuses one step's buffers and the cache is None; temperature=None
+    then returns the logits in place of the log-probs, for the caller to apply
+    its own temperatures with log_softmax."""
     inputs = np.asarray(inputs)
     batch, horizon = inputs.shape
     if temperature is None and backward:
@@ -363,26 +447,23 @@ def forward_window(
         layer.mog.validate()  # once here; the steps below are given caches and skip it
     if states is None:
         states = zero_states(config, batch)
-    states = [s.copy() for s in states]
+    c, h = np.stack([s.c for s in states]), np.stack([s.h for s in states])
+    carried_c = c.copy() if backward else None
     n = config.state_size
-    steps = horizon if backward else 1
     carver = None
     if buffers is not None:
         size = _Carver()
-        _window_buffers(params, config, masks, steps, horizon, batch, size)
+        _window_buffers(params, config, backward, horizon, batch, size)
         carver = buffers.lend(size.used)
     try:
-        cell_windows, mog_windows, outputs = _window_buffers(
-            params, config, masks, steps, horizon, batch, carver or np.empty
+        cell_window, mog_window, outputs = _window_buffers(
+            params, config, backward, horizon, batch, carver or np.empty
         )
-        # The step views, made once: scoring (steps == 1) reuses one step's.
-        mog_caches = [[window.at(t) for window in mog_windows] for t in range(steps)]
-        cell_caches = [[window.at(t) for window in cell_windows] for t in range(steps)]
         with np.errstate(over="ignore"):  # exp overflow in sigmoid gives the right limit
-            _run_steps(params, config, inputs, masks, states, mog_caches, cell_caches, outputs)
+            _run_steps(params, config, inputs, masks, c, h, cell_window, mog_window, outputs)
         # The steps leave this check to the window: every h flows into outputs
         # (NaN * 0 is NaN), and a non-finite c stays so to the window's end.
-        if not (np.all(np.isfinite(outputs)) and all(np.all(np.isfinite(s.c)) for s in states)):
+        if not (np.all(np.isfinite(outputs)) and np.all(np.isfinite(c))):
             raise DivergenceError("non-finite cell activations")
         # One gemm for the whole window.  At batch 1 its rows are formed one at a
         # time: BLAS picks its kernel by the row count, and a batch-1 token's
@@ -392,7 +473,9 @@ def forward_window(
         if not np.all(np.isfinite(logits)):
             raise DivergenceError("non-finite logits")
         logits = logits.reshape(horizon, batch, -1).transpose(1, 0, 2)
-        final_states = [CellState(s.c.copy(), s.h) for s in states]
+        # The states have the steps' dtype whatever the dtype of the carried-in ones.
+        c, h = c.astype(outputs.dtype, copy=False), h.astype(outputs.dtype, copy=False)
+        final_states = [CellState(c_l, h_l) for c_l, h_l in zip(c, h)]
         if temperature is None:
             return logits, None, final_states
         log_probs = log_softmax(logits, temperature)
@@ -402,6 +485,9 @@ def forward_window(
         raise
     if not backward:
         return log_probs, None, final_states
+    cell_windows, mog_windows, cell_caches, mog_caches = _layer_caches(
+        config, masks, cell_window, mog_window, carried_c, horizon
+    )
     cache = WindowCache(
         inputs=inputs,
         masks=masks,
@@ -499,14 +585,18 @@ def mix_sample_log_probs(sample_log_probs):
     return log_sum_exp(stacked, axis=0) - np.log(stacked.shape[0])
 
 
-def window_loss_with_masks(params, config, batch: WindowBatch, masks, buffers=None):
+def window_loss_with_masks(
+    params, config, batch: WindowBatch, masks, buffers=None, backward: bool = True
+):
     """Multi-sample loss over explicit mask draws.
 
     `masks` holds D draws stacked along the batch axis (D*B rows, as
     sample_masks returns them); a list of per-draw MaskSets is stacked first.
     The D samples run as one forward and one backward pass at batch D*B, so
     gradients flow through all of them.  Carried-out states come from the
-    first sample.  `buffers` (a WindowBuffers) lends the window buffers."""
+    first sample.  `buffers` (a WindowBuffers) lends the window buffers.
+    With backward=False the window runs forward only (as a scoring pass, to
+    the same bits) and the gradients are None."""
     if not isinstance(masks, MaskSet):
         masks = stack_masks(masks)
     bsz, horizon = batch.inputs.shape
@@ -525,8 +615,9 @@ def window_loss_with_masks(params, config, batch: WindowBatch, masks, buffers=No
             for s in states
         ]
     log_probs, cache, final_states = forward_window(
-        params, config, inputs, masks, states, buffers=buffers
+        params, config, inputs, masks, states, buffers=buffers, backward=backward
     )
+    final_states = [CellState(s.c[:bsz].copy(), s.h[:bsz].copy()) for s in final_states]
 
     rows = np.arange(num_samples * bsz)[:, None]
     cols = np.arange(horizon)[None, :]
@@ -535,6 +626,8 @@ def window_loss_with_masks(params, config, batch: WindowBatch, masks, buffers=No
     mixed = mix_sample_log_probs(picked)
     count = bsz * horizon
     loss = -float(np.sum(mixed)) / count
+    if not backward:
+        return loss, None, final_states
 
     # Weight of sample d at each token: p_d / sum_d' p_d'; sums to 1 over d.
     weights = np.exp(picked - log_sum_exp(picked, axis=0)[None, :, :])
@@ -543,7 +636,7 @@ def window_loss_with_masks(params, config, batch: WindowBatch, masks, buffers=No
     grads = backward_window(params, config, cache, grad_lp)
     if buffers is not None:
         buffers.recycle(cache)
-    return loss, grads, [CellState(s.c[:bsz].copy(), s.h[:bsz].copy()) for s in final_states]
+    return loss, grads, final_states
 
 
 def loss_multisample(params, config, batch: WindowBatch, rng: Rng, num_samples: int, buffers=None):

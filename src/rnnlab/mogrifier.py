@@ -6,10 +6,11 @@ matrices may be full or low-rank factored.  The returned pair is the top of
 each ladder, which coincides with indices 2*floor(r/2) for the state and
 2*floor((r+1)/2) - 1 for the input.
 
-As in cells, a forward step writes into a cache of one step or of a window,
-the backward step writes each round's pre-activation gradient over its gate
-values, and `weight_grads` forms the gate-matrix gradients over every row of
-a cache at once.
+As in cells, a forward step also runs a stack of layers as one (gate
+matrices with a leading layer axis, (L, B, .) inputs) and writes into a cache
+of one step or of a window, the backward step writes each round's
+pre-activation gradient over its gate values, and `weight_grads` forms the
+gate-matrix gradients over every row of a cache at once.
 """
 
 from __future__ import annotations
@@ -83,8 +84,8 @@ def new_cache(
 
 def _apply_gate_matrix(w, vec):
     if isinstance(w, LowRank):
-        return gemm(gemm(vec, w.v.T), w.u.T)
-    return gemm(vec, w.T)
+        return gemm(gemm(vec, w.v.mT), w.u.mT)
+    return gemm(vec, w.mT)
 
 
 def mogrify_forward(p: MogrifierParams, h: np.ndarray, x: np.ndarray, cache=None):
@@ -102,15 +103,17 @@ def mogrify_forward(p: MogrifierParams, h: np.ndarray, x: np.ndarray, cache=None
     xs, hs = cache.x_ladder, cache.h_ladder
     for index in range(1, p.rounds + 1):
         k = index // 2
-        gate = cache.gates[index - 1]
-        if index % 2 == 1:
-            sigmoid(_apply_gate_matrix(p.x_gates[k], hs[k]), out=gate)
-            gate *= 2.0
-            np.multiply(gate, xs[k], out=xs[k + 1])
-        else:
-            sigmoid(_apply_gate_matrix(p.h_gates[k - 1], xs[k]), out=gate)
-            gate *= 2.0
-            np.multiply(gate, hs[k - 1], out=hs[k])
+        odd = index % 2 == 1
+        w, gated_by = (p.x_gates[k], hs[k]) if odd else (p.h_gates[k - 1], xs[k])
+        scaled, out = (xs[k], xs[k + 1]) if odd else (hs[k - 1], hs[k])
+        # The gate is formed in an array of its own and then stored: elementwise
+        # work on the cache's views costs more where they are strided (stacked
+        # layers of a window).
+        gate = _apply_gate_matrix(w, gated_by)
+        sigmoid(gate, out=gate)
+        gate *= 2.0
+        cache.gates[index - 1][...] = gate
+        np.multiply(gate, scaled, out=out)
     return hs[-1], xs[-1], cache
 
 

@@ -33,26 +33,33 @@ def fast_gemm_enabled() -> bool:
 
 
 def gemm(a, b, rowwise=False):
-    """Matrix product with a fixed summation order.
+    """Matrix product with a fixed summation order: of two matrices, or of
+    two stacks of them, 3-D operands whose equal leading axis pairs the
+    products (the layers of a wavefront step).
 
     The default path accumulates over the inner dimension sequentially
     (outer-product updates), which is bitwise identical to the classic
     i-j-k triple loop in IEEE double precision; each row of the result is
-    then independent of the other rows.  The BLAS path picks its kernels by
-    the shape, so a row's bits can depend on how many rows come with it;
-    `rowwise` makes it form each row as a product of its own (still one call).
+    then independent of the other rows, and each product of a stack has the
+    bits it has on its own.  The BLAS path picks its kernels by the shape, so
+    a row's bits can depend on how many rows come with it; `rowwise` (for
+    matrices) makes it form each row as a product of its own (still one call).
+    A stack runs as one np.matmul, which forms each product with the kernel
+    of its own shape.
     """
     a = np.asarray(a)
     b = np.asarray(b)
-    if a.ndim != 2 or b.ndim != 2:
-        raise ValueError(f"gemm expects 2-D operands, got {a.ndim}-D and {b.ndim}-D")
-    if a.shape[1] != b.shape[0]:
+    if a.ndim != b.ndim or a.ndim not in (2, 3) or (rowwise and a.ndim != 2):
+        raise ValueError(
+            f"gemm expects two 2-D or two 3-D operands, got {a.ndim}-D and {b.ndim}-D"
+        )
+    if a.shape[:-2] != b.shape[:-2] or a.shape[-1] != b.shape[-2]:
         raise ValueError(f"gemm dimension mismatch: {a.shape} x {b.shape}")
     if _fast_gemm:
         return np.matmul(a[:, None, :], b)[:, 0, :] if rowwise else a @ b
-    out = np.zeros((a.shape[0], b.shape[1]), dtype=np.result_type(a, b))
-    for k in range(a.shape[1]):
-        out += a[:, k : k + 1] * b[k : k + 1, :]
+    out = np.zeros((*a.shape[:-1], b.shape[-1]), dtype=np.result_type(a, b))
+    for k in range(a.shape[-1]):
+        out += a[..., k : k + 1] * b[..., k : k + 1, :]
     return out
 
 

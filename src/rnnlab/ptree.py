@@ -72,6 +72,22 @@ def views(obj, vector: np.ndarray):
     return map_arrays(obj, lambda arr: next(stretches).reshape(arr.shape))
 
 
+def stacked_views(obj, vector: np.ndarray, count: int):
+    """Rebuild the structure with each array leaf replaced by a (count, *shape)
+    view of `vector`, a contiguous run of `count` equal blocks, each holding
+    the leaves in canonical order: leaf [i] views block i.  Only the leaves'
+    shapes are read."""
+    sizes = [arr.size for _, arr in named_arrays(obj)]
+    blocks = vector.reshape(count, sum(sizes))
+    starts = iter(np.cumsum([0, *sizes[:-1]]))
+
+    def stacked(arr):
+        start = next(starts)
+        return blocks[:, start : start + arr.size].reshape(count, *arr.shape)
+
+    return map_arrays(obj, stacked)
+
+
 def accumulate(dst, src, scale=1.0):
     """In-place dst += scale * src over matching tree structures."""
     for (path_d, arr_d), (path_s, arr_s) in zip(

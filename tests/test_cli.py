@@ -397,6 +397,52 @@ class TestBadSettings:
         assert err.count("\n") == 1
 
 
+class TestBadFiles:
+    """A path that names a directory where a file belongs, or a vocabulary
+    sidecar that does not read back, ends in one line and exit 1."""
+
+    @pytest.mark.parametrize(
+        "command, key",
+        [
+            ("evaluate", "checkpoint_path"),
+            ("evaluate", "metrics_path"),
+            ("train", "metrics_path"),
+            ("evaluate", "temperature_file"),
+            ("tune-temperature", "temperature_file"),
+        ],
+    )
+    def test_directory_for_a_file(self, trained_run, tmp_path, capsys, command, key):
+        run_dir = tmp_path if command == "train" else trained_run["root"]
+        directory = tmp_path / "a_directory"
+        directory.mkdir()
+        config = write_config(
+            tmp_path / "dir.cfg", trained_run["corpus"], run_dir, **{key: directory}
+        )
+        assert cli.main([command, "--config", str(config)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("file error:") and str(directory) in err
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "content, message",
+        [
+            (b"a\n\xff\n", "line 2 is not one escaped ASCII symbol"),
+            (b"a\nb\\\n", "line 2 is not one escaped ASCII symbol"),
+            (b"a\nb\na\n", "line 3 repeats line 1"),
+        ],
+    )
+    def test_corrupt_vocabulary(self, trained_run, tmp_path, capsys, content, message):
+        vocab = tmp_path / "model.vocab"
+        vocab.write_bytes(content)
+        config = write_config(
+            tmp_path / "vocab.cfg", trained_run["corpus"], trained_run["root"], vocab_path=vocab
+        )
+        assert cli.main(["evaluate", "--config", str(config)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: vocabulary file {vocab} {message}")
+        assert err.count("\n") == 1
+
+
 class TestOneRefusal:
     """The whole config is checked where it is loaded, so every command
     refuses a bad value of each checked section with the same line, before

@@ -99,7 +99,26 @@ class TestEncodeDecode:
         assert encode(vocab, "ab").dtype == np.int64
 
 
+NOT_ONE_SYMBOL = "is not one escaped ASCII symbol"
+
+
 class TestVocabFile:
+    @pytest.mark.parametrize(
+        "content, message",
+        [
+            (b"a\nb\xe9\nc\n", f"line 2 {NOT_ONE_SYMBOL} (ordinal not in range(128))"),
+            (b"a\nb\\\n", f"line 2 {NOT_ONE_SYMBOL} (\\ at end of string)"),
+            (b"a\nb\na\n", "line 3 repeats line 1"),
+            (b"a\n\\x61\n", "line 2 repeats line 1"),
+        ],
+    )
+    def test_corrupt_file_is_a_data_error(self, tmp_path, content, message):
+        path = tmp_path / "vocab.txt"
+        path.write_bytes(content)
+        with pytest.raises(data.DataError) as raised:
+            Vocab.load(path, "byte")
+        assert str(raised.value) == f"vocabulary file {path} {message}"
+
     def test_round_trip_with_escapes(self, tmp_path):
         text = "tab\there\nnew line\n"
         vocab = build_vocab(text, "char")

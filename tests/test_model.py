@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
-from rnnlab import cells, evaluation, model, mogrifier, numerics, ptree
+from rnnlab import cells, evaluation, gradcheck, model, mogrifier, numerics, ptree
 from rnnlab.cells import CellState
 from rnnlab.model import ModelConfig, WindowBatch
 from rnnlab.numerics import DivergenceError, Rng, max_relative_error
@@ -333,6 +333,31 @@ class TestMultiSample:
         batch = WindowBatch(np.zeros((1, 1), np.int64), np.zeros((1, 1), np.int64))
         with pytest.raises(ValueError):
             model.loss_multisample(params, config, batch, Rng(0), 0)
+
+
+class TestForwardOnlyLoss:
+    """The gradient checks difference the loss of a forward-only window; it
+    must be the training window's loss to the bit."""
+
+    @pytest.mark.parametrize(
+        "instance", [instance for _, instance in gradcheck.MODEL_CHECKS],
+        ids=[name for name, _ in gradcheck.MODEL_CHECKS],
+    )
+    @pytest.mark.parametrize("fast", [False, True])
+    def test_equals_the_training_loss_on_every_model_check(self, instance, fast):
+        numerics.set_fast_gemm(fast)
+        params, config, window, masks = gradcheck.model_instance(**instance)
+        for index in (None, 0, params.vector.size // 2, params.vector.size - 1):
+            if index is not None:
+                params.vector[index] += 1e-5  # as the finite differences perturb it
+            loss, grads, states = model.window_loss_with_masks(params, config, window, masks)
+            alone, none, alone_states = model.window_loss_with_masks(
+                params, config, window, masks, backward=False
+            )
+            assert none is None and grads is not None
+            assert repr(alone) == repr(loss)
+            for a, b in zip(alone_states, states, strict=True):
+                assert a.c.tobytes() == b.c.tobytes() and a.h.tobytes() == b.h.tobytes()
 
 
 def sequential_multisample(params, config, batch, mask_sets):
@@ -1191,3 +1216,178 @@ class TestLeanStep:
         with pytest.raises(DivergenceError):
             model.forward_window(poisoned_params(config), config, inputs, masks, buffers=buffers)
         assert np.shares_memory(buffers.lend(block.size).block, block)
+
+
+# --- Reference: the layer-by-layer loop ---------------------------------------
+# The window loop that the wavefront replaced: each step runs the layers one
+# after the other, each layer on (T, B, .) window buffers of its own.  The
+# wavefront must give its bits: log-probs, final states and, through
+# backward_window, which reads the per-layer windows, the gradient vector.
+
+
+def layerwise_forward(params, config, inputs, masks, states=None):
+    """(log_probs, cache, final states) of the layer-by-layer loop."""
+    batch, horizon = inputs.shape
+    n, dtype = config.state_size, config.np_dtype
+    states = [s.copy() for s in (states or model.zero_states(config, batch))]
+    masked = model._masked
+    cell_windows, mog_windows = [], []
+    for l, layer in enumerate(params.layers):
+        window = cells.new_cache(config.cell, (horizon, batch), n, n, dtype)
+        window.capped = config.cap_input_gate
+        if config.cell == "rlstm" and masks.m_state is not None:
+            window.state_mask = masks.m_state[l]
+        tops = (window.xh[..., :n], window.xh[..., n:])
+        cell_windows.append(window)
+        mog_windows.append(mogrifier.new_cache(layer.mog, (horizon, batch), n, n, dtype, tops))
+    cell_caches = [[w.at(t) for w in cell_windows] for t in range(horizon)]
+    mog_caches = [[w.at(t) for w in mog_windows] for t in range(horizon)]
+    outputs = np.empty((horizon, batch, n), dtype)
+    with np.errstate(over="ignore"):
+        for t in range(horizon):
+            x0 = masked(params.e_in[inputs[:, t]], masks.m_in, t)
+            xhats = []
+            for l, layer in enumerate(params.layers):
+                if l == 0:
+                    x_in = x0
+                else:
+                    x_in = xhats[0].copy()
+                    for xhat in xhats[1:]:
+                        x_in += xhat
+                    if config.residual_includes_embedding:
+                        x_in += x0
+                h_in = masked(states[l].h, masks.m_state, l)
+                mog_h, _, _ = mogrifier.mogrify_forward(layer.mog, h_in, x_in, mog_caches[t][l])
+                entry, step = CellState(states[l].c, mog_h), cell_caches[t][l]
+                if config.cell == "rlstm":
+                    states[l], _ = cells.rlstm_forward(
+                        layer.cell, entry, None, step.state_mask, step
+                    )
+                else:
+                    states[l], _ = cells.lstm_forward(
+                        layer.cell, entry, None, config.cap_input_gate, step
+                    )
+                xhats.append(masked(states[l].h, masks.m_cell, (l, t)))
+            outputs[t] = sum(xhats[1:], xhats[0])
+            if masks.m_out is not None:
+                outputs[t] *= masks.m_out[t]
+    logits = numerics.gemm(outputs.reshape(-1, n), params.e_out, rowwise=batch == 1)
+    logits += params.b_out
+    log_probs = numerics.log_softmax(logits.reshape(horizon, batch, -1).transpose(1, 0, 2))
+    cache = model.WindowCache(
+        inputs, masks, mog_windows, cell_windows, mog_caches, cell_caches, outputs,
+        np.exp(log_probs), 1.0, None,
+    )
+    return log_probs, cache, states
+
+
+# (batch, dtype, fast gemm, keeps, residual_includes_embedding, carried states):
+# every value of each, over six windows per model shape.
+EVERY_FAMILY = dict(keep_in=0.7, keep_cell=0.6, keep_state=0.8, keep_out=0.7)
+WAVEFRONT_VARIANTS = [
+    (1, "float64", False, {}, False, False),
+    (1, "float32", True, EVERY_FAMILY, True, True),
+    (3, "float64", True, dict(keep_cell=0.7, keep_out=0.8), True, False),
+    (3, "float32", False, dict(keep_in=0.6, keep_state=0.7, input_mask_rows=True), False, True),
+    (32, "float64", False, EVERY_FAMILY, True, True),
+    (32, "float32", True, {}, False, False),
+]
+
+
+class TestWavefront:
+    """The layers of a window run as a wavefront, the layers in range of a tick
+    as one stacked step, with the bits of the layer-by-layer loop."""
+
+    @staticmethod
+    def make_case(cell, rounds, rank, layers, variant, seed):
+        batch, dtype, fast, keeps, embedding, carried = variant
+        numerics.set_fast_gemm(fast)
+        config = tiny_config(
+            cell="rlstm" if cell == "rlstm" else "lstm", cap_input_gate=cell != "lstm_uncapped",
+            layers=layers, state_size=6, vocab_size=7, mogrifier_rounds=rounds,
+            mogrifier_rank=rank, residual_includes_embedding=embedding, tie_embeddings=False,
+            dtype=dtype, **keeps,
+        )
+        rng = Rng(seed)
+        params = model.init_model_params(rng, config)
+        inputs = rng.integers(0, config.vocab_size, (batch, 5))
+        targets = rng.integers(0, config.vocab_size, (batch, 5))
+        states = None
+        if carried:
+            states = [
+                CellState(*(rng.uniform(-1, 1, (batch, 6)).astype(dtype) for _ in "ch"))
+                for _ in range(layers)
+            ]
+        masks = model.sample_masks(rng, config, batch, 5)
+        return config, params, inputs, targets, states, masks
+
+    @staticmethod
+    def assert_same_states(got, want):
+        for a, b in zip(got, want, strict=True):
+            assert a.c.dtype == b.c.dtype and a.h.dtype == b.h.dtype
+            assert a.c.tobytes() == b.c.tobytes() and a.h.tobytes() == b.h.tobytes()
+
+    @pytest.mark.parametrize("cell", ["lstm", "lstm_uncapped", "rlstm"])
+    @pytest.mark.parametrize("rounds, rank", [(0, 0), (3, 0), (4, 0), (3, 2), (4, 2)])
+    @pytest.mark.parametrize("layers", [1, 2, 3])
+    def test_matches_the_layer_by_layer_loop(self, cell, rounds, rank, layers):
+        for index, variant in enumerate(WAVEFRONT_VARIANTS):
+            config, params, inputs, targets, states, masks = self.make_case(
+                cell, rounds, rank, layers, variant, 600 + 10 * layers + index
+            )
+            log_probs, cache, final = model.forward_window(params, config, inputs, masks, states)
+            ref_log_probs, ref_cache, ref_final = layerwise_forward(
+                params, config, inputs, masks, states
+            )
+            assert log_probs.tobytes() == ref_log_probs.tobytes()
+            self.assert_same_states(final, ref_final)
+            _, grad_lp = model.nll_from_log_probs(log_probs, targets)
+            grads = model.backward_window(params, config, cache, grad_lp)
+            ref_grads = model.backward_window(params, config, ref_cache, grad_lp)
+            assert grads.vector.tobytes() == ref_grads.vector.tobytes()
+            scored, _, scored_final = model.forward_window(
+                params, config, inputs, masks, states, backward=False
+            )
+            assert scored.tobytes() == ref_log_probs.tobytes()
+            self.assert_same_states(scored_final, ref_final)
+
+    @pytest.mark.parametrize("backward", [False, True])
+    @pytest.mark.parametrize("layers", [1, 3])
+    def test_one_stacked_step_per_tick(self, monkeypatch, backward, layers):
+        # L layers over T steps make T + L - 1 ticks, each one call of the
+        # mogrifier and one of the cell, in place of L * T of each.
+        calls = {"mogrify_forward": 0, "rlstm_forward": 0}
+        for module, name in ((mogrifier, "mogrify_forward"), (cells, "rlstm_forward")):
+            original = getattr(module, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+        config = tiny_config(layers=layers)
+        params = model.init_model_params(Rng(650), config)
+        inputs = Rng(651).integers(0, config.vocab_size, (2, 7))
+        model.forward_window(params, config, inputs, model.ones_masks(config, 2, 7),
+                             backward=backward)
+        assert calls == {"mogrify_forward": 7 + layers - 1, "rlstm_forward": 7 + layers - 1}
+
+    @pytest.mark.parametrize("cell", ["lstm", "rlstm"])
+    @pytest.mark.parametrize("rank", [0, 3])
+    @pytest.mark.parametrize("layers", [1, 2, 3])
+    def test_layer_stack_views_the_parameter_vector(self, cell, rank, layers):
+        config = tiny_config(cell=cell, layers=layers, mogrifier_rounds=3, mogrifier_rank=rank,
+                             tie_embeddings=False)
+        params = model.init_model_params(Rng(660), config)
+        stack = model._layer_stack(params)
+        stacked = list(ptree.named_arrays(stack))
+        for l, layer in enumerate(params.layers):
+            for (path, arr), (layer_path, layer_arr) in zip(
+                stacked, ptree.named_arrays(layer), strict=True
+            ):
+                assert path == layer_path and arr.shape == (layers, *layer_arr.shape)
+                assert np.shares_memory(arr, params.vector)
+                assert arr[l].tobytes() == layer_arr.tobytes()
+        cell_matrix = stack.cell.w if cell == "lstm" else stack.cell.w_ij
+        (params.layers[-1].cell.w if cell == "lstm" else params.layers[-1].cell.w_ij)[0, 1] = 7.0
+        assert cell_matrix[-1, 0, 1] == 7.0

@@ -64,6 +64,58 @@ class TestGemm:
         assert np.array_equal(gemm(a.T, b), naive_gemm(np.ascontiguousarray(a.T), b))
 
 
+class TestStackedGemm:
+    """A stack of products, 3-D operands on a shared leading axis, gives each
+    product the bits it has as a 2-D gemm of its own.  On the BLAS path that
+    depends on the BLAS build; these tests pin it for the exact operands of a
+    wavefront step: (L, B, .) activations times transposed, strided (L, ., .)
+    views of the parameter vector."""
+
+    @pytest.mark.parametrize("fast", [False, True])
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    @pytest.mark.parametrize("batch", [1, 4, 32])
+    @pytest.mark.parametrize("cell, rank", [("rlstm", 0), ("lstm", 3)])
+    def test_each_product_keeps_its_bits(self, fast, dtype, batch, cell, rank):
+        from rnnlab import model
+
+        numerics.set_fast_gemm(fast)
+        config = model.ModelConfig(
+            layers=3, state_size=64, vocab_size=9, cell=cell, mogrifier_rounds=4,
+            mogrifier_rank=rank, dtype=dtype,
+        )
+        params = model.init_model_params(Rng(14), config)
+        stack = model._layer_stack(params)
+        matrices = [stack.cell.w if cell == "lstm" else stack.cell.w_f]
+        for gate in stack.mog.x_gates + stack.mog.h_gates:
+            matrices += [gate.u, gate.v] if rank else [gate]
+        rng = Rng(15)
+        for w in matrices:
+            layers, rows, cols = w.shape
+            assert not w.mT.flags.c_contiguous and np.shares_memory(w, params.vector)
+            # A tick's view of (L, positions, B, .) window buffers.
+            x = rng.uniform(-1, 1, (layers, 2, batch, cols)).astype(dtype)[:, 1]
+            got = gemm(x, w.mT)
+            for l in range(layers):
+                want = gemm(x[l], np.ascontiguousarray(w[l]).T)
+                assert got[l].dtype == want.dtype and got[l].tobytes() == want.tobytes()
+
+    def test_exact_path_matches_the_triple_loop(self):
+        rng = Rng(16)
+        a = rng.uniform(-2, 2, (3, 4, 5))
+        b = rng.uniform(-2, 2, (3, 5, 2))
+        got = gemm(a, b)
+        for l in range(3):
+            assert np.array_equal(got[l], naive_gemm(a[l], b[l]))
+
+    def test_rejects_unpaired_stacks(self):
+        with pytest.raises(ValueError, match="mismatch"):
+            gemm(np.zeros((2, 3, 4)), np.zeros((3, 4, 2)))
+        with pytest.raises(ValueError, match="2-D or two 3-D"):
+            gemm(np.zeros((2, 3, 4)), np.zeros((4, 2)))
+        with pytest.raises(ValueError, match="2-D or two 3-D"):
+            gemm(np.zeros((2, 3, 4)), np.zeros((2, 4, 2)), rowwise=True)
+
+
 class TestActivations:
     @pytest.mark.parametrize(
         "x", [np.linspace(-10, 10, 41), 0.3, 3, [0.3, -2.0], np.float32(0.3)],

@@ -128,3 +128,16 @@ class TestViews:
         assert [path for path, _ in ptree.named_arrays(owner)] == ["inner.w", "inner.b"]
         assert ptree.flatten(owner).tolist() == vector.tolist()
         assert ptree.map_arrays(owner, np.zeros_like).vector is None
+
+    def test_stacked_views_pair_equal_blocks(self):
+        # Three trees of Inner's layout one after the other: leaf [i] views
+        # tree i's stretch, without a copy.
+        vector = np.arange(18.0)
+        stacked = ptree.stacked_views(Inner(w=np.empty((2, 2)), b=np.empty(2)), vector, 3)
+        assert stacked.w.shape == (3, 2, 2) and stacked.b.shape == (3, 2)
+        assert np.shares_memory(stacked.w, vector) and np.shares_memory(stacked.b, vector)
+        for i in range(3):
+            tree = ptree.views(Inner(w=np.empty((2, 2)), b=np.empty(2)), vector[6 * i : 6 * i + 6])
+            assert np.array_equal(stacked.w[i], tree.w) and np.array_equal(stacked.b[i], tree.b)
+        with pytest.raises(ValueError):
+            ptree.stacked_views(Inner(w=np.empty((2, 2)), b=np.empty(2)), vector, 2)
