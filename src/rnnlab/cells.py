@@ -147,13 +147,15 @@ def lstm_forward(p: LstmParams, state: CellState, x, cap_input_gate: bool = True
     x = None says that cache.xh holds [x, state.h] already."""
     own_cache = cache is None
     cache = _step_cache("lstm", p, state, x, cache)
-    i, j, f, o = _blocks(cache.gates, 4)
+    # As in rlstm_forward, the gates are formed in the gemm output, an array
+    # of their own, and written to the cache once.
     pre = gemm(cache.xh, p.w.mT) + p.b[..., None, :]
-    sigmoid(pre, out=cache.gates)
-    np.tanh(_blocks(pre, 4)[1], out=j)
+    j = np.tanh(_blocks(pre, 4)[1])
+    i, _, f, o = _blocks(sigmoid(pre, out=pre), 4)
     g = np.minimum(i, 1.0 - f) if cap_input_gate else i
     c = np.multiply(f, state.c, out=cache.c)
     c += g * j
+    np.concatenate((i, j, f, o), axis=-1, out=cache.gates)
     cache.capped = cap_input_gate
     new_state = CellState(c, o * np.tanh(c, out=cache.tanh_c))
     return (_finite(new_state) if own_cache else new_state), cache

@@ -1,4 +1,5 @@
-"""Versioned binary checkpoints with bit-exact round-trips.
+"""The file format of a training.Checkpoint: versioned binary checkpoints
+with bit-exact round-trips.
 
 Layout:
   bytes 0-3   magic "RNLB"
@@ -6,8 +7,8 @@ Layout:
   bytes 8-15  header length H, unsigned 64-bit little-endian
   H bytes     canonical JSON header (sorted keys, no whitespace): model
               config, optimizer scalars, averaging tail bookkeeping, rng
-              state, best validation loss, learning rate, payload sizes,
-              zlib.crc32 of the payload
+              state, best validation loss, learning rate (radam.lr once
+              more), payload sizes, zlib.crc32 of the payload
   rest        little-endian float64 payload: the parameter vector, first
               moment, second moment, long-tail mean, short-tail mean
 
@@ -19,18 +20,17 @@ exactly, so save -> load -> save reproduces the file byte for byte."""
 
 from __future__ import annotations
 
-import copy
+import contextlib
 import dataclasses
 import json
 import os
 import zlib
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import model
-from .model import ModelConfig, ModelParams
-from .training import RAdamState, Tail, TtaState
+from .model import ModelConfig
+from .training import Checkpoint, RAdamState, Tail, TtaState
 
 MAGIC = b"RNLB"
 VERSION = 2
@@ -42,18 +42,6 @@ class CheckpointError(Exception):
 
 class CheckpointVersionError(CheckpointError):
     pass
-
-
-@dataclass
-class Checkpoint:
-    version: int
-    config: ModelConfig
-    params: ModelParams
-    radam: RAdamState
-    tta: TtaState
-    rng_state: dict
-    best_val_nats: float
-    lr: float
 
 
 def _header_dict(ckpt: Checkpoint, param_count: int, payload_crc32: int) -> dict:
@@ -73,13 +61,15 @@ def _header_dict(ckpt: Checkpoint, param_count: int, payload_crc32: int) -> dict
         },
         "rng": ckpt.rng_state,
         "best_val_nats": ckpt.best_val_nats,
-        "lr": ckpt.lr,
+        "lr": ckpt.radam.lr,
         "param_count": param_count,
         "payload_crc32": payload_crc32,
     }
 
 
 def save_checkpoint(path, ckpt: Checkpoint):
+    """Write ckpt to path through a temporary file beside it, which a
+    failed write or rename removes again."""
     count = ckpt.params.vector.size
     for name, vec in (
         ("first moment", ckpt.radam.m),
@@ -96,15 +86,20 @@ def save_checkpoint(path, ckpt: Checkpoint):
     header_bytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
     blob = (
         MAGIC
-        + np.uint32(ckpt.version).tobytes()
+        + np.uint32(VERSION).tobytes()
         + np.uint64(len(header_bytes)).tobytes()
         + header_bytes
         + payload
     )
     tmp = f"{path}.tmp"
-    with open(tmp, "wb") as fh:
-        fh.write(blob)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(blob)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
 
 
 def load_checkpoint(path) -> Checkpoint:
@@ -124,14 +119,14 @@ def load_checkpoint(path) -> Checkpoint:
             f"this build reads version {VERSION}"
         )
     try:
-        return _decode(blob, version)
+        return _decode(blob)
     except CheckpointError as err:
         raise CheckpointError(f"{path}: {err}") from None
     except (ArithmeticError, KeyError, IndexError, TypeError, ValueError) as err:
         raise CheckpointError(f"{path} is corrupt: {type(err).__name__}: {err}") from None
 
 
-def _decode(blob: bytes, version: int) -> Checkpoint:
+def _decode(blob: bytes) -> Checkpoint:
     header_len = int(np.frombuffer(blob[8:16], dtype="<u8")[0])
     if 16 + header_len > len(blob):
         raise CheckpointError(f"header of {header_len} bytes runs past the end of the file")
@@ -165,16 +160,10 @@ def _decode(blob: bytes, version: int) -> Checkpoint:
         short=Tail(short_mean, _field(short, "start", int), _field(short, "count", int)),
         step=_field(t, "step", int),
     )
-    return Checkpoint(
-        version=version,
-        config=config,
-        params=params,
-        radam=radam,
-        tta=tta,
-        rng_state=_field(header, "rng", dict),
-        best_val_nats=_field(header, "best_val_nats", float),
-        lr=_field(header, "lr", float),
-    )
+    rng_state = _field(header, "rng", dict)
+    best_val_nats = _field(header, "best_val_nats", float)
+    _field(header, "lr", float)  # radam.lr once more, for readers of the header
+    return Checkpoint(config, params, radam, tta, rng_state, best_val_nats)
 
 
 def _field(section, key: str, kind: type):
@@ -187,22 +176,3 @@ def _field(section, key: str, kind: type):
         raise CheckpointError(f"header field '{key}' is {value!r}, not {kind.__name__}")
     return value
 
-
-def checkpoint_from_snapshot(
-    config: ModelConfig, snap, beta1=0.9, beta2=0.999, eps=1e-8
-) -> Checkpoint:
-    """Build a Checkpoint from a training best-state snapshot (copying it)."""
-    radam = RAdamState(
-        m=snap.m.copy(), v=snap.v.copy(), step=snap.opt_step, lr=snap.lr,
-        beta1=beta1, beta2=beta2, eps=eps,
-    )
-    return Checkpoint(
-        version=VERSION,
-        config=config,
-        params=model.empty_model_params(config, snap.params_flat.copy()),
-        radam=radam,
-        tta=copy.deepcopy(snap.tta),
-        rng_state=snap.rng_state,
-        best_val_nats=snap.val_nats,
-        lr=snap.lr,
-    )

@@ -36,29 +36,37 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+# The flags besides --config that each subcommand reads, and their settings.
+FLAGS = {
+    "train": ("--checkpoint", "--seed", "--csv-out"),
+    "evaluate": ("--checkpoint", "--csv-out"),
+    "dyneval": ("--checkpoint", "--csv-out"),
+    "tune-temperature": ("--checkpoint",),
+    "gradcheck": (),
+}
+FLAG_SETTINGS = {
+    "--checkpoint": {"help": "checkpoint path (overrides config)"},
+    "--seed": {"type": int, "help": "seed override"},
+    "--csv-out": {"help": "also export results as CSV"},
+}
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="rnnlab", description="recurrent language model laboratory")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, needs_config in (
-        ("train", True),
-        ("evaluate", True),
-        ("dyneval", True),
-        ("tune-temperature", True),
-        ("gradcheck", False),
-    ):
+    for name, flags in FLAGS.items():
         cmd = sub.add_parser(name)
-        cmd.add_argument("--config", required=needs_config, help="key = value config file")
-        cmd.add_argument("--checkpoint", help="checkpoint path (overrides config)")
-        cmd.add_argument("--seed", type=int, help="seed override")
-        cmd.add_argument("--csv-out", help="also export results as CSV")
+        cmd.add_argument("--config", required=name != "gradcheck", help="key = value config file")
+        for flag in flags:
+            cmd.add_argument(flag, **FLAG_SETTINGS[flag])
     return parser
 
 
 def _load_run_config(args) -> RunConfig:
     cfg = config_mod.load_config(args.config)
-    if args.seed is not None:
+    if getattr(args, "seed", None) is not None:
         cfg.seed = args.seed
-    if args.checkpoint is not None:
+    if getattr(args, "checkpoint", None) is not None:
         cfg.checkpoint_path = args.checkpoint
     numerics.set_fast_gemm(cfg.fast_gemm)
     return cfg
@@ -142,12 +150,9 @@ def cmd_train(args) -> int:
         )
 
     vocab.save(_vocab_file(cfg))
-    best = ckpt_mod.checkpoint_from_snapshot(
-        model_config, result.best, opts.beta1, opts.beta2, opts.eps
-    )
-    ckpt_mod.save_checkpoint(cfg.checkpoint_path, best)
+    ckpt_mod.save_checkpoint(cfg.checkpoint_path, result.best)
     tta_ckpt = dataclasses.replace(
-        best,
+        result.best,
         params=model.empty_model_params(model_config, result.tta_average),
         best_val_nats=result.tta_val_nats,
     )

@@ -1,17 +1,24 @@
 """Optimization stack: Rectified Adam, Two-Tailed weight Averaging, gradient
 clipping, and a training loop with divergence restarts (restore the best
-checkpoint, multiply the learning rate by 0.9).
+state, multiply the learning rate by 0.9).
 
 The model's arrays are views into one parameter vector and its gradients
 views into one gradient vector, both in the canonical order of ptree and in
-the model's dtype.  The optimizer, the averager, the clipping and the
-best-state snapshot work on those vectors directly; the optimizer moments
-and the averaging tails are float64.
+the model's dtype.  The optimizer, the averager and the clipping work on
+those vectors directly; the optimizer moments and the averaging tails are
+float64.
+
+A Checkpoint is the whole training state: the parameters, the optimizer
+state, the tails, the rng state and the best validation loss.  `train`
+keeps its best state in one, `rnnlab train` saves that record unchanged
+(checkpoint.py holds the file format) and `copy_checkpoint` is the one
+place it is copied.
 """
 
 from __future__ import annotations
 
 import copy
+import dataclasses
 import time
 from dataclasses import dataclass
 
@@ -41,17 +48,61 @@ def clip_global_norm(g, max_norm: float) -> float:
 
 
 @dataclass
+class TrainOptions:
+    lr: float = 3e-3
+    beta1: float = 0.9
+    beta2: float = 0.999
+    eps: float = 1e-8
+    clip_norm: float = 10.0
+    divergence_factor: float = 3.0
+    lr_decay_on_restart: float = 0.9
+    max_restarts: int = 20
+    epochs: int = 1
+    batch_size: int = 32
+    window: int = 128
+    val_interval: int = 0  # steps between validations; 0 = at each epoch end
+    patience: int = 0  # validations without improvement before stopping; 0 = off
+    target_val_nats: float = 0.0  # stop once validation reaches this; 0 = off
+    max_train_seconds: float = 0.0  # wall-clock budget; 0 = off
+    val_batch_size: int = 16
+    val_window: int = 128
+
+    def validate(self):
+        """self, unless a value is out of range; NaN fails every check."""
+        for name in ("lr", "eps", "lr_decay_on_restart"):
+            if not 0 < getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)}")
+        for name in ("beta1", "beta2"):
+            if not 0.0 <= getattr(self, name) < 1.0:
+                raise ValueError(f"{name} must be in [0, 1), got {getattr(self, name)}")
+        for name in ("epochs", "batch_size", "window", "val_batch_size", "val_window"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        for name in (
+            "clip_norm", "max_restarts", "val_interval", "patience", "target_val_nats",
+            "max_train_seconds",
+        ):
+            if not getattr(self, name) >= 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
+        if not 1.0 < self.divergence_factor:
+            raise ValueError(f"divergence_factor must exceed 1, got {self.divergence_factor}")
+        return self
+
+
+@dataclass
 class RAdamState:
     m: np.ndarray  # flat first moment, canonical parameter order
     v: np.ndarray  # flat second moment
     step: int
     lr: float
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
+    beta1: float
+    beta2: float
+    eps: float
 
 
-def radam_init(theta, lr: float, beta1=0.9, beta2=0.999, eps=1e-8) -> RAdamState:
+def radam_init(
+    theta, lr: float, beta1=TrainOptions.beta1, beta2=TrainOptions.beta2, eps=TrainOptions.eps
+) -> RAdamState:
     size = theta.size
     return RAdamState(np.zeros(size), np.zeros(size), 0, lr, beta1, beta2, eps)
 
@@ -141,7 +192,7 @@ def tta_evaluate_and_swap(state: TtaState, val_loss_fn):
     if loss_short <= loss_long:
         best = state.short.mean.copy()
         best_loss = loss_short
-        state.long = Tail(state.short.mean.copy(), state.short.start, state.short.count)
+        state.long = state.short
         state.short = Tail(np.zeros_like(best), state.step, 0)
     else:
         best = state.long.mean.copy()
@@ -150,65 +201,26 @@ def tta_evaluate_and_swap(state: TtaState, val_loss_fn):
 
 
 @dataclass
-class TrainOptions:
-    lr: float = 3e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    clip_norm: float = 10.0
-    divergence_factor: float = 3.0
-    lr_decay_on_restart: float = 0.9
-    max_restarts: int = 20
-    epochs: int = 1
-    batch_size: int = 32
-    window: int = 128
-    val_interval: int = 0  # steps between validations; 0 = at each epoch end
-    patience: int = 0  # validations without improvement before stopping; 0 = off
-    target_val_nats: float = 0.0  # stop once validation reaches this; 0 = off
-    max_train_seconds: float = 0.0  # wall-clock budget; 0 = off
-    val_batch_size: int = 16
-    val_window: int = 128
+class Checkpoint:
+    """The training state: what a restart restores and a checkpoint file
+    holds.  The parameters are views of a vector of their own."""
 
-    def validate(self):
-        """self, unless a value is out of range; NaN fails every check."""
-        for name in ("lr", "eps", "lr_decay_on_restart"):
-            if not 0 < getattr(self, name) < np.inf:
-                raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)}")
-        for name in ("beta1", "beta2"):
-            if not 0.0 <= getattr(self, name) < 1.0:
-                raise ValueError(f"{name} must be in [0, 1), got {getattr(self, name)}")
-        for name in ("epochs", "batch_size", "window", "val_batch_size", "val_window"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
-        for name in (
-            "clip_norm", "max_restarts", "val_interval", "patience", "target_val_nats",
-            "max_train_seconds",
-        ):
-            if not getattr(self, name) >= 0:
-                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
-        if not 1.0 < self.divergence_factor:
-            raise ValueError(f"divergence_factor must exceed 1, got {self.divergence_factor}")
-        return self
-
-
-@dataclass
-class _Snapshot:
-    """Bitwise copy of everything a restart restores."""
-
-    params_flat: np.ndarray  # the parameter vector
-    m: np.ndarray
-    v: np.ndarray
-    opt_step: int
-    lr: float
+    config: ModelConfig
+    params: model.ModelParams
+    radam: RAdamState
     tta: TtaState
-    val_nats: float
     rng_state: dict
+    best_val_nats: float
 
 
-def _take_snapshot(theta, radam: RAdamState, tta: TtaState, val_nats, rng: Rng) -> _Snapshot:
-    return _Snapshot(
-        theta.copy(), radam.m.copy(), radam.v.copy(), radam.step, radam.lr, copy.deepcopy(tta),
-        val_nats, rng.state(),
+def copy_checkpoint(ckpt: Checkpoint) -> Checkpoint:
+    """A copy of ckpt that shares no array or dict with it."""
+    return dataclasses.replace(
+        ckpt,
+        params=model.empty_model_params(ckpt.config, ckpt.params.vector.copy()),
+        radam=dataclasses.replace(ckpt.radam, m=ckpt.radam.m.copy(), v=ckpt.radam.v.copy()),
+        tta=copy.deepcopy(ckpt.tta),
+        rng_state=copy.deepcopy(ckpt.rng_state),
     )
 
 
@@ -217,7 +229,7 @@ class TrainResult:
     params: model.ModelParams  # live parameters at loop exit
     radam: RAdamState
     tta: TtaState
-    best: _Snapshot  # best-validation snapshot (raw weights)
+    best: Checkpoint  # the state at the best validation (raw weights)
     tta_average: np.ndarray  # best tail mean at the last validation
     best_val_nats: float
     tta_val_nats: float
@@ -259,18 +271,20 @@ def train(
     opts.validate()
     evaluation.require_scorable(valid_stream, opts.val_batch_size, "validation stream")
     params = model.init_model_params(rng, config)
-    theta = params.vector
-    radam = radam_init(theta, opts.lr, opts.beta1, opts.beta2, opts.eps)
-    tta = tta_init(theta)
+    radam = radam_init(params.vector, opts.lr, opts.beta1, opts.beta2, opts.eps)
+    tta = tta_init(params.vector)
 
     rows = data_mod.batchify(np.asarray(train_stream), opts.batch_size)
     windows_per_epoch = data_mod.count_windows(rows.shape[1], opts.window)
     if windows_per_epoch == 0:
         raise ValueError("training stream too short for one window")
 
-    best = _take_snapshot(theta, radam, tta, float("inf"), rng)
+    def snapshot(val_nats) -> Checkpoint:
+        return copy_checkpoint(Checkpoint(config, params, radam, tta, rng.state(), val_nats))
+
+    best = snapshot(float("inf"))
     buffers = model.WindowBuffers()
-    tta_average = theta.astype(np.float64)
+    tta_average = params.vector.astype(np.float64)
     tta_val = float("inf")
     metrics = []
     restarts = 0
@@ -289,14 +303,14 @@ def train(
 
     def restore_from_best():
         """Put the parameters, the optimizer moments and step, and the tails
-        back to the best snapshot and decay the learning rate.  The rng is
-        not rewound: the masks after a restart are fresh draws, so the run
-        does not replay the draws that led it to diverge."""
-        nonlocal tta
-        theta[...] = best.params_flat
-        radam.m, radam.v, radam.step = best.m.copy(), best.v.copy(), best.opt_step
-        radam.lr *= opts.lr_decay_on_restart
-        tta = copy.deepcopy(best.tta)
+        back to a copy of the best state and decay the learning rate from
+        its current value.  The rng is not rewound: the masks after a
+        restart are fresh draws, so the run does not replay the draws that
+        led it to diverge."""
+        nonlocal params, radam, tta
+        restored = copy_checkpoint(best)
+        params, tta = restored.params, restored.tta
+        radam = dataclasses.replace(restored.radam, lr=radam.lr * opts.lr_decay_on_restart)
 
     def tail_loss(mean) -> float:
         return _validation_nats(model.empty_model_params(config, mean), config, valid_stream, opts)
@@ -307,9 +321,9 @@ def train(
         val_nats = _validation_nats(params, config, valid_stream, opts)
         if tta.short.count > 0:
             tta_average, tta_val, _ = tta_evaluate_and_swap(tta, tail_loss)
-        improved = val_nats < best.val_nats
+        improved = val_nats < best.best_val_nats
         if improved:
-            best = _take_snapshot(theta, radam, tta, val_nats, rng)
+            best = snapshot(val_nats)
         train_nats = loss_sum / max(loss_count, 1)
         loss_sum = 0.0
         loss_count = 0
@@ -348,14 +362,14 @@ def train(
                 diverged = f"non-finite loss at step {step}"
             if (
                 diverged is None
-                and np.isfinite(best.val_nats)
-                and loss > opts.divergence_factor * best.val_nats
+                and np.isfinite(best.best_val_nats)
+                and loss > opts.divergence_factor * best.best_val_nats
             ):
                 diverged = f"loss {loss:.6g} above {opts.divergence_factor} x best validation"
             if diverged is None and grads is not None:
                 clip_global_norm(grads, opts.clip_norm)
                 try:
-                    radam_step(radam, theta, grads.vector)
+                    radam_step(radam, params.vector, grads.vector)
                 except DivergenceError as err:
                     diverged = str(err)
             if diverged is not None:
@@ -372,7 +386,7 @@ def train(
                     f"lr={radam.lr!r} restarts={restarts}"
                 )
                 continue
-            tta_update(tta, theta)
+            tta_update(tta, params.vector)
             states = new_states
             loss_sum += loss
             loss_count += 1
@@ -392,7 +406,7 @@ def train(
 
     if loss_count > 0 and (opts.val_interval > 0 or stop_reason != "completed"):
         # The loop ended between validations; run a final one so the best
-        # snapshot and the metrics log reflect the end of training.
+        # state and the metrics log reflect the end of training.
         stopped = validate(epoch)
         if stop_reason == "completed" and stopped:
             stop_reason = "early_stop"
@@ -403,7 +417,7 @@ def train(
         tta=tta,
         best=best,
         tta_average=tta_average,
-        best_val_nats=best.val_nats,
+        best_val_nats=best.best_val_nats,
         tta_val_nats=tta_val,
         metrics_lines=metrics,
         restarts=restarts,

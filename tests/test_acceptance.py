@@ -301,10 +301,10 @@ def test_06_divergence_restart(capsys):
         loss_hook=lambda step, loss: float("nan") if step == 7 else loss,
     )
     best = result.best
-    params_ok = np.array_equal(flatten(result.params), best.params_flat)
-    m_ok = np.array_equal(result.radam.m, best.m)
-    v_ok = np.array_equal(result.radam.v, best.v)
-    step_ok = result.radam.step == best.opt_step
+    params_ok = np.array_equal(flatten(result.params), best.params.vector)
+    m_ok = np.array_equal(result.radam.m, best.radam.m)
+    v_ok = np.array_equal(result.radam.v, best.radam.v)
+    step_ok = result.radam.step == best.radam.step
     lr_ok = result.radam.lr == lr0 * 0.9
     ok = result.restarts == 1 and params_ok and m_ok and v_ok and step_ok and lr_ok
     announce(

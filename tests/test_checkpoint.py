@@ -19,8 +19,8 @@ from rnnlab.checkpoint import (
 )
 from rnnlab.model import ModelConfig
 from rnnlab.numerics import Rng
-from rnnlab.ptree import flatten
-from rnnlab.training import RAdamState, Tail, TtaState, radam_init, tta_init
+from rnnlab.ptree import flatten, named_arrays
+from rnnlab.training import RAdamState, Tail, TtaState, copy_checkpoint
 
 
 def make_checkpoint(seed=600, **config_overrides):
@@ -45,14 +45,12 @@ def make_checkpoint(seed=600, **config_overrides):
         step=103,
     )
     return Checkpoint(
-        version=ckpt_mod.VERSION,
         config=config,
         params=params,
         radam=radam,
         tta=tta,
         rng_state=rng.state(),
         best_val_nats=1.2345678901234567,
-        lr=2.5e-3,
     )
 
 
@@ -115,10 +113,10 @@ class TestRoundTrip:
 
 class TestErrors:
     def test_version_mismatch_names_both_versions(self, tmp_path):
-        ckpt = make_checkpoint()
-        ckpt.version = ckpt_mod.VERSION + 41
         path = tmp_path / "v.ckpt"
-        save_checkpoint(path, ckpt)
+        save_checkpoint(path, make_checkpoint())
+        blob = path.read_bytes()
+        path.write_bytes(blob[:4] + np.uint32(ckpt_mod.VERSION + 41).tobytes() + blob[8:])
         with pytest.raises(CheckpointVersionError) as err:
             load_checkpoint(path)
         message = str(err.value)
@@ -170,6 +168,13 @@ class TestErrors:
             save_checkpoint(target, ckpt)
         assert not target.exists()
         assert not (tmp_path / "p.ckpt.tmp").exists()
+
+    def test_failed_rename_removes_the_temporary_file(self, tmp_path):
+        target = tmp_path / "a_directory"
+        target.mkdir()
+        with pytest.raises(OSError):
+            save_checkpoint(target, make_checkpoint())
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a_directory"]
 
 
 class TestLoadMemory:
@@ -272,26 +277,36 @@ class TestCorruptFiles:
             load_checkpoint(path)
 
 
-class TestSnapshotConversion:
-    def test_training_snapshot_becomes_checkpoint(self, tmp_path):
-        config = ModelConfig(layers=1, state_size=4, vocab_size=4)
-        rng = Rng(601)
-        params = model.init_model_params(rng, config)
-        radam = radam_init(params.vector, lr=1e-3)
-        tta = tta_init(params.vector)
-        from rnnlab.training import _take_snapshot
+class TestRecord:
+    def test_copy_shares_nothing_and_saves_the_same_bytes(self, tmp_path):
+        ckpt = make_checkpoint()
+        copied = copy_checkpoint(ckpt)
+        save_checkpoint(tmp_path / "a.ckpt", ckpt)
+        save_checkpoint(tmp_path / "b.ckpt", copied)
+        assert (tmp_path / "a.ckpt").read_bytes() == (tmp_path / "b.ckpt").read_bytes()
+        assert all(np.shares_memory(a, copied.params.vector) for _, a in named_arrays(copied.params))
+        pairs = [
+            (ckpt.params.vector, copied.params.vector),
+            (ckpt.radam.m, copied.radam.m),
+            (ckpt.radam.v, copied.radam.v),
+            (ckpt.tta.long.mean, copied.tta.long.mean),
+            (ckpt.tta.short.mean, copied.tta.short.mean),
+        ]
+        assert not any(np.shares_memory(a, b) for a, b in pairs)
+        copied.rng_state["counter"][0] += 1
+        copied.tta.long.count += 1
+        copied.radam.step += 1
+        save_checkpoint(tmp_path / "c.ckpt", ckpt)
+        assert (tmp_path / "c.ckpt").read_bytes() == (tmp_path / "a.ckpt").read_bytes()
 
-        snap = _take_snapshot(params.vector, radam, tta, 2.5, rng)
-        ckpt = ckpt_mod.checkpoint_from_snapshot(config, snap, beta2=0.99)
-        assert np.array_equal(flatten(ckpt.params), snap.params_flat)
-        assert ckpt.radam.beta2 == 0.99
-        assert ckpt.best_val_nats == 2.5
-        path = tmp_path / "s.ckpt"
+    def test_file_holds_this_version_and_lr_from_the_optimizer(self, tmp_path):
+        ckpt = make_checkpoint()
+        ckpt.radam.lr = 7.5e-4
+        path = tmp_path / "r.ckpt"
         save_checkpoint(path, ckpt)
-        loaded = load_checkpoint(path)
-        assert np.array_equal(flatten(loaded.params), snap.params_flat)
-        # The checkpoint holds copies: changing it leaves the snapshot alone.
-        ckpt.params.vector[0] += 1.0
-        ckpt.tta.long.mean[0] += 1.0
-        assert snap.params_flat[0] != ckpt.params.vector[0]
-        assert snap.tta.long.mean[0] != ckpt.tta.long.mean[0]
+        blob = path.read_bytes()
+        assert int(np.frombuffer(blob[4:8], dtype="<u4")[0]) == ckpt_mod.VERSION
+        header_len = int(np.frombuffer(blob[8:16], dtype="<u8")[0])
+        header = json.loads(blob[16 : 16 + header_len])
+        assert header["lr"] == header["radam"]["lr"] == 7.5e-4
+        assert load_checkpoint(path).radam.lr == 7.5e-4

@@ -3,6 +3,7 @@ import os
 import re
 import shutil
 
+import numpy as np
 import pytest
 
 from rnnlab import checkpoint as ckpt_mod
@@ -68,6 +69,26 @@ class TestUsage:
     def test_train_requires_config(self, capsys):
         assert cli.main(["train"]) == 1
         assert "--config" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command, flag",
+        [
+            ("evaluate", "--seed"),
+            ("dyneval", "--seed"),
+            ("tune-temperature", "--seed"),
+            ("tune-temperature", "--csv-out"),
+            ("gradcheck", "--seed"),
+            ("gradcheck", "--csv-out"),
+            ("gradcheck", "--checkpoint"),
+        ],
+    )
+    def test_flag_the_command_does_not_read(self, tmp_path, capsys, monkeypatch, command, flag):
+        monkeypatch.setattr(cli.gradcheck, "gradient_check_suite", lambda: [])
+        value = "3" if flag == "--seed" else str(tmp_path / "x")
+        assert cli.main([command, "--config", str(tmp_path / "absent.cfg"), flag, value]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"usage error: unrecognized arguments: {flag} {value}\n"
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestGradcheckCommand:
@@ -234,10 +255,9 @@ class TestEvaluateCommand:
         assert "ghost.ckpt" in capsys.readouterr().err
 
     def test_rejects_newer_checkpoint_version(self, trained_run, tmp_path, capsys):
-        ckpt = ckpt_mod.load_checkpoint(trained_run["checkpoint"])
-        ckpt.version = ckpt_mod.VERSION + 1
+        blob = trained_run["checkpoint"].read_bytes()
         newer = tmp_path / "future.ckpt"
-        ckpt_mod.save_checkpoint(newer, ckpt)
+        newer.write_bytes(blob[:4] + np.uint32(ckpt_mod.VERSION + 1).tobytes() + blob[8:])
         shutil.copy(str(trained_run["checkpoint"]) + ".vocab", str(newer) + ".vocab")
         code = cli.main(
             ["evaluate", "--config", str(trained_run["config"]), "--checkpoint", str(newer)]
@@ -409,6 +429,8 @@ class TestBadFiles:
             ("train", "metrics_path"),
             ("evaluate", "temperature_file"),
             ("tune-temperature", "temperature_file"),
+            ("train", "checkpoint_path"),
+            ("train", "tta_checkpoint_path"),
         ],
     )
     def test_directory_for_a_file(self, trained_run, tmp_path, capsys, command, key):
@@ -422,6 +444,7 @@ class TestBadFiles:
         err = capsys.readouterr().err
         assert err.startswith("file error:") and str(directory) in err
         assert err.count("\n") == 1
+        assert not [p.name for p in tmp_path.iterdir() if p.name.endswith(".tmp")]
 
     @pytest.mark.parametrize(
         "content, message",

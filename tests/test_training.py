@@ -351,11 +351,53 @@ class TestTrainLoop:
         assert result.radam.lr == pytest.approx(0.9 * 4e-3, rel=1e-15)
         # Step 7 was the last window, so the parameters at exit are exactly
         # the restored best snapshot.
-        assert np.array_equal(flatten(result.params), result.best.params_flat)
+        assert np.array_equal(flatten(result.params), result.best.params.vector)
         # Re-validating the restored weights reproduces the recorded best.
         final_val = [l for l in result.metrics_lines if " event=val" in l or l.startswith("event=val ")][-1]
         recorded = float(re.search(r"val_nats=(\S+)", final_val).group(1))
         assert recorded == result.best_val_nats
+
+    def test_the_best_state_is_never_aliased(self, monkeypatch):
+        # The step-3 validation records the best state.  Steps 4 and 6
+        # diverge, and the restart at step 6 skips its validation, so both
+        # restarts restore the same record: steps 5 and 7 begin from the same
+        # bytes, though step 5 updated the parameters, moments and tails.
+        step_now = []
+        begun = {}
+        update, fold = training.radam_step, training.tta_update
+
+        def recording_update(state, theta, g):
+            begun[step_now[-1]] = [theta.tobytes(), state.m.tobytes(), state.v.tobytes(), state.step]
+            update(state, theta, g)
+
+        def recording_fold(state, theta):
+            begun[step_now[-1]] += [state.long.mean.tobytes(), state.short.mean.tobytes()]
+            return fold(state, theta)
+
+        def hook(step, loss):
+            step_now.append(step)
+            return float("nan") if step in (4, 6) else loss
+
+        monkeypatch.setattr(training, "radam_step", recording_update)
+        monkeypatch.setattr(training, "tta_update", recording_fold)
+        result = train(
+            tiny_train_config(),
+            tiny_train_opts(epochs=1, val_interval=3),
+            pattern_stream(52),
+            pattern_stream(40),
+            Rng(512),
+            loss_hook=hook,
+        )
+        assert result.restarts == 2
+        assert begun[5] == begun[7] and begun[5] != begun[3]
+
+        best = result.best
+        kept = [a.copy() for a in (best.params.vector, best.radam.m, best.tta.long.mean)]
+        result.params.vector[...] += 1.0
+        result.radam.m[...] += 1.0
+        result.tta.long.mean[...] += 1.0
+        kept_now = (best.params.vector, best.radam.m, best.tta.long.mean)
+        assert all(np.array_equal(a, b) for a, b in zip(kept, kept_now, strict=True))
 
     def test_restart_keeps_drawing_fresh_masks(self):
         # A restart restores the best snapshot (taken at the step-3
@@ -547,9 +589,7 @@ class TestFloat32:
         assert single.radam.m.dtype == single.tta.long.mean.dtype == np.float64
         assert single.best_val_nats == pytest.approx(double.best_val_nats, rel=1e-6)
 
-        config = tiny_train_config(dtype="float32", keep_in=0.9, keep_out=0.9)
-        ckpt = checkpoint.checkpoint_from_snapshot(config, single.best)
-        checkpoint.save_checkpoint(tmp_path / "f32.ckpt", ckpt)
+        checkpoint.save_checkpoint(tmp_path / "f32.ckpt", single.best)
         loaded = checkpoint.load_checkpoint(tmp_path / "f32.ckpt")
         assert loaded.params.vector.dtype == np.float32
-        assert loaded.params.vector.tobytes() == single.best.params_flat.tobytes()
+        assert loaded.params.vector.tobytes() == single.best.params.vector.tobytes()
