@@ -7,18 +7,21 @@ rewired cell applies w_ij (2n, m+n) to [x, h] for i and j, w_f (n, 2n) to
 [i*j, h] for f and w_oc (n, n) to the cell state for o.  b (4n,) holds the
 biases of i, j, f, o; `gate_views` names the per-gate blocks.
 
-A forward step also runs the layers of a wavefront tick as one: parameters
-with a leading layer axis, (L, 4n, m+n) and so on, and states and caches of
-(L, B, .) arrays.  Forward steps write into a CellCache of one step, (B, .)
-or (L, B, .) arrays, or of a window, (T, B, .) arrays viewed step by step
-with `at(t)`.  Backward steps, one layer at a time, write pre-activation
-gradients over the gate values; `weight_grads` then takes one gemm per fused
-matrix over all the rows of a cache.
+A step, forward or backward, also runs the layers of a wavefront tick as
+one: parameters with a leading layer axis, (L, 4n, m+n) and so on, and states
+and caches of (L, B, .) arrays.  Forward steps write into a CellCache of one
+step, (B, .) or (L, B, .) arrays, or of a window, (T, B, .) arrays viewed
+step by step with `at(t)`.  Backward steps write pre-activation gradients
+over the gate values; `weight_grads` then takes one gemm per fused matrix
+over all the rows of a cache.  Both form their values in arrays of their own
+and store them into the cache once: elementwise work on the cache's views,
+strided when layers are stacked, costs two to three times as much.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -51,6 +54,13 @@ class LstmParams:
     def input_size(self) -> int:
         return self.w.shape[-1] - self.state_size
 
+    @cached_property
+    def forward_views(self) -> tuple:
+        """(w.mT, b with a batch axis), as a forward step reads them.  Made once
+        per parameter object (the stacked parameters of a wavefront tick are
+        made once per tick key); they view the fields, not a field rebound."""
+        return self.w.mT, self.b[..., None, :]
+
 
 @dataclass
 class RlstmParams:
@@ -67,11 +77,30 @@ class RlstmParams:
     def input_size(self) -> int:
         return self.w_ij.shape[-1] - self.state_size
 
+    @cached_property
+    def forward_views(self) -> tuple:
+        """(w_ij.mT, w_f.mT, w_oc.mT, b_ij, b_f, b_o), the biases with a batch
+        axis, made once as for LstmParams."""
+        n, b = self.state_size, self.b[..., None, :]
+        return (
+            self.w_ij.mT, self.w_f.mT, self.w_oc.mT,
+            b[..., : 2 * n], b[..., 2 * n : 3 * n], b[..., 3 * n :],
+        )
+
 
 def _blocks(a, count: int):
     """Split the last axis into `count` equal views."""
     width = a.shape[-1] // count
     return [a[..., k * width : (k + 1) * width] for k in range(count)]
+
+
+def _block_copies(a, count: int):
+    """The `count` equal blocks of the last axis, as one array (count, ...) of
+    their copies: each block is contiguous, which a block of the cache's
+    gates is not."""
+    lead = a.ndim - 1
+    blocks = a.reshape(*a.shape[:-1], count, a.shape[-1] // count)
+    return blocks.transpose(lead, *range(lead), lead + 1).copy()
 
 
 def gate_views(p) -> dict:
@@ -93,33 +122,42 @@ def gate_views(p) -> dict:
 @dataclass
 class CellCache:
     xh: np.ndarray  # [x, h_prev], the input of w or w_ij
-    gates: np.ndarray  # i, j, f, o, then (backward) their pre-activation gradients
+    gates: np.ndarray | None  # i, j, f, o, then (backward) their pre-activation gradients
     c: np.ndarray
     tanh_c: np.ndarray
     uh: np.ndarray | None = None  # rlstm: [i*j, h_prev], the input of w_f
     state_mask: np.ndarray | None = None  # rlstm: (B, n), shared by the steps of a window
-    c_prev: np.ndarray | None = None
+    c_prev: np.ndarray | None = None  # the cell state each step started from
     capped: bool = True  # lstm: whether the input gate is min(i, 1 - f)
 
     def at(self, t) -> "CellCache":
-        """The view [t] of every buffer; t is a step or any index of the leading axes."""
-        uh = None if self.uh is None else self.uh[t]
+        """The view [t] of every buffer; t is a step or any index of the leading axes.
+        A buffer may be None: a scoring cache has no gates, since a step that no
+        backward pass reads stores none, and the backward pass's ticks view only
+        what they read."""
         return CellCache(
-            self.xh[t], self.gates[t], self.c[t], self.tanh_c[t], uh, self.state_mask,
-            capped=self.capped,
+            _at(self.xh, t), _at(self.gates, t), _at(self.c, t), _at(self.tanh_c, t),
+            _at(self.uh, t), self.state_mask, _at(self.c_prev, t), self.capped,
         )
 
 
-def new_cache(kind: str, shape, m: int, n: int, dtype=np.float64, empty=np.empty) -> CellCache:
+def _at(a, t):
+    return None if a is None else a[t]
+
+
+def new_cache(
+    kind: str, shape, m: int, n: int, dtype=np.float64, empty=np.empty, c=None
+) -> CellCache:
     """Uninitialised activation buffers of one step (shape (B,)) or of a
     window (shape (T, B)), or of either for a stack of layers (a leading L),
-    from `empty`; forward steps fill them."""
+    from `empty`; forward steps fill them.  `c`, an array of the shape of the
+    cell states, holds them instead of a new one."""
 
     def buf(width):
         return empty((*shape, width), dtype)
 
     uh = buf(2 * n) if kind == "rlstm" else None
-    return CellCache(buf(m + n), buf(4 * n), buf(n), buf(n), uh)
+    return CellCache(buf(m + n), buf(4 * n), buf(n) if c is None else c, buf(n), uh)
 
 
 def _finite(state: CellState) -> CellState:
@@ -149,13 +187,15 @@ def lstm_forward(p: LstmParams, state: CellState, x, cap_input_gate: bool = True
     cache = _step_cache("lstm", p, state, x, cache)
     # As in rlstm_forward, the gates are formed in the gemm output, an array
     # of their own, and written to the cache once.
-    pre = gemm(cache.xh, p.w.mT) + p.b[..., None, :]
+    w_t, b = p.forward_views
+    pre = gemm(cache.xh, w_t) + b
     j = np.tanh(_blocks(pre, 4)[1])
     i, _, f, o = _blocks(sigmoid(pre, out=pre), 4)
     g = np.minimum(i, 1.0 - f) if cap_input_gate else i
     c = np.multiply(f, state.c, out=cache.c)
     c += g * j
-    np.concatenate((i, j, f, o), axis=-1, out=cache.gates)
+    if cache.gates is not None:
+        np.concatenate((i, j, f, o), axis=-1, out=cache.gates)
     cache.capped = cap_input_gate
     new_state = CellState(c, o * np.tanh(c, out=cache.tanh_c))
     return (_finite(new_state) if own_cache else new_state), cache
@@ -167,25 +207,24 @@ def rlstm_forward(p: RlstmParams, state: CellState, x, state_mask=None, cache=No
     `cache` and x = None as for lstm_forward."""
     own_cache = cache is None
     cache = _step_cache("rlstm", p, state, x, cache)
-    n = p.state_size
-    b = p.b[..., None, :]
-    b_ij, b_f, b_o = b[..., : 2 * n], b[..., 2 * n : 3 * n], b[..., 3 * n :]
+    w_ij_t, w_f_t, w_oc_t, b_ij, b_f, b_o = p.forward_views
     # The gates are formed in arrays of their own and written to the cache at
     # once: elementwise work on the cache's gate blocks, strided views when
     # layers are stacked, costs two to three times as much.
-    pre_i, pre_j = _blocks(gemm(cache.xh, p.w_ij.mT) + b_ij, 2)
+    pre_i, pre_j = _blocks(gemm(cache.xh, w_ij_t) + b_ij, 2)
     i = sigmoid(pre_i, out=np.empty_like(pre_i))
     j = np.tanh(pre_j)
     np.concatenate((i * j, state.h), axis=-1, out=cache.uh)
-    f = gemm(cache.uh, p.w_f.mT) + b_f
+    f = gemm(cache.uh, w_f_t) + b_f
     sigmoid(f, out=f)
     g = np.minimum(i, 1.0 - f)
     c = np.multiply(f, state.c, out=cache.c)
     c += g * j
     cm = c if state_mask is None else c * state_mask
-    o = gemm(cm, p.w_oc.mT) + b_o
+    o = gemm(cm, w_oc_t) + b_o
     sigmoid(o, out=o)
-    np.concatenate((i, j, f, o), axis=-1, out=cache.gates)
+    if cache.gates is not None:
+        np.concatenate((i, j, f, o), axis=-1, out=cache.gates)
     cache.state_mask = state_mask
     new_state = CellState(c, o * np.tanh(c, out=cache.tanh_c))
     return (_finite(new_state) if own_cache else new_state), cache
@@ -194,63 +233,68 @@ def rlstm_forward(p: RlstmParams, state: CellState, x, state_mask=None, cache=No
 def lstm_backward(p: LstmParams, cache: CellCache, grad_c, grad_h):
     """Gradients of a scalar loss through one LSTM step: (dpre, dc_prev,
     dh_prev, dx), where dpre, the pre-activation gradients of i, j, f, o, is
-    written over cache.gates.
+    written over cache.gates, once, after they are formed.
 
     min(i, 1 - f) routes its subgradient to the smaller argument; on ties the
     input-gate branch wins (fixed for determinism).
     """
-    i, j, f, o = _blocks(cache.gates, 4)
-    do = grad_h * cache.tanh_c
-    dc = grad_c + grad_h * o * dtanh_from_value(cache.tanh_c)
+    gates = _block_copies(cache.gates, 4)
+    i, j, f, o = gates
+    dsig_i, _, dsig_f, dsig_o = dsigmoid_from_value(gates)  # one pass; j's is not read
+    tanh_c = cache.tanh_c.copy()  # read twice
+    do = grad_h * tanh_c
+    dc = grad_c + grad_h * o * dtanh_from_value(tanh_c)
     df = dc * cache.c_prev
     dg = dc * j
     dc_prev = dc * f
     if cache.capped:
         one_minus_f = 1.0 - f
-        take_i = i <= one_minus_f
+        # 1.0 or 0.0: a product with it has the bits of one with the bool
+        # array, which casts at every call and costs twice as much
+        take_i = (i <= one_minus_f).astype(i.dtype)
         dj = dc * np.minimum(i, one_minus_f)
         di = dg * take_i
-        df = df - dg * (~take_i)
+        df = df - dg * (1.0 - take_i)
     else:
         dj = dc * i
         di = dg
-    i[...] = di * dsigmoid_from_value(i)
-    j[...] = dj * dtanh_from_value(j)
-    f[...] = df * dsigmoid_from_value(f)
-    o[...] = do * dsigmoid_from_value(o)
+    dpre = (di * dsig_i, dj * dtanh_from_value(j), df * dsig_f, do * dsig_o)
+    np.concatenate(dpre, axis=-1, out=cache.gates)
     dxh = gemm(cache.gates, p.w)
     m = p.input_size
-    return cache.gates, dc_prev, dxh[:, m:], dxh[:, :m]
+    return cache.gates, dc_prev, dxh[..., m:], dxh[..., :m]
 
 
 def rlstm_backward(p: RlstmParams, cache: CellCache, grad_c, grad_h):
     """Like lstm_backward, through one rewired-LSTM step."""
     n, m = p.state_size, p.input_size
-    i, j, f, o = _blocks(cache.gates, 4)
-    do = grad_h * cache.tanh_c
-    dc = grad_c + grad_h * o * dtanh_from_value(cache.tanh_c)
-    o[...] = do * dsigmoid_from_value(o)
-    dcm = gemm(o, p.w_oc)
+    gates = _block_copies(cache.gates, 4)
+    i, j, f, o = gates
+    dsig_i, _, dsig_f, dsig_o = dsigmoid_from_value(gates)  # one pass; j's is not read
+    tanh_c = cache.tanh_c.copy()  # read twice
+    do = grad_h * tanh_c
+    dc = grad_c + grad_h * o * dtanh_from_value(tanh_c)
+    dpre_o = do * dsig_o
+    dcm = gemm(dpre_o, p.w_oc)
     dc = dc + (dcm if cache.state_mask is None else dcm * cache.state_mask)
     df = dc * cache.c_prev
     dg = dc * j
     one_minus_f = 1.0 - f
-    take_i = i <= one_minus_f
+    take_i = (i <= one_minus_f).astype(i.dtype)  # as in lstm_backward
     dj = dc * np.minimum(i, one_minus_f)
     dc_prev = dc * f
     di = dg * take_i
-    df = df - dg * (~take_i)
+    df = df - dg * (1.0 - take_i)
 
-    f[...] = df * dsigmoid_from_value(f)
-    duh = gemm(f, p.w_f)
-    du = duh[:, :n]
+    dpre_f = df * dsig_f
+    duh = gemm(dpre_f, p.w_f)
+    du = duh[..., :n].copy()  # read twice, and a block of duh is not contiguous
     di = di + du * j
     dj = dj + du * i
-
-    i[...] = di * dsigmoid_from_value(i)
-    j[...] = dj * dtanh_from_value(j)
-    dxh = gemm(cache.gates[:, : 2 * n], p.w_ij)
-    return cache.gates, dc_prev, dxh[:, m:] + duh[:, n:], dxh[:, :m]
+    dpre = (di * dsig_i, dj * dtanh_from_value(j), dpre_f, dpre_o)
+    np.concatenate(dpre, axis=-1, out=cache.gates)
+    dxh = gemm(cache.gates[..., : 2 * n], p.w_ij)
+    return cache.gates, dc_prev, dxh[..., m:] + duh[..., n:], dxh[..., :m]
 
 
 def cell_backward(p, cache, grad_c, grad_h):

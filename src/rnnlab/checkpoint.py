@@ -105,48 +105,57 @@ def save_checkpoint(path, ckpt: Checkpoint):
 def load_checkpoint(path) -> Checkpoint:
     """Read a checkpoint.  Every way a file can fail to decode (too short,
     unreadable header, missing or mistyped fields, sizes that disagree)
-    raises CheckpointError naming the file."""
+    raises CheckpointError naming the file.
+
+    The payload is read straight into one array, and the parameters, the
+    moments and the tails are views of it: no vector is copied, except the
+    parameters' cast at float32."""
     with open(path, "rb") as fh:
-        blob = fh.read()
-    if blob[:4] != MAGIC:
-        raise CheckpointError(f"{path} is not a checkpoint file (bad magic)")
-    if len(blob) < 16:
-        raise CheckpointError(f"{path} is truncated: {len(blob)} bytes, the preamble needs 16")
-    version = int(np.frombuffer(blob[4:8], dtype="<u4")[0])
-    if version != VERSION:
-        raise CheckpointVersionError(
-            f"checkpoint {path} has format version {version}; "
-            f"this build reads version {VERSION}"
-        )
-    try:
-        return _decode(blob)
-    except CheckpointError as err:
-        raise CheckpointError(f"{path}: {err}") from None
-    except (ArithmeticError, KeyError, IndexError, TypeError, ValueError) as err:
-        raise CheckpointError(f"{path} is corrupt: {type(err).__name__}: {err}") from None
+        preamble = fh.read(16)
+        if preamble[:4] != MAGIC:
+            raise CheckpointError(f"{path} is not a checkpoint file (bad magic)")
+        if len(preamble) < 16:
+            raise CheckpointError(
+                f"{path} is truncated: {len(preamble)} bytes, the preamble needs 16"
+            )
+        version = int(np.frombuffer(preamble[4:8], dtype="<u4")[0])
+        if version != VERSION:
+            raise CheckpointVersionError(
+                f"checkpoint {path} has format version {version}; "
+                f"this build reads version {VERSION}"
+            )
+        try:
+            return _decode(fh, preamble, os.fstat(fh.fileno()).st_size)
+        except CheckpointError as err:
+            raise CheckpointError(f"{path}: {err}") from None
+        except (ArithmeticError, KeyError, IndexError, TypeError, ValueError) as err:
+            raise CheckpointError(f"{path} is corrupt: {type(err).__name__}: {err}") from None
 
 
-def _decode(blob: bytes) -> Checkpoint:
-    header_len = int(np.frombuffer(blob[8:16], dtype="<u8")[0])
-    if 16 + header_len > len(blob):
+def _decode(fh, preamble: bytes, size: int) -> Checkpoint:
+    """The checkpoint whose file, of `size` bytes, `fh` has read up to the
+    end of `preamble`."""
+    header_len = int(np.frombuffer(preamble[8:16], dtype="<u8")[0])
+    if 16 + header_len > size:
         raise CheckpointError(f"header of {header_len} bytes runs past the end of the file")
-    header = json.loads(blob[16 : 16 + header_len].decode("utf-8"))
+    header = json.loads(fh.read(header_len).decode("utf-8"))
     count = _field(header, "param_count", int)
-    payload = memoryview(blob)[16 + header_len :]  # a view: the file is not copied
-    if len(payload) != 5 * 8 * count:
+    payload_len = size - 16 - header_len
+    if payload_len != 5 * 8 * count:
         raise CheckpointError(
-            f"payload has {len(payload)} bytes, expected {5 * 8 * count} ({5 * count} floats)"
+            f"payload has {payload_len} bytes, expected {5 * 8 * count} ({5 * count} floats)"
         )
-    crc = zlib.crc32(payload)
+    floats = np.empty(5 * count, "<f8")
+    if fh.readinto(floats) != payload_len:
+        raise CheckpointError(f"payload ends before its {payload_len} bytes")
+    crc = zlib.crc32(floats)
     if crc != _field(header, "payload_crc32", int):
         raise CheckpointError(
             f"payload checksum {crc} differs from the header's {header['payload_crc32']}"
         )
     config = ModelConfig(**_field(header, "model_config", dict))
-    # Each vector is copied out of the file once, the parameters in the model's dtype.
-    floats = np.frombuffer(payload, dtype="<f8")
-    params = model.empty_model_params(config, floats[:count].astype(config.np_dtype))
-    m, v, long_mean, short_mean = (part.astype(np.float64) for part in np.split(floats[count:], 4))
+    params = model.empty_model_params(config, floats[:count])  # a cast only at float32
+    m, v, long_mean, short_mean = np.split(floats[count:], 4)
     r = _field(header, "radam", dict)
     radam = RAdamState(
         m=m, v=v, step=_field(r, "step", int), lr=_field(r, "lr", float),

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import errno
 import math
 import os
 import sys
@@ -80,6 +81,18 @@ def _split_file(cfg: RunConfig, split: str) -> str:
     return path
 
 
+def _writable_file(path: str):
+    """A file error unless a file can be written at `path`: it is not a
+    directory, and its directory exists and may be written."""
+    if os.path.isdir(path):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+    directory = os.path.dirname(path) or "."
+    if not os.path.isdir(directory):
+        raise OSError(f"cannot write {path}: no directory {directory}")
+    if not os.access(directory, os.W_OK):
+        raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), directory)
+
+
 def _vocab_file(cfg: RunConfig) -> str:
     return cfg.vocab_path or cfg.checkpoint_path + ".vocab"
 
@@ -134,6 +147,9 @@ def cmd_train(args) -> int:
     opts = config_mod.section(cfg, training.TrainOptions)
     for split, rows in (("train", opts.batch_size), ("valid", opts.val_batch_size)):
         evaluation.require_scorable(streams[split], rows, f"{split} split {paths[split]}")
+    tta_path = cfg.tta_checkpoint_path or cfg.checkpoint_path + ".tta"
+    for path in (_vocab_file(cfg), cfg.checkpoint_path, tta_path):
+        _writable_file(path)  # written after training, so checked before it
     rng = numerics.Rng(cfg.seed)
 
     with open(cfg.metrics_path or os.devnull, "w", encoding="utf-8") as log:
@@ -156,7 +172,7 @@ def cmd_train(args) -> int:
         params=model.empty_model_params(model_config, result.tta_average),
         best_val_nats=result.tta_val_nats,
     )
-    ckpt_mod.save_checkpoint(cfg.tta_checkpoint_path or cfg.checkpoint_path + ".tta", tta_ckpt)
+    ckpt_mod.save_checkpoint(tta_path, tta_ckpt)
 
     ppl, bpc = evaluation.convert_metrics(result.best_val_nats)
     print(

@@ -15,11 +15,14 @@ A window runs as a layer wavefront (Appleyard et al. 2016, arXiv 1604.01946).
 Layer l's step t needs only layer l-1's step t and its own step t-1, so at
 tick k layer l runs its step k - l, and the layers in range run as one step:
 one mogrifier and one cell call on (L, B, .) arrays, with weights that are
-zero-copy (L, ...) views of the parameter vector.  The window buffers are
-(L, T, B, .), one (T, B, .) window per layer, which the backward pass reads
-layer by layer; the ticks reach them through a skewed (L, T + L - 1, B, .)
-view whose [l, k] is layer l's step k - l.  Every sum keeps the order of a
-layer-by-layer loop: the schedule changes no bit.
+zero-copy (L, ...) views of the parameter vector.  The backward pass is the
+mirror: layer l's step t needs layer l+1's step t and its own step t+1, so at
+reverse tick k layer l runs its step T-1 - (k - (L-1 - l)).  The window
+buffers are (L, T, B, .), one (T, B, .) window per layer, from which each
+weight gradient is one gemm per layer; the ticks reach them through skewed
+(L, T + L - 1, B, .) views whose [l, k] is the step layer l runs at tick k.
+Every sum keeps the order of a layer-by-layer loop: the schedule changes no
+bit.
 """
 
 from __future__ import annotations
@@ -251,8 +254,7 @@ class WindowBuffers:
         """Take the block back from a spent cache, and clear the cache so
         that nothing reads its buffers once they are reused."""
         self.take_back(cache.buffers)
-        cache.buffers = cache.outputs = None
-        cache.cell_windows = cache.mog_windows = cache.cell_caches = cache.mog_caches = None
+        cache.buffers = cache.outputs = cache.cell_window = cache.mog_window = None
 
 
 class _Carver:
@@ -279,28 +281,46 @@ class _Carver:
 class WindowCache:
     inputs: np.ndarray
     masks: MaskSet
-    mog_windows: list  # [l] -> MogrifyCache of (T, B, .) buffers
-    cell_windows: list  # [l] -> CellCache of (T, B, .) buffers
-    mog_caches: list  # [t][l] -> the step-t view of mog_windows[l]
-    cell_caches: list  # [t][l] -> the step-t view of cell_windows[l]
+    mog_window: mogrifier.MogrifyCache | None  # (L, T, B, .) buffers
+    cell_window: cells.CellCache | None  # (L, T, B, .) buffers, c_prev among them
     outputs: np.ndarray  # (T, B, n) masked sum of layer outputs, the input of the output layer
     probs: np.ndarray  # (B, T, V)
     temperature: float
     buffers: _Carver | None  # the block the window's buffers were cut from
 
+    @property
+    def cell_caches(self) -> list | None:
+        """[t][l] -> layer l's step t of cell_window, made when asked for (the
+        backward pass reads the window through its ticks), or None once the
+        window is recycled."""
+        if self.cell_window is None:
+            return None
+        layers, horizon = self.cell_window.c.shape[:2]
+        return [[self.cell_window.at((l, t)) for l in range(layers)] for t in range(horizon)]
+
 
 def _window_buffers(params, config, backward, horizon, batch, empty):
     """Activation buffers allocated with `empty`: a cell cache and a mogrifier
     cache of (L, T, B, .) arrays, whose ladder tops are the two halves of the
-    cell's input, and the (T, B, n) input of the output layer.  Without a
-    backward pass the caches hold one step, (L, 1, B, .), reused at every
-    tick."""
+    cell's input, and the (T, B, n) input of the output layer.  The cell
+    states are an (L, T + 1, B, n) array: [:, 0] the carried-in states, which
+    the caller writes, and [:, t + 1] step t's, so c_prev, the states the
+    steps started from, is a view of it too.  Without a backward pass the
+    caches hold one step, (L, 1, B, .), reused at every tick, and no gate
+    values: nothing reads them."""
     n, dtype = config.state_size, config.np_dtype
-    shape = (config.layers, horizon if backward else 1, batch)
-    cell_window = cells.new_cache(config.cell, shape, n, n, dtype, empty)
+    layers = config.layers
+    shape = (layers, horizon if backward else 1, batch)
+    states = empty((layers, horizon + 1, batch, n), dtype) if backward else None
+    c = None if states is None else states[:, 1:]
+    cell_window = cells.new_cache(config.cell, shape, n, n, dtype, empty, c)
     cell_window.capped = config.cap_input_gate
     tops = (cell_window.xh[..., :n], cell_window.xh[..., n:])
     mog_window = mogrifier.new_cache(params.layers[0].mog, shape, n, n, dtype, tops, empty)
+    if backward:
+        cell_window.c_prev = states[:, :-1]
+    else:
+        cell_window.gates = mog_window.gates = None
     return cell_window, mog_window, empty((horizon, batch, n), dtype)
 
 
@@ -325,6 +345,14 @@ def _skewed(a, layers=None):
     shape = (layers, steps + layers - 1, *a.shape[2:])
     strides = (a.strides[0] - a.strides[1], *a.strides[1:])
     return np.lib.stride_tricks.as_strided(a, shape, strides)
+
+
+def _reverse_skewed(a, layers=None):
+    """As _skewed, for the reverse wavefront: [l, k] = a[l, T - 1 - (k - (L - 1 - l))],
+    the step that layer l runs at reverse tick k."""
+    if layers is not None:
+        a = np.broadcast_to(a, (layers, *a.shape))
+    return _skewed(a[::-1, ::-1])[::-1]
 
 
 def _run_steps(params, config, inputs, masks, c, h, cell_window, mog_window, outputs):
@@ -365,7 +393,7 @@ def _run_steps(params, config, inputs, masks, c, h, cell_window, mog_window, out
 
         x_in = mog_t.x_ladder[0]  # written here; the mogrifier then starts from it
         if lo == 0:
-            np.take(params.e_in, ids[k], axis=0, out=x_in[0])
+            params.e_in.take(ids[k], axis=0, out=x_in[0])
             if m_in is not None:
                 x_in[0] *= m_in[k]
         if above <= hi and config.residual_includes_embedding:
@@ -375,7 +403,11 @@ def _run_steps(params, config, inputs, masks, c, h, cell_window, mog_window, out
             np.add(sums[above - 1 : hi], x0, out=x_in[above - lo :])
         elif above <= hi:
             x_in[above - lo :] = sums[above - 1 : hi]
-        h_in = h[rows] if m_state is None else h[rows] * m_state
+        h_in = mog_t.h_ladder[0]  # likewise
+        if m_state is None:
+            h_in[...] = h[rows]
+        else:
+            np.multiply(h[rows], m_state, out=h_in)
         # The mogrifier writes its outputs into the cell's input buffer.
         mog_h, _, _ = mogrifier.mogrify_forward(part.mog, h_in, x_in, mog_t)
         entry_state = CellState(c[rows], mog_h)
@@ -399,24 +431,6 @@ def _run_steps(params, config, inputs, masks, c, h, cell_window, mog_window, out
                 outputs[t] = sums[-1]
             else:
                 np.multiply(sums[-1], masks.m_out[t], out=outputs[t])
-
-
-def _layer_caches(config, masks, cell_window, mog_window, carried_c, horizon):
-    """The per-layer (T, B, .) windows, [l] of the window buffers, and their
-    per-step views, each cell step given the cell state it started from, as
-    backward_window reads them."""
-    cell_windows, mog_windows = [], []
-    for l in range(config.layers):
-        cell_windows.append(cell_window.at(l))
-        if config.cell == "rlstm" and masks.m_state is not None:
-            cell_windows[l].state_mask = masks.m_state[l]
-        mog_windows.append(mog_window.at(l))
-    cell_caches = [[window.at(t) for window in cell_windows] for t in range(horizon)]
-    for l, window in enumerate(cell_windows):
-        for t in range(horizon):
-            cell_caches[t][l].c_prev = window.c[t - 1] if t else carried_c[l]
-    mog_caches = [[window.at(t) for window in mog_windows] for t in range(horizon)]
-    return cell_windows, mog_windows, cell_caches, mog_caches
 
 
 def forward_window(
@@ -448,7 +462,6 @@ def forward_window(
     if states is None:
         states = zero_states(config, batch)
     c, h = np.stack([s.c for s in states]), np.stack([s.h for s in states])
-    carried_c = c.copy() if backward else None
     n = config.state_size
     carver = None
     if buffers is not None:
@@ -459,6 +472,8 @@ def forward_window(
         cell_window, mog_window, outputs = _window_buffers(
             params, config, backward, horizon, batch, carver or np.empty
         )
+        if backward:
+            cell_window.c_prev[:, 0] = c
         with np.errstate(over="ignore"):  # exp overflow in sigmoid gives the right limit
             _run_steps(params, config, inputs, masks, c, h, cell_window, mog_window, outputs)
         # The steps leave this check to the window: every h flows into outputs
@@ -485,16 +500,11 @@ def forward_window(
         raise
     if not backward:
         return log_probs, None, final_states
-    cell_windows, mog_windows, cell_caches, mog_caches = _layer_caches(
-        config, masks, cell_window, mog_window, carried_c, horizon
-    )
     cache = WindowCache(
         inputs=inputs,
         masks=masks,
-        mog_windows=mog_windows,
-        cell_windows=cell_windows,
-        mog_caches=mog_caches,
-        cell_caches=cell_caches,
+        mog_window=mog_window,
+        cell_window=cell_window,
         outputs=outputs,
         probs=np.exp(log_probs),
         temperature=temperature,
@@ -508,14 +518,21 @@ def backward_window(params: ModelParams, config: ModelConfig, cache: WindowCache
 
     Backpropagation is truncated at the window start: no gradient flows into
     the carried-in states.  Tied embeddings sum the input-side and the
-    output-side contribution into the single e_in gradient.  The time loop
-    runs the per-step backward passes, which leave pre-activation gradients in
-    the window buffers; every weight gradient is then one gemm over the
+    output-side contribution into the single e_in gradient.  The time loop is
+    the forward's wavefront run backwards: at reverse tick k layer l runs its
+    step T-1 - (k - (L-1 - l)), and the layers in range run as one cell and
+    one mogrifier backward step, which leave pre-activation gradients in the
+    window buffers; every weight gradient is then one gemm per layer over the
     window, written into its view of the gradient vector, grads.vector.  The
     gate buffers are overwritten, so a cache serves one backward.
+
+    Every sum keeps the order of a layer-by-layer loop: sums[l] holds the
+    gradient that flows into layer l's output from the layers above it at its
+    step, dx_in[L-1] + ... + dx_in[l+1] added left to right onto zeros (row
+    L-1 stays zero), and the embedding's gradient dx0 is formed the same way.
     """
     batch, horizon = cache.inputs.shape
-    n = config.state_size
+    layers, n, dtype = config.layers, config.state_size, config.np_dtype
     masks = cache.masks
     grads = empty_model_params(config)
 
@@ -529,39 +546,61 @@ def backward_window(params: ModelParams, config: ModelConfig, cache: WindowCache
     if masks.m_out is not None:
         dsum *= masks.m_out
 
-    grad_c = [np.zeros((batch, n), config.np_dtype) for _ in range(config.layers)]
-    grad_h_masked = [np.zeros((batch, n), config.np_dtype) for _ in range(config.layers)]
-    for t in range(horizon - 1, -1, -1):
-        dx_residual = np.zeros((batch, n), config.np_dtype)  # grad flowing into lower xhats
-        dx0 = np.zeros((batch, n), config.np_dtype)
-        for l in range(config.layers - 1, -1, -1):
-            layer = params.layers[l]
-            dxhat = dsum[t] + dx_residual
-            dh = _masked(dxhat, masks.m_cell, (l, t)) + _masked(grad_h_masked[l], masks.m_state, l)
-            _, grad_c[l], dmog_h, dmog_x = cells.cell_backward(
-                layer.cell, cache.cell_caches[t][l], grad_c[l], dh
+    stack, parts = _layer_stack(params), {}
+    # The ticks view only what the backward steps read: not the cell's input
+    # or state, and not the ladder tops, which are the cell's input.
+    cw, mw = cache.cell_window, cache.mog_window
+    cell_window = map_arrays(
+        cells.CellCache(None, cw.gates, None, cw.tanh_c, c_prev=cw.c_prev, capped=cw.capped),
+        _reverse_skewed,
+    )
+    mog_window = map_arrays(
+        mogrifier.MogrifyCache(mw.x_ladder[:-1], mw.h_ladder[:-1], mw.gates), _reverse_skewed
+    )
+    dsum_at = _reverse_skewed(dsum, layers)  # [l, k]: the gradient on the outputs' sum
+    m_cell = None if masks.m_cell is None else _reverse_skewed(masks.m_cell)
+    grad_c, grad_h, sums, spare = np.zeros((4, layers, batch, n), dtype)  # grad_h: of masked h
+    for k in range(horizon + layers - 1):
+        lo, hi = max(0, layers - 1 - k), min(layers - 1, horizon + layers - 2 - k)
+        rows = slice(lo, hi + 1)
+        if (lo, hi) not in parts:
+            parts[lo, hi] = (
+                stack if hi - lo + 1 == layers else map_arrays(stack, lambda a: a[rows]),
+                None if masks.m_state is None else masks.m_state[rows],
             )
-            _, grad_h_masked[l], dx_in = mogrifier.mogrify_backward(
-                layer.mog, cache.mog_caches[t][l], dmog_h, dmog_x
-            )
-            if l == 0:
-                dx0 += dx_in
-            else:
-                dx_residual += dx_in
-                if config.residual_includes_embedding:
-                    dx0 += dx_in
-        dsum[t] = _masked(dx0, masks.m_in, t)  # dsum[t] is spent; it now holds dx0
+        part, m_state = parts[lo, hi]
+        cell_t, mog_t = cell_window.at((rows, k)), mog_window.at((rows, k))
+        cell_t.state_mask = m_state
+
+        dxhat = dsum_at[rows, k] + sums[rows]
+        dh = _masked(dxhat, m_cell, (rows, k))
+        dh += grad_h[rows] if m_state is None else grad_h[rows] * m_state
+        _, grad_c[rows], dmog_h, dmog_x = cells.cell_backward(part.cell, cell_t, grad_c[rows], dh)
+        _, grad_h[rows], dx_in = mogrifier.mogrify_backward(part.mog, mog_t, dmog_h, dmog_x)
+        if lo == 0:  # layer 0 ran its step t: dsum[t] is spent, and now holds dx0
+            t = horizon + layers - 2 - k
+            # dx0 is dx_in[L-1] + ... + dx_in[0] onto zeros when the embedding is in
+            # the residual sums, else dx_in[0] onto zeros: sums[-1] stays zero.
+            onto = sums[0] if config.residual_includes_embedding else sums[-1]
+            np.add(onto, dx_in[0], out=dsum[t])
+            if masks.m_in is not None:
+                dsum[t] *= masks.m_in[t]
+        above = max(lo, 1)
+        if above <= hi:
+            np.add(sums[above : hi + 1], dx_in[above - lo :], out=spare[above - 1 : hi])
+        sums, spare = spare, sums
 
     if params.tied:
         grads.e_in[...] = e_out_grad.T
     else:
         grads.e_out_untied[...] = e_out_grad
     np.add.at(grads.e_in, cache.inputs.T.ravel(), dsum.reshape(-1, n))
-    for layer, grad, cell_window, mog_window in zip(
-        params.layers, grads.layers, cache.cell_windows, cache.mog_windows, strict=True
-    ):
-        cells.weight_grads(layer.cell, cell_window, out=grad.cell)
-        mogrifier.weight_grads(layer.mog, mog_window, out=grad.mog)
+    for l, (layer, grad) in enumerate(zip(params.layers, grads.layers, strict=True)):
+        window = cache.cell_window.at(l)
+        if masks.m_state is not None:
+            window.state_mask = masks.m_state[l]
+        cells.weight_grads(layer.cell, window, out=grad.cell)
+        mogrifier.weight_grads(layer.mog, cache.mog_window.at(l), out=grad.mog)
     return grads
 
 

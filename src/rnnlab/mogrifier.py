@@ -6,16 +6,18 @@ matrices may be full or low-rank factored.  The returned pair is the top of
 each ladder, which coincides with indices 2*floor(r/2) for the state and
 2*floor((r+1)/2) - 1 for the input.
 
-As in cells, a forward step also runs a stack of layers as one (gate
-matrices with a leading layer axis, (L, B, .) inputs) and writes into a cache
-of one step or of a window, the backward step writes each round's
-pre-activation gradient over its gate values, and `weight_grads` forms the
-gate-matrix gradients over every row of a cache at once.
+As in cells, a step, forward or backward, also runs a stack of layers as one
+(gate matrices with a leading layer axis, (L, B, .) inputs) on a cache of one
+step or of a window.  The forward step stores its gate values, unless the
+cache has none (a scoring pass), the backward step stores each round's
+pre-activation gradient over them, and `weight_grads` forms the gate-matrix
+gradients over every row of a cache at once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -47,6 +49,19 @@ class MogrifierParams:
                 f"got {len(self.x_gates)} and {len(self.h_gates)}"
             )
 
+    @cached_property
+    def forward_views(self) -> list:
+        """Per round, the transposed factors that the gate's pre-activation is
+        applied through: [w.mT] for a full matrix, [v.mT, u.mT] for a factored
+        one.  Made once per parameter object (the stacked parameters of a
+        wavefront tick are made once per tick key); they view the gate
+        matrices, not a matrix rebound."""
+        gates = [
+            self.x_gates[index // 2] if index % 2 == 1 else self.h_gates[index // 2 - 1]
+            for index in range(1, self.rounds + 1)
+        ]
+        return [[w.v.mT, w.u.mT] if isinstance(w, LowRank) else [w.mT] for w in gates]
+
 
 @dataclass
 class MogrifyCache:
@@ -55,12 +70,12 @@ class MogrifyCache:
 
     x_ladder: list  # x^-1, x^1, x^3, ...
     h_ladder: list  # h^0, h^2, h^4, ...
-    gates: list  # per round: 2*sigmoid gate values, then (backward) their pre-activation gradients
+    gates: list | None  # per round: 2*sigmoid gate values, then (backward) their
+    # pre-activation gradients; None in a scoring cache, which no backward pass reads
 
     def at(self, t) -> "MogrifyCache":
-        return MogrifyCache(
-            [x[t] for x in self.x_ladder], [h[t] for h in self.h_ladder], [g[t] for g in self.gates]
-        )
+        gates = None if self.gates is None else [g[t] for g in self.gates]
+        return MogrifyCache([x[t] for x in self.x_ladder], [h[t] for h in self.h_ladder], gates)
 
 
 def new_cache(
@@ -82,37 +97,35 @@ def new_cache(
     )
 
 
-def _apply_gate_matrix(w, vec):
-    if isinstance(w, LowRank):
-        return gemm(gemm(vec, w.v.mT), w.u.mT)
-    return gemm(vec, w.mT)
-
-
 def mogrify_forward(p: MogrifierParams, h: np.ndarray, x: np.ndarray, cache=None):
     """Run the rounds; returns (h out, x out, cache).  With `cache` (a step of
-    new_cache) the inputs are copied into the bottom of its ladders and every
-    activation is written into it (the caller validates p); without one, p is
-    validated and a fresh cache is made whose ladders start at h and x."""
+    new_cache) the inputs are copied into the bottom of its ladders, unless
+    they are those bottoms already, and every activation is written into it
+    (the caller validates p); without one, p is validated and a fresh cache is
+    made whose ladders start at h and x."""
     if cache is None:
         p.validate()
         cache = new_cache(p, x.shape[:-1], x.shape[-1], h.shape[-1], np.result_type(h, x))
         cache.x_ladder[0], cache.h_ladder[0] = x, h
-    else:
-        cache.x_ladder[0][...] = x
-        cache.h_ladder[0][...] = h
     xs, hs = cache.x_ladder, cache.h_ladder
-    for index in range(1, p.rounds + 1):
+    if xs[0] is not x:
+        xs[0][...] = x
+    if hs[0] is not h:
+        hs[0][...] = h
+    for index, factors in enumerate(p.forward_views, 1):
         k = index // 2
         odd = index % 2 == 1
-        w, gated_by = (p.x_gates[k], hs[k]) if odd else (p.h_gates[k - 1], xs[k])
+        gate = hs[k] if odd else xs[k]
         scaled, out = (xs[k], xs[k + 1]) if odd else (hs[k - 1], hs[k])
         # The gate is formed in an array of its own and then stored: elementwise
         # work on the cache's views costs more where they are strided (stacked
         # layers of a window).
-        gate = _apply_gate_matrix(w, gated_by)
+        for w_t in factors:
+            gate = gemm(gate, w_t)
         sigmoid(gate, out=gate)
         gate *= 2.0
-        cache.gates[index - 1][...] = gate
+        if cache.gates is not None:
+            cache.gates[index - 1][...] = gate
         np.multiply(gate, scaled, out=out)
     return hs[-1], xs[-1], cache
 
@@ -126,7 +139,8 @@ def _input_grad(w, dpre):
 
 def mogrify_backward(p: MogrifierParams, cache: MogrifyCache, grad_h_out, grad_x_out):
     """Exact gradients through the gating ladder: (dpre, dh, dx), where dpre,
-    the per-round pre-activation gradients, is written over cache.gates.
+    the per-round pre-activation gradients, is written over cache.gates, each
+    round's once, after it is formed.
 
     d(2*sigmoid)/dpre written via the gate value g: g * (1 - g/2).
     """
@@ -135,17 +149,19 @@ def mogrify_backward(p: MogrifierParams, cache: MogrifyCache, grad_h_out, grad_x
     xs, hs = cache.x_ladder, cache.h_ladder
     for index in range(p.rounds, 0, -1):
         k = index // 2
-        gate = cache.gates[index - 1]
+        stored = cache.gates[index - 1]
+        gate = stored.copy()  # read three times, and a copy is contiguous where stored is not
         if index % 2 == 1:
             dgate = dx * xs[k]
             dx = dx * gate
-            gate[...] = dgate * gate * (1.0 - 0.5 * gate)
-            dh = dh + _input_grad(p.x_gates[k], gate)
+            dpre = dgate * gate * (1.0 - 0.5 * gate)
+            dh = dh + _input_grad(p.x_gates[k], dpre)
         else:
             dgate = dh * hs[k - 1]
             dh = dh * gate
-            gate[...] = dgate * gate * (1.0 - 0.5 * gate)
-            dx = dx + _input_grad(p.h_gates[k - 1], gate)
+            dpre = dgate * gate * (1.0 - 0.5 * gate)
+            dx = dx + _input_grad(p.h_gates[k - 1], dpre)
+        stored[...] = dpre
     return cache.gates, dh, dx
 
 

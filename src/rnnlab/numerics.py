@@ -47,20 +47,27 @@ def gemm(a, b, rowwise=False):
     A stack runs as one np.matmul, which forms each product with the kernel
     of its own shape.
     """
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.ndim != b.ndim or a.ndim not in (2, 3) or (rowwise and a.ndim != 2):
-        raise ValueError(
-            f"gemm expects two 2-D or two 3-D operands, got {a.ndim}-D and {b.ndim}-D"
-        )
-    if a.shape[:-2] != b.shape[:-2] or a.shape[-1] != b.shape[-2]:
-        raise ValueError(f"gemm dimension mismatch: {a.shape} x {b.shape}")
+    if type(a) is not np.ndarray or type(b) is not np.ndarray:
+        a, b = np.asarray(a), np.asarray(b)
+    # One shape comparison: equal leading axes, inner sizes that agree and, with
+    # the ndim test, two 2-D or two 3-D operands (2-D only for rowwise).
+    if a.shape[:-2] + a.shape[-1:] != b.shape[:-1] or not 1 < a.ndim < 4 - rowwise:
+        _refuse(a, b, rowwise)
     if _fast_gemm:
         return np.matmul(a[:, None, :], b)[:, 0, :] if rowwise else a @ b
     out = np.zeros((*a.shape[:-1], b.shape[-1]), dtype=np.result_type(a, b))
     for k in range(a.shape[-1]):
         out += a[..., k : k + 1] * b[..., k : k + 1, :]
     return out
+
+
+def _refuse(a, b, rowwise):
+    """Raise the error of operands that gemm does not take."""
+    if a.ndim != b.ndim or a.ndim not in (2, 3) or (rowwise and a.ndim != 2):
+        raise ValueError(
+            f"gemm expects two 2-D or two 3-D operands, got {a.ndim}-D and {b.ndim}-D"
+        )
+    raise ValueError(f"gemm dimension mismatch: {a.shape} x {b.shape}")
 
 
 def sigmoid(x, out=None):

@@ -192,6 +192,38 @@ class TestLoadMemory:
             tracemalloc.stop()
         assert peak <= 2.1 * path.stat().st_size
 
+    def test_peak_is_the_payload_read_once(self, tmp_path):
+        path = tmp_path / "big.ckpt"
+        save_checkpoint(
+            path, make_checkpoint(state_size=128, vocab_size=74, mogrifier_rounds=4)
+        )
+        tracemalloc.start()
+        try:
+            load_checkpoint(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.05 * path.stat().st_size
+
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    def test_vectors_are_disjoint_writable_views_of_the_payload(self, tmp_path, dtype):
+        path = tmp_path / "a.ckpt"
+        save_checkpoint(path, make_checkpoint(dtype=dtype))
+        loaded = load_checkpoint(path)
+        vectors = [loaded.params.vector, loaded.radam.m, loaded.radam.v,
+                   loaded.tta.long.mean, loaded.tta.short.mean]
+        assert all(vec.flags.writeable for vec in vectors)
+        for i, first in enumerate(vectors):
+            for second in vectors[i + 1 :]:
+                assert not np.shares_memory(first, second)
+        assert loaded.params.vector.dtype == np.dtype(dtype)
+        # float64 parameters view the payload too; float32 ones are their cast.
+        assert np.shares_memory(loaded.radam.m, loaded.tta.short.mean.base)
+        assert np.shares_memory(loaded.params.vector, loaded.radam.m.base) == (dtype == "float64")
+        again = tmp_path / "b.ckpt"
+        save_checkpoint(again, loaded)
+        assert again.read_bytes() == path.read_bytes()
+
 
 class TestCorruptFiles:
     """Any damaged file either still loads or raises CheckpointError; no other

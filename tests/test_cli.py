@@ -433,18 +433,40 @@ class TestBadFiles:
             ("train", "tta_checkpoint_path"),
         ],
     )
-    def test_directory_for_a_file(self, trained_run, tmp_path, capsys, command, key):
+    def test_directory_for_a_file(
+        self, trained_run, tmp_path, capsys, monkeypatch, command, key
+    ):
         run_dir = tmp_path if command == "train" else trained_run["root"]
         directory = tmp_path / "a_directory"
         directory.mkdir()
         config = write_config(
             tmp_path / "dir.cfg", trained_run["corpus"], run_dir, **{key: directory}
         )
+        trained = []
+        monkeypatch.setattr(training, "train", lambda *args, **kwargs: trained.append(1))
         assert cli.main([command, "--config", str(config)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("file error:") and str(directory) in err
         assert err.count("\n") == 1
         assert not [p.name for p in tmp_path.iterdir() if p.name.endswith(".tmp")]
+        assert trained == []  # a train command is refused before it trains
+
+    @pytest.mark.parametrize("key", ["checkpoint_path", "tta_checkpoint_path", "vocab_path"])
+    def test_missing_directory_for_a_training_output(
+        self, trained_run, tmp_path, capsys, monkeypatch, key
+    ):
+        missing = tmp_path / "no_such_directory"
+        config = write_config(
+            tmp_path / "dir.cfg", trained_run["corpus"], tmp_path, **{key: missing / "out"}
+        )
+        trained = []
+        monkeypatch.setattr(training, "train", lambda *args, **kwargs: trained.append(1))
+        assert cli.main(["train", "--config", str(config)]) == 1
+        err = capsys.readouterr().err
+        # With checkpoint_path, the first file refused is its .vocab sidecar.
+        assert err.startswith(f"file error: cannot write {missing / 'out'}")
+        assert err.endswith(f": no directory {missing}\n") and err.count("\n") == 1
+        assert trained == []
 
     @pytest.mark.parametrize(
         "content, message",

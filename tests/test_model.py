@@ -1,4 +1,5 @@
 import warnings
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -1070,7 +1071,7 @@ class TestWindowBuffers:
         _, second, _ = model.forward_window(params, config, np.zeros((2, 3), np.int64), small,
                                             buffers=buffers)
         block = second.buffers.block
-        assert all(np.shares_memory(w.gates, block) for w in second.cell_windows)
+        assert np.shares_memory(second.cell_window.gates, block)
         assert np.shares_memory(second.outputs, block)
         buffers.recycle(second)
         # A larger window frees the block and takes a larger one.
@@ -1098,6 +1099,47 @@ class TestWindowBuffers:
         assert scored.tobytes() == kept.tobytes()
         for a, b in zip(scored_states, kept_states):
             assert a.c.tobytes() == b.c.tobytes() and a.h.tobytes() == b.h.tobytes()
+
+
+class TestScoringCaches:
+    """A scoring pass stores no gate values, which only a backward pass reads."""
+
+    @pytest.mark.parametrize("cell", ["lstm", "rlstm"])
+    def test_scoring_caches_hold_no_gate_buffers(self, monkeypatch, cell):
+        seen = []
+        for module, name in ((mogrifier, "mogrify_forward"), (cells, f"{cell}_forward")):
+            original = getattr(module, name)
+
+            def recorded(*args, _original=original, **kwargs):
+                seen.append(args[-1].gates)  # the step's cache, the last argument
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, recorded)
+        config = tiny_config(cell=cell, layers=2, mogrifier_rounds=3)
+        params = model.init_model_params(Rng(455), config)
+        inputs = Rng(456).integers(0, config.vocab_size, (1, 6))
+        masks = model.ones_masks(config, 1, 6)
+        model.forward_window(params, config, inputs, masks, backward=False)
+        assert len(seen) == 2 * (6 + 1) and all(gates is None for gates in seen)
+        seen.clear()
+        _, cache, _ = model.forward_window(params, config, inputs, masks)
+        assert len(seen) == 2 * (6 + 1) and all(gates is not None for gates in seen)
+        assert cache.cell_window.gates is not None and cache.mog_window.gates is not None
+
+    @pytest.mark.parametrize("fast", [False, True])
+    @pytest.mark.parametrize("cell", ["lstm", "rlstm"])
+    @pytest.mark.parametrize("decay", [0.0, 0.02])  # 0.02: windows run for a backward pass
+    def test_dyneval_with_lr_zero_equals_static_scoring(self, fast, cell, decay):
+        numerics.set_fast_gemm(fast)
+        config = tiny_config(cell=cell, layers=2, state_size=8, vocab_size=9, mogrifier_rounds=4)
+        rng = Rng(457)
+        params = model.init_model_params(rng, config)
+        stream = rng.integers(0, config.vocab_size, 60)
+        static = evaluation.evaluate_static(params, config, stream, 1.3)
+        dcfg = evaluation.DynevalConfig(segment=7, lr=0.0, decay=decay)
+        dynamic = evaluation.evaluate_dynamic(params, config, stream, dcfg, 1.3)
+        assert dynamic.total_nats == static.total_nats
+        assert dynamic.token_count == static.token_count
 
 
 def poisoned_params(config, seed=440):
@@ -1218,11 +1260,24 @@ class TestLeanStep:
         assert np.shares_memory(buffers.lend(block.size).block, block)
 
 
-# --- Reference: the layer-by-layer loop ---------------------------------------
-# The window loop that the wavefront replaced: each step runs the layers one
-# after the other, each layer on (T, B, .) window buffers of its own.  The
-# wavefront must give its bits: log-probs, final states and, through
-# backward_window, which reads the per-layer windows, the gradient vector.
+# --- Reference: the layer-by-layer loops --------------------------------------
+# The window loops that the wavefronts replaced: each step runs the layers one
+# after the other, each layer on (T, B, .) window buffers of its own, and the
+# backward pass runs the steps from last to first and each step's layers from
+# top to bottom.  The wavefronts must give their bits: log-probs, final states
+# and the gradient vector.
+
+
+@dataclass
+class LayerwiseCache:
+    inputs: np.ndarray
+    masks: model.MaskSet
+    mog_windows: list  # [l] -> MogrifyCache of (T, B, .) buffers
+    cell_windows: list  # [l] -> CellCache of (T, B, .) buffers
+    mog_caches: list  # [t][l] -> the step-t view of mog_windows[l]
+    cell_caches: list  # [t][l] -> the step-t view of cell_windows[l], with its c_prev
+    outputs: np.ndarray
+    probs: np.ndarray
 
 
 def layerwise_forward(params, config, inputs, masks, states=None):
@@ -1274,11 +1329,59 @@ def layerwise_forward(params, config, inputs, masks, states=None):
     logits = numerics.gemm(outputs.reshape(-1, n), params.e_out, rowwise=batch == 1)
     logits += params.b_out
     log_probs = numerics.log_softmax(logits.reshape(horizon, batch, -1).transpose(1, 0, 2))
-    cache = model.WindowCache(
+    cache = LayerwiseCache(
         inputs, masks, mog_windows, cell_windows, mog_caches, cell_caches, outputs,
-        np.exp(log_probs), 1.0, None,
+        np.exp(log_probs),
     )
     return log_probs, cache, states
+
+
+def layerwise_backward(params, config, cache, grad_log_probs):
+    """The gradients of the layer-by-layer loop, at temperature 1."""
+    batch, horizon = cache.inputs.shape
+    n, dtype, masks, masked = config.state_size, config.np_dtype, cache.masks, model._masked
+    grads = model.empty_model_params(config)
+    row_sums = np.sum(grad_log_probs, axis=-1, keepdims=True)
+    dlogits = (grad_log_probs - cache.probs * row_sums) / 1.0
+    dlogits = dlogits.transpose(1, 0, 2).reshape(horizon * batch, -1)
+    e_out_grad = numerics.gemm(cache.outputs.reshape(-1, n).T, dlogits)
+    grads.b_out[...] = dlogits.sum(axis=0)
+    dsum = numerics.gemm(dlogits, params.e_out.T).reshape(horizon, batch, n)
+    if masks.m_out is not None:
+        dsum *= masks.m_out
+    grad_c = [np.zeros((batch, n), dtype) for _ in params.layers]
+    grad_h_masked = [np.zeros((batch, n), dtype) for _ in params.layers]
+    for t in range(horizon - 1, -1, -1):
+        dx_residual = np.zeros((batch, n), dtype)  # grad flowing into lower xhats
+        dx0 = np.zeros((batch, n), dtype)
+        for l in range(config.layers - 1, -1, -1):
+            layer = params.layers[l]
+            dxhat = dsum[t] + dx_residual
+            dh = masked(dxhat, masks.m_cell, (l, t)) + masked(grad_h_masked[l], masks.m_state, l)
+            _, grad_c[l], dmog_h, dmog_x = cells.cell_backward(
+                layer.cell, cache.cell_caches[t][l], grad_c[l], dh
+            )
+            _, grad_h_masked[l], dx_in = mogrifier.mogrify_backward(
+                layer.mog, cache.mog_caches[t][l], dmog_h, dmog_x
+            )
+            if l == 0:
+                dx0 += dx_in
+            else:
+                dx_residual += dx_in
+                if config.residual_includes_embedding:
+                    dx0 += dx_in
+        dsum[t] = masked(dx0, masks.m_in, t)
+    if params.tied:
+        grads.e_in[...] = e_out_grad.T
+    else:
+        grads.e_out_untied[...] = e_out_grad
+    np.add.at(grads.e_in, cache.inputs.T.ravel(), dsum.reshape(-1, n))
+    for layer, grad, cell_window, mog_window in zip(
+        params.layers, grads.layers, cache.cell_windows, cache.mog_windows, strict=True
+    ):
+        cells.weight_grads(layer.cell, cell_window, out=grad.cell)
+        mogrifier.weight_grads(layer.mog, mog_window, out=grad.mog)
+    return grads
 
 
 # (batch, dtype, fast gemm, keeps, residual_includes_embedding, carried states):
@@ -1328,7 +1431,9 @@ class TestWavefront:
             assert a.c.tobytes() == b.c.tobytes() and a.h.tobytes() == b.h.tobytes()
 
     @pytest.mark.parametrize("cell", ["lstm", "lstm_uncapped", "rlstm"])
-    @pytest.mark.parametrize("rounds, rank", [(0, 0), (3, 0), (4, 0), (3, 2), (4, 2)])
+    @pytest.mark.parametrize(
+        "rounds, rank", [(0, 0), (1, 0), (2, 0), (3, 0), (4, 0), (1, 2), (2, 2), (3, 2), (4, 2)]
+    )
     @pytest.mark.parametrize("layers", [1, 2, 3])
     def test_matches_the_layer_by_layer_loop(self, cell, rounds, rank, layers):
         for index, variant in enumerate(WAVEFRONT_VARIANTS):
@@ -1343,7 +1448,7 @@ class TestWavefront:
             self.assert_same_states(final, ref_final)
             _, grad_lp = model.nll_from_log_probs(log_probs, targets)
             grads = model.backward_window(params, config, cache, grad_lp)
-            ref_grads = model.backward_window(params, config, ref_cache, grad_lp)
+            ref_grads = layerwise_backward(params, config, ref_cache, grad_lp)
             assert grads.vector.tobytes() == ref_grads.vector.tobytes()
             scored, _, scored_final = model.forward_window(
                 params, config, inputs, masks, states, backward=False
@@ -1371,6 +1476,30 @@ class TestWavefront:
         model.forward_window(params, config, inputs, model.ones_masks(config, 2, 7),
                              backward=backward)
         assert calls == {"mogrify_forward": 7 + layers - 1, "rlstm_forward": 7 + layers - 1}
+
+    @pytest.mark.parametrize("cell", ["lstm", "rlstm"])
+    @pytest.mark.parametrize("layers", [1, 3])
+    def test_one_stacked_backward_step_per_reverse_tick(self, monkeypatch, cell, layers):
+        # The backward pass is the same wavefront run backwards: T + L - 1
+        # reverse ticks, each one cell and one mogrifier backward call.
+        calls = {"mogrify_backward": 0, f"{cell}_backward": 0}
+        for module, name in ((mogrifier, "mogrify_backward"), (cells, f"{cell}_backward")):
+            original = getattr(module, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+        config = tiny_config(cell=cell, layers=layers)
+        params = model.init_model_params(Rng(652), config)
+        inputs = Rng(653).integers(0, config.vocab_size, (2, 7))
+        log_probs, cache, _ = model.forward_window(
+            params, config, inputs, model.ones_masks(config, 2, 7)
+        )
+        _, grad_lp = model.nll_from_log_probs(log_probs, inputs)
+        model.backward_window(params, config, cache, grad_lp)
+        assert calls == {"mogrify_backward": 7 + layers - 1, f"{cell}_backward": 7 + layers - 1}
 
     @pytest.mark.parametrize("cell", ["lstm", "rlstm"])
     @pytest.mark.parametrize("rank", [0, 3])
