@@ -306,26 +306,30 @@ def cell_backward(p, cache, grad_c, grad_h):
     raise TypeError(f"unknown cell parameters {type(p)}")
 
 
-def _rows(a):
-    return a.reshape(-1, a.shape[-1])
+def _rows(a, lead: int):
+    """a with its step axes folded into one rows axis, after the `lead`
+    leading axes (1 for a stack of layers, else 0)."""
+    return a.reshape(*a.shape[:lead], -1, a.shape[-1])
 
 
 def weight_grads(p, cache: CellCache, out):
     """Weight and bias gradients from a cache whose gates hold pre-activation
     gradients (after the backward of each of its steps): one gemm per fused
-    matrix and one sum for the bias, over every row of the cache.  They are
-    written into `out`, parameters of p's shapes, which is returned."""
-    dpre = _rows(cache.gates)
-    out.b[...] = dpre.sum(axis=0)
+    matrix and one sum for the bias, over every row of the cache, and for a
+    stack of layers one stacked gemm, a product per layer.  They are written
+    into `out`, parameters of p's shapes, which is returned."""
+    lead = p.b.ndim - 1
+    dpre = _rows(cache.gates, lead)
+    out.b[...] = dpre.sum(axis=-2)
     if isinstance(p, LstmParams):
-        out.w[...] = gemm(dpre.T, _rows(cache.xh))
+        out.w[...] = gemm(dpre.mT, _rows(cache.xh, lead))
         return out
     n = p.state_size
-    dpre_ij, dpre_f, dpre_o = dpre[:, : 2 * n], dpre[:, 2 * n : 3 * n], dpre[:, 3 * n :]
+    dpre_ij, dpre_f, dpre_o = dpre[..., : 2 * n], dpre[..., 2 * n : 3 * n], dpre[..., 3 * n :]
     cm = cache.c if cache.state_mask is None else cache.c * cache.state_mask
-    out.w_ij[...] = gemm(dpre_ij.T, _rows(cache.xh))
-    out.w_f[...] = gemm(dpre_f.T, _rows(cache.uh))
-    out.w_oc[...] = gemm(dpre_o.T, _rows(cm))
+    out.w_ij[...] = gemm(dpre_ij.mT, _rows(cache.xh, lead))
+    out.w_f[...] = gemm(dpre_f.mT, _rows(cache.uh, lead))
+    out.w_oc[...] = gemm(dpre_o.mT, _rows(cm, lead))
     return out
 
 

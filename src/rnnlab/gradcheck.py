@@ -88,7 +88,8 @@ def _check_mogrifier(rounds: int, rank: int) -> float:
 def model_instance(batch=1, carried=False, **overrides):
     """(params, config, window, masks) of a model check: a 2-layer model over
     a 4-step window; `overrides` are ModelConfig fields, `carried` starts the
-    window from random carried-in states."""
+    window from random carried-in states, (L, batch, n) arrays drawn layer
+    after layer, c before h."""
     fields = dict(
         layers=2, state_size=8, vocab_size=6, cell="rlstm", mogrifier_rounds=2,
         tie_embeddings=False, t_max=6.0,
@@ -103,11 +104,8 @@ def model_instance(batch=1, carried=False, **overrides):
     masks = model.sample_masks(rng, config, batch, 4, config.dropout_samples)
     states = None
     if carried:
-        n = config.state_size
-        states = [
-            CellState(rng.uniform(-1.0, 1.0, (batch, n)), rng.uniform(-1.0, 1.0, (batch, n)))
-            for _ in range(config.layers)
-        ]
+        drawn = rng.uniform(-1.0, 1.0, (config.layers, 2, batch, config.state_size))
+        states = CellState(drawn[:, 0], drawn[:, 1])
     return params, config, WindowBatch(inputs=inputs, targets=targets, states=states), masks
 
 

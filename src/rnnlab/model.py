@@ -11,18 +11,20 @@ The state mask is sampled once per window and reused at every timestep
 (variational dropout); for rewired cells it is also applied to the cell state
 inside the output gate.
 
-A window runs as a layer wavefront (Appleyard et al. 2016, arXiv 1604.01946).
-Layer l's step t needs only layer l-1's step t and its own step t-1, so at
-tick k layer l runs its step k - l, and the layers in range run as one step:
-one mogrifier and one cell call on (L, B, .) arrays, with weights that are
-zero-copy (L, ...) views of the parameter vector.  The backward pass is the
-mirror: layer l's step t needs layer l+1's step t and its own step t+1, so at
+The layers are one stack: every parameter of a layer is an (L, ...) array,
+a zero-copy view of the parameter vector whose [l] is layer l's, and the
+carried states are one CellState of (L, B, n) arrays.  A window runs as a
+layer wavefront (Appleyard et al. 2016, arXiv 1604.01946).  Layer l's step
+t needs only layer l-1's step t and its own step t-1, so at tick k layer l
+runs its step k - l, and the layers in range run as one step: one mogrifier
+and one cell call on (L, B, .) arrays.  The backward pass is the mirror:
+layer l's step t needs layer l+1's step t and its own step t+1, so at
 reverse tick k layer l runs its step T-1 - (k - (L-1 - l)).  The window
 buffers are (L, T, B, .), one (T, B, .) window per layer, from which each
-weight gradient is one gemm per layer; the ticks reach them through skewed
-(L, T + L - 1, B, .) views whose [l, k] is the step layer l runs at tick k.
-Every sum keeps the order of a layer-by-layer loop: the schedule changes no
-bit.
+weight gradient is one stacked gemm, a product per layer; the ticks reach
+them through skewed (L, T + L - 1, B, .) views whose [l, k] is the step
+layer l runs at tick k.  Every sum keeps the order of a layer-by-layer
+loop: the schedule changes no bit.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from . import cells, mogrifier
 from .cells import CellState
 from .numerics import DivergenceError, Rng, bernoulli_mask, log_softmax, log_sum_exp
 from .numerics import gemm
-from .ptree import map_arrays, named_arrays, stacked_views, vector_field, views
+from .ptree import map_arrays, named_arrays, stacked_views, vector_field
 # accumulate is unused here; perfbench/selftest.py checks that its tracer rebinds model.accumulate.
 from .ptree import accumulate  # noqa: F401
 
@@ -95,10 +97,10 @@ class LayerParams:
 class ModelParams:
     e_in: np.ndarray  # (V, n)
     b_out: np.ndarray  # (V,)
-    layers: list  # LayerParams per layer
+    layers: LayerParams  # the stack: (L, ...) arrays, [l] is layer l's
     e_out_untied: np.ndarray | None = None  # (n, V) when not tied
     tied: bool = True
-    vector: np.ndarray | None = vector_field()  # every array above views it, canonical order
+    vector: np.ndarray | None = vector_field()  # every array above views it
 
     @property
     def e_out(self) -> np.ndarray:
@@ -127,57 +129,54 @@ def _masked(x, mask, index):
 class WindowBatch:
     inputs: np.ndarray  # (B, T) token ids
     targets: np.ndarray  # (B, T) token ids, inputs shifted by one
-    states: list | None = None  # per-layer CellState, None = zeros
+    states: CellState | None = None  # (L, B, n) arrays, None = zeros
 
 
 def empty_model_params(config: ModelConfig, vector=None) -> ModelParams:
     """Parameters of this config's shapes whose arrays are views into one
-    vector, params.vector, in canonical order: `vector` (cast to the model's
-    dtype if it has another), or a new zero vector."""
+    vector, params.vector: `vector` (cast to the model's dtype if it has
+    another), or a new zero vector.  The vector holds e_in, b_out, then each
+    layer's leaves in canonical order, layer after layer, then e_out_untied;
+    params.layers views the layers' blocks as one stack."""
     config.validate()
-    n, vocab, dtype = config.state_size, config.vocab_size, config.np_dtype
-    empty = _Carver()  # placeholders of the right shapes; views reads nothing else
-    shapes = ModelParams(
-        e_in=empty((vocab, n), dtype),
-        b_out=empty((vocab,), dtype),
-        layers=[
-            LayerParams(
-                cell=cells.new_params(config.cell, n, n, empty=empty),
-                mog=mogrifier.new_params(
-                    n, n, config.mogrifier_rounds, config.mogrifier_rank, empty=empty
-                ),
-            )
-            for _ in range(config.layers)
-        ],
-        e_out_untied=None if config.tie_embeddings else empty((n, vocab), dtype),
-        tied=config.tie_embeddings,
+    n, vocab, dtype, count = config.state_size, config.vocab_size, config.np_dtype, config.layers
+    empty = _Carver()  # placeholders of the right shapes; stacked_views reads nothing else
+    layer = LayerParams(
+        cell=cells.new_params(config.cell, n, n, empty=empty),
+        mog=mogrifier.new_params(n, n, config.mogrifier_rounds, config.mogrifier_rank, empty=empty),
     )
+    layer_size = sum(arr.size for _, arr in named_arrays(layer))
+    sizes = [vocab * n, vocab, count * layer_size, 0 if config.tie_embeddings else n * vocab]
     if vector is None:
-        vector = np.zeros(sum(arr.size for _, arr in named_arrays(shapes)), dtype)
+        vector = np.zeros(sum(sizes), dtype)
+    if vector.size != sum(sizes):
+        raise ValueError(f"vector has {vector.size} entries, the model has {sum(sizes)}")
     vector = vector.astype(dtype, copy=False)
-    params = views(shapes, vector)
-    params.vector = vector
-    return params
+    e_in, b_out, layers, e_out = np.split(vector, np.cumsum(sizes)[:-1])
+    return ModelParams(
+        e_in=e_in.reshape(vocab, n),
+        b_out=b_out,
+        layers=stacked_views(layer, layers, count),
+        e_out_untied=None if config.tie_embeddings else e_out.reshape(n, vocab),
+        tied=config.tie_embeddings,
+        vector=vector,
+    )
 
 
 def init_model_params(rng: Rng, config: ModelConfig) -> ModelParams:
     """Embeddings U(-1/sqrt(n), 1/sqrt(n)), then per layer the cell and the
-    mogrifier gates, drawn in that order; zero output bias."""
+    mogrifier gates, drawn in that order into the layer's views; zero output
+    bias."""
     params = empty_model_params(config)
     scale = 1.0 / np.sqrt(config.state_size)
     embeddings = [params.e_in] if params.tied else [params.e_in, params.e_out_untied]
     for table in embeddings:
         table[...] = rng.uniform(-scale, scale, table.shape)
-    for layer in params.layers:
+    for l in range(config.layers):
+        layer = map_arrays(params.layers, lambda a: a[l])
         cells.draw_params(rng, layer.cell, config.t_max)
         mogrifier.draw_params(rng, layer.mog, config.state_size)
     return params
-
-
-def zero_states(config: ModelConfig, batch: int) -> list:
-    return [
-        CellState.zeros(batch, config.state_size, config.np_dtype) for _ in range(config.layers)
-    ]
 
 
 def sample_masks(
@@ -290,9 +289,9 @@ class WindowCache:
 
     @property
     def cell_caches(self) -> list | None:
-        """[t][l] -> layer l's step t of cell_window, made when asked for (the
-        backward pass reads the window through its ticks), or None once the
-        window is recycled."""
+        """[t][l] -> layer l's step t of cell_window, made when asked for by
+        callers that read the steps (the library reads the window through its
+        ticks), or None once the window is recycled."""
         if self.cell_window is None:
             return None
         layers, horizon = self.cell_window.c.shape[:2]
@@ -316,22 +315,12 @@ def _window_buffers(params, config, backward, horizon, batch, empty):
     cell_window = cells.new_cache(config.cell, shape, n, n, dtype, empty, c)
     cell_window.capped = config.cap_input_gate
     tops = (cell_window.xh[..., :n], cell_window.xh[..., n:])
-    mog_window = mogrifier.new_cache(params.layers[0].mog, shape, n, n, dtype, tops, empty)
+    mog_window = mogrifier.new_cache(params.layers.mog, shape, n, n, dtype, tops, empty)
     if backward:
         cell_window.c_prev = states[:, :-1]
     else:
         cell_window.gates = mog_window.gates = None
     return cell_window, mog_window, empty((horizon, batch, n), dtype)
-
-
-def _layer_stack(params: ModelParams) -> LayerParams:
-    """The layers' parameters as one LayerParams whose arrays have a leading
-    layer axis: zero-copy views of params.vector, in which the layers are
-    equal blocks one after the other, after e_in and b_out."""
-    first, count = params.layers[0], len(params.layers)
-    start = params.e_in.size + params.b_out.size
-    size = sum(arr.size for _, arr in named_arrays(first))
-    return stacked_views(first, params.vector[start : start + count * size], count)
 
 
 def _skewed(a, layers=None):
@@ -371,7 +360,7 @@ def _run_steps(params, config, inputs, masks, c, h, cell_window, mog_window, out
     skew = cell_window.c.shape[1] > 1  # window buffers, not one step's
     if skew:
         cell_window, mog_window = map_arrays(cell_window, _skewed), map_arrays(mog_window, _skewed)
-    stack = _layer_stack(params)
+    stack = params.layers
     ids, m_in = inputs.T, masks.m_in
     m_cell = None if masks.m_cell is None else _skewed(masks.m_cell)
     # [l, k]: the token ids and input masks of the step that layer l runs at tick k
@@ -438,16 +427,20 @@ def forward_window(
     config: ModelConfig,
     inputs: np.ndarray,
     masks: MaskSet,
-    states: list | None = None,
+    states: CellState | None = None,
     temperature: float = 1.0,
     buffers: WindowBuffers | None = None,
     backward: bool = True,
 ):
     """Run one BPTT window. Returns (log_probs (B,T,V), cache, final states).
 
+    `states`, the carried-in states, is a CellState of (L, B, n) arrays, or
+    None for zeros; the window reads a copy of it in the model's dtype, and
+    the final states are arrays of their own.
+
     Activations go into window buffers, cut from `buffers` when given, whose
     per-layer (T, B, .) windows let backward_window form each weight gradient
-    with one gemm over the window.  With backward=False (scoring only) every
+    with one stacked gemm over the window.  With backward=False (scoring only) every
     tick reuses one step's buffers and the cache is None; temperature=None
     then returns the logits in place of the log-probs, for the caller to apply
     its own temperatures with log_softmax."""
@@ -457,12 +450,18 @@ def forward_window(
         raise ValueError("a window run for its backward pass needs a temperature")
     if inputs.min() < 0 or inputs.max() >= config.vocab_size:
         raise ValueError("token id out of vocabulary range")
-    for layer in params.layers:
-        layer.mog.validate()  # once here; the steps below are given caches and skip it
+    params.layers.mog.validate()  # once here; the steps below are given caches and skip it
+    n, shape = config.state_size, (config.layers, batch, config.state_size)
     if states is None:
-        states = zero_states(config, batch)
-    c, h = np.stack([s.c for s in states]), np.stack([s.h for s in states])
-    n = config.state_size
+        c, h = np.zeros((2, *shape), config.np_dtype)
+    else:
+        for name, state in (("c", states.c), ("h", states.h)):
+            if np.shape(state) != shape:
+                raise ValueError(
+                    f"carried state {name} has shape {np.shape(state)}, not (L, B, n) = {shape}"
+                )
+        # Copies in the model's dtype, which the steps update in place.
+        c, h = (np.array(a, config.np_dtype) for a in (states.c, states.h))
     carver = None
     if buffers is not None:
         size = _Carver()
@@ -488,9 +487,7 @@ def forward_window(
         if not np.all(np.isfinite(logits)):
             raise DivergenceError("non-finite logits")
         logits = logits.reshape(horizon, batch, -1).transpose(1, 0, 2)
-        # The states have the steps' dtype whatever the dtype of the carried-in ones.
-        c, h = c.astype(outputs.dtype, copy=False), h.astype(outputs.dtype, copy=False)
-        final_states = [CellState(c_l, h_l) for c_l, h_l in zip(c, h)]
+        final_states = CellState(c, h)
         if temperature is None:
             return logits, None, final_states
         log_probs = log_softmax(logits, temperature)
@@ -522,9 +519,10 @@ def backward_window(params: ModelParams, config: ModelConfig, cache: WindowCache
     the forward's wavefront run backwards: at reverse tick k layer l runs its
     step T-1 - (k - (L-1 - l)), and the layers in range run as one cell and
     one mogrifier backward step, which leave pre-activation gradients in the
-    window buffers; every weight gradient is then one gemm per layer over the
-    window, written into its view of the gradient vector, grads.vector.  The
-    gate buffers are overwritten, so a cache serves one backward.
+    window buffers; every weight gradient is then one stacked gemm over the
+    window, a product per layer, written into its view of the gradient
+    vector, grads.vector.  The gate buffers are overwritten, so a cache
+    serves one backward.
 
     Every sum keeps the order of a layer-by-layer loop: sums[l] holds the
     gradient that flows into layer l's output from the layers above it at its
@@ -546,7 +544,7 @@ def backward_window(params: ModelParams, config: ModelConfig, cache: WindowCache
     if masks.m_out is not None:
         dsum *= masks.m_out
 
-    stack, parts = _layer_stack(params), {}
+    stack, parts = params.layers, {}
     # The ticks view only what the backward steps read: not the cell's input
     # or state, and not the ladder tops, which are the cell's input.
     cw, mw = cache.cell_window, cache.mog_window
@@ -595,12 +593,10 @@ def backward_window(params: ModelParams, config: ModelConfig, cache: WindowCache
     else:
         grads.e_out_untied[...] = e_out_grad
     np.add.at(grads.e_in, cache.inputs.T.ravel(), dsum.reshape(-1, n))
-    for l, (layer, grad) in enumerate(zip(params.layers, grads.layers, strict=True)):
-        window = cache.cell_window.at(l)
-        if masks.m_state is not None:
-            window.state_mask = masks.m_state[l]
-        cells.weight_grads(layer.cell, window, out=grad.cell)
-        mogrifier.weight_grads(layer.mog, cache.mog_window.at(l), out=grad.mog)
+    window = cache.cell_window.at(...)  # a view of its own, for the state mask
+    window.state_mask = None if masks.m_state is None else masks.m_state[:, None]
+    cells.weight_grads(params.layers.cell, window, out=grads.layers.cell)
+    mogrifier.weight_grads(params.layers.mog, cache.mog_window, out=grads.layers.mog)
     return grads
 
 
@@ -649,14 +645,11 @@ def window_loss_with_masks(
     targets = np.tile(batch.targets, (num_samples, 1))
     states = batch.states
     if states is not None:
-        states = [
-            CellState(np.tile(s.c, (num_samples, 1)), np.tile(s.h, (num_samples, 1)))
-            for s in states
-        ]
-    log_probs, cache, final_states = forward_window(
+        states = CellState(*(np.concatenate([a] * num_samples, 1) for a in (states.c, states.h)))
+    log_probs, cache, final = forward_window(
         params, config, inputs, masks, states, buffers=buffers, backward=backward
     )
-    final_states = [CellState(s.c[:bsz].copy(), s.h[:bsz].copy()) for s in final_states]
+    final_states = CellState(final.c[:, :bsz], final.h[:, :bsz])
 
     rows = np.arange(num_samples * bsz)[:, None]
     cols = np.arange(horizon)[None, :]

@@ -165,32 +165,30 @@ def mogrify_backward(p: MogrifierParams, cache: MogrifyCache, grad_h_out, grad_x
     return cache.gates, dh, dx
 
 
-def _rows(a):
-    return a.reshape(-1, a.shape[-1])
-
-
 def _gate_weight_grad(w, dpre, applied_to, out):
+    # The rows of dpre and applied_to follow any leading layer axis, as in w.
+    lead = (w.u if isinstance(w, LowRank) else w).ndim - 2
+    dpre, applied_to = (a.reshape(*a.shape[:lead], -1, a.shape[-1]) for a in (dpre, applied_to))
     if isinstance(w, LowRank):
-        out.u[...] = gemm(dpre.T, gemm(applied_to, w.v.T))
-        out.v[...] = gemm(gemm(dpre, w.u).T, applied_to)
+        out.u[...] = gemm(dpre.mT, gemm(applied_to, w.v.mT))
+        out.v[...] = gemm(gemm(dpre, w.u).mT, applied_to)
     else:
-        out[...] = gemm(dpre.T, applied_to)
+        out[...] = gemm(dpre.mT, applied_to)
 
 
 def weight_grads(p: MogrifierParams, cache: MogrifyCache, out) -> MogrifierParams:
     """Gate-matrix gradients from a cache whose gates hold pre-activation
     gradients: one gemm per full matrix (four per factored one) over every
-    row of the cache, written into `out`, parameters of p's shapes, which is
+    row of the cache, and for a stack of layers one stacked gemm, a product
+    per layer; written into `out`, parameters of p's shapes, which is
     returned."""
     for index in range(1, p.rounds + 1):
         k = index // 2
-        dpre = _rows(cache.gates[index - 1])
+        dpre = cache.gates[index - 1]
         if index % 2 == 1:
-            _gate_weight_grad(p.x_gates[k], dpre, _rows(cache.h_ladder[k]), out.x_gates[k])
+            _gate_weight_grad(p.x_gates[k], dpre, cache.h_ladder[k], out.x_gates[k])
         else:
-            _gate_weight_grad(
-                p.h_gates[k - 1], dpre, _rows(cache.x_ladder[k]), out.h_gates[k - 1]
-            )
+            _gate_weight_grad(p.h_gates[k - 1], dpre, cache.x_ladder[k], out.h_gates[k - 1])
     return out
 
 

@@ -2,11 +2,12 @@
 
 Parameter objects are dataclasses whose fields are numpy arrays, nested
 dataclasses, or lists thereof.  These helpers walk that structure in a fixed
-order (field declaration order, list index order), which defines the canonical
-order of the flat parameter vector: the model's arrays are views into that
-vector (`views`), and the optimizer, weight averaging, dynamic evaluation and
-checkpoints work on the vector itself.  A field declared with `vector_field()`
-holds that vector and is not part of the tree.
+order (field declaration order, list index order), the canonical order.  The
+arrays of a tree can be views into one flat vector, laid out in canonical
+order (`views`) or as a stack of equal blocks, each in canonical order
+(`stacked_views`, the model's layers); the optimizer, weight averaging,
+dynamic evaluation and checkpoints work on the vector itself.  A field
+declared with `vector_field()` holds that vector and is not part of the tree.
 """
 
 from __future__ import annotations
@@ -119,11 +120,3 @@ def unflatten_into(obj, vec: np.ndarray):
     if offset != vec.size:
         raise ValueError(f"flat vector has {vec.size} entries, tree has {offset}")
 
-
-def global_norm(obj) -> float:
-    """Euclidean norm over every leaf: one float64 sum of squares per leaf,
-    added up in canonical order."""
-    total = 0.0
-    for _, arr in named_arrays(obj):
-        total += float(np.sum(np.asarray(arr, dtype=np.float64) ** 2))
-    return float(np.sqrt(total))

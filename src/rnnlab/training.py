@@ -28,7 +28,7 @@ from . import data as data_mod
 from . import evaluation, model
 from .model import ModelConfig
 from .numerics import DivergenceError, Rng
-from .ptree import global_norm
+from .ptree import named_arrays
 # flatten is unused here; perfbench/selftest.py checks that its tracer rebinds training.flatten.
 from .ptree import flatten  # noqa: F401
 
@@ -37,11 +37,21 @@ class TrainingDiverged(Exception):
     """Raised when training diverges more than max_restarts times."""
 
 
+def _squares(a, axis=None):
+    return np.sum(np.asarray(a, dtype=np.float64) ** 2, axis=axis)
+
+
 def clip_global_norm(g, max_norm: float) -> float:
-    """Scale the gradient vector of g, a gradient tree (g.vector), in place so
-    its global norm is at most max_norm; returns the pre-clip norm, summed
-    leaf by leaf.  max_norm <= 0 disables clipping."""
-    norm = global_norm(g)
+    """Scale the gradient vector of g, model gradients (g.vector), in place so
+    its global norm is at most max_norm; returns the pre-clip norm.  It adds
+    one float64 sum of squares per array in the order of the vector: e_in,
+    b_out, each layer's arrays layer after layer, e_out_untied.  max_norm <= 0
+    disables clipping."""
+    head = [_squares(g.e_in), _squares(g.b_out)]
+    layers = [_squares(a.reshape(len(a), -1), axis=1) for _, a in named_arrays(g.layers)]
+    tail = [] if g.tied else [_squares(g.e_out_untied)]
+    sums = [*head, *np.stack(layers, axis=1).ravel(), *tail]  # layers: [l, array]
+    norm = float(np.sqrt(np.cumsum(sums)[-1]))  # cumsum adds left to right
     if max_norm > 0.0 and norm > max_norm:
         g.vector *= max_norm / norm
     return norm

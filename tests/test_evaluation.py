@@ -255,8 +255,8 @@ class TestOnePassSweep:
         logits, states = model.predict_deterministic(params, config, inputs, None)
         log_probs, same_states = model.predict_deterministic(params, config, inputs, 0.9)
         assert np.array_equal(numerics.log_softmax(logits, 0.9), log_probs)
-        for a, b in zip(states, same_states):
-            assert np.array_equal(a.c, b.c) and np.array_equal(a.h, b.h)
+        assert np.array_equal(states.c, same_states.c)
+        assert np.array_equal(states.h, same_states.h)
         with pytest.raises(ValueError, match="needs a temperature"):
             model.forward_window(
                 params, config, inputs, model.ones_masks(config, 1, 12), temperature=None
@@ -399,7 +399,7 @@ class TestEvaluateDynamic:
 
         def poison(event):
             if event == ("update", 0):
-                params.layers[0].cell.b[0] = np.nan
+                params.layers.cell.b[0, 0] = np.nan
 
         dyn = evaluate_dynamic(
             params, config, stream, DynevalConfig(segment=10, lr=1e-3, decay=0.02),

@@ -1,10 +1,14 @@
+import importlib
+import pathlib
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
-from rnnlab import cells, evaluation, gradcheck, model, mogrifier, numerics, ptree
+from rnnlab import (
+    cells, checkpoint, data, evaluation, gradcheck, model, mogrifier, numerics, ptree, training,
+)
 from rnnlab.cells import CellState
 from rnnlab.model import ModelConfig, WindowBatch
 from rnnlab.numerics import DivergenceError, Rng, max_relative_error
@@ -22,6 +26,24 @@ def tiny_config(**overrides):
     )
     base.update(overrides)
     return ModelConfig(**base).validate()
+
+
+def layer_of(stack, l):
+    """Layer l's views of a stack of layers: parameters or carried states of
+    (L, ...) arrays."""
+    return ptree.map_arrays(stack, lambda a: a[l])
+
+
+def random_states(rng, layers, batch, n, dtype=np.float64):
+    """Carried states of (L, batch, n) arrays, drawn per layer, c before h."""
+    drawn = [rng.uniform(-1, 1, (batch, n)) for _ in range(2 * layers)]
+    return CellState(np.stack(drawn[0::2]).astype(dtype), np.stack(drawn[1::2]).astype(dtype))
+
+
+def assert_same_states(got, want):
+    assert got.c.dtype == want.c.dtype and got.h.dtype == want.h.dtype
+    assert got.c.shape == want.c.shape and got.h.shape == want.h.shape
+    assert got.c.tobytes() == want.c.tobytes() and got.h.tobytes() == want.h.tobytes()
 
 
 def naive_sigmoid(z):
@@ -48,7 +70,7 @@ def oracle_forward(params, config, inputs, masks, temperature=1.0):
                 if config.residual_includes_embedding:
                     x = x + x0
             hh = h[l] * masks.m_state[l]
-            p = params.layers[l]
+            p = layer_of(params.layers, l)
             for r in range(1, p.mog.rounds + 1):
                 if r % 2 == 1:
                     w = p.mog.x_gates[r // 2]
@@ -93,7 +115,7 @@ class TestForwardWindow:
         assert log_probs.shape == (3, 6, config.vocab_size)
         sums = np.exp(log_probs).sum(axis=-1)
         assert np.max(np.abs(sums - 1.0)) < 1e-12
-        assert len(states) == config.layers
+        assert states.c.shape == states.h.shape == (config.layers, 3, config.state_size)
         assert cache.probs.shape == log_probs.shape
 
     @pytest.mark.parametrize("cell", ["rlstm", "lstm"])
@@ -156,17 +178,61 @@ class TestForwardWindow:
         with pytest.raises(DivergenceError):
             model.forward_window(params, config, np.array([[0]]), masks)
 
-    def test_carried_states_not_mutated(self):
+    @pytest.mark.parametrize("backward", [False, True])
+    def test_carried_states_not_mutated(self, backward):
+        # The window works on a copy: evaluation hands one states object to
+        # several tracks.
         config = tiny_config()
         rng = Rng(303)
         params = model.init_model_params(rng, config)
-        states = model.zero_states(config, 2)
-        states[0].c += 0.25
-        before = [s.c.copy() for s in states]
+        states = random_states(rng, config.layers, 2, config.state_size)
+        before = CellState(states.c.copy(), states.h.copy())
         masks = model.ones_masks(config, 2, 3)
-        model.forward_window(params, config, rng.integers(0, 5, (2, 3)), masks, states)
-        for s, b in zip(states, before):
-            assert np.array_equal(s.c, b)
+        _, _, final = model.forward_window(
+            params, config, rng.integers(0, 5, (2, 3)), masks, states, backward=backward
+        )
+        assert_same_states(states, before)
+        assert not np.shares_memory(final.c, states.c) and not np.shares_memory(final.h, states.h)
+
+    @pytest.mark.parametrize("dtype, other", [("float64", np.float32), ("float32", np.float64)])
+    @pytest.mark.parametrize("backward", [False, True])
+    def test_carried_states_of_another_dtype_run_in_the_model_dtype(self, dtype, other, backward):
+        config = tiny_config(dtype=dtype)
+        rng = Rng(304)
+        params = model.init_model_params(rng, config)
+        states = random_states(rng, config.layers, 2, config.state_size, other)
+        cast = CellState(states.c.astype(dtype), states.h.astype(dtype))
+        inputs, masks = rng.integers(0, 5, (2, 6)), model.ones_masks(config, 2, 6)
+        got = model.forward_window(params, config, inputs, masks, states, backward=backward)
+        want = model.forward_window(params, config, inputs, masks, cast, backward=backward)
+        assert got[0].tobytes() == want[0].tobytes()
+        assert_same_states(got[2], want[2])
+        assert got[2].c.dtype == np.dtype(dtype)
+
+    @pytest.mark.parametrize(
+        "layers, batch, n",
+        [(3, 2, 4), (1, 2, 4), (2, 3, 4), (2, 2, 5)],
+        ids=["extra-layer", "missing-layer", "wrong-batch", "wrong-width"],
+    )
+    @pytest.mark.parametrize("wrong", ["c", "h"])
+    def test_carried_states_of_the_wrong_shape_are_refused(self, layers, batch, n, wrong):
+        config = tiny_config()  # 2 layers of width 4, here at batch 2
+        params = model.init_model_params(Rng(305), config)
+        right = np.zeros((2, 2, 4))
+        states = CellState(right, right)
+        setattr(states, wrong, np.zeros((layers, batch, n)))
+        message = (
+            rf"carried state {wrong} has shape \({layers}, {batch}, {n}\), "
+            r"not \(L, B, n\) = \(2, 2, 4\)"
+        )
+        inputs, masks = np.zeros((2, 3), np.int64), model.ones_masks(config, 2, 3)
+        for backward in (False, True):
+            with pytest.raises(ValueError, match=message):
+                model.forward_window(params, config, inputs, masks, states, backward=backward)
+            with pytest.raises(ValueError, match=message):
+                model.window_loss_with_masks(
+                    params, config, WindowBatch(inputs, inputs, states), masks, backward=backward
+                )
 
     def test_rlstm_states_stay_bounded(self):
         config = tiny_config()
@@ -176,8 +242,7 @@ class TestForwardWindow:
         for _ in range(50):
             inputs = rng.integers(0, config.vocab_size, (2, 4))
             _, states = model.predict_deterministic(params, config, inputs, states=states)
-            for s in states:
-                assert np.max(np.abs(s.c)) <= 1.0 + 1e-12
+            assert np.max(np.abs(states.c)) <= 1.0 + 1e-12
 
 
 class TestStatefulness:
@@ -194,9 +259,8 @@ class TestStatefulness:
         )
         stitched = np.concatenate([first, second], axis=1)
         assert np.max(np.abs(stitched - full)) <= 1e-10
-        for a, b in zip(full_states, end_states):
-            assert np.max(np.abs(a.c - b.c)) <= 1e-10
-            assert np.max(np.abs(a.h - b.h)) <= 1e-10
+        assert np.max(np.abs(full_states.c - end_states.c)) <= 1e-10
+        assert np.max(np.abs(full_states.h - end_states.h)) <= 1e-10
 
 
 class TestMasks:
@@ -295,8 +359,7 @@ class TestMultiSample:
 
         assert loss == ref_loss
         assert np.array_equal(flatten(grads), flatten(ref_grads))
-        for a, b in zip(states, ref_states):
-            assert np.array_equal(a.c, b.c) and np.array_equal(a.h, b.h)
+        assert_same_states(states, ref_states)
 
     def test_mixture_never_worse_than_average_sample(self):
         config = tiny_config(keep_in=0.6, keep_cell=0.6, keep_state=0.6, keep_out=0.6)
@@ -325,8 +388,7 @@ class TestMultiSample:
         mask_sets = [model.sample_masks(rng, config, 2, 4) for _ in range(3)]
         _, _, states = model.window_loss_with_masks(params, config, batch, mask_sets)
         _, _, first = model.forward_window(params, config, inputs, mask_sets[0])
-        for a, b in zip(states, first):
-            assert np.array_equal(a.c, b.c) and np.array_equal(a.h, b.h)
+        assert_same_states(states, first)
 
     def test_sample_count_must_be_positive(self):
         config = tiny_config()
@@ -357,8 +419,7 @@ class TestForwardOnlyLoss:
             )
             assert none is None and grads is not None
             assert repr(alone) == repr(loss)
-            for a, b in zip(alone_states, states, strict=True):
-                assert a.c.tobytes() == b.c.tobytes() and a.h.tobytes() == b.h.tobytes()
+            assert_same_states(alone_states, states)
 
 
 def sequential_multisample(params, config, batch, mask_sets):
@@ -441,12 +502,7 @@ class TestBatchedSamples:
         bsz, horizon = 3, 5
         inputs = rng.integers(0, config.vocab_size, (bsz, horizon))
         targets = rng.integers(0, config.vocab_size, (bsz, horizon))
-        states = None
-        if carried:
-            states = [
-                CellState(rng.uniform(-1, 1, (bsz, 6)), rng.uniform(-1, 1, (bsz, 6)))
-                for _ in range(config.layers)
-            ]
+        states = random_states(rng, config.layers, bsz, 6) if carried else None
         return config, params, WindowBatch(inputs, targets, states), rng
 
     @pytest.mark.parametrize("input_mask_rows", [False, True])
@@ -481,8 +537,7 @@ class TestBatchedSamples:
         ref_loss, ref_grads, ref_states = sequential_multisample(params, config, batch, mask_sets)
 
         assert loss == ref_loss
-        for a, b in zip(states, ref_states, strict=True):
-            assert a.c.tobytes() == b.c.tobytes() and a.h.tobytes() == b.h.tobytes()
+        assert_same_states(states, ref_states)
         # The batched pass sums each weight gradient over D*B rows in one gemm,
         # so the gradients agree to rounding, not bit for bit.
         tiny = np.finfo(np.float64).tiny
@@ -525,10 +580,7 @@ class TestAbsentFamilies:
         params = model.init_model_params(rng, config)
         inputs = rng.integers(0, config.vocab_size, (batch, 5))
         targets = rng.integers(0, config.vocab_size, (batch, 5))
-        states = [
-            CellState(rng.uniform(-1, 1, (batch, 6)), rng.uniform(-1, 1, (batch, 6)))
-            for _ in range(config.layers)
-        ]
+        states = random_states(rng, config.layers, batch, 6)
         return config, params, WindowBatch(inputs, targets, states), rng
 
     @staticmethod
@@ -536,8 +588,7 @@ class TestAbsentFamilies:
         (loss, grads, states), (ref_loss, ref_grads, ref_states) = got, want
         assert loss == ref_loss
         assert grads.vector.tobytes() == ref_grads.vector.tobytes()
-        for a, b in zip(states, ref_states, strict=True):
-            assert a.c.tobytes() == b.c.tobytes() and a.h.tobytes() == b.h.tobytes()
+        assert_same_states(states, ref_states)
 
     @pytest.mark.parametrize("cell", ["lstm", "rlstm"])
     @pytest.mark.parametrize("num_samples", [1, 2])
@@ -581,8 +632,7 @@ class TestAbsentFamilies:
                 temperature, backward=False,
             )
             assert scores.tobytes() == ref_scores.tobytes()
-            for a, b in zip(states, ref_states, strict=True):
-                assert a.c.tobytes() == b.c.tobytes() and a.h.tobytes() == b.h.tobytes()
+            assert_same_states(states, ref_states)
 
     @pytest.mark.parametrize("cell", ["lstm", "rlstm"])
     @pytest.mark.parametrize("fast", [False, True])
@@ -734,42 +784,56 @@ class TestConfigValidation:
         ]
 
     @pytest.mark.parametrize("dtype", ["float64", "float32"])
-    def test_arrays_view_one_vector_in_canonical_order(self, dtype):
+    def test_arrays_view_one_vector(self, dtype):
         config = tiny_config(tie_embeddings=False, mogrifier_rank=2, dtype=dtype)
         params = model.init_model_params(Rng(5), config)
         vector = params.vector
         assert vector.dtype == np.dtype(dtype) and vector.flags.c_contiguous
-        offset = 0
         for _, arr in ptree.named_arrays(params):
-            assert arr.dtype == vector.dtype
-            assert np.shares_memory(arr, vector[offset : offset + arr.size])
-            offset += arr.size
-        assert offset == vector.size
-        assert np.array_equal(flatten(params), vector)
+            assert arr.dtype == vector.dtype and np.shares_memory(arr, vector)
+        assert sum(arr.size for _, arr in ptree.named_arrays(params)) == vector.size
         batch = WindowBatch(inputs=np.array([[0, 1, 2]]), targets=np.array([[1, 2, 3]]))
         _, grads, _ = model.loss_multisample(params, config, batch, Rng(6), 1)
         assert grads.vector.dtype == vector.dtype and grads.vector.size == vector.size
         assert all(np.shares_memory(arr, grads.vector) for _, arr in ptree.named_arrays(grads))
 
-    def test_init_draws_match_separate_arrays(self):
-        # Drawing into views of the vector gives the values and leaves the
-        # rng where drawing each array on its own did: embeddings, then per
-        # layer the cell and the mogrifier.
-        config = tiny_config(tie_embeddings=False, mogrifier_rank=2)
+    @pytest.mark.parametrize("tied", [True, False])
+    @pytest.mark.parametrize("rounds, rank", [(0, 0), (3, 0), (3, 3)])
+    @pytest.mark.parametrize("cell", ["lstm", "rlstm"])
+    @pytest.mark.parametrize("layers", [1, 2, 3])
+    def test_layout_matches_a_per_layer_init(self, layers, cell, rounds, rank, tied):
+        # The vector keeps the layout of per-layer parameters, byte for byte:
+        # e_in, b_out, each layer's cell then mogrifier, layer after layer,
+        # drawn as separate arrays in that order, then e_out_untied; the
+        # stacked arrays' [l] views layer l's block.
+        config = tiny_config(
+            layers=layers, cell=cell, mogrifier_rounds=rounds, mogrifier_rank=rank,
+            tie_embeddings=tied,
+        )
         rng = Rng(12)
         params = model.init_model_params(rng, config)
         ref = Rng(12)
-        n, v = config.state_size, config.vocab_size
-        expected = [ref.uniform(-1 / np.sqrt(n), 1 / np.sqrt(n), (v, n))]
-        e_out = ref.uniform(-1 / np.sqrt(n), 1 / np.sqrt(n), (n, v))
-        for _ in range(config.layers):
-            expected.append(flatten(cells.init_cell_params(ref, n, n, config.cell, config.t_max)))
-            expected.append(
-                flatten(mogrifier.init_mogrifier_params(ref, n, n, config.mogrifier_rounds, 2))
+        n, v, scale = config.state_size, config.vocab_size, 1 / np.sqrt(config.state_size)
+        e_in = ref.uniform(-scale, scale, (v, n))
+        e_out = [] if tied else [ref.uniform(-scale, scale, (n, v)).ravel()]
+        layer_refs = [
+            model.LayerParams(
+                cells.init_cell_params(ref, n, n, cell, config.t_max),
+                mogrifier.init_mogrifier_params(ref, n, n, rounds, rank),
             )
+            for _ in range(layers)
+        ]
         assert ref.state() == rng.state()
-        layout = [expected[0].ravel(), np.zeros(v), *expected[1:], e_out.ravel()]
-        assert np.array_equal(params.vector, np.concatenate(layout))
+        layout = [e_in.ravel(), np.zeros(v), *map(flatten, layer_refs), *e_out]
+        assert params.vector.tobytes() == np.concatenate(layout).tobytes()
+        stacked = list(ptree.named_arrays(params.layers))
+        for l, layer_ref in enumerate(layer_refs):
+            for (path, arr), (ref_path, ref_arr) in zip(
+                stacked, ptree.named_arrays(layer_ref), strict=True
+            ):
+                assert path == ref_path and arr.shape == (layers, *ref_arr.shape)
+                assert np.shares_memory(arr, params.vector)
+                assert arr[l].tobytes() == ref_arr.tobytes()
 
 
 # --- Reference: the per-gate, per-step model ---------------------------------
@@ -900,14 +964,14 @@ def ref_window(params, config, inputs, masks, states, grad_of_log_probs):
     gemm = numerics.gemm
     batch, horizon = inputs.shape
     n = config.state_size
-    c = [s.c for s in states]
-    h = [s.h for s in states]
+    c, h = list(states.c), list(states.h)
     logits = np.empty((batch, horizon, config.vocab_size))
     steps = []
     for t in range(horizon):
         x0 = params.e_in[inputs[:, t]] * masks.m_in[t]
         xhats, step = [], []
-        for l, layer in enumerate(params.layers):
+        for l in range(config.layers):
+            layer = layer_of(params.layers, l)
             x = x0 if l == 0 else sum(xhats[1:], xhats[0].copy())
             if l > 0 and config.residual_includes_embedding:
                 x = x + x0
@@ -926,8 +990,8 @@ def ref_window(params, config, inputs, masks, states, grad_of_log_probs):
     grads = model.empty_model_params(config)
     e_out_grad = grads.e_in.T if params.tied else grads.e_out_untied
     dlogits = grad_lp - np.exp(log_probs) * np.sum(grad_lp, axis=-1, keepdims=True)
-    grad_c = [np.zeros((batch, n)) for _ in params.layers]
-    grad_h = [np.zeros((batch, n)) for _ in params.layers]
+    grad_c = [np.zeros((batch, n)) for _ in range(config.layers)]
+    grad_h = [np.zeros((batch, n)) for _ in range(config.layers)]
     for t in range(horizon - 1, -1, -1):
         total, step = steps[t]
         dlog_t = np.ascontiguousarray(dlogits[:, t, :])
@@ -937,7 +1001,7 @@ def ref_window(params, config, inputs, masks, states, grad_of_log_probs):
         dx_residual = np.zeros((batch, n))
         dx0 = np.zeros((batch, n))
         for l in range(config.layers - 1, -1, -1):
-            layer, layer_grads = params.layers[l], grads.layers[l]
+            layer, layer_grads = layer_of(params.layers, l), layer_of(grads.layers, l)
             xs, hs, gates, cell = step[l]
             dh = (dsum + dx_residual) * masks.m_cell[l, t] + grad_h[l] * masks.m_state[l]
             grad_c[l], dmog_h, dmog_x = ref_cell_backward(
@@ -970,10 +1034,7 @@ class TestAgainstPerGateReference:
         params = model.init_model_params(rng, config)
         inputs = rng.integers(0, config.vocab_size, (batch, 5))
         targets = rng.integers(0, config.vocab_size, (batch, 5))
-        states = [
-            CellState(rng.uniform(-1, 1, (batch, 6)), rng.uniform(-1, 1, (batch, 6)))
-            for _ in range(config.layers)
-        ]
+        states = random_states(rng, config.layers, batch, 6)
         masks = model.sample_masks(rng, config, batch, 5)
         return config, params, inputs, targets, states, masks
 
@@ -1054,8 +1115,7 @@ class TestWindowBuffers:
             )
             assert again == loss
             assert flatten(again_grads).tobytes() == flatten(grads).tobytes()
-            for a, b in zip(again_states, states):
-                assert a.c.tobytes() == b.c.tobytes() and a.h.tobytes() == b.h.tobytes()
+            assert_same_states(again_states, states)
 
     def test_spent_window_lends_its_block_and_is_cleared(self):
         config = tiny_config()
@@ -1088,8 +1148,7 @@ class TestWindowBuffers:
         rng = Rng(432)
         params = model.init_model_params(rng, config)
         inputs = rng.integers(0, config.vocab_size, (2, 7))
-        states = [CellState(rng.uniform(-1, 1, (2, 4)), rng.uniform(-1, 1, (2, 4)))
-                  for _ in range(config.layers)]
+        states = random_states(rng, config.layers, 2, 4)
         masks = model.ones_masks(config, 2, 7)
         kept, cache, kept_states = model.forward_window(params, config, inputs, masks, states)
         scored, none, scored_states = model.forward_window(
@@ -1097,8 +1156,7 @@ class TestWindowBuffers:
         )
         assert none is None and cache is not None
         assert scored.tobytes() == kept.tobytes()
-        for a, b in zip(scored_states, kept_states):
-            assert a.c.tobytes() == b.c.tobytes() and a.h.tobytes() == b.h.tobytes()
+        assert_same_states(scored_states, kept_states)
 
 
 class TestScoringCaches:
@@ -1145,8 +1203,8 @@ class TestScoringCaches:
 def poisoned_params(config, seed=440):
     """Parameters with a NaN in one cell weight of the first layer."""
     params = model.init_model_params(Rng(seed), config)
-    cell = params.layers[0].cell
-    (cell.w if config.cell == "lstm" else cell.w_ij)[1, 2] = np.nan
+    cell = params.layers.cell
+    (cell.w if config.cell == "lstm" else cell.w_ij)[0, 1, 2] = np.nan
     return params
 
 
@@ -1162,16 +1220,14 @@ class TestLeanStep:
         params = poisoned_params(config)
         batch = 3 if backward else 1
         rng = Rng(441)
-        states = [CellState(rng.uniform(-1, 1, (batch, 4)), rng.uniform(-1, 1, (batch, 4)))
-                  for _ in range(config.layers)]
-        before = [(s.c.copy(), s.h.copy()) for s in states]
+        states = random_states(rng, config.layers, batch, 4)
+        before = CellState(states.c.copy(), states.h.copy())
         inputs = rng.integers(0, config.vocab_size, (batch, 5))
         masks = model.ones_masks(config, batch, 5)
         with pytest.raises(DivergenceError) as raised:
             model.forward_window(params, config, inputs, masks, states, backward=backward)
         assert str(raised.value) == "non-finite cell activations"
-        for s, (c, h) in zip(states, before):
-            assert s.c.tobytes() == c.tobytes() and s.h.tobytes() == h.tobytes()
+        assert_same_states(states, before)
 
     @pytest.mark.parametrize("cell", ["lstm", "rlstm"])
     def test_infinite_cell_state_alone_raises(self, cell):
@@ -1179,8 +1235,8 @@ class TestLeanStep:
         # the final c sees it.
         config = tiny_config(cell=cell)
         params = model.init_model_params(Rng(442), config)
-        states = model.zero_states(config, 1)
-        states[0].c[0, 1] = np.inf
+        states = CellState(*np.zeros((2, config.layers, 1, config.state_size)))
+        states.c[0, 0, 1] = np.inf
         masks = model.ones_masks(config, 1, 3)
         with pytest.raises(DivergenceError, match="^non-finite cell activations$"):
             model.forward_window(params, config, np.zeros((1, 3), np.int64), masks, states,
@@ -1192,7 +1248,7 @@ class TestLeanStep:
         # the check of the outputs must see it before the logits check does.
         config = tiny_config(cell=cell)
         params = model.init_model_params(Rng(449), config)
-        cells.gate_views(params.layers[-1].cell)["b_o"][0] = np.nan
+        cells.gate_views(layer_of(params.layers, -1).cell)["b_o"][0] = np.nan
         masks = model.ones_masks(config, 1, 1)
         with pytest.raises(DivergenceError, match="^non-finite cell activations$"):
             model.forward_window(params, config, np.zeros((1, 1), np.int64), masks,
@@ -1216,7 +1272,7 @@ class TestLeanStep:
         assert np.geterr() == before
 
     @pytest.mark.parametrize("backward", [False, True])
-    def test_validates_once_per_layer_and_checks_no_step(self, monkeypatch, backward):
+    def test_validates_once_and_checks_no_step(self, monkeypatch, backward):
         config = tiny_config(layers=3)
         params = model.init_model_params(Rng(445), config)
         calls = {"validate": 0, "finite": 0}
@@ -1236,12 +1292,12 @@ class TestLeanStep:
         inputs = Rng(446).integers(0, config.vocab_size, (2, 6))
         model.forward_window(params, config, inputs, model.ones_masks(config, 2, 6),
                              backward=backward)
-        assert calls == {"validate": config.layers, "finite": 0}
+        assert calls == {"validate": 1, "finite": 0}
 
     def test_mogrifier_with_the_wrong_gate_count_is_refused(self):
         config = tiny_config()
         params = model.init_model_params(Rng(447), config)
-        params.layers[1].mog.rounds = 3  # its gates are for 2 rounds
+        params.layers.mog.rounds = 3  # its gates are for 2 rounds
         with pytest.raises(ValueError, match="rounds=3 needs 2 x-gates and 1 h-gates"):
             model.forward_window(params, config, np.zeros((1, 2), np.int64),
                                  model.ones_masks(config, 1, 2), buffers=model.WindowBuffers())
@@ -1284,10 +1340,13 @@ def layerwise_forward(params, config, inputs, masks, states=None):
     """(log_probs, cache, final states) of the layer-by-layer loop."""
     batch, horizon = inputs.shape
     n, dtype = config.state_size, config.np_dtype
-    states = [s.copy() for s in (states or model.zero_states(config, batch))]
+    if states is None:
+        states = CellState(*np.zeros((2, config.layers, batch, n), dtype))
+    states = [layer_of(states, l).copy() for l in range(config.layers)]
+    layers = [layer_of(params.layers, l) for l in range(config.layers)]
     masked = model._masked
     cell_windows, mog_windows = [], []
-    for l, layer in enumerate(params.layers):
+    for l, layer in enumerate(layers):
         window = cells.new_cache(config.cell, (horizon, batch), n, n, dtype)
         window.capped = config.cap_input_gate
         if config.cell == "rlstm" and masks.m_state is not None:
@@ -1302,7 +1361,7 @@ def layerwise_forward(params, config, inputs, masks, states=None):
         for t in range(horizon):
             x0 = masked(params.e_in[inputs[:, t]], masks.m_in, t)
             xhats = []
-            for l, layer in enumerate(params.layers):
+            for l, layer in enumerate(layers):
                 if l == 0:
                     x_in = x0
                 else:
@@ -1333,7 +1392,7 @@ def layerwise_forward(params, config, inputs, masks, states=None):
         inputs, masks, mog_windows, cell_windows, mog_caches, cell_caches, outputs,
         np.exp(log_probs),
     )
-    return log_probs, cache, states
+    return log_probs, cache, CellState(*(np.stack([getattr(s, a) for s in states]) for a in "ch"))
 
 
 def layerwise_backward(params, config, cache, grad_log_probs):
@@ -1349,13 +1408,14 @@ def layerwise_backward(params, config, cache, grad_log_probs):
     dsum = numerics.gemm(dlogits, params.e_out.T).reshape(horizon, batch, n)
     if masks.m_out is not None:
         dsum *= masks.m_out
-    grad_c = [np.zeros((batch, n), dtype) for _ in params.layers]
-    grad_h_masked = [np.zeros((batch, n), dtype) for _ in params.layers]
+    layers = [layer_of(params.layers, l) for l in range(config.layers)]
+    grad_c = [np.zeros((batch, n), dtype) for _ in layers]
+    grad_h_masked = [np.zeros((batch, n), dtype) for _ in layers]
     for t in range(horizon - 1, -1, -1):
         dx_residual = np.zeros((batch, n), dtype)  # grad flowing into lower xhats
         dx0 = np.zeros((batch, n), dtype)
         for l in range(config.layers - 1, -1, -1):
-            layer = params.layers[l]
+            layer = layers[l]
             dxhat = dsum[t] + dx_residual
             dh = masked(dxhat, masks.m_cell, (l, t)) + masked(grad_h_masked[l], masks.m_state, l)
             _, grad_c[l], dmog_h, dmog_x = cells.cell_backward(
@@ -1376,9 +1436,12 @@ def layerwise_backward(params, config, cache, grad_log_probs):
     else:
         grads.e_out_untied[...] = e_out_grad
     np.add.at(grads.e_in, cache.inputs.T.ravel(), dsum.reshape(-1, n))
-    for layer, grad, cell_window, mog_window in zip(
-        params.layers, grads.layers, cache.cell_windows, cache.mog_windows, strict=True
+    # Per layer, one 2-D gemm per weight matrix, where the model makes one
+    # stacked gemm: the bits must be the same.
+    for l, (layer, cell_window, mog_window) in enumerate(
+        zip(layers, cache.cell_windows, cache.mog_windows, strict=True)
     ):
+        grad = layer_of(grads.layers, l)
         cells.weight_grads(layer.cell, cell_window, out=grad.cell)
         mogrifier.weight_grads(layer.mog, mog_window, out=grad.mog)
     return grads
@@ -1415,20 +1478,9 @@ class TestWavefront:
         params = model.init_model_params(rng, config)
         inputs = rng.integers(0, config.vocab_size, (batch, 5))
         targets = rng.integers(0, config.vocab_size, (batch, 5))
-        states = None
-        if carried:
-            states = [
-                CellState(*(rng.uniform(-1, 1, (batch, 6)).astype(dtype) for _ in "ch"))
-                for _ in range(layers)
-            ]
+        states = random_states(rng, layers, batch, 6, dtype) if carried else None
         masks = model.sample_masks(rng, config, batch, 5)
         return config, params, inputs, targets, states, masks
-
-    @staticmethod
-    def assert_same_states(got, want):
-        for a, b in zip(got, want, strict=True):
-            assert a.c.dtype == b.c.dtype and a.h.dtype == b.h.dtype
-            assert a.c.tobytes() == b.c.tobytes() and a.h.tobytes() == b.h.tobytes()
 
     @pytest.mark.parametrize("cell", ["lstm", "lstm_uncapped", "rlstm"])
     @pytest.mark.parametrize(
@@ -1445,7 +1497,7 @@ class TestWavefront:
                 params, config, inputs, masks, states
             )
             assert log_probs.tobytes() == ref_log_probs.tobytes()
-            self.assert_same_states(final, ref_final)
+            assert_same_states(final, ref_final)
             _, grad_lp = model.nll_from_log_probs(log_probs, targets)
             grads = model.backward_window(params, config, cache, grad_lp)
             ref_grads = layerwise_backward(params, config, ref_cache, grad_lp)
@@ -1454,7 +1506,7 @@ class TestWavefront:
                 params, config, inputs, masks, states, backward=False
             )
             assert scored.tobytes() == ref_log_probs.tobytes()
-            self.assert_same_states(scored_final, ref_final)
+            assert_same_states(scored_final, ref_final)
 
     @pytest.mark.parametrize("backward", [False, True])
     @pytest.mark.parametrize("layers", [1, 3])
@@ -1501,22 +1553,34 @@ class TestWavefront:
         model.backward_window(params, config, cache, grad_lp)
         assert calls == {"mogrify_backward": 7 + layers - 1, f"{cell}_backward": 7 + layers - 1}
 
-    @pytest.mark.parametrize("cell", ["lstm", "rlstm"])
-    @pytest.mark.parametrize("rank", [0, 3])
-    @pytest.mark.parametrize("layers", [1, 2, 3])
-    def test_layer_stack_views_the_parameter_vector(self, cell, rank, layers):
-        config = tiny_config(cell=cell, layers=layers, mogrifier_rounds=3, mogrifier_rank=rank,
-                             tie_embeddings=False)
-        params = model.init_model_params(Rng(660), config)
-        stack = model._layer_stack(params)
-        stacked = list(ptree.named_arrays(stack))
-        for l, layer in enumerate(params.layers):
-            for (path, arr), (layer_path, layer_arr) in zip(
-                stacked, ptree.named_arrays(layer), strict=True
-            ):
-                assert path == layer_path and arr.shape == (layers, *layer_arr.shape)
-                assert np.shares_memory(arr, params.vector)
-                assert arr[l].tobytes() == layer_arr.tobytes()
-        cell_matrix = stack.cell.w if cell == "lstm" else stack.cell.w_ij
-        (params.layers[-1].cell.w if cell == "lstm" else params.layers[-1].cell.w_ij)[0, 1] = 7.0
-        assert cell_matrix[-1, 0, 1] == 7.0
+
+class TestBenchmarkCalls:
+    """perfbench/workloads.py checks a trained model's cell states from
+    outside the command line, through model.ones_masks(config, B, T),
+    model.forward_window(params, config, rows, masks) and, on the returned
+    cache, cell_caches[t][l].c: these calls must keep working."""
+
+    def test_max_abs_cell_state(self, tmp_path, monkeypatch):
+        monkeypatch.syspath_prepend(str(pathlib.Path(__file__).resolve().parents[1] / "perfbench"))
+        workloads = importlib.import_module("workloads")
+        config = tiny_config(layers=3)
+        rng = Rng(670)
+        params = model.init_model_params(rng, config)
+        path = tmp_path / "model.ckpt"
+        radam, tta = training.radam_init(params.vector, 1e-3), training.tta_init(params.vector)
+        checkpoint.save_checkpoint(
+            path, training.Checkpoint(config, params, radam, tta, rng.state(), 1.0)
+        )
+        stream = rng.integers(0, config.vocab_size, 40)
+        got = workloads.max_abs_cell_state(path, stream, 3, 5)
+
+        rows = data.batchify(stream, 3)[:, :5]
+        _, cache, final = model.forward_window(params, config, rows, model.ones_masks(config, 3, 5))
+        steps = cache.cell_caches
+        assert len(steps) == 5 and all(len(step) == config.layers for step in steps)
+        assert steps[-1][-1].c.tobytes() == final.c[-1].tobytes()
+        states, peak = None, 0.0  # the states after each step, one window per step
+        for t in range(5):
+            _, states = model.predict_deterministic(params, config, rows[:, [t]], states=states)
+            peak = max(peak, float(np.max(np.abs(states.c))))
+        assert got == peak

@@ -84,7 +84,7 @@ class TestStackedGemm:
             mogrifier_rank=rank, dtype=dtype,
         )
         params = model.init_model_params(Rng(14), config)
-        stack = model._layer_stack(params)
+        stack = params.layers
         matrices = [stack.cell.w if cell == "lstm" else stack.cell.w_f]
         for gate in stack.mog.x_gates + stack.mog.h_gates:
             matrices += [gate.u, gate.v] if rank else [gate]

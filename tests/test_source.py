@@ -1,7 +1,7 @@
 """Static checks over the package source: no unused imports, no calls to the
-parameter-tree round trips, config validity decided in config.py alone, and
-every function the benchmark's span tracer (perfbench/tracer.py) wraps still
-exists."""
+parameter-tree round trips, no walk over the layers one by one, config
+validity decided in config.py alone, and every function the benchmark's span
+tracer (perfbench/tracer.py) wraps still exists."""
 
 import ast
 import importlib
@@ -65,6 +65,53 @@ def test_no_tree_round_trip_calls(path):
         if isinstance(node, ast.Call)
     }
     assert called & ROUND_TRIPS == set()
+
+
+def per_layer_walks(path):
+    """Lines that index the layer stack (`<x>.layers[...]`) or iterate over it
+    (`for ... in <x>.layers`, also through enumerate, zip, list or reversed):
+    the layers are one stack of (L, ...) arrays, not a list."""
+    _, tree = parsed(path)
+
+    def is_layers(node):
+        return isinstance(node, ast.Attribute) and node.attr == "layers"
+
+    def walks(node):
+        wrapped = (
+            isinstance(node, ast.Call)
+            and getattr(node.func, "id", None) in ("enumerate", "zip", "list", "reversed")
+            and any(walks(arg) for arg in node.args)
+        )
+        return is_layers(node) or wrapped
+
+    return sorted(
+        {node.lineno for node in ast.walk(tree) if isinstance(node, ast.Subscript)
+         and is_layers(node.value)}
+        | {node.iter.lineno for node in ast.walk(tree)
+           if isinstance(node, (ast.For, ast.comprehension)) and walks(node.iter)}
+    )
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_per_layer_walk(path):
+    assert per_layer_walks(path) == []
+
+
+def test_per_layer_walk_is_caught(tmp_path):
+    module = tmp_path / "m.py"
+    module.write_text(
+        "a = params.layers[0].mog\n"
+        "for layer in params.layers:\n"
+        "    pass\n"
+        "b = [g for l, g in enumerate(grads.layers)]\n"
+        "for p, g in zip(params.layers, grads.layers):\n"
+        "    pass\n"
+        "for l, (p, g) in enumerate(zip(params.layers, grads.layers)):\n"
+        "    pass\n"
+        "for l in range(config.layers):\n"
+        "    c = params.layers.cell\n"
+    )
+    assert per_layer_walks(module) == [1, 2, 4, 5, 7]
 
 
 def config_errors_from_value_errors(path):

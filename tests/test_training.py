@@ -7,7 +7,7 @@ import pytest
 from rnnlab import checkpoint, model, training
 from rnnlab.model import ModelConfig
 from rnnlab.numerics import DivergenceError, Rng
-from rnnlab.ptree import flatten, global_norm, named_arrays
+from rnnlab.ptree import flatten, named_arrays
 from rnnlab.training import (
     Tail,
     TrainingDiverged,
@@ -130,7 +130,7 @@ class TestClip:
         target = 0.25 * float(np.linalg.norm(before))
         returned = clip_global_norm(grads, max_norm=target)
         assert returned == pytest.approx(float(np.linalg.norm(before)), rel=1e-12)
-        assert global_norm(grads) == pytest.approx(target, rel=1e-12)
+        assert float(np.linalg.norm(grads.vector)) == pytest.approx(target, rel=1e-12)
         # Direction preserved: scaled vector is parallel to the original.
         after = flatten(grads)
         assert np.allclose(after / target, before / returned, rtol=1e-10, atol=1e-15)
@@ -141,14 +141,32 @@ class TestClip:
         clip_global_norm(grads, max_norm=0.0)
         assert np.array_equal(grads.vector, before)
 
-    def test_norm_sums_leaf_by_leaf(self):
-        # The norm adds one sum of squares per leaf, in canonical order,
-        # which fixes its last bits.
-        grads = small_tree()
-        total = 0.0
-        for _, arr in named_arrays(grads):
-            total += float(np.sum(arr**2))
-        assert clip_global_norm(grads, max_norm=0.0) == float(np.sqrt(total))
+    @pytest.mark.parametrize("layers", [1, 2, 3])
+    @pytest.mark.parametrize("tied", [True, False])
+    def test_norm_sums_leaf_by_leaf(self, layers, tied):
+        # The norm adds one sum of squares per array of each layer, in the
+        # order of the vector, which fixes its last bits: e_in, b_out, each
+        # layer's arrays layer after layer, then e_out_untied.  Summing each
+        # stacked (L, ...) array whole, or the layers array by array, gives
+        # other bits on some of these gradients.
+        config = ModelConfig(
+            layers=layers, state_size=6, vocab_size=7, mogrifier_rounds=3, t_max=4.0,
+            tie_embeddings=tied,
+        )
+        params = model.init_model_params(Rng(42), config)
+        for seed in range(8):
+            tokens = Rng(seed).integers(0, config.vocab_size, (2, 5))
+            window = model.WindowBatch(inputs=tokens[:, :-1], targets=tokens[:, 1:])
+            _, grads, _ = model.loss_multisample(params, config, window, Rng(43), 1)
+            total = 0.0
+            for arr in (grads.e_in, grads.b_out):
+                total += float(np.sum(np.asarray(arr, dtype=np.float64) ** 2))
+            for l in range(layers):
+                for _, arr in named_arrays(grads.layers):
+                    total += float(np.sum(np.asarray(arr[l], dtype=np.float64) ** 2))
+            if not tied:
+                total += float(np.sum(grads.e_out_untied**2))
+            assert clip_global_norm(grads, max_norm=0.0) == float(np.sqrt(total))
 
 
 class TestTailAveraging:
@@ -462,7 +480,7 @@ class TestTrainLoop:
             update(state, theta, g)
             if not poisoned:
                 poisoned.append(True)
-                model.empty_model_params(config, theta).layers[0].cell.b[0] = np.nan
+                model.empty_model_params(config, theta).layers.cell.b[0, 0] = np.nan
 
         monkeypatch.setattr(training, "radam_step", poisoning_update)
         result = train(
