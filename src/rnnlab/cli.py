@@ -69,6 +69,7 @@ def _load_run_config(args) -> RunConfig:
         cfg.seed = args.seed
     if getattr(args, "checkpoint", None) is not None:
         cfg.checkpoint_path = args.checkpoint
+    config_mod.checked(cfg)
     numerics.set_fast_gemm(cfg.fast_gemm)
     return cfg
 

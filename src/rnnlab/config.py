@@ -49,6 +49,11 @@ class _Run:
     metrics_path: str = "metrics.log"
     fast_gemm: bool = True
 
+    def validate(self):
+        if self.seed < 0:  # the generator takes non-negative seeds only
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        return self
+
 
 # The dataclasses whose fields are the config keys, in metrics-header order,
 # and the prefix that a section's keys carry.
@@ -118,8 +123,14 @@ def parse_config(text: str) -> RunConfig:
             raise ConfigError(f"duplicate key '{key}' (first set on line {lines[key]})", lineno)
         values[key] = _convert(key, raw_value, lineno)
         lines[key] = lineno
-    cfg = RunConfig(**values)
-    for cls in (_Data, TrainOptions, EvalSettings, DynevalConfig):  # ModelConfig needs vocab_size
+    return checked(RunConfig(**values))
+
+
+def checked(cfg: RunConfig) -> RunConfig:
+    """cfg, once every section of it but the model's, which needs the
+    vocabulary size, is valid; a ConfigError otherwise.  The command line
+    checks its overrides with it."""
+    for cls in (_Data, TrainOptions, EvalSettings, DynevalConfig, _Run):
         section(cfg, cls)
     return cfg
 
@@ -140,11 +151,11 @@ def resolved_items(cfg: RunConfig):
 
 
 def section(cfg: RunConfig, cls, **given):
-    """The validated ModelConfig, TrainOptions, EvalSettings, DynevalConfig or
-    data section that cfg's keys set; `given` supplies the fields that are not
-    keys (vocab_size).  A value out of range is a ConfigError naming its key:
-    each validate message begins with a field name, which the prefix makes
-    the key."""
+    """The validated ModelConfig, TrainOptions, EvalSettings, DynevalConfig,
+    data or run section that cfg's keys set; `given` supplies the fields that
+    are not keys (vocab_size).  A value out of range is a ConfigError naming
+    its key: each validate message begins with a field name, which the prefix
+    makes the key."""
     prefix = _PREFIX.get(cls, "")
     values = {
         f.name: getattr(cfg, prefix + f.name) for f in dataclasses.fields(cls) if f.name not in given

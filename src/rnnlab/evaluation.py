@@ -226,7 +226,7 @@ def tune_temperature(params, config, stream, grid=None, batch_size=1, window=128
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _dynamic_reports(params, config, stream, grid, temperature, on_event=None, buffers=None):
+def _dynamic_reports(params, config, stream, grid, temperature, on_event=None):
     """evaluate_dynamic's report for each grid entry, from one walk over the
     segments.  A track is the entries of one segment length whose fast weights
     have the same bytes, with their states and totals.  It scores a segment
@@ -240,7 +240,7 @@ def _dynamic_reports(params, config, stream, grid, temperature, on_event=None, b
     stream = np.asarray(stream)
     require_scorable(stream, 1)
     theta0 = params.vector
-    buffers = model.WindowBuffers() if buffers is None else buffers
+    buffers = model.WindowBuffers()  # the adapting passes' activations, segment after segment
     on_event = on_event or (lambda event: None)
     reports = [None] * len(grid)
     for segment in dict.fromkeys(d.segment for d in grid):
@@ -299,7 +299,7 @@ def _dynamic_reports(params, config, stream, grid, temperature, on_event=None, b
 
 
 def evaluate_dynamic(
-    params, config, stream, dcfg: DynevalConfig, temperature=1.0, on_event=None, buffers=None
+    params, config, stream, dcfg: DynevalConfig, temperature=1.0, on_event=None
 ) -> EvalReport:
     """Score the stream in segments, adapting a copy of the weights after each
     segment has been scored: theta <- theta - lr * g_hat + decay * (theta0 - theta).
@@ -310,10 +310,8 @@ def evaluate_dynamic(
     scored so far, flagged partial.  on_event, if given, receives
     ("score", k) and ("update", k) callbacks in execution order, ending with
     the last segment's ("score", k).
-    `buffers`, a model.WindowBuffers, holds the activations of the adapting
-    passes from one segment to the next.
     """
-    return _dynamic_reports(params, config, stream, [dcfg], temperature, on_event, buffers)[0]
+    return _dynamic_reports(params, config, stream, [dcfg], temperature, on_event)[0]
 
 
 def default_dyneval_grid(segment: int):

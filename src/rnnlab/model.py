@@ -17,20 +17,21 @@ carried states are one CellState of (L, B, n) arrays.  A window runs as a
 layer wavefront (Appleyard et al. 2016, arXiv 1604.01946).  Layer l's step
 t needs only layer l-1's step t and its own step t-1, so at tick k layer l
 runs its step k - l, and the layers in range run as one step: one mogrifier
-and one cell call on (L, B, .) arrays.  The backward pass is the mirror:
-layer l's step t needs layer l+1's step t and its own step t+1, so at
-reverse tick k layer l runs its step T-1 - (k - (L-1 - l)).  The window
-buffers are (L, T, B, .), one (T, B, .) window per layer, from which each
-weight gradient is one stacked gemm, a product per layer; the ticks reach
-them through skewed (L, T + L - 1, B, .) views whose [l, k] is the step
-layer l runs at tick k.  Every sum keeps the order of a layer-by-layer
-loop: the schedule changes no bit.
+and one cell call on (L, B, .) arrays.  The backward pass walks the same
+ticks in reverse: layer l's step t needs layer l+1's step t and its own step
+t+1, which every later tick has run.  The window buffers are (L, T, B, .),
+one (T, B, .) window per layer, from which each weight gradient is one
+stacked gemm, a product per layer; the forward's ticks view them through
+skewed (L, T + L - 1, B, .) views whose [l, k] is the step layer l runs at
+tick k, and the window's cache keeps those views for the backward pass.
+Every sum keeps the order of a layer-by-layer loop: the schedule changes no
+bit.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -253,7 +254,7 @@ class WindowBuffers:
         """Take the block back from a spent cache, and clear the cache so
         that nothing reads its buffers once they are reused."""
         self.take_back(cache.buffers)
-        cache.buffers = cache.outputs = cache.cell_window = cache.mog_window = None
+        cache.buffers = cache.outputs = cache.cell_window = cache.mog_window = cache.ticks = None
 
 
 class _Carver:
@@ -282,6 +283,7 @@ class WindowCache:
     masks: MaskSet
     mog_window: mogrifier.MogrifyCache | None  # (L, T, B, .) buffers
     cell_window: cells.CellCache | None  # (L, T, B, .) buffers, c_prev among them
+    ticks: list | None  # [k] -> tick k's parameters, state mask and caches, views of the above
     outputs: np.ndarray  # (T, B, n) masked sum of layer outputs, the input of the output layer
     probs: np.ndarray  # (B, T, V)
     temperature: float
@@ -313,7 +315,6 @@ def _window_buffers(params, config, backward, horizon, batch, empty):
     states = empty((layers, horizon + 1, batch, n), dtype) if backward else None
     c = None if states is None else states[:, 1:]
     cell_window = cells.new_cache(config.cell, shape, n, n, dtype, empty, c)
-    cell_window.capped = config.cap_input_gate
     tops = (cell_window.xh[..., :n], cell_window.xh[..., n:])
     mog_window = mogrifier.new_cache(params.layers.mog, shape, n, n, dtype, tops, empty)
     if backward:
@@ -336,14 +337,6 @@ def _skewed(a, layers=None):
     return np.lib.stride_tricks.as_strided(a, shape, strides)
 
 
-def _reverse_skewed(a, layers=None):
-    """As _skewed, for the reverse wavefront: [l, k] = a[l, T - 1 - (k - (L - 1 - l))],
-    the step that layer l runs at reverse tick k."""
-    if layers is not None:
-        a = np.broadcast_to(a, (layers, *a.shape))
-    return _skewed(a[::-1, ::-1])[::-1]
-
-
 def _run_steps(params, config, inputs, masks, c, h, cell_window, mog_window, outputs):
     """forward_window's time loop, a layer wavefront.  Layer l's step t needs
     layer l - 1's step t and its own step t - 1, so at tick k layer l runs its
@@ -351,7 +344,9 @@ def _run_steps(params, config, inputs, masks, c, h, cell_window, mog_window, out
     (hi - lo + 1, B, .) arrays: one call of the mogrifier and one of the cell.
     Tick k fills [lo:hi + 1, k] of the skewed window buffers, or [lo:hi + 1, 0]
     of one step's, and, when the top layer runs, outputs[k - L + 1].  c and h,
-    (L, B, n), hold the layers' states and are updated in place.
+    (L, B, n), hold the layers' states and are updated in place.  Returns the
+    ticks, [k] -> (parameters, state mask, mogrifier and cell caches) of tick
+    k, which backward_window walks in reverse.
 
     Every sum keeps the order of a layer-by-layer loop: sums[l] holds the
     masked outputs of layers 0 to l of layer l's last step, added left to
@@ -366,19 +361,20 @@ def _run_steps(params, config, inputs, masks, c, h, cell_window, mog_window, out
     # [l, k]: the token ids and input masks of the step that layer l runs at tick k
     ids_at, m_in_at = _skewed(ids, layers), None if m_in is None else _skewed(m_in, layers)
     sums, spare = np.empty((2, *c.shape), outputs.dtype)
-    ticks = {}  # (lo, hi, position) -> the parameters, state mask and caches of a tick
+    views, ticks = {}, []  # views: (lo, hi, position) -> a tick
     for k in range(horizon + layers - 1):
         lo, hi = max(0, k - horizon + 1), min(layers - 1, k)
         rows, above = slice(lo, hi + 1), max(lo, 1)  # layers above 0 read sums
         key = (lo, hi, k if skew else 0)
-        if key not in ticks:
-            ticks[key] = (
+        if key not in views:
+            views[key] = (
                 stack if hi - lo + 1 == layers else map_arrays(stack, lambda a: a[rows]),
                 None if masks.m_state is None else masks.m_state[rows],
                 mog_window.at((rows, key[2])),
                 cell_window.at((rows, key[2])),
             )
-        part, m_state, mog_t, cell_t = ticks[key]
+        ticks.append(views[key])
+        part, m_state, mog_t, cell_t = ticks[k]
 
         x_in = mog_t.x_ladder[0]  # written here; the mogrifier then starts from it
         if lo == 0:
@@ -399,7 +395,9 @@ def _run_steps(params, config, inputs, masks, c, h, cell_window, mog_window, out
             np.multiply(h[rows], m_state, out=h_in)
         # The mogrifier writes its outputs into the cell's input buffer.
         mog_h, _, _ = mogrifier.mogrify_forward(part.mog, h_in, x_in, mog_t)
-        entry_state = CellState(c[rows], mog_h)
+        # A window's own c_prev view, so that the tick keeps the states its
+        # steps started from: the step stores its entry c as the cache's c_prev.
+        entry_state = CellState(c[rows] if cell_t.c_prev is None else cell_t.c_prev, mog_h)
         if config.cell == "rlstm":
             new_state, _ = cells.rlstm_forward(part.cell, entry_state, None, m_state, cell_t)
         else:
@@ -420,6 +418,7 @@ def _run_steps(params, config, inputs, masks, c, h, cell_window, mog_window, out
                 outputs[t] = sums[-1]
             else:
                 np.multiply(sums[-1], masks.m_out[t], out=outputs[t])
+    return ticks
 
 
 def forward_window(
@@ -474,7 +473,9 @@ def forward_window(
         if backward:
             cell_window.c_prev[:, 0] = c
         with np.errstate(over="ignore"):  # exp overflow in sigmoid gives the right limit
-            _run_steps(params, config, inputs, masks, c, h, cell_window, mog_window, outputs)
+            ticks = _run_steps(
+                params, config, inputs, masks, c, h, cell_window, mog_window, outputs
+            )
         # The steps leave this check to the window: every h flows into outputs
         # (NaN * 0 is NaN), and a non-finite c stays so to the window's end.
         if not (np.all(np.isfinite(outputs)) and np.all(np.isfinite(c))):
@@ -502,6 +503,7 @@ def forward_window(
         masks=masks,
         mog_window=mog_window,
         cell_window=cell_window,
+        ticks=ticks,
         outputs=outputs,
         probs=np.exp(log_probs),
         temperature=temperature,
@@ -515,14 +517,14 @@ def backward_window(params: ModelParams, config: ModelConfig, cache: WindowCache
 
     Backpropagation is truncated at the window start: no gradient flows into
     the carried-in states.  Tied embeddings sum the input-side and the
-    output-side contribution into the single e_in gradient.  The time loop is
-    the forward's wavefront run backwards: at reverse tick k layer l runs its
-    step T-1 - (k - (L-1 - l)), and the layers in range run as one cell and
-    one mogrifier backward step, which leave pre-activation gradients in the
-    window buffers; every weight gradient is then one stacked gemm over the
-    window, a product per layer, written into its view of the gradient
-    vector, grads.vector.  The gate buffers are overwritten, so a cache
-    serves one backward.
+    output-side contribution into the single e_in gradient.  The time loop
+    walks the forward's ticks in reverse, last to first: tick k's layers run
+    as one cell and one mogrifier backward step on the parameter rows and
+    cache views that the forward kept (so params are the forward's), and
+    leave pre-activation gradients in the window buffers; every
+    weight gradient is then one stacked gemm over the window, a product per
+    layer, written into its view of the gradient vector, grads.vector.  The
+    gate buffers are overwritten, so a cache serves one backward.
 
     Every sum keeps the order of a layer-by-layer loop: sums[l] holds the
     gradient that flows into layer l's output from the layers above it at its
@@ -544,45 +546,25 @@ def backward_window(params: ModelParams, config: ModelConfig, cache: WindowCache
     if masks.m_out is not None:
         dsum *= masks.m_out
 
-    stack, parts = params.layers, {}
-    # The ticks view only what the backward steps read: not the cell's input
-    # or state, and not the ladder tops, which are the cell's input.
-    cw, mw = cache.cell_window, cache.mog_window
-    cell_window = map_arrays(
-        cells.CellCache(None, cw.gates, None, cw.tanh_c, c_prev=cw.c_prev, capped=cw.capped),
-        _reverse_skewed,
-    )
-    mog_window = map_arrays(
-        mogrifier.MogrifyCache(mw.x_ladder[:-1], mw.h_ladder[:-1], mw.gates), _reverse_skewed
-    )
-    dsum_at = _reverse_skewed(dsum, layers)  # [l, k]: the gradient on the outputs' sum
-    m_cell = None if masks.m_cell is None else _reverse_skewed(masks.m_cell)
+    dsum_at = _skewed(dsum, layers)  # [l, k]: the gradient on the outputs' sum
+    m_cell = None if masks.m_cell is None else _skewed(masks.m_cell)
     grad_c, grad_h, sums, spare = np.zeros((4, layers, batch, n), dtype)  # grad_h: of masked h
-    for k in range(horizon + layers - 1):
-        lo, hi = max(0, layers - 1 - k), min(layers - 1, horizon + layers - 2 - k)
+    for k in reversed(range(horizon + layers - 1)):
+        lo, hi = max(0, k - horizon + 1), min(layers - 1, k)
         rows = slice(lo, hi + 1)
-        if (lo, hi) not in parts:
-            parts[lo, hi] = (
-                stack if hi - lo + 1 == layers else map_arrays(stack, lambda a: a[rows]),
-                None if masks.m_state is None else masks.m_state[rows],
-            )
-        part, m_state = parts[lo, hi]
-        cell_t, mog_t = cell_window.at((rows, k)), mog_window.at((rows, k))
-        cell_t.state_mask = m_state
-
+        part, m_state, mog_t, cell_t = cache.ticks[k]
         dxhat = dsum_at[rows, k] + sums[rows]
         dh = _masked(dxhat, m_cell, (rows, k))
         dh += grad_h[rows] if m_state is None else grad_h[rows] * m_state
         _, grad_c[rows], dmog_h, dmog_x = cells.cell_backward(part.cell, cell_t, grad_c[rows], dh)
         _, grad_h[rows], dx_in = mogrifier.mogrify_backward(part.mog, mog_t, dmog_h, dmog_x)
-        if lo == 0:  # layer 0 ran its step t: dsum[t] is spent, and now holds dx0
-            t = horizon + layers - 2 - k
+        if lo == 0:  # layer 0 ran its step k: dsum[k] is spent, and now holds dx0
             # dx0 is dx_in[L-1] + ... + dx_in[0] onto zeros when the embedding is in
             # the residual sums, else dx_in[0] onto zeros: sums[-1] stays zero.
             onto = sums[0] if config.residual_includes_embedding else sums[-1]
-            np.add(onto, dx_in[0], out=dsum[t])
+            np.add(onto, dx_in[0], out=dsum[k])
             if masks.m_in is not None:
-                dsum[t] *= masks.m_in[t]
+                dsum[k] *= masks.m_in[k]
         above = max(lo, 1)
         if above <= hi:
             np.add(sums[above : hi + 1], dx_in[above - lo :], out=spare[above - 1 : hi])
@@ -593,8 +575,8 @@ def backward_window(params: ModelParams, config: ModelConfig, cache: WindowCache
     else:
         grads.e_out_untied[...] = e_out_grad
     np.add.at(grads.e_in, cache.inputs.T.ravel(), dsum.reshape(-1, n))
-    window = cache.cell_window.at(...)  # a view of its own, for the state mask
-    window.state_mask = None if masks.m_state is None else masks.m_state[:, None]
+    state_mask = None if masks.m_state is None else masks.m_state[:, None]
+    window = replace(cache.cell_window, state_mask=state_mask)
     cells.weight_grads(params.layers.cell, window, out=grads.layers.cell)
     mogrifier.weight_grads(params.layers.mog, cache.mog_window, out=grads.layers.mog)
     return grads

@@ -403,6 +403,17 @@ class TestBadSettings:
         assert not (tmp_path / "model.ckpt").exists()
         assert not (tmp_path / "temperature.txt").exists()
 
+    @pytest.mark.parametrize("flag", [False, True], ids=["config", "flag"])
+    def test_negative_seed(self, trained_run, tmp_path, capsys, flag):
+        config = write_config(
+            tmp_path / "bad.cfg", trained_run["corpus"], tmp_path, seed=3 if flag else -1
+        )
+        override = ["--seed", "-1"] if flag else []
+        assert cli.main(["train", "--config", str(config), *override]) == 1
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", "config error: seed must be >= 0, got -1\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.cfg"]
+
     @pytest.mark.parametrize("text", ["abc", "0", ""])
     def test_temperature_file(self, trained_run, tmp_path, capsys, text):
         temperature_file = tmp_path / "temperature.txt"

@@ -1124,8 +1124,9 @@ class TestWindowBuffers:
         buffers = model.WindowBuffers()
         _, first, _ = model.forward_window(params, config, np.zeros((3, 4), np.int64), masks,
                                            buffers=buffers)
+        assert np.shares_memory(first.ticks[0][3].gates, first.buffers.block)
         buffers.recycle(first)
-        assert first.buffers is None and first.cell_caches is None
+        assert first.buffers is None and first.cell_caches is None and first.ticks is None
         # A smaller window is cut from the block the first one left behind.
         small = model.ones_masks(config, 2, 3)
         _, second, _ = model.forward_window(params, config, np.zeros((2, 3), np.int64), small,
@@ -1465,7 +1466,7 @@ class TestWavefront:
     as one stacked step, with the bits of the layer-by-layer loop."""
 
     @staticmethod
-    def make_case(cell, rounds, rank, layers, variant, seed):
+    def make_case(cell, rounds, rank, layers, variant, seed, horizon=5):
         batch, dtype, fast, keeps, embedding, carried = variant
         numerics.set_fast_gemm(fast)
         config = tiny_config(
@@ -1476,21 +1477,25 @@ class TestWavefront:
         )
         rng = Rng(seed)
         params = model.init_model_params(rng, config)
-        inputs = rng.integers(0, config.vocab_size, (batch, 5))
-        targets = rng.integers(0, config.vocab_size, (batch, 5))
+        inputs = rng.integers(0, config.vocab_size, (batch, horizon))
+        targets = rng.integers(0, config.vocab_size, (batch, horizon))
         states = random_states(rng, layers, batch, 6, dtype) if carried else None
-        masks = model.sample_masks(rng, config, batch, 5)
+        masks = model.sample_masks(rng, config, batch, horizon)
         return config, params, inputs, targets, states, masks
 
     @pytest.mark.parametrize("cell", ["lstm", "lstm_uncapped", "rlstm"])
     @pytest.mark.parametrize(
         "rounds, rank", [(0, 0), (1, 0), (2, 0), (3, 0), (4, 0), (1, 2), (2, 2), (3, 2), (4, 2)]
     )
-    @pytest.mark.parametrize("layers", [1, 2, 3])
-    def test_matches_the_layer_by_layer_loop(self, cell, rounds, rank, layers):
+    # Windows of 1 and 2 steps under 3 layers have no tick that holds every layer.
+    @pytest.mark.parametrize(
+        "layers, horizon", [(1, 5), (2, 5), (3, 5), (3, 1), (3, 2)],
+        ids=["1", "2", "3", "3-T1", "3-T2"],
+    )
+    def test_matches_the_layer_by_layer_loop(self, cell, rounds, rank, layers, horizon):
         for index, variant in enumerate(WAVEFRONT_VARIANTS):
             config, params, inputs, targets, states, masks = self.make_case(
-                cell, rounds, rank, layers, variant, 600 + 10 * layers + index
+                cell, rounds, rank, layers, variant, 600 + 10 * layers + index, horizon
             )
             log_probs, cache, final = model.forward_window(params, config, inputs, masks, states)
             ref_log_probs, ref_cache, ref_final = layerwise_forward(
@@ -1552,6 +1557,31 @@ class TestWavefront:
         _, grad_lp = model.nll_from_log_probs(log_probs, inputs)
         model.backward_window(params, config, cache, grad_lp)
         assert calls == {"mogrify_backward": 7 + layers - 1, f"{cell}_backward": 7 + layers - 1}
+
+    @pytest.mark.parametrize("cell", ["lstm", "rlstm"])
+    @pytest.mark.parametrize("horizon", [1, 7])
+    def test_backward_reads_the_forward_ticks(self, monkeypatch, cell, horizon):
+        # The backward pass walks the views that the forward's ticks made,
+        # and makes none of its own.
+        config = tiny_config(cell=cell, layers=3, keep_state=0.8)
+        params = model.init_model_params(Rng(654), config)
+        rng = Rng(655)
+        inputs = rng.integers(0, config.vocab_size, (2, horizon))
+        masks = model.sample_masks(rng, config, 2, horizon)
+        log_probs, cache, _ = model.forward_window(params, config, inputs, masks)
+        views = []
+        for cls in (cells.CellCache, mogrifier.MogrifyCache):
+            original = cls.at
+
+            def counted(self, t, _original=original):
+                views.append(t)
+                return _original(self, t)
+
+            monkeypatch.setattr(cls, "at", counted)
+        _, grad_lp = model.nll_from_log_probs(log_probs, inputs)
+        model.backward_window(params, config, cache, grad_lp)
+        assert views == []
+        assert len(cache.ticks) == horizon + config.layers - 1
 
 
 class TestBenchmarkCalls:

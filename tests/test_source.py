@@ -1,11 +1,13 @@
-"""Static checks over the package source: no unused imports, no calls to the
-parameter-tree round trips, no walk over the layers one by one, config
-validity decided in config.py alone, and every function the benchmark's span
-tracer (perfbench/tracer.py) wraps still exists."""
+"""Static checks over the package source: no unused imports, no runtime
+dependency but numpy, no calls to the parameter-tree round trips, no walk
+over the layers one by one, config validity decided in config.py alone, and
+every function the benchmark's span tracer (perfbench/tracer.py) wraps still
+exists."""
 
 import ast
 import importlib
 import pathlib
+import sys
 
 import pytest
 
@@ -51,6 +53,39 @@ def test_unused_import_is_caught(tmp_path):
         "x = views\n"
     )
     assert unused_imports(module) == ["np", "unflatten_into"]
+
+
+def third_party_imports(path):
+    """Top-level modules a module imports that are neither numpy nor in the
+    standard library; relative imports are the package's own."""
+    _, tree = parsed(path)
+    names = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+             for alias in node.names}
+    names |= {node.module for node in ast.walk(tree)
+              if isinstance(node, ast.ImportFrom) and node.level == 0}
+    return sorted(
+        top for top in {name.split(".")[0] for name in names}
+        if top != "numpy" and top not in sys.stdlib_module_names
+    )
+
+
+@pytest.mark.parametrize("path", sorted(MODULES + [ROOT / "src" / "rnnlab" / "__init__.py"]),
+                         ids=lambda p: p.name)
+def test_no_runtime_dependency_but_numpy(path):
+    assert third_party_imports(path) == []
+
+
+def test_third_party_import_is_caught(tmp_path):
+    module = tmp_path / "m.py"
+    module.write_text(
+        "import os.path\n"
+        "import numpy as np, scipy.linalg\n"
+        "from torch import nn\n"
+        "from . import cells\n"
+        "from numpy.lib import stride_tricks\n"
+        "from __future__ import annotations\n"
+    )
+    assert third_party_imports(module) == ["scipy", "torch"]
 
 
 ROUND_TRIPS = {"accumulate", "unflatten_into", "zeros_like_tree"}
