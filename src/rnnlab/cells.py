@@ -9,13 +9,16 @@ biases of i, j, f, o; `gate_views` names the per-gate blocks.
 
 A step, forward or backward, also runs the layers of a wavefront tick as
 one: parameters with a leading layer axis, (L, 4n, m+n) and so on, and states
-and caches of (L, B, .) arrays.  Forward steps write into a CellCache of one
-step, (B, .) or (L, B, .) arrays, or of a window, (T, B, .) arrays viewed
-step by step with `at(t)`.  Backward steps write pre-activation gradients
-over the gate values; `weight_grads` then takes one gemm per fused matrix
-over all the rows of a cache.  Both form their values in arrays of their own
-and store them into the cache once: elementwise work on the cache's views,
-strided when layers are stacked, costs two to three times as much.
+and caches of (L, B, .) arrays.  A step runs on a cache that its caller cut
+(new_cache: a step of (B, .) or (L, B, .) arrays, or a window of (T, B, .)
+arrays viewed step by step with `at(t)`) and whose xh it filled with
+[x, h_prev]; the step computes, stores and returns, and leaves validation
+and the finiteness check to its caller.  Backward steps write pre-activation
+gradients over the gate values; `weight_grads` then takes one gemm per fused
+matrix over all the rows of a cache.  Both form their values in arrays of
+their own and store them into the cache once: elementwise work on the
+cache's views, strided when layers are stacked, costs two to three times as
+much.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .numerics import DivergenceError, Rng, dsigmoid_from_value, dtanh_from_value, gemm, sigmoid
+from .numerics import Rng, dsigmoid_from_value, dtanh_from_value, gemm, sigmoid
 
 
 @dataclass
@@ -150,8 +153,9 @@ def new_cache(
 ) -> CellCache:
     """Uninitialised activation buffers of one step (shape (B,)) or of a
     window (shape (T, B)), or of either for a stack of layers (a leading L),
-    from `empty`; forward steps fill them.  `c`, an array of the shape of the
-    cell states, holds them instead of a new one."""
+    from `empty`; the caller writes [x, h_prev] into xh and the forward
+    steps fill the rest.  `c`, an array of the shape of the cell states,
+    holds them instead of a new one."""
 
     def buf(width):
         return empty((*shape, width), dtype)
@@ -160,53 +164,52 @@ def new_cache(
     return CellCache(buf(m + n), buf(4 * n), buf(n) if c is None else c, buf(n), uh)
 
 
-def _finite(state: CellState) -> CellState:
-    if not (np.all(np.isfinite(state.c)) and np.all(np.isfinite(state.h))):
-        raise DivergenceError("non-finite cell activations")
-    return state
+def _update_c(i, j, f, c_prev, capped: bool, out):
+    """c = f*c_prev + g*j into `out`, with the input gate g = min(i, 1 - f)
+    when capped, which keeps |c| bounded by 1 when it starts there, else i."""
+    g = np.minimum(i, 1.0 - f) if capped else i
+    c = np.multiply(f, c_prev, out=out)
+    c += g * j
+    return c
 
 
-def _step_cache(kind, p, state, x, cache) -> CellCache:
-    """The cache of a step with [x, h] in its xh; x = None says it is there already."""
-    if cache is None:
-        cache = new_cache(kind, x.shape[:-1], x.shape[-1], p.state_size, np.result_type(x, p.b))
-    if x is not None:
-        np.concatenate((x, state.h), axis=-1, out=cache.xh)
-    cache.c_prev = state.c
-    return cache
+def _update_c_grads(dc, i, j, f, c_prev, capped: bool):
+    """(di, dj, df, dc_prev), the gradients of _update_c's inputs given dc.
+    min(i, 1 - f) routes its subgradient to the smaller argument; on ties the
+    input-gate branch wins (fixed for determinism)."""
+    df = dc * c_prev
+    dg = dc * j
+    dc_prev = dc * f
+    if not capped:
+        return dg, dc * i, df, dc_prev
+    one_minus_f = 1.0 - f
+    # 1.0 or 0.0: a product with it has the bits of one with the bool array,
+    # which casts at every call and costs twice as much
+    take_i = (i <= one_minus_f).astype(i.dtype)
+    return dg * take_i, dc * np.minimum(i, one_minus_f), df - dg * (1.0 - take_i), dc_prev
 
 
-def lstm_forward(p: LstmParams, state: CellState, x, cap_input_gate: bool = True, cache=None):
-    """One LSTM step. With the cap enabled the effective input gate is
-    min(i, 1 - f), which keeps |c| bounded by 1 when it starts there.
-
-    The activations go into `cache` (a step of new_cache, whose caller checks
-    that the state is finite), or a fresh one, after which the step checks.
-    x = None says that cache.xh holds [x, state.h] already."""
-    own_cache = cache is None
-    cache = _step_cache("lstm", p, state, x, cache)
+def lstm_forward(p: LstmParams, state: CellState, cache: CellCache, cap_input_gate: bool = True):
+    """One LSTM step on `cache`, whose xh holds [x, state.h]: stores the
+    activations and returns the new state, whose c is cache.c.  With the cap
+    the effective input gate is min(i, 1 - f)."""
     # As in rlstm_forward, the gates are formed in the gemm output, an array
     # of their own, and written to the cache once.
     w_t, b = p.forward_views
     pre = gemm(cache.xh, w_t) + b
     j = np.tanh(_blocks(pre, 4)[1])
     i, _, f, o = _blocks(sigmoid(pre, out=pre), 4)
-    g = np.minimum(i, 1.0 - f) if cap_input_gate else i
-    c = np.multiply(f, state.c, out=cache.c)
-    c += g * j
+    c = _update_c(i, j, f, state.c, cap_input_gate, cache.c)
     if cache.gates is not None:
         np.concatenate((i, j, f, o), axis=-1, out=cache.gates)
-    cache.capped = cap_input_gate
-    new_state = CellState(c, o * np.tanh(c, out=cache.tanh_c))
-    return (_finite(new_state) if own_cache else new_state), cache
+    cache.c_prev, cache.capped = state.c, cap_input_gate
+    return CellState(c, o * np.tanh(c, out=cache.tanh_c))
 
 
-def rlstm_forward(p: RlstmParams, state: CellState, x, state_mask=None, cache=None):
-    """One rewired-LSTM step: f is computed from i*j and h_prev, the input
-    gate is capped at 1 - f, and o reads the (optionally masked) cell state.
-    `cache` and x = None as for lstm_forward."""
-    own_cache = cache is None
-    cache = _step_cache("rlstm", p, state, x, cache)
+def rlstm_forward(p: RlstmParams, state: CellState, cache: CellCache, state_mask=None):
+    """One rewired-LSTM step on `cache` as for lstm_forward: f is computed
+    from i*j and h_prev, the input gate is capped at 1 - f, and o reads the
+    (optionally masked) cell state."""
     w_ij_t, w_f_t, w_oc_t, b_ij, b_f, b_o = p.forward_views
     # The gates are formed in arrays of their own and written to the cache at
     # once: elementwise work on the cache's gate blocks, strided views when
@@ -217,75 +220,47 @@ def rlstm_forward(p: RlstmParams, state: CellState, x, state_mask=None, cache=No
     np.concatenate((i * j, state.h), axis=-1, out=cache.uh)
     f = gemm(cache.uh, w_f_t) + b_f
     sigmoid(f, out=f)
-    g = np.minimum(i, 1.0 - f)
-    c = np.multiply(f, state.c, out=cache.c)
-    c += g * j
+    c = _update_c(i, j, f, state.c, True, cache.c)
     cm = c if state_mask is None else c * state_mask
     o = gemm(cm, w_oc_t) + b_o
     sigmoid(o, out=o)
     if cache.gates is not None:
         np.concatenate((i, j, f, o), axis=-1, out=cache.gates)
-    cache.state_mask = state_mask
-    new_state = CellState(c, o * np.tanh(c, out=cache.tanh_c))
-    return (_finite(new_state) if own_cache else new_state), cache
+    cache.c_prev, cache.state_mask = state.c, state_mask
+    return CellState(c, o * np.tanh(c, out=cache.tanh_c))
+
+
+def _backward_start(cache: CellCache, grad_c, grad_h):
+    """What both backward steps start from: the gates (i, j, f, o) as
+    contiguous copies, their sigmoid derivatives in one pass (j's is not
+    read), do, and dc through h = o*tanh(c)."""
+    gates = _block_copies(cache.gates, 4)
+    tanh_c = cache.tanh_c.copy()  # read twice
+    dc = grad_c + grad_h * gates[3] * dtanh_from_value(tanh_c)
+    return gates, dsigmoid_from_value(gates), grad_h * tanh_c, dc
 
 
 def lstm_backward(p: LstmParams, cache: CellCache, grad_c, grad_h):
-    """Gradients of a scalar loss through one LSTM step: (dpre, dc_prev,
-    dh_prev, dx), where dpre, the pre-activation gradients of i, j, f, o, is
-    written over cache.gates, once, after they are formed.
-
-    min(i, 1 - f) routes its subgradient to the smaller argument; on ties the
-    input-gate branch wins (fixed for determinism).
-    """
-    gates = _block_copies(cache.gates, 4)
-    i, j, f, o = gates
-    dsig_i, _, dsig_f, dsig_o = dsigmoid_from_value(gates)  # one pass; j's is not read
-    tanh_c = cache.tanh_c.copy()  # read twice
-    do = grad_h * tanh_c
-    dc = grad_c + grad_h * o * dtanh_from_value(tanh_c)
-    df = dc * cache.c_prev
-    dg = dc * j
-    dc_prev = dc * f
-    if cache.capped:
-        one_minus_f = 1.0 - f
-        # 1.0 or 0.0: a product with it has the bits of one with the bool
-        # array, which casts at every call and costs twice as much
-        take_i = (i <= one_minus_f).astype(i.dtype)
-        dj = dc * np.minimum(i, one_minus_f)
-        di = dg * take_i
-        df = df - dg * (1.0 - take_i)
-    else:
-        dj = dc * i
-        di = dg
+    """Gradients of a scalar loss through one LSTM step: (dc_prev, dh_prev,
+    dx).  The pre-activation gradients of i, j, f, o are written over
+    cache.gates, once, after they are formed."""
+    (i, j, f, _), (dsig_i, _, dsig_f, dsig_o), do, dc = _backward_start(cache, grad_c, grad_h)
+    di, dj, df, dc_prev = _update_c_grads(dc, i, j, f, cache.c_prev, cache.capped)
     dpre = (di * dsig_i, dj * dtanh_from_value(j), df * dsig_f, do * dsig_o)
     np.concatenate(dpre, axis=-1, out=cache.gates)
     dxh = gemm(cache.gates, p.w)
     m = p.input_size
-    return cache.gates, dc_prev, dxh[..., m:], dxh[..., :m]
+    return dc_prev, dxh[..., m:], dxh[..., :m]
 
 
 def rlstm_backward(p: RlstmParams, cache: CellCache, grad_c, grad_h):
     """Like lstm_backward, through one rewired-LSTM step."""
     n, m = p.state_size, p.input_size
-    gates = _block_copies(cache.gates, 4)
-    i, j, f, o = gates
-    dsig_i, _, dsig_f, dsig_o = dsigmoid_from_value(gates)  # one pass; j's is not read
-    tanh_c = cache.tanh_c.copy()  # read twice
-    do = grad_h * tanh_c
-    dc = grad_c + grad_h * o * dtanh_from_value(tanh_c)
+    (i, j, f, _), (dsig_i, _, dsig_f, dsig_o), do, dc = _backward_start(cache, grad_c, grad_h)
     dpre_o = do * dsig_o
     dcm = gemm(dpre_o, p.w_oc)
     dc = dc + (dcm if cache.state_mask is None else dcm * cache.state_mask)
-    df = dc * cache.c_prev
-    dg = dc * j
-    one_minus_f = 1.0 - f
-    take_i = (i <= one_minus_f).astype(i.dtype)  # as in lstm_backward
-    dj = dc * np.minimum(i, one_minus_f)
-    dc_prev = dc * f
-    di = dg * take_i
-    df = df - dg * (1.0 - take_i)
-
+    di, dj, df, dc_prev = _update_c_grads(dc, i, j, f, cache.c_prev, True)
     dpre_f = df * dsig_f
     duh = gemm(dpre_f, p.w_f)
     du = duh[..., :n].copy()  # read twice, and a block of duh is not contiguous
@@ -294,7 +269,7 @@ def rlstm_backward(p: RlstmParams, cache: CellCache, grad_c, grad_h):
     dpre = (di * dsig_i, dj * dtanh_from_value(j), dpre_f, dpre_o)
     np.concatenate(dpre, axis=-1, out=cache.gates)
     dxh = gemm(cache.gates[..., : 2 * n], p.w_ij)
-    return cache.gates, dc_prev, dxh[..., m:] + duh[..., n:], dxh[..., :m]
+    return dc_prev, dxh[..., m:] + duh[..., n:], dxh[..., :m]
 
 
 def cell_backward(p, cache, grad_c, grad_h):

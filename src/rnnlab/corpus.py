@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import sys
 
 from .numerics import Rng
 
@@ -186,14 +187,17 @@ def write_splits(
 
     Training text is always single-domain chronicle.  With eval_two_domain
     the valid and test splits each get a chronicle half and a ledger half.
+    A negative seed, or a size that leaves a split empty, is refused with a
+    ValueError before anything is written.
     """
+    valid, test = int(total_bytes * valid_fraction), int(total_bytes * test_fraction)
+    sizes = {"train": total_bytes - valid - test, "valid": valid, "test": test}
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+    if min(sizes.values()) < 1:
+        raise ValueError(f"{total_bytes} bytes leave a split empty (sizes {sizes})")
     os.makedirs(out_dir, exist_ok=True)
     rng = Rng(seed)
-    sizes = {
-        "valid": int(total_bytes * valid_fraction),
-        "test": int(total_bytes * test_fraction),
-    }
-    sizes["train"] = total_bytes - sizes["valid"] - sizes["test"]
     paths = {}
     for split in ("train", "valid", "test"):
         size = sizes[split]
@@ -219,7 +223,11 @@ def main(argv=None):
         help="give valid/test an abrupt chronicle-to-ledger domain shift",
     )
     args = parser.parse_args(argv)
-    paths = write_splits(args.out, args.bytes, args.seed, args.eval_two_domain)
+    try:
+        paths = write_splits(args.out, args.bytes, args.seed, args.eval_two_domain)
+    except ValueError as err:
+        print(f"usage error: {err}", file=sys.stderr)
+        return 1
     for split, path in sorted(paths.items()):
         print(f"{split}: {path} ({os.path.getsize(path)} bytes)")
     return 0

@@ -38,7 +38,7 @@ def _check_cell(kind: str, cap_input_gate: bool) -> float:
     probe_h = rng.uniform(-1.0, 1.0, (batch, width))
     probe_c = rng.uniform(-1.0, 1.0, (batch, width))
     state_mask = 0.5 + rng.random((batch, width)) if kind == "rlstm" else None
-    # The steps write into a window cache, as in model.forward_window.
+    # The steps run on a window cache, as in model.forward_window.
     window = cells.new_cache(kind, (steps, batch), width, width)
     window.state_mask = state_mask
     caches = [window.at(t) for t in range(steps)]
@@ -46,10 +46,11 @@ def _check_cell(kind: str, cap_input_gate: bool) -> float:
     def loss(_):
         state = CellState.zeros(batch, width)
         for x, cache in zip(xs, caches):
+            np.concatenate((x, state.h), axis=-1, out=cache.xh)
             if kind == "rlstm":
-                state, _ = cells.rlstm_forward(params, state, x, state_mask, cache)
+                state = cells.rlstm_forward(params, state, cache, state_mask)
             else:
-                state, _ = cells.lstm_forward(params, state, x, cap_input_gate, cache)
+                state = cells.lstm_forward(params, state, cache, cap_input_gate)
         return float(np.sum(state.h * probe_h) + np.sum(state.c * probe_c))
 
     numeric = finite_difference_gradient(loss, theta)
@@ -57,7 +58,7 @@ def _check_cell(kind: str, cap_input_gate: bool) -> float:
     (param_grads, x_grads), analytic = _on_one_vector(shapes)
     dc, dh = probe_c.copy(), probe_h.copy()
     for t in range(steps - 1, -1, -1):
-        _, dc, dh, x_grads[t][...] = cells.cell_backward(params, caches[t], dc, dh)
+        dc, dh, x_grads[t][...] = cells.cell_backward(params, caches[t], dc, dh)
     cells.weight_grads(params, window, out=param_grads)
     return max_relative_error(analytic, numeric)
 
@@ -72,15 +73,17 @@ def _check_mogrifier(rounds: int, rank: int) -> float:
     x[...] = rng.uniform(-1.0, 1.0, x.shape)
     probe_h = rng.uniform(-1.0, 1.0, h.shape)
     probe_x = rng.uniform(-1.0, 1.0, x.shape)
+    cache = mogrifier.new_cache(params, (batch,), m, n)  # as the model's, one step
 
     def loss(_):
-        h_out, x_out, _ = mogrifier.mogrify_forward(params, h, x)
+        cache.x_ladder[0][...], cache.h_ladder[0][...] = x, h
+        h_out, x_out = mogrifier.mogrify_forward(params, cache)
         return float(np.sum(h_out * probe_h) + np.sum(x_out * probe_x))
 
     numeric = finite_difference_gradient(loss, theta)
-    _, _, cache = mogrifier.mogrify_forward(params, h, x)
+    loss(theta)  # fill the cache at theta for the backward pass
     (param_grads, dh, dx), analytic = _on_one_vector(shapes)
-    _, dh[...], dx[...] = mogrifier.mogrify_backward(params, cache, probe_h, probe_x)
+    dh[...], dx[...] = mogrifier.mogrify_backward(params, cache, probe_h, probe_x)
     mogrifier.weight_grads(params, cache, out=param_grads)
     return max_relative_error(analytic, numeric)
 

@@ -283,7 +283,7 @@ class WindowCache:
     masks: MaskSet
     mog_window: mogrifier.MogrifyCache | None  # (L, T, B, .) buffers
     cell_window: cells.CellCache | None  # (L, T, B, .) buffers, c_prev among them
-    ticks: list | None  # [k] -> tick k's parameters, state mask and caches, views of the above
+    ticks: list | None  # [k] -> tick k's layer rows, parameters, state mask and caches
     outputs: np.ndarray  # (T, B, n) masked sum of layer outputs, the input of the output layer
     probs: np.ndarray  # (B, T, V)
     temperature: float
@@ -341,12 +341,13 @@ def _run_steps(params, config, inputs, masks, c, h, cell_window, mog_window, out
     """forward_window's time loop, a layer wavefront.  Layer l's step t needs
     layer l - 1's step t and its own step t - 1, so at tick k layer l runs its
     step k - l, and the layers in range, lo to hi, run as one step on
-    (hi - lo + 1, B, .) arrays: one call of the mogrifier and one of the cell.
-    Tick k fills [lo:hi + 1, k] of the skewed window buffers, or [lo:hi + 1, 0]
-    of one step's, and, when the top layer runs, outputs[k - L + 1].  c and h,
+    (hi - lo + 1, B, .) arrays: one call of the mogrifier and one of the cell,
+    on caches whose inputs the tick writes first.  Tick k fills
+    [lo:hi + 1, k] of the skewed window buffers, or [lo:hi + 1, 0] of one
+    step's, and, when the top layer runs, outputs[k - L + 1].  c and h,
     (L, B, n), hold the layers' states and are updated in place.  Returns the
-    ticks, [k] -> (parameters, state mask, mogrifier and cell caches) of tick
-    k, which backward_window walks in reverse.
+    ticks, [k] -> (layer rows lo:hi + 1, parameters, state mask, mogrifier and
+    cell caches) of tick k, which backward_window walks in reverse.
 
     Every sum keeps the order of a layer-by-layer loop: sums[l] holds the
     masked outputs of layers 0 to l of layer l's last step, added left to
@@ -368,13 +369,14 @@ def _run_steps(params, config, inputs, masks, c, h, cell_window, mog_window, out
         key = (lo, hi, k if skew else 0)
         if key not in views:
             views[key] = (
+                rows,
                 stack if hi - lo + 1 == layers else map_arrays(stack, lambda a: a[rows]),
                 None if masks.m_state is None else masks.m_state[rows],
                 mog_window.at((rows, key[2])),
                 cell_window.at((rows, key[2])),
             )
         ticks.append(views[key])
-        part, m_state, mog_t, cell_t = ticks[k]
+        _, part, m_state, mog_t, cell_t = ticks[k]
 
         x_in = mog_t.x_ladder[0]  # written here; the mogrifier then starts from it
         if lo == 0:
@@ -393,17 +395,15 @@ def _run_steps(params, config, inputs, masks, c, h, cell_window, mog_window, out
             h_in[...] = h[rows]
         else:
             np.multiply(h[rows], m_state, out=h_in)
-        # The mogrifier writes its outputs into the cell's input buffer.
-        mog_h, _, _ = mogrifier.mogrify_forward(part.mog, h_in, x_in, mog_t)
+        # The mogrifier writes its outputs, [x, h] of the cell, into cell_t.xh.
+        mog_h, _ = mogrifier.mogrify_forward(part.mog, mog_t)
         # A window's own c_prev view, so that the tick keeps the states its
         # steps started from: the step stores its entry c as the cache's c_prev.
         entry_state = CellState(c[rows] if cell_t.c_prev is None else cell_t.c_prev, mog_h)
         if config.cell == "rlstm":
-            new_state, _ = cells.rlstm_forward(part.cell, entry_state, None, m_state, cell_t)
+            new_state = cells.rlstm_forward(part.cell, entry_state, cell_t, m_state)
         else:
-            new_state, _ = cells.lstm_forward(
-                part.cell, entry_state, None, config.cap_input_gate, cell_t
-            )
+            new_state = cells.lstm_forward(part.cell, entry_state, cell_t, config.cap_input_gate)
         c[rows] = new_state.c
         h[rows] = new_state.h
         xhat = new_state.h if m_cell is None else new_state.h * m_cell[rows, k]
@@ -550,14 +550,13 @@ def backward_window(params: ModelParams, config: ModelConfig, cache: WindowCache
     m_cell = None if masks.m_cell is None else _skewed(masks.m_cell)
     grad_c, grad_h, sums, spare = np.zeros((4, layers, batch, n), dtype)  # grad_h: of masked h
     for k in reversed(range(horizon + layers - 1)):
-        lo, hi = max(0, k - horizon + 1), min(layers - 1, k)
-        rows = slice(lo, hi + 1)
-        part, m_state, mog_t, cell_t = cache.ticks[k]
+        rows, part, m_state, mog_t, cell_t = cache.ticks[k]
+        lo, hi = rows.start, rows.stop - 1
         dxhat = dsum_at[rows, k] + sums[rows]
         dh = _masked(dxhat, m_cell, (rows, k))
         dh += grad_h[rows] if m_state is None else grad_h[rows] * m_state
-        _, grad_c[rows], dmog_h, dmog_x = cells.cell_backward(part.cell, cell_t, grad_c[rows], dh)
-        _, grad_h[rows], dx_in = mogrifier.mogrify_backward(part.mog, mog_t, dmog_h, dmog_x)
+        grad_c[rows], dmog_h, dmog_x = cells.cell_backward(part.cell, cell_t, grad_c[rows], dh)
+        grad_h[rows], dx_in = mogrifier.mogrify_backward(part.mog, mog_t, dmog_h, dmog_x)
         if lo == 0:  # layer 0 ran its step k: dsum[k] is spent, and now holds dx0
             # dx0 is dx_in[L-1] + ... + dx_in[0] onto zeros when the embedding is in
             # the residual sums, else dx_in[0] onto zeros: sums[-1] stays zero.

@@ -8,10 +8,12 @@ each ladder, which coincides with indices 2*floor(r/2) for the state and
 
 As in cells, a step, forward or backward, also runs a stack of layers as one
 (gate matrices with a leading layer axis, (L, B, .) inputs) on a cache of one
-step or of a window.  The forward step stores its gate values, unless the
+step or of a window, which its caller cut and, for the forward step, whose
+ladder bottoms it wrote.  The forward step stores its gate values, unless the
 cache has none (a scoring pass), the backward step stores each round's
 pre-activation gradient over them, and `weight_grads` forms the gate-matrix
-gradients over every row of a cache at once.
+gradients over every row of a cache at once.  MogrifierParams.round_gates
+and MogrifyCache.rounds map a round to its gate matrix and ladder rungs.
 """
 
 from __future__ import annotations
@@ -50,17 +52,23 @@ class MogrifierParams:
             )
 
     @cached_property
+    def round_gates(self) -> list:
+        """The gate matrices in round order: round r's is [r - 1], an x-gate
+        for odd r and an h-gate for even r.  Made once per parameter object,
+        as forward_views."""
+        return [
+            self.x_gates[r // 2] if r % 2 else self.h_gates[r // 2 - 1]
+            for r in range(1, self.rounds + 1)
+        ]
+
+    @cached_property
     def forward_views(self) -> list:
         """Per round, the transposed factors that the gate's pre-activation is
         applied through: [w.mT] for a full matrix, [v.mT, u.mT] for a factored
         one.  Made once per parameter object (the stacked parameters of a
         wavefront tick are made once per tick key); they view the gate
         matrices, not a matrix rebound."""
-        gates = [
-            self.x_gates[index // 2] if index % 2 == 1 else self.h_gates[index // 2 - 1]
-            for index in range(1, self.rounds + 1)
-        ]
-        return [[w.v.mT, w.u.mT] if isinstance(w, LowRank) else [w.mT] for w in gates]
+        return [[w.v.mT, w.u.mT] if isinstance(w, LowRank) else [w.mT] for w in self.round_gates]
 
 
 @dataclass
@@ -77,12 +85,23 @@ class MogrifyCache:
         gates = None if self.gates is None else [g[t] for g in self.gates]
         return MogrifyCache([x[t] for x in self.x_ladder], [h[t] for h in self.h_ladder], gates)
 
+    @cached_property
+    def rounds(self) -> list:
+        """Per round, in order, (gate input, scaled, out).  The ladders
+        interleaved are x, h, then each round's output, and round r gates the
+        rung before its output by a function of the rung before that.  Made
+        once per cache, as MogrifierParams.forward_views."""
+        xs, hs = self.x_ladder, self.h_ladder
+        rungs = [rung for pair in zip(xs, hs) for rung in pair] + xs[len(hs):]
+        return [(rungs[r], rungs[r - 1], rungs[r + 1]) for r in range(1, len(rungs) - 1)]
+
 
 def new_cache(
     p: MogrifierParams, shape, m: int, n: int, dtype=np.float64, tops=None, empty=np.empty
 ):
     """Uninitialised ladders and gates of one step (shape (B,)) or of a window
-    (shape (T, B)), from `empty`; mogrify_forward fills them.  `tops`, an
+    (shape (T, B)), from `empty`; the caller writes the inputs into the
+    bottom of the ladders and mogrify_forward fills the rest.  `tops`, an
     (x, h) pair of arrays, holds the top of each ladder instead of new ones,
     so the outputs land where their consumer reads them."""
 
@@ -90,33 +109,19 @@ def new_cache(
         return empty((*shape, width), dtype)
 
     x_top, h_top = tops if tops is not None else (buf(m), buf(n))
-    return MogrifyCache(
-        x_ladder=[buf(m) for _ in range((p.rounds + 1) // 2)] + [x_top],
-        h_ladder=[buf(n) for _ in range(p.rounds // 2)] + [h_top],
-        gates=[buf(m if index % 2 == 1 else n) for index in range(1, p.rounds + 1)],
-    )
+    xs, hs = [buf(m) for _ in p.x_gates] + [x_top], [buf(n) for _ in p.h_gates] + [h_top]
+    cache = MogrifyCache(xs, hs, gates=None)
+    cache.gates = [buf(scaled.shape[-1]) for _, scaled, _ in cache.rounds]
+    return cache
 
 
-def mogrify_forward(p: MogrifierParams, h: np.ndarray, x: np.ndarray, cache=None):
-    """Run the rounds; returns (h out, x out, cache).  With `cache` (a step of
-    new_cache) the inputs are copied into the bottom of its ladders, unless
-    they are those bottoms already, and every activation is written into it
-    (the caller validates p); without one, p is validated and a fresh cache is
-    made whose ladders start at h and x."""
-    if cache is None:
-        p.validate()
-        cache = new_cache(p, x.shape[:-1], x.shape[-1], h.shape[-1], np.result_type(h, x))
-        cache.x_ladder[0], cache.h_ladder[0] = x, h
-    xs, hs = cache.x_ladder, cache.h_ladder
-    if xs[0] is not x:
-        xs[0][...] = x
-    if hs[0] is not h:
-        hs[0][...] = h
-    for index, factors in enumerate(p.forward_views, 1):
-        k = index // 2
-        odd = index % 2 == 1
-        gate = hs[k] if odd else xs[k]
-        scaled, out = (xs[k], xs[k + 1]) if odd else (hs[k - 1], hs[k])
+def mogrify_forward(p: MogrifierParams, cache: MogrifyCache):
+    """Run the rounds on `cache`, cut for p (which the caller validates),
+    from the ladder bottoms that the caller wrote; returns the ladder tops,
+    (h out, x out)."""
+    for (gate, scaled, out), factors, stored in zip(
+        cache.rounds, p.forward_views, cache.gates or [None] * p.rounds
+    ):
         # The gate is formed in an array of its own and then stored: elementwise
         # work on the cache's views costs more where they are strided (stacked
         # layers of a window).
@@ -124,10 +129,10 @@ def mogrify_forward(p: MogrifierParams, h: np.ndarray, x: np.ndarray, cache=None
             gate = gemm(gate, w_t)
         sigmoid(gate, out=gate)
         gate *= 2.0
-        if cache.gates is not None:
-            cache.gates[index - 1][...] = gate
+        if stored is not None:
+            stored[...] = gate
         np.multiply(gate, scaled, out=out)
-    return hs[-1], xs[-1], cache
+    return cache.h_ladder[-1], cache.x_ladder[-1]
 
 
 def _input_grad(w, dpre):
@@ -138,31 +143,22 @@ def _input_grad(w, dpre):
 
 
 def mogrify_backward(p: MogrifierParams, cache: MogrifyCache, grad_h_out, grad_x_out):
-    """Exact gradients through the gating ladder: (dpre, dh, dx), where dpre,
-    the per-round pre-activation gradients, is written over cache.gates, each
-    round's once, after it is formed.
+    """Exact gradients through the gating ladder: (dh, dx).  The per-round
+    pre-activation gradients are written over cache.gates, each round's once,
+    after it is formed.
 
     d(2*sigmoid)/dpre written via the gate value g: g * (1 - g/2).
     """
-    dh = grad_h_out
-    dx = grad_x_out
-    xs, hs = cache.x_ladder, cache.h_ladder
-    for index in range(p.rounds, 0, -1):
-        k = index // 2
-        stored = cache.gates[index - 1]
+    # The gradients on a round's output and on its gate input, from the last
+    # round down; the last round's output is x for odd rounds, else h.
+    d_out, d_in = (grad_x_out, grad_h_out) if p.rounds % 2 else (grad_h_out, grad_x_out)
+    for (_, scaled, _), w, stored in reversed(list(zip(cache.rounds, p.round_gates, cache.gates))):
         gate = stored.copy()  # read three times, and a copy is contiguous where stored is not
-        if index % 2 == 1:
-            dgate = dx * xs[k]
-            dx = dx * gate
-            dpre = dgate * gate * (1.0 - 0.5 * gate)
-            dh = dh + _input_grad(p.x_gates[k], dpre)
-        else:
-            dgate = dh * hs[k - 1]
-            dh = dh * gate
-            dpre = dgate * gate * (1.0 - 0.5 * gate)
-            dx = dx + _input_grad(p.h_gates[k - 1], dpre)
+        dgate = d_out * scaled
+        dpre = dgate * gate * (1.0 - 0.5 * gate)
+        d_out, d_in = d_in + _input_grad(w, dpre), d_out * gate
         stored[...] = dpre
-    return cache.gates, dh, dx
+    return d_out, d_in
 
 
 def _gate_weight_grad(w, dpre, applied_to, out):
@@ -182,13 +178,10 @@ def weight_grads(p: MogrifierParams, cache: MogrifyCache, out) -> MogrifierParam
     row of the cache, and for a stack of layers one stacked gemm, a product
     per layer; written into `out`, parameters of p's shapes, which is
     returned."""
-    for index in range(1, p.rounds + 1):
-        k = index // 2
-        dpre = cache.gates[index - 1]
-        if index % 2 == 1:
-            _gate_weight_grad(p.x_gates[k], dpre, cache.h_ladder[k], out.x_gates[k])
-        else:
-            _gate_weight_grad(p.h_gates[k - 1], dpre, cache.x_ladder[k], out.h_gates[k - 1])
+    for (gate_input, _, _), w, dpre, grad in zip(
+        cache.rounds, p.round_gates, cache.gates, out.round_gates
+    ):
+        _gate_weight_grad(w, dpre, gate_input, grad)
     return out
 
 
@@ -216,8 +209,7 @@ def draw_params(rng: Rng, p: MogrifierParams, n: int) -> MogrifierParams:
     """Every gate matrix U(-1/sqrt(n), 1/sqrt(n)) like the cell weights, in
     round order (a factored gate u, then v), written into p."""
     scale = 1.0 / np.sqrt(n)
-    for index in range(1, p.rounds + 1):
-        gate = p.x_gates[index // 2] if index % 2 == 1 else p.h_gates[index // 2 - 1]
+    for gate in p.round_gates:
         for block in (gate.u, gate.v) if isinstance(gate, LowRank) else (gate,):
             block[...] = rng.uniform(-scale, scale, block.shape)
     return p

@@ -96,16 +96,6 @@ def dtanh_from_value(t):
     return 1.0 - t * t
 
 
-def softmax(logits, temperature=1.0):
-    """Stable softmax along the last axis; logits are divided by temperature."""
-    if not temperature > 0:
-        raise ValueError(f"temperature must be positive, got {temperature}")
-    z = np.asarray(logits) / temperature
-    z = z - np.max(z, axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / np.sum(e, axis=-1, keepdims=True)
-
-
 def log_softmax(logits, temperature=1.0):
     if not temperature > 0:
         raise ValueError(f"temperature must be positive, got {temperature}")

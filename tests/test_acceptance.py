@@ -76,11 +76,18 @@ def _worst_cell_magnitude(kind, draws, steps, rng):
         )
         scale = rng.uniform(0.5, 6.0)
         xs = rng.uniform(-scale, scale, (steps, 1, m))
+        cache = cells.new_cache(kind, (1,), m, n)  # one step's, reused at every step
         for t in range(steps):
+            np.concatenate((xs[t], state.h), axis=-1, out=cache.xh)
             if kind == "rlstm":
-                state, _ = cells.rlstm_forward(params, state, xs[t])
+                state = cells.rlstm_forward(params, state, cache)
             else:
-                state, _ = cells.lstm_forward(params, state, xs[t], cap_input_gate=True)
+                state = cells.lstm_forward(params, state, cache, cap_input_gate=True)
+            # the steps do not check finiteness, so this loop does: a NaN
+            # would slip through the running max below
+            assert np.all(np.isfinite(state.c)) and np.all(np.isfinite(state.h)), (
+                f"non-finite {kind} state at step {t}"
+            )
             worst = max(worst, float(np.max(np.abs(state.c))))
     return worst
 

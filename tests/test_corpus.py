@@ -1,6 +1,8 @@
 import math
 import os
 
+import pytest
+
 from rnnlab import corpus
 from rnnlab.data import build_vocab, encode
 from rnnlab.numerics import Rng
@@ -105,3 +107,16 @@ class TestMain:
         out = capsys.readouterr().out
         assert "train:" in out and "valid:" in out and "test:" in out
         assert os.path.exists(tmp_path / "c" / "train.txt")
+
+    @pytest.mark.parametrize(
+        "flags", [["--seed", "-1"], ["--bytes", "-5"], ["--bytes", "15"]],
+        ids=["negative-seed", "negative-size", "empty-splits"],
+    )
+    def test_bad_size_or_seed_is_a_usage_error(self, tmp_path, capsys, flags):
+        out_dir = tmp_path / "c"
+        assert corpus.main(["--out", str(out_dir), *flags]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("usage error: ")
+        assert not out_dir.exists()

@@ -1124,7 +1124,7 @@ class TestWindowBuffers:
         buffers = model.WindowBuffers()
         _, first, _ = model.forward_window(params, config, np.zeros((3, 4), np.int64), masks,
                                            buffers=buffers)
-        assert np.shares_memory(first.ticks[0][3].gates, first.buffers.block)
+        assert np.shares_memory(first.ticks[0][-1].gates, first.buffers.block)  # its cell cache
         buffers.recycle(first)
         assert first.buffers is None and first.cell_caches is None and first.ticks is None
         # A smaller window is cut from the block the first one left behind.
@@ -1166,11 +1166,12 @@ class TestScoringCaches:
     @pytest.mark.parametrize("cell", ["lstm", "rlstm"])
     def test_scoring_caches_hold_no_gate_buffers(self, monkeypatch, cell):
         seen = []
-        for module, name in ((mogrifier, "mogrify_forward"), (cells, f"{cell}_forward")):
+        # (module, step, the position of the step's cache among its arguments)
+        for module, name, at in ((mogrifier, "mogrify_forward", 1), (cells, f"{cell}_forward", 2)):
             original = getattr(module, name)
 
-            def recorded(*args, _original=original, **kwargs):
-                seen.append(args[-1].gates)  # the step's cache, the last argument
+            def recorded(*args, _original=original, _at=at, **kwargs):
+                seen.append(args[_at].gates)
                 return _original(*args, **kwargs)
 
             monkeypatch.setattr(module, name, recorded)
@@ -1273,27 +1274,23 @@ class TestLeanStep:
         assert np.geterr() == before
 
     @pytest.mark.parametrize("backward", [False, True])
-    def test_validates_once_and_checks_no_step(self, monkeypatch, backward):
+    def test_validates_once(self, monkeypatch, backward):
+        # That no step validates or checks finiteness is a source check
+        # (tests/test_source.py); here the window validates once.
         config = tiny_config(layers=3)
         params = model.init_model_params(Rng(445), config)
-        calls = {"validate": 0, "finite": 0}
+        calls = []
         validate = mogrifier.MogrifierParams.validate
-        finite = cells._finite
 
         def counted_validate(p):
-            calls["validate"] += 1
+            calls.append(p)
             return validate(p)
 
-        def counted_finite(state):
-            calls["finite"] += 1
-            return finite(state)
-
         monkeypatch.setattr(mogrifier.MogrifierParams, "validate", counted_validate)
-        monkeypatch.setattr(cells, "_finite", counted_finite)
         inputs = Rng(446).integers(0, config.vocab_size, (2, 6))
         model.forward_window(params, config, inputs, model.ones_masks(config, 2, 6),
                              backward=backward)
-        assert calls == {"validate": 1, "finite": 0}
+        assert len(calls) == 1
 
     def test_mogrifier_with_the_wrong_gate_count_is_refused(self):
         config = tiny_config()
@@ -1371,17 +1368,15 @@ def layerwise_forward(params, config, inputs, masks, states=None):
                         x_in += xhat
                     if config.residual_includes_embedding:
                         x_in += x0
-                h_in = masked(states[l].h, masks.m_state, l)
-                mog_h, _, _ = mogrifier.mogrify_forward(layer.mog, h_in, x_in, mog_caches[t][l])
+                mog_step = mog_caches[t][l]
+                mog_step.x_ladder[0][...] = x_in
+                mog_step.h_ladder[0][...] = masked(states[l].h, masks.m_state, l)
+                mog_h, _ = mogrifier.mogrify_forward(layer.mog, mog_step)
                 entry, step = CellState(states[l].c, mog_h), cell_caches[t][l]
                 if config.cell == "rlstm":
-                    states[l], _ = cells.rlstm_forward(
-                        layer.cell, entry, None, step.state_mask, step
-                    )
+                    states[l] = cells.rlstm_forward(layer.cell, entry, step, step.state_mask)
                 else:
-                    states[l], _ = cells.lstm_forward(
-                        layer.cell, entry, None, config.cap_input_gate, step
-                    )
+                    states[l] = cells.lstm_forward(layer.cell, entry, step, config.cap_input_gate)
                 xhats.append(masked(states[l].h, masks.m_cell, (l, t)))
             outputs[t] = sum(xhats[1:], xhats[0])
             if masks.m_out is not None:
@@ -1419,10 +1414,10 @@ def layerwise_backward(params, config, cache, grad_log_probs):
             layer = layers[l]
             dxhat = dsum[t] + dx_residual
             dh = masked(dxhat, masks.m_cell, (l, t)) + masked(grad_h_masked[l], masks.m_state, l)
-            _, grad_c[l], dmog_h, dmog_x = cells.cell_backward(
+            grad_c[l], dmog_h, dmog_x = cells.cell_backward(
                 layer.cell, cache.cell_caches[t][l], grad_c[l], dh
             )
-            _, grad_h_masked[l], dx_in = mogrifier.mogrify_backward(
+            grad_h_masked[l], dx_in = mogrifier.mogrify_backward(
                 layer.mog, cache.mog_caches[t][l], dmog_h, dmog_x
             )
             if l == 0:

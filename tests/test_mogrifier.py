@@ -25,14 +25,25 @@ def ladder_by_recursion(p, h, x):
     return cur_h, cur_x
 
 
+def run_rounds(p, h, x, cache=None):
+    """mogrify_forward on `cache`, or on a one-step cache of its own, with h
+    and x written into its ladder bottoms as the model does: (h out, x out,
+    cache)."""
+    if cache is None:
+        cache = mogrifier.new_cache(p, x.shape[:-1], x.shape[-1], h.shape[-1])
+    cache.x_ladder[0][...], cache.h_ladder[0][...] = x, h
+    return (*mogrifier.mogrify_forward(p, cache), cache)
+
+
 class TestForward:
     def test_zero_rounds_is_identity(self):
         rng = Rng(200)
         p = MogrifierParams(rounds=0)
         h = rng.uniform(-1, 1, (3, 5))
         x = rng.uniform(-1, 1, (3, 4))
-        h_out, x_out, cache = mogrifier.mogrify_forward(p, h, x)
-        assert h_out is h and x_out is x
+        h_out, x_out, cache = run_rounds(p, h, x)
+        assert h_out is cache.h_ladder[0] and x_out is cache.x_ladder[0]
+        assert np.array_equal(h_out, h) and np.array_equal(x_out, x)
         assert len(cache.gates) == 0
 
     @pytest.mark.parametrize("rounds", [1, 2, 3, 4, 5, 6])
@@ -42,7 +53,7 @@ class TestForward:
         p = mogrifier.init_mogrifier_params(rng, m=4, n=5, rounds=rounds, rank=rank)
         h = rng.uniform(-1, 1, (3, 5))
         x = rng.uniform(-1, 1, (3, 4))
-        h_out, x_out, _ = mogrifier.mogrify_forward(p, h, x)
+        h_out, x_out, _ = run_rounds(p, h, x)
         h_ref, x_ref = ladder_by_recursion(p, h, x)
         assert np.allclose(h_out, h_ref, atol=1e-13)
         assert np.allclose(x_out, x_ref, atol=1e-13)
@@ -51,7 +62,7 @@ class TestForward:
     def test_ladder_lengths_alternate(self, rounds, n_x, n_h):
         rng = Rng(210)
         p = mogrifier.init_mogrifier_params(rng, m=4, n=5, rounds=rounds)
-        _, _, cache = mogrifier.mogrify_forward(p, rng.random((2, 5)), rng.random((2, 4)))
+        _, _, cache = run_rounds(p, rng.random((2, 5)), rng.random((2, 4)))
         assert len(cache.x_ladder) == n_x
         assert len(cache.h_ladder) == n_h
 
@@ -64,7 +75,7 @@ class TestForward:
         rng = Rng(211)
         h = rng.uniform(-1, 1, (2, 5))
         x = rng.uniform(-1, 1, (2, 4))
-        h_out, x_out, _ = mogrifier.mogrify_forward(p, h, x)
+        h_out, x_out, _ = run_rounds(p, h, x)
         assert np.array_equal(h_out, h)
         assert np.array_equal(x_out, x)
 
@@ -78,8 +89,8 @@ class TestForward:
         )
         h = rng.uniform(-1, 1, (3, 5))
         x = rng.uniform(-1, 1, (3, 4))
-        h_low, x_low, _ = mogrifier.mogrify_forward(low, h, x)
-        h_full, x_full, _ = mogrifier.mogrify_forward(full, h, x)
+        h_low, x_low, _ = run_rounds(low, h, x)
+        h_full, x_full, _ = run_rounds(full, h, x)
         assert np.allclose(h_low, h_full, atol=1e-13)
         assert np.allclose(x_low, x_full, atol=1e-13)
 
@@ -102,7 +113,7 @@ class TestValidate:
         p = mogrifier.init_mogrifier_params(Rng(0), 3, 3, rounds=3)
         p.x_gates.pop()
         with pytest.raises(ValueError, match="needs 2 x-gates"):
-            mogrifier.mogrify_forward(p, np.zeros((1, 3)), np.zeros((1, 3)))
+            p.validate()
 
 
 class TestBackward:
@@ -122,12 +133,12 @@ class TestBackward:
 
         def loss(theta):
             unflatten_into(p, theta)
-            h_out, x_out, _ = mogrifier.mogrify_forward(p, h, x)
+            h_out, x_out, _ = run_rounds(p, h, x)
             return float(np.sum(h_out * probe_h) + np.sum(x_out * probe_x))
 
         numeric = finite_difference_gradient(loss, theta0)
         unflatten_into(p, theta0)
-        _, _, cache = mogrifier.mogrify_forward(p, h, x)
+        _, _, cache = run_rounds(p, h, x)
         mogrifier.mogrify_backward(p, cache, probe_h, probe_x)
         grads = mogrifier.weight_grads(p, cache, out=mogrifier.new_params(4, 5, rounds, rank))
         assert max_relative_error(flatten(grads), numeric) < 1e-6
@@ -142,18 +153,18 @@ class TestBackward:
         probe_h = rng.uniform(-1, 1, (1, 5))
         probe_x = rng.uniform(-1, 1, (1, 4))
 
-        _, _, cache = mogrifier.mogrify_forward(p, h0, x0)
-        _, dh, dx = mogrifier.mogrify_backward(p, cache, probe_h, probe_x)
+        _, _, cache = run_rounds(p, h0, x0)
+        dh, dx = mogrifier.mogrify_backward(p, cache, probe_h, probe_x)
 
         eps = 1e-6
         for arr, grad in ((h0, dh), (x0, dx)):
             for k in range(arr.size):
                 orig = arr.flat[k]
                 arr.flat[k] = orig + eps
-                h_p, x_p, _ = mogrifier.mogrify_forward(p, h0, x0)
+                h_p, x_p, _ = run_rounds(p, h0, x0)
                 up = float(np.sum(h_p * probe_h) + np.sum(x_p * probe_x))
                 arr.flat[k] = orig - eps
-                h_m, x_m, _ = mogrifier.mogrify_forward(p, h0, x0)
+                h_m, x_m, _ = run_rounds(p, h0, x0)
                 down = float(np.sum(h_m * probe_h) + np.sum(x_m * probe_x))
                 arr.flat[k] = orig
                 assert abs(grad.flat[k] - (up - down) / (2 * eps)) < 1e-7
@@ -179,11 +190,11 @@ class TestBackward:
 
         summed = zeros()
         for t in range(horizon):
-            h_w, x_w, step = mogrifier.mogrify_forward(p, hs[t], xs[t], window.at(t))
-            h_f, x_f, fresh = mogrifier.mogrify_forward(p, hs[t], xs[t])
+            h_w, x_w, step = run_rounds(p, hs[t], xs[t], window.at(t))
+            h_f, x_f, fresh = run_rounds(p, hs[t], xs[t])
             assert np.array_equal(h_w, h_f) and np.array_equal(x_w, x_f)
-            _, dh_w, dx_w = mogrifier.mogrify_backward(p, step, probe_h, probe_x)
-            _, dh_f, dx_f = mogrifier.mogrify_backward(p, fresh, probe_h, probe_x)
+            dh_w, dx_w = mogrifier.mogrify_backward(p, step, probe_h, probe_x)
+            dh_f, dx_f = mogrifier.mogrify_backward(p, fresh, probe_h, probe_x)
             assert np.array_equal(dh_w, dh_f) and np.array_equal(dx_w, dx_f)
             accumulate(summed, mogrifier.weight_grads(p, fresh, out=zeros()))
         window_grads = flatten(mogrifier.weight_grads(p, window, out=zeros()))

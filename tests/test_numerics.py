@@ -16,7 +16,6 @@ from rnnlab.numerics import (
     log_sum_exp,
     max_relative_error,
     sigmoid,
-    softmax,
 )
 
 
@@ -176,29 +175,16 @@ class TestActivations:
 
 
 class TestSoftmax:
-    def test_rows_normalize(self):
-        rng = Rng(14)
-        z = rng.uniform(-5, 5, (3, 4, 7))
-        p = softmax(z)
-        assert np.all(np.abs(p.sum(axis=-1) - 1.0) < 1e-12)
-        assert np.all(p >= 0)
-
-    def test_temperature_rescales_logits(self):
-        rng = Rng(15)
-        z = rng.uniform(-3, 3, (2, 5))
-        assert np.allclose(softmax(z, 2.0), softmax(z / 2.0), atol=1e-15)
-
     def test_invalid_temperature_rejected(self):
         for bad in (0.0, -1.0, float("nan")):
-            with pytest.raises(ValueError):
-                softmax(np.zeros(3), bad)
             with pytest.raises(ValueError):
                 log_softmax(np.zeros(3), bad)
 
     def test_log_softmax_consistent_and_stable(self):
         rng = Rng(16)
         z = rng.uniform(-4, 4, (3, 6))
-        assert np.allclose(log_softmax(z), np.log(softmax(z)), atol=1e-12)
+        e = np.exp(z)
+        assert np.allclose(log_softmax(z), np.log(e / e.sum(axis=-1, keepdims=True)), atol=1e-12)
         huge = np.array([[1e4, 1e4 + 1.0]])
         out = log_softmax(huge)
         assert np.all(np.isfinite(out))

@@ -1,8 +1,8 @@
 """Static checks over the package source: no unused imports, no runtime
 dependency but numpy, no calls to the parameter-tree round trips, no walk
-over the layers one by one, config validity decided in config.py alone, and
-every function the benchmark's span tracer (perfbench/tracer.py) wraps still
-exists."""
+over the layers one by one, config validity decided in config.py alone, no
+guard work in the cell and mogrifier steps, and every function the
+benchmark's span tracer (perfbench/tracer.py) wraps still exists."""
 
 import ast
 import importlib
@@ -195,6 +195,55 @@ def test_value_error_conversion_is_caught(tmp_path):
     )
     assert config_errors_from_value_errors(module) == [4]
     assert config_errors_from_value_errors(ROOT / "src" / "rnnlab" / "config.py") != []
+
+
+def step_guard_work(path):
+    """Lines where a step function (`*_forward`, `*_backward`) calls new_cache
+    or a `.validate`, and lines that name DivergenceError: a step runs on a
+    cache its caller cut, and the caller validates and checks finiteness."""
+    _, tree = parsed(path)
+    steps = [node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)
+             and node.name.endswith(("_forward", "_backward"))]
+    calls = {
+        node.lineno
+        for step in steps
+        for node in ast.walk(step)
+        if isinstance(node, ast.Call)
+        and (getattr(node.func, "id", None) == "new_cache"
+             or getattr(node.func, "attr", None) in ("new_cache", "validate"))
+    }
+    names = {
+        node.lineno
+        for node in ast.walk(tree)
+        if getattr(node, "id", None) == "DivergenceError"
+        or getattr(node, "attr", None) == "DivergenceError"
+        or (isinstance(node, ast.ImportFrom)
+            and any(alias.name == "DivergenceError" for alias in node.names))
+    }
+    return sorted(calls | names)
+
+
+@pytest.mark.parametrize("name", ["cells.py", "mogrifier.py"])
+def test_steps_do_no_guard_work(name):
+    assert step_guard_work(ROOT / "src" / "rnnlab" / name) == []
+
+
+def test_step_guard_work_is_caught(tmp_path):
+    module = tmp_path / "m.py"
+    module.write_text(
+        "from .numerics import DivergenceError, gemm\n"
+        "def lstm_forward(p, state, cache=None):\n"
+        "    p.validate()\n"
+        "    cache = cache or new_cache('lstm', (1,), 2, 2)\n"
+        "    return state\n"
+        "def mogrify_backward(p, cache):\n"
+        "    other = cells.new_cache('rlstm', (1,), 2, 2)\n"
+        "    raise numerics.DivergenceError('x')\n"
+        "def weight_grads(p, cache):\n"
+        "    p.validate()\n"
+        "    return new_cache('lstm', (1,), 2, 2)\n"
+    )
+    assert step_guard_work(module) == [1, 3, 4, 7, 8]
 
 
 def tracer_targets():
