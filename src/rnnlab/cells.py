@@ -13,18 +13,19 @@ and caches of (L, B, .) arrays.  A step runs on a cache that its caller cut
 (new_cache: a step of (B, .) or (L, B, .) arrays, or a window of (T, B, .)
 arrays viewed step by step with `at(t)`) and whose xh it filled with
 [x, h_prev]; the step computes, stores and returns, and leaves validation
-and the finiteness check to its caller.  Backward steps write pre-activation
-gradients over the gate values; `weight_grads` then takes one gemm per fused
-matrix over all the rows of a cache.  Both form their values in arrays of
-their own and store them into the cache once: elementwise work on the
-cache's views, strided when layers are stacked, costs two to three times as
-much.
+and the finiteness check to its caller.  A forward step multiplies by
+`forward_weights(p)`, contiguous transposed copies that its caller makes
+once per window; a backward step reads p itself.  Backward steps write
+pre-activation gradients over the gate values; `weight_grads` then takes one
+gemm per fused matrix over all the rows of a cache.  Both form their values
+in arrays of their own and store them into the cache once: elementwise work
+on the cache's views, strided when layers are stacked, costs two to three
+times as much.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -57,13 +58,6 @@ class LstmParams:
     def input_size(self) -> int:
         return self.w.shape[-1] - self.state_size
 
-    @cached_property
-    def forward_views(self) -> tuple:
-        """(w.mT, b with a batch axis), as a forward step reads them.  Made once
-        per parameter object (the stacked parameters of a wavefront tick are
-        made once per tick key); they view the fields, not a field rebound."""
-        return self.w.mT, self.b[..., None, :]
-
 
 @dataclass
 class RlstmParams:
@@ -80,15 +74,25 @@ class RlstmParams:
     def input_size(self) -> int:
         return self.w_ij.shape[-1] - self.state_size
 
-    @cached_property
-    def forward_views(self) -> tuple:
-        """(w_ij.mT, w_f.mT, w_oc.mT, b_ij, b_f, b_o), the biases with a batch
-        axis, made once as for LstmParams."""
-        n, b = self.state_size, self.b[..., None, :]
-        return (
-            self.w_ij.mT, self.w_f.mT, self.w_oc.mT,
-            b[..., : 2 * n], b[..., 2 * n : 3 * n], b[..., 3 * n :],
-        )
+
+def forward_weights(p) -> tuple:
+    """What a forward step of p's cell reads, as contiguous copies: each
+    weight matrix transposed, (..., in, out), and each bias with a batch
+    axis, (..., 1, out).  (w, b) for the LSTM; (w_ij, w_f, w_oc, b_ij, b_f,
+    b_o) for the rewired cell.  BLAS multiplies by a contiguous (in, out)
+    matrix faster than by the strided transposed view of the parameters.
+    The caller makes them once per window; a copy holds the weights as they
+    were when it was made, so none is kept on p, whose arrays are updated in
+    place (the optimizer, dynamic evaluation, gradcheck's perturbations)."""
+    b = p.b[..., None, :]
+    if isinstance(p, LstmParams):
+        return np.ascontiguousarray(p.w.mT), np.ascontiguousarray(b)
+    n = p.state_size
+    blocks = (slice(None, 2 * n), slice(2 * n, 3 * n), slice(3 * n, None))  # ij, f, o
+    return (
+        *(np.ascontiguousarray(w.mT) for w in (p.w_ij, p.w_f, p.w_oc)),
+        *(np.ascontiguousarray(b[..., block]) for block in blocks),
+    )
 
 
 def _blocks(a, count: int):
@@ -189,14 +193,14 @@ def _update_c_grads(dc, i, j, f, c_prev, capped: bool):
     return dg * take_i, dc * np.minimum(i, one_minus_f), df - dg * (1.0 - take_i), dc_prev
 
 
-def lstm_forward(p: LstmParams, state: CellState, cache: CellCache, cap_input_gate: bool = True):
-    """One LSTM step on `cache`, whose xh holds [x, state.h]: stores the
-    activations and returns the new state, whose c is cache.c.  With the cap
-    the effective input gate is min(i, 1 - f)."""
+def lstm_forward(weights, state: CellState, cache: CellCache, cap_input_gate: bool = True):
+    """One LSTM step with forward_weights(p) on `cache`, whose xh holds
+    [x, state.h]: stores the activations and returns the new state, whose c
+    is cache.c.  With the cap the effective input gate is min(i, 1 - f)."""
     # As in rlstm_forward, the gates are formed in the gemm output, an array
     # of their own, and written to the cache once.
-    w_t, b = p.forward_views
-    pre = gemm(cache.xh, w_t) + b
+    w, b = weights
+    pre = gemm(cache.xh, w) + b
     j = np.tanh(_blocks(pre, 4)[1])
     i, _, f, o = _blocks(sigmoid(pre, out=pre), 4)
     c = _update_c(i, j, f, state.c, cap_input_gate, cache.c)
@@ -206,23 +210,23 @@ def lstm_forward(p: LstmParams, state: CellState, cache: CellCache, cap_input_ga
     return CellState(c, o * np.tanh(c, out=cache.tanh_c))
 
 
-def rlstm_forward(p: RlstmParams, state: CellState, cache: CellCache, state_mask=None):
-    """One rewired-LSTM step on `cache` as for lstm_forward: f is computed
-    from i*j and h_prev, the input gate is capped at 1 - f, and o reads the
-    (optionally masked) cell state."""
-    w_ij_t, w_f_t, w_oc_t, b_ij, b_f, b_o = p.forward_views
+def rlstm_forward(weights, state: CellState, cache: CellCache, state_mask=None):
+    """One rewired-LSTM step with forward_weights(p) on `cache`, as for
+    lstm_forward: f is computed from i*j and h_prev, the input gate is
+    capped at 1 - f, and o reads the (optionally masked) cell state."""
+    w_ij, w_f, w_oc, b_ij, b_f, b_o = weights
     # The gates are formed in arrays of their own and written to the cache at
     # once: elementwise work on the cache's gate blocks, strided views when
     # layers are stacked, costs two to three times as much.
-    pre_i, pre_j = _blocks(gemm(cache.xh, w_ij_t) + b_ij, 2)
+    pre_i, pre_j = _blocks(gemm(cache.xh, w_ij) + b_ij, 2)
     i = sigmoid(pre_i, out=np.empty_like(pre_i))
     j = np.tanh(pre_j)
     np.concatenate((i * j, state.h), axis=-1, out=cache.uh)
-    f = gemm(cache.uh, w_f_t) + b_f
+    f = gemm(cache.uh, w_f) + b_f
     sigmoid(f, out=f)
     c = _update_c(i, j, f, state.c, True, cache.c)
     cm = c if state_mask is None else c * state_mask
-    o = gemm(cm, w_oc_t) + b_o
+    o = gemm(cm, w_oc) + b_o
     sigmoid(o, out=o)
     if cache.gates is not None:
         np.concatenate((i, j, f, o), axis=-1, out=cache.gates)

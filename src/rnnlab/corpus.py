@@ -228,6 +228,9 @@ def main(argv=None):
     except ValueError as err:
         print(f"usage error: {err}", file=sys.stderr)
         return 1
+    except OSError as err:  # a file where the directory belongs, a directory it may not write, ...
+        print(f"file error: {err}", file=sys.stderr)
+        return 1
     for split, path in sorted(paths.items()):
         print(f"{split}: {path} ({os.path.getsize(path)} bytes)")
     return 0

@@ -44,13 +44,14 @@ def _check_cell(kind: str, cap_input_gate: bool) -> float:
     caches = [window.at(t) for t in range(steps)]
 
     def loss(_):
+        weights = cells.forward_weights(params)  # of the perturbed weights, as a window's
         state = CellState.zeros(batch, width)
         for x, cache in zip(xs, caches):
             np.concatenate((x, state.h), axis=-1, out=cache.xh)
             if kind == "rlstm":
-                state = cells.rlstm_forward(params, state, cache, state_mask)
+                state = cells.rlstm_forward(weights, state, cache, state_mask)
             else:
-                state = cells.lstm_forward(params, state, cache, cap_input_gate)
+                state = cells.lstm_forward(weights, state, cache, cap_input_gate)
         return float(np.sum(state.h * probe_h) + np.sum(state.c * probe_c))
 
     numeric = finite_difference_gradient(loss, theta)
@@ -77,7 +78,7 @@ def _check_mogrifier(rounds: int, rank: int) -> float:
 
     def loss(_):
         cache.x_ladder[0][...], cache.h_ladder[0][...] = x, h
-        h_out, x_out = mogrifier.mogrify_forward(params, cache)
+        h_out, x_out = mogrifier.mogrify_forward(mogrifier.forward_weights(params), cache)
         return float(np.sum(h_out * probe_h) + np.sum(x_out * probe_x))
 
     numeric = finite_difference_gradient(loss, theta)

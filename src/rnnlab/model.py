@@ -30,6 +30,7 @@ bit.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 
@@ -141,12 +142,9 @@ def empty_model_params(config: ModelConfig, vector=None) -> ModelParams:
     params.layers views the layers' blocks as one stack."""
     config.validate()
     n, vocab, dtype, count = config.state_size, config.vocab_size, config.np_dtype, config.layers
-    empty = _Carver()  # placeholders of the right shapes; stacked_views reads nothing else
-    layer = LayerParams(
-        cell=cells.new_params(config.cell, n, n, empty=empty),
-        mog=mogrifier.new_params(n, n, config.mogrifier_rounds, config.mogrifier_rank, empty=empty),
+    layer, layer_size = _layer_template(
+        config.cell, n, config.mogrifier_rounds, config.mogrifier_rank
     )
-    layer_size = sum(arr.size for _, arr in named_arrays(layer))
     sizes = [vocab * n, vocab, count * layer_size, 0 if config.tie_embeddings else n * vocab]
     if vector is None:
         vector = np.zeros(sum(sizes), dtype)
@@ -162,6 +160,20 @@ def empty_model_params(config: ModelConfig, vector=None) -> ModelParams:
         tied=config.tie_embeddings,
         vector=vector,
     )
+
+
+@functools.lru_cache(maxsize=None)
+def _layer_template(cell: str, n: int, rounds: int, rank: int):
+    """One layer's parameters as placeholders of the right shapes, which is
+    all that stacked_views reads, and their entry count.  Built once per
+    shape, keyed on the values of the config fields that fix it (a
+    ModelConfig is mutable); nothing writes to it."""
+    empty = _Carver()
+    layer = LayerParams(
+        cell=cells.new_params(cell, n, n, empty=empty),
+        mog=mogrifier.new_params(n, n, rounds, rank, empty=empty),
+    )
+    return layer, sum(arr.size for _, arr in named_arrays(layer))
 
 
 def init_model_params(rng: Rng, config: ModelConfig) -> ModelParams:
@@ -342,12 +354,16 @@ def _run_steps(params, config, inputs, masks, c, h, cell_window, mog_window, out
     layer l - 1's step t and its own step t - 1, so at tick k layer l runs its
     step k - l, and the layers in range, lo to hi, run as one step on
     (hi - lo + 1, B, .) arrays: one call of the mogrifier and one of the cell,
-    on caches whose inputs the tick writes first.  Tick k fills
-    [lo:hi + 1, k] of the skewed window buffers, or [lo:hi + 1, 0] of one
-    step's, and, when the top layer runs, outputs[k - L + 1].  c and h,
+    on caches whose inputs the tick writes first, with the rows lo:hi + 1 of
+    the stack's forward weights.  Those are copied once, here, so that a
+    window reads the weights as they are when it starts, and the partial
+    ticks slice the same copies.  Tick k fills [lo:hi + 1, k] of the skewed
+    window buffers, or [lo:hi + 1, 0] of one step's, and, when the top layer
+    runs, outputs[k - L + 1].  c and h,
     (L, B, n), hold the layers' states and are updated in place.  Returns the
     ticks, [k] -> (layer rows lo:hi + 1, parameters, state mask, mogrifier and
-    cell caches) of tick k, which backward_window walks in reverse.
+    cell caches) of tick k, which backward_window walks in reverse; they keep
+    no forward weights, so the copies are freed before the output layer runs.
 
     Every sum keeps the order of a layer-by-layer loop: sums[l] holds the
     masked outputs of layers 0 to l of layer l's last step, added left to
@@ -357,26 +373,30 @@ def _run_steps(params, config, inputs, masks, c, h, cell_window, mog_window, out
     if skew:
         cell_window, mog_window = map_arrays(cell_window, _skewed), map_arrays(mog_window, _skewed)
     stack = params.layers
+    weights = cells.forward_weights(stack.cell), mogrifier.forward_weights(stack.mog)
     ids, m_in = inputs.T, masks.m_in
     m_cell = None if masks.m_cell is None else _skewed(masks.m_cell)
     # [l, k]: the token ids and input masks of the step that layer l runs at tick k
     ids_at, m_in_at = _skewed(ids, layers), None if m_in is None else _skewed(m_in, layers)
     sums, spare = np.empty((2, *c.shape), outputs.dtype)
-    views, ticks = {}, []  # views: (lo, hi, position) -> a tick
+    views, ticks = {}, []  # views: (lo, hi, position) -> (a tick, its forward weights)
     for k in range(horizon + layers - 1):
         lo, hi = max(0, k - horizon + 1), min(layers - 1, k)
         rows, above = slice(lo, hi + 1), max(lo, 1)  # layers above 0 read sums
         key = (lo, hi, k if skew else 0)
         if key not in views:
-            views[key] = (
+            whole = hi - lo + 1 == layers
+            tick = (
                 rows,
-                stack if hi - lo + 1 == layers else map_arrays(stack, lambda a: a[rows]),
+                stack if whole else map_arrays(stack, lambda a: a[rows]),
                 None if masks.m_state is None else masks.m_state[rows],
                 mog_window.at((rows, key[2])),
                 cell_window.at((rows, key[2])),
             )
-        ticks.append(views[key])
-        _, part, m_state, mog_t, cell_t = ticks[k]
+            views[key] = tick, weights if whole else map_arrays(weights, lambda a: a[rows])
+        tick, (cell_w, mog_w) = views[key]
+        ticks.append(tick)
+        _, _, m_state, mog_t, cell_t = tick
 
         x_in = mog_t.x_ladder[0]  # written here; the mogrifier then starts from it
         if lo == 0:
@@ -396,14 +416,14 @@ def _run_steps(params, config, inputs, masks, c, h, cell_window, mog_window, out
         else:
             np.multiply(h[rows], m_state, out=h_in)
         # The mogrifier writes its outputs, [x, h] of the cell, into cell_t.xh.
-        mog_h, _ = mogrifier.mogrify_forward(part.mog, mog_t)
+        mog_h, _ = mogrifier.mogrify_forward(mog_w, mog_t)
         # A window's own c_prev view, so that the tick keeps the states its
         # steps started from: the step stores its entry c as the cache's c_prev.
         entry_state = CellState(c[rows] if cell_t.c_prev is None else cell_t.c_prev, mog_h)
         if config.cell == "rlstm":
-            new_state = cells.rlstm_forward(part.cell, entry_state, cell_t, m_state)
+            new_state = cells.rlstm_forward(cell_w, entry_state, cell_t, m_state)
         else:
-            new_state = cells.lstm_forward(part.cell, entry_state, cell_t, config.cap_input_gate)
+            new_state = cells.lstm_forward(cell_w, entry_state, cell_t, config.cap_input_gate)
         c[rows] = new_state.c
         h[rows] = new_state.h
         xhat = new_state.h if m_cell is None else new_state.h * m_cell[rows, k]

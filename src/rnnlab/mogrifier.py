@@ -9,11 +9,13 @@ each ladder, which coincides with indices 2*floor(r/2) for the state and
 As in cells, a step, forward or backward, also runs a stack of layers as one
 (gate matrices with a leading layer axis, (L, B, .) inputs) on a cache of one
 step or of a window, which its caller cut and, for the forward step, whose
-ladder bottoms it wrote.  The forward step stores its gate values, unless the
-cache has none (a scoring pass), the backward step stores each round's
-pre-activation gradient over them, and `weight_grads` forms the gate-matrix
-gradients over every row of a cache at once.  MogrifierParams.round_gates
-and MogrifyCache.rounds map a round to its gate matrix and ladder rungs.
+ladder bottoms it wrote.  The forward step multiplies by `forward_weights(p)`,
+contiguous transposed copies that its caller makes once per window, and
+stores its gate values, unless the cache has none (a scoring pass).  The
+backward step reads p itself and stores each round's pre-activation gradient
+over them, and `weight_grads` forms the gate-matrix gradients over every row
+of a cache at once.  MogrifierParams.round_gates and MogrifyCache.rounds map
+a round to its gate matrix and ladder rungs.
 """
 
 from __future__ import annotations
@@ -54,21 +56,24 @@ class MogrifierParams:
     @cached_property
     def round_gates(self) -> list:
         """The gate matrices in round order: round r's is [r - 1], an x-gate
-        for odd r and an h-gate for even r.  Made once per parameter object,
-        as forward_views."""
+        for odd r and an h-gate for even r.  Made once per parameter object;
+        they view the gate matrices, not a matrix rebound."""
         return [
             self.x_gates[r // 2] if r % 2 else self.h_gates[r // 2 - 1]
             for r in range(1, self.rounds + 1)
         ]
 
-    @cached_property
-    def forward_views(self) -> list:
-        """Per round, the transposed factors that the gate's pre-activation is
-        applied through: [w.mT] for a full matrix, [v.mT, u.mT] for a factored
-        one.  Made once per parameter object (the stacked parameters of a
-        wavefront tick are made once per tick key); they view the gate
-        matrices, not a matrix rebound."""
-        return [[w.v.mT, w.u.mT] if isinstance(w, LowRank) else [w.mT] for w in self.round_gates]
+
+def forward_weights(p: MogrifierParams) -> list:
+    """Per round, the factors that mogrify_forward applies the gate's input
+    through, each transposed, (..., in, out), as a contiguous copy: [w] for
+    a full matrix, [v, u] for a factored one.  As cells.forward_weights, for
+    BLAS's sake: the caller makes them once per window, and none is kept on
+    p, whose gate matrices are updated in place."""
+    return [
+        [np.ascontiguousarray(f.mT) for f in ((w.v, w.u) if isinstance(w, LowRank) else (w,))]
+        for w in p.round_gates
+    ]
 
 
 @dataclass
@@ -90,7 +95,7 @@ class MogrifyCache:
         """Per round, in order, (gate input, scaled, out).  The ladders
         interleaved are x, h, then each round's output, and round r gates the
         rung before its output by a function of the rung before that.  Made
-        once per cache, as MogrifierParams.forward_views."""
+        once per cache, as MogrifierParams.round_gates."""
         xs, hs = self.x_ladder, self.h_ladder
         rungs = [rung for pair in zip(xs, hs) for rung in pair] + xs[len(hs):]
         return [(rungs[r], rungs[r - 1], rungs[r + 1]) for r in range(1, len(rungs) - 1)]
@@ -115,18 +120,18 @@ def new_cache(
     return cache
 
 
-def mogrify_forward(p: MogrifierParams, cache: MogrifyCache):
-    """Run the rounds on `cache`, cut for p (which the caller validates),
-    from the ladder bottoms that the caller wrote; returns the ladder tops,
-    (h out, x out)."""
+def mogrify_forward(weights: list, cache: MogrifyCache):
+    """Run the rounds with forward_weights(p) on `cache`, cut for p (which
+    the caller validates), from the ladder bottoms that the caller wrote;
+    returns the ladder tops, (h out, x out)."""
     for (gate, scaled, out), factors, stored in zip(
-        cache.rounds, p.forward_views, cache.gates or [None] * p.rounds
+        cache.rounds, weights, cache.gates or [None] * len(weights)
     ):
         # The gate is formed in an array of its own and then stored: elementwise
         # work on the cache's views costs more where they are strided (stacked
         # layers of a window).
-        for w_t in factors:
-            gate = gemm(gate, w_t)
+        for w in factors:
+            gate = gemm(gate, w)
         sigmoid(gate, out=gate)
         gate *= 2.0
         if stored is not None:

@@ -29,9 +29,10 @@ def run_step(p, state, x, cache=None, cap_input_gate=True, state_mask=None):
     if cache is None:
         cache = cells.new_cache(kind, x.shape[:-1], x.shape[-1], p.state_size)
     np.concatenate((x, state.h), axis=-1, out=cache.xh)
+    weights = cells.forward_weights(p)
     if kind == "rlstm":
-        return cells.rlstm_forward(p, state, cache, state_mask), cache
-    return cells.lstm_forward(p, state, cache, cap_input_gate), cache
+        return cells.rlstm_forward(weights, state, cache, state_mask), cache
+    return cells.lstm_forward(weights, state, cache, cap_input_gate), cache
 
 
 class TestLstmForward:

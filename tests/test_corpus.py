@@ -120,3 +120,13 @@ class TestMain:
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("usage error: ")
         assert not out_dir.exists()
+
+    def test_file_where_the_directory_belongs_is_a_file_error(self, tmp_path, capsys):
+        out = tmp_path / "c"
+        out.write_text("not a directory")
+        assert corpus.main(["--out", str(out), "--bytes", "100"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("file error: ")
+        assert out.read_text() == "not a directory"

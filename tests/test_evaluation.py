@@ -461,17 +461,19 @@ class TestTuneDyneval:
 def reference_dynamic(params, config, stream, dcfg, temperature=1.0):
     """(total nats, token count, partial) of one entry, from dynamic
     evaluation's own segment loop: a private copy of the weights, scored and
-    then adapted segment by segment, as before tuning shared its passes."""
+    then adapted segment by segment, as before tuning shared its passes.
+    Each segment runs on parameters built fresh from the adapted vector, so
+    nothing that a parameter object might keep outlives its segment."""
     adapting = dcfg.lr > 0.0 or dcfg.decay > 0.0
     last = (stream.size - 2) // dcfg.segment
     theta0 = params.vector
-    fast = model.empty_model_params(config, theta0.copy())
-    theta = fast.vector
+    theta = theta0.copy()
     states = None
     total = 0.0
     count = 0
     for k, batch in enumerate(data.windows(stream[None, :], dcfg.segment)):
         update = adapting and k < last
+        fast = model.empty_model_params(config, theta.copy())
         try:
             with np.errstate(over="ignore", invalid="ignore"):
                 log_probs, cache, states = model.forward_window(
@@ -490,7 +492,7 @@ def reference_dynamic(params, config, stream, dcfg, temperature=1.0):
             with np.errstate(over="ignore", invalid="ignore"):
                 if dcfg.norm == "global":
                     g = g / max(1.0, float(np.linalg.norm(g)))
-                theta[...] = theta - dcfg.lr * g + dcfg.decay * (theta0 - theta)
+                theta = theta - dcfg.lr * g + dcfg.decay * (theta0 - theta)
     return total, count, False
 
 
@@ -592,6 +594,23 @@ class TestSharedDynevalWalk:
         backwards.clear()
         reference_tune(params, config, stream, grid)
         assert (len(forwards), len(backwards)) == (22, 10)
+
+    @pytest.mark.parametrize("cell", ["lstm", "rlstm"])
+    @pytest.mark.parametrize("fast", [False, True])
+    def test_in_place_adapt_equals_fresh_params_every_segment(self, cell, fast):
+        # A lone adapting entry takes the in-place branch: it writes each
+        # update into its one params object's vector, which the next segment's
+        # window must read as it is then.
+        numerics.set_fast_gemm(fast)
+        config = tiny_config(cell=cell, vocab_size=7)
+        params = trained_ish_params(config)
+        stream = random_stream(101, config.vocab_size)
+        dcfg = DynevalConfig(segment=20, lr=1e-2, decay=0.02, norm="global")
+        report = evaluate_dynamic(params, config, stream, dcfg)
+        expected = reference_dynamic(params, config, stream, dcfg)
+        assert (report.total_nats, report.token_count, report.partial) == expected
+        assert not report.partial  # every segment was scored
+        assert report.total_nats != evaluate_static(params, config, stream).total_nats  # adapted
 
     def test_slow_weights_unchanged(self):
         config = tiny_config()

@@ -1,7 +1,7 @@
 import importlib
 import pathlib
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
@@ -783,6 +783,27 @@ class TestConfigValidation:
             (path, arr.shape) for path, arr in ptree.named_arrays(filled)
         ]
 
+    def test_shape_template_is_shared_but_no_array_is(self):
+        # The shape template is built once per shape; every call still
+        # validates the config and casts the vector, and no two calls' params
+        # share an array.
+        config = tiny_config(tie_embeddings=False, mogrifier_rank=2)
+        first = model.empty_model_params(config)
+        before = model._layer_template.cache_info()
+        drawn = Rng(7).uniform(-1, 1, first.vector.size)
+        second = model.empty_model_params(config, drawn)
+        assert model._layer_template.cache_info().hits == before.hits + 1
+        assert second.vector is drawn
+        for (path, a), (_, b) in zip(ptree.named_arrays(first), ptree.named_arrays(second)):
+            assert a.shape == b.shape and not np.shares_memory(a, b), path
+        single = model.empty_model_params(replace(config, dtype="float32"), drawn)
+        assert single.vector.dtype == np.float32
+        assert single.vector.tobytes() == drawn.astype(np.float32).tobytes()
+        assert model.empty_model_params(config).vector.dtype == np.float64
+        config.layers = 0  # a ModelConfig is mutable: it is checked on every call
+        with pytest.raises(ValueError, match="layers"):
+            model.empty_model_params(config)
+
     @pytest.mark.parametrize("dtype", ["float64", "float32"])
     def test_arrays_view_one_vector(self, dtype):
         config = tiny_config(tie_embeddings=False, mogrifier_rank=2, dtype=dtype)
@@ -1160,6 +1181,72 @@ class TestWindowBuffers:
         assert_same_states(scored_states, kept_states)
 
 
+class TestForwardWeights:
+    """A window's steps multiply by contiguous copies of the weights, made
+    when the window starts: a change made to params.vector in place (the
+    optimizer, dynamic evaluation, gradcheck) shows in the next window."""
+
+    @pytest.mark.parametrize("fast", [False, True])
+    @pytest.mark.parametrize("backward", [False, True])
+    @pytest.mark.parametrize("batch", [1, 3])
+    @pytest.mark.parametrize("cell", ["lstm", "rlstm"])
+    def test_each_window_reads_the_weights_as_they_are(self, fast, backward, batch, cell):
+        numerics.set_fast_gemm(fast)
+        config = tiny_config(
+            cell=cell, state_size=8, vocab_size=7, mogrifier_rounds=3, tie_embeddings=False
+        )
+        rng = Rng(680)
+        params = model.init_model_params(rng, config)
+        inputs = rng.integers(0, config.vocab_size, (batch, 5))
+        targets = rng.integers(0, config.vocab_size, (batch, 5))
+        masks = model.ones_masks(config, batch, 5)
+        for _ in range(3):
+            fresh = model.empty_model_params(config, params.vector.copy())
+            (got, cache, final), (want, fresh_cache, fresh_final) = (
+                model.forward_window(p, config, inputs, masks, backward=backward)
+                for p in (params, fresh)
+            )
+            assert got.tobytes() == want.tobytes()
+            assert_same_states(final, fresh_final)
+            if backward:
+                _, grad_lp = model.nll_from_log_probs(want, targets)
+                grads = model.backward_window(params, config, cache, grad_lp)
+                fresh_grads = model.backward_window(fresh, config, fresh_cache, grad_lp)
+                assert grads.vector.tobytes() == fresh_grads.vector.tobytes()
+            params.vector += rng.uniform(-0.3, 0.3, params.vector.size)  # in place
+
+    @pytest.mark.parametrize("backward", [False, True])
+    @pytest.mark.parametrize("cell, rank", [("lstm", 2), ("rlstm", 0)])
+    def test_steps_get_contiguous_copies_that_partial_ticks_slice(
+        self, monkeypatch, cell, rank, backward
+    ):
+        seen = {"mogrify_forward": [], f"{cell}_forward": []}
+        for module, name in ((mogrifier, "mogrify_forward"), (cells, f"{cell}_forward")):
+            original = getattr(module, name)
+
+            def recorded(weights, *args, _name=name, _original=original, **kwargs):
+                seen[_name].append(weights)
+                return _original(weights, *args, **kwargs)
+
+            monkeypatch.setattr(module, name, recorded)
+        config = tiny_config(cell=cell, layers=3, mogrifier_rounds=3, mogrifier_rank=rank)
+        params = model.init_model_params(Rng(681), config)
+        inputs = Rng(682).integers(0, config.vocab_size, (2, 4))
+        model.forward_window(params, config, inputs, model.ones_masks(config, 2, 4),
+                             backward=backward)
+        for ticks in seen.values():
+            # 4 + 3 - 1 ticks: 0 and 5 run one layer, 1 and 4 two, 2 and 3 all three
+            layers = [{len(a) for _, a in ptree.named_arrays(weights)} for weights in ticks]
+            assert layers == [{1}, {2}, {3}, {3}, {2}, {1}]
+            for weights in ticks:
+                for _, a in ptree.named_arrays(weights):
+                    assert a.flags.c_contiguous and not np.shares_memory(a, params.vector)
+            whole = list(ptree.named_arrays(ticks[2]))
+            for partial in (ticks[0], ticks[1], ticks[4], ticks[5]):
+                for (_, a), (_, b) in zip(ptree.named_arrays(partial), whole, strict=True):
+                    assert np.shares_memory(a, b)  # a slice of the window's copy, not a copy
+
+
 class TestScoringCaches:
     """A scoring pass stores no gate values, which only a backward pass reads."""
 
@@ -1342,6 +1429,9 @@ def layerwise_forward(params, config, inputs, masks, states=None):
         states = CellState(*np.zeros((2, config.layers, batch, n), dtype))
     states = [layer_of(states, l).copy() for l in range(config.layers)]
     layers = [layer_of(params.layers, l) for l in range(config.layers)]
+    weights = [
+        (mogrifier.forward_weights(layer.mog), cells.forward_weights(layer.cell)) for layer in layers
+    ]
     masked = model._masked
     cell_windows, mog_windows = [], []
     for l, layer in enumerate(layers):
@@ -1371,12 +1461,13 @@ def layerwise_forward(params, config, inputs, masks, states=None):
                 mog_step = mog_caches[t][l]
                 mog_step.x_ladder[0][...] = x_in
                 mog_step.h_ladder[0][...] = masked(states[l].h, masks.m_state, l)
-                mog_h, _ = mogrifier.mogrify_forward(layer.mog, mog_step)
+                mog_w, cell_w = weights[l]
+                mog_h, _ = mogrifier.mogrify_forward(mog_w, mog_step)
                 entry, step = CellState(states[l].c, mog_h), cell_caches[t][l]
                 if config.cell == "rlstm":
-                    states[l] = cells.rlstm_forward(layer.cell, entry, step, step.state_mask)
+                    states[l] = cells.rlstm_forward(cell_w, entry, step, step.state_mask)
                 else:
-                    states[l] = cells.lstm_forward(layer.cell, entry, step, config.cap_input_gate)
+                    states[l] = cells.lstm_forward(cell_w, entry, step, config.cap_input_gate)
                 xhats.append(masked(states[l].h, masks.m_cell, (l, t)))
             outputs[t] = sum(xhats[1:], xhats[0])
             if masks.m_out is not None:

@@ -67,15 +67,15 @@ class TestStackedGemm:
     """A stack of products, 3-D operands on a shared leading axis, gives each
     product the bits it has as a 2-D gemm of its own.  On the BLAS path that
     depends on the BLAS build; these tests pin it for the exact operands of a
-    wavefront step: (L, B, .) activations times transposed, strided (L, ., .)
-    views of the parameter vector."""
+    wavefront step: (L, B, .) activations times the contiguous (L, in, out)
+    copies that forward_weights makes, or a partial tick's rows of them."""
 
     @pytest.mark.parametrize("fast", [False, True])
     @pytest.mark.parametrize("dtype", ["float64", "float32"])
     @pytest.mark.parametrize("batch", [1, 4, 32])
     @pytest.mark.parametrize("cell, rank", [("rlstm", 0), ("lstm", 3)])
     def test_each_product_keeps_its_bits(self, fast, dtype, batch, cell, rank):
-        from rnnlab import model
+        from rnnlab import cells, model, mogrifier
 
         numerics.set_fast_gemm(fast)
         config = model.ModelConfig(
@@ -84,19 +84,20 @@ class TestStackedGemm:
         )
         params = model.init_model_params(Rng(14), config)
         stack = params.layers
-        matrices = [stack.cell.w if cell == "lstm" else stack.cell.w_f]
-        for gate in stack.mog.x_gates + stack.mog.h_gates:
-            matrices += [gate.u, gate.v] if rank else [gate]
+        cell_weights = cells.forward_weights(stack.cell)
+        matrices = list(cell_weights[:1] if cell == "lstm" else cell_weights[:3])
+        matrices += [factor for factors in mogrifier.forward_weights(stack.mog) for factor in factors]
         rng = Rng(15)
         for w in matrices:
-            layers, rows, cols = w.shape
-            assert not w.mT.flags.c_contiguous and np.shares_memory(w, params.vector)
-            # A tick's view of (L, positions, B, .) window buffers.
-            x = rng.uniform(-1, 1, (layers, 2, batch, cols)).astype(dtype)[:, 1]
-            got = gemm(x, w.mT)
-            for l in range(layers):
-                want = gemm(x[l], np.ascontiguousarray(w[l]).T)
-                assert got[l].dtype == want.dtype and got[l].tobytes() == want.tobytes()
+            assert w.flags.c_contiguous and not np.shares_memory(w, params.vector)
+            for part in (w, w[1:]):  # a whole tick's layers, and a partial tick's rows
+                layers, rows, _ = part.shape
+                # A tick's view of (L, positions, B, .) window buffers.
+                x = rng.uniform(-1, 1, (layers, 2, batch, rows)).astype(dtype)[:, 1]
+                got = gemm(x, part)
+                for l in range(layers):
+                    want = gemm(x[l], part[l])
+                    assert got[l].dtype == want.dtype and got[l].tobytes() == want.tobytes()
 
     def test_exact_path_matches_the_triple_loop(self):
         rng = Rng(16)

@@ -1,8 +1,9 @@
 """Static checks over the package source: no unused imports, no runtime
 dependency but numpy, no calls to the parameter-tree round trips, no walk
 over the layers one by one, config validity decided in config.py alone, no
-guard work in the cell and mogrifier steps, and every function the
-benchmark's span tracer (perfbench/tracer.py) wraps still exists."""
+guard work in the cell and mogrifier steps, no transposed view read in their
+forward steps, and every function the benchmark's span tracer
+(perfbench/tracer.py) wraps still exists."""
 
 import ast
 import importlib
@@ -244,6 +245,40 @@ def test_step_guard_work_is_caught(tmp_path):
         "    return new_cache('lstm', (1,), 2, 2)\n"
     )
     assert step_guard_work(module) == [1, 3, 4, 7, 8]
+
+
+def transposed_reads_in_forward_steps(path):
+    """Lines where a forward step (`*_forward`) reads `.mT`: a forward step
+    multiplies by the contiguous copies of forward_weights, not by the
+    strided transposed views of the parameters."""
+    _, tree = parsed(path)
+    return sorted(
+        node.lineno
+        for step in ast.walk(tree)
+        if isinstance(step, ast.FunctionDef) and step.name.endswith("_forward")
+        for node in ast.walk(step)
+        if isinstance(node, ast.Attribute) and node.attr == "mT"
+    )
+
+
+@pytest.mark.parametrize("name", ["cells.py", "mogrifier.py"])
+def test_forward_steps_read_no_transposed_view(name):
+    assert transposed_reads_in_forward_steps(ROOT / "src" / "rnnlab" / name) == []
+
+
+def test_transposed_read_in_a_forward_step_is_caught(tmp_path):
+    module = tmp_path / "m.py"
+    module.write_text(
+        "def lstm_forward(weights, state, cache):\n"
+        "    return gemm(cache.xh, weights[0].mT)\n"
+        "def forward_weights(p):\n"
+        "    return p.w.mT.copy()\n"
+        "def mogrify_forward(p, cache):\n"
+        "    factors = [w.mT for w in p.round_gates]\n"
+        "def lstm_backward(p, cache):\n"
+        "    return gemm(cache.gates.mT, p.w)\n"
+    )
+    assert transposed_reads_in_forward_steps(module) == [2, 6]
 
 
 def tracer_targets():
