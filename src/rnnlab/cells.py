@@ -9,18 +9,19 @@ biases of i, j, f, o; `gate_views` names the per-gate blocks.
 
 A step, forward or backward, also runs the layers of a wavefront tick as
 one: parameters with a leading layer axis, (L, 4n, m+n) and so on, and states
-and caches of (L, B, .) arrays.  A step runs on a cache that its caller cut
-(new_cache: a step of (B, .) or (L, B, .) arrays, or a window of (T, B, .)
-arrays viewed step by step with `at(t)`) and whose xh it filled with
-[x, h_prev]; the step computes, stores and returns, and leaves validation
-and the finiteness check to its caller.  A forward step multiplies by
-`forward_weights(p)`, contiguous transposed copies that its caller makes
-once per window; a backward step reads p itself.  Backward steps write
-pre-activation gradients over the gate values; `weight_grads` then takes one
-gemm per fused matrix over all the rows of a cache.  Both form their values
-in arrays of their own and store them into the cache once: elementwise work
-on the cache's views, strided when layers are stacked, costs two to three
-times as much.
+and caches of (L, B, .) arrays.  A step runs on buffers its caller bound
+once per window shape (the model's tick plan): a cache (new_cache: a step of
+(B, .) or (L, B, .) arrays, or a window of (T, B, .) arrays viewed step by
+step with `at(t)`) whose xh it filled with [x, h_prev] and whose c_prev is
+the entry state, and for a forward step an h and new_work scratch.  It
+computes into them, leaving validation and the finiteness check to its
+caller.  A forward step multiplies by `forward_weights(p)`, contiguous
+transposed copies made once per window; a backward step reads p itself and
+writes pre-activation gradients over the gate values, from which
+`weight_grads` takes one gemm per fused matrix over all the rows of a
+cache.  Both form gate values in contiguous arrays and store them into the
+cache once: elementwise work on the cache's views, strided when layers are
+stacked, costs two to three times as much.
 """
 
 from __future__ import annotations
@@ -29,7 +30,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import Rng, dsigmoid_from_value, dtanh_from_value, gemm, sigmoid
+from .numerics import Rng, dsigmoid_from_value, dtanh_from_value, gemm, signed_copies
+from .numerics import sigmoid_of_negated
 
 
 @dataclass
@@ -39,10 +41,6 @@ class CellState:
 
     def copy(self) -> "CellState":
         return CellState(self.c.copy(), self.h.copy())
-
-    @classmethod
-    def zeros(cls, batch: int, size: int, dtype=np.float64) -> "CellState":
-        return cls(np.zeros((batch, size), dtype=dtype), np.zeros((batch, size), dtype=dtype))
 
 
 @dataclass
@@ -75,30 +73,21 @@ class RlstmParams:
         return self.w_ij.shape[-1] - self.state_size
 
 
-def forward_weights(p) -> tuple:
-    """What a forward step of p's cell reads, as contiguous copies: each
-    weight matrix transposed, (..., in, out), and each bias with a batch
-    axis, (..., 1, out).  (w, b) for the LSTM; (w_ij, w_f, w_oc, b_ij, b_f,
-    b_o) for the rewired cell.  BLAS multiplies by a contiguous (in, out)
-    matrix faster than by the strided transposed view of the parameters.
-    The caller makes them once per window; a copy holds the weights as they
-    were when it was made, so none is kept on p, whose arrays are updated in
-    place (the optimizer, dynamic evaluation, gradcheck's perturbations)."""
-    b = p.b[..., None, :]
+def forward_weights(p, out=None) -> tuple:
+    """What a forward step of p's cell reads, as contiguous copies, written
+    into `out` (an earlier window's) when given: each weight matrix
+    transposed, (..., in, out), as BLAS multiplies by it faster than by the
+    strided view, and each bias with a batch axis, (..., 1, out); (w, b) for
+    the LSTM, (w_ij, w_f, w_oc, b_ij, b_f, b_o) for the rewired cell.  The
+    columns of the sigmoid gates (i, f, o) are negated, which spares each
+    sigmoid its negation and keeps every bit.  The caller makes them once per
+    window; none is kept on p, whose arrays are updated in place."""
+    b, n = p.b[..., None, :], p.state_size
     if isinstance(p, LstmParams):
-        return np.ascontiguousarray(p.w.mT), np.ascontiguousarray(b)
-    n = p.state_size
-    blocks = (slice(None, 2 * n), slice(2 * n, 3 * n), slice(3 * n, None))  # ij, f, o
-    return (
-        *(np.ascontiguousarray(w.mT) for w in (p.w_ij, p.w_f, p.w_oc)),
-        *(np.ascontiguousarray(b[..., block]) for block in blocks),
-    )
-
-
-def _blocks(a, count: int):
-    """Split the last axis into `count` equal views."""
-    width = a.shape[-1] // count
-    return [a[..., k * width : (k + 1) * width] for k in range(count)]
+        return signed_copies((p.w.mT, b), [(-1, 1, -1, -1)] * 2, out)
+    ij, f, o = b[..., : 2 * n], b[..., 2 * n : 3 * n], b[..., 3 * n :]
+    weights = (p.w_ij.mT, p.w_f.mT, p.w_oc.mT, ij, f, o)
+    return signed_copies(weights, [(-1, 1), (-1,), (-1,), (-1, 1), (-1,), (-1,)], out)
 
 
 def _block_copies(a, count: int):
@@ -168,12 +157,20 @@ def new_cache(
     return CellCache(buf(m + n), buf(4 * n), buf(n) if c is None else c, buf(n), uh)
 
 
-def _update_c(i, j, f, c_prev, capped: bool, out):
-    """c = f*c_prev + g*j into `out`, with the input gate g = min(i, 1 - f)
+def new_work(kind: str, shape, n: int, dtype=np.float64) -> tuple:
+    """Scratch of a forward step on (*shape, .) arrays: the product of [x, h]
+    (width 4n, or 2n for the rewired cell), gates i, j, f, o and one more."""
+    pre = np.empty((*shape, (4 if kind == "lstm" else 2) * n), dtype)
+    *gates, spare = np.empty((5, *shape, n), dtype)
+    return pre, tuple(gates), spare
+
+
+def _update_c(i, j, f, c_prev, capped: bool, out, spare):
+    """c = f*c_prev + g*j into `out` (which may be c_prev), with g = min(i, 1 - f)
     when capped, which keeps |c| bounded by 1 when it starts there, else i."""
-    g = np.minimum(i, 1.0 - f) if capped else i
+    g = np.minimum(i, np.subtract(1.0, f, out=spare), out=spare) if capped else i
     c = np.multiply(f, c_prev, out=out)
-    c += g * j
+    c += np.multiply(g, j, out=spare)
     return c
 
 
@@ -193,45 +190,48 @@ def _update_c_grads(dc, i, j, f, c_prev, capped: bool):
     return dg * take_i, dc * np.minimum(i, one_minus_f), df - dg * (1.0 - take_i), dc_prev
 
 
-def lstm_forward(weights, state: CellState, cache: CellCache, cap_input_gate: bool = True):
-    """One LSTM step with forward_weights(p) on `cache`, whose xh holds
-    [x, state.h]: stores the activations and returns the new state, whose c
-    is cache.c.  With the cap the effective input gate is min(i, 1 - f)."""
-    # As in rlstm_forward, the gates are formed in the gemm output, an array
-    # of their own, and written to the cache once.
+def lstm_forward(weights, cache: CellCache, h, work):
+    """One LSTM step with forward_weights(p) from cache.xh and cache.c_prev:
+    writes c, tanh(c) and (unless None) the gate values into the cache and
+    the new h into `h`.  With cache.capped the input gate is min(i, 1 - f)."""
     w, b = weights
-    pre = gemm(cache.xh, w) + b
-    j = np.tanh(_blocks(pre, 4)[1])
-    i, _, f, o = _blocks(sigmoid(pre, out=pre), 4)
-    c = _update_c(i, j, f, state.c, cap_input_gate, cache.c)
+    pre, (_, j, _, _), spare = work
+    n = j.shape[-1]
+    pre = gemm(cache.xh, w, out=pre)
+    pre += b
+    np.tanh(pre[..., n : 2 * n], out=j)
+    sigmoid_of_negated(pre, out=pre)  # j's block is not read again
+    i, f, o = pre[..., :n], pre[..., 2 * n : 3 * n], pre[..., 3 * n :]
+    c = _update_c(i, j, f, cache.c_prev, cache.capped, cache.c, spare)
     if cache.gates is not None:
         np.concatenate((i, j, f, o), axis=-1, out=cache.gates)
-    cache.c_prev, cache.capped = state.c, cap_input_gate
-    return CellState(c, o * np.tanh(c, out=cache.tanh_c))
+    np.multiply(o, np.tanh(c, out=cache.tanh_c), out=h)
 
 
-def rlstm_forward(weights, state: CellState, cache: CellCache, state_mask=None):
-    """One rewired-LSTM step with forward_weights(p) on `cache`, as for
-    lstm_forward: f is computed from i*j and h_prev, the input gate is
-    capped at 1 - f, and o reads the (optionally masked) cell state."""
+def rlstm_forward(weights, cache: CellCache, h, work):
+    """One rewired-LSTM step, as lstm_forward: f is computed from i*j and
+    h_prev, the input gate is capped at 1 - f, and o reads the cell state,
+    times cache.state_mask when there is one."""
     w_ij, w_f, w_oc, b_ij, b_f, b_o = weights
-    # The gates are formed in arrays of their own and written to the cache at
-    # once: elementwise work on the cache's gate blocks, strided views when
-    # layers are stacked, costs two to three times as much.
-    pre_i, pre_j = _blocks(gemm(cache.xh, w_ij) + b_ij, 2)
-    i = sigmoid(pre_i, out=np.empty_like(pre_i))
-    j = np.tanh(pre_j)
-    np.concatenate((i * j, state.h), axis=-1, out=cache.uh)
-    f = gemm(cache.uh, w_f) + b_f
-    sigmoid(f, out=f)
-    c = _update_c(i, j, f, state.c, True, cache.c)
-    cm = c if state_mask is None else c * state_mask
-    o = gemm(cm, w_oc) + b_o
-    sigmoid(o, out=o)
+    pre, gates, spare = work
+    i, j, f, o = gates
+    n = i.shape[-1]
+    pre = gemm(cache.xh, w_ij, out=pre)
+    pre += b_ij
+    sigmoid_of_negated(pre[..., :n], out=i)
+    np.tanh(pre[..., n:], out=j)
+    np.concatenate((np.multiply(i, j, out=spare), cache.xh[..., -n:]), axis=-1, out=cache.uh)
+    f = gemm(cache.uh, w_f, out=f)
+    f += b_f
+    sigmoid_of_negated(f, out=f)
+    c = _update_c(i, j, f, cache.c_prev, True, cache.c, spare)
+    cm = c if cache.state_mask is None else np.multiply(c, cache.state_mask, out=spare)
+    o = gemm(cm, w_oc, out=o)
+    o += b_o
+    sigmoid_of_negated(o, out=o)
     if cache.gates is not None:
-        np.concatenate((i, j, f, o), axis=-1, out=cache.gates)
-    cache.c_prev, cache.state_mask = state.c, state_mask
-    return CellState(c, o * np.tanh(c, out=cache.tanh_c))
+        np.concatenate(gates, axis=-1, out=cache.gates)
+    np.multiply(o, np.tanh(c, out=cache.tanh_c), out=h)
 
 
 def _backward_start(cache: CellCache, grad_c, grad_h):

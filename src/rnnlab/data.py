@@ -35,8 +35,8 @@ class Vocab:
     @classmethod
     def load(cls, path, mode: str) -> "Vocab":
         """The vocabulary that `save` wrote to `path`; a DataError, naming the
-        file and line, for a line that is not one escaped symbol of ASCII or
-        that repeats an earlier line's symbol."""
+        file (and line), for a line that is not one escaped ASCII symbol or
+        repeats one, and in word mode for a file without <unk> and <eos>."""
         # Bytes that are not ASCII come through as lone surrogates, which the
         # encode below refuses with the line they are on.
         with open(path, encoding="ascii", errors="surrogateescape") as fh:
@@ -56,6 +56,8 @@ class Vocab:
                 )
             index[symbol] = len(symbols)
             symbols.append(symbol)
+        if mode == "word" and not {UNK, EOS} <= index.keys():
+            raise DataError(f"vocabulary file {path} lacks {UNK} or {EOS}: not a word vocabulary")
         return cls(mode=mode, symbols=symbols, index=index)
 
 

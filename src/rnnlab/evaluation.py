@@ -175,11 +175,13 @@ def _scored_totals(params, config, stream, temperatures, batch_size, window):
     stream = np.asarray(stream)
     require_scorable(stream, batch_size)
     rows = stream[None, :] if batch_size == 1 else data_mod.batchify(stream, batch_size)
-    states = None
+    states, buffers = None, model.WindowBuffers()  # windows of one shape share a tick plan
     totals = [0.0] * len(temperatures)
     count = 0
     for batch in data_mod.windows(rows, window):
-        logits, states = model.predict_deterministic(params, config, batch.inputs, None, states)
+        logits, states = model.predict_deterministic(
+            params, config, batch.inputs, None, states, buffers
+        )
         for k, temp in enumerate(temperatures):
             picked = _picked_log_probs(log_softmax(logits, temp), batch.targets)
             totals[k] = _minus_picked(totals[k], picked)

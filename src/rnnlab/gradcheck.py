@@ -39,20 +39,19 @@ def _check_cell(kind: str, cap_input_gate: bool) -> float:
     probe_c = rng.uniform(-1.0, 1.0, (batch, width))
     state_mask = 0.5 + rng.random((batch, width)) if kind == "rlstm" else None
     # The steps run on a window cache, as in model.forward_window.
-    window = cells.new_cache(kind, (steps, batch), width, width)
-    window.state_mask = state_mask
+    states = np.zeros((steps + 1, batch, width))  # [0] the entry state, [t + 1] step t's
+    window = cells.new_cache(kind, (steps, batch), width, width, c=states[1:])
+    window.state_mask, window.capped, window.c_prev = state_mask, cap_input_gate, states[:-1]
     caches = [window.at(t) for t in range(steps)]
+    step, work = getattr(cells, f"{kind}_forward"), cells.new_work(kind, (batch,), width)
 
     def loss(_):
         weights = cells.forward_weights(params)  # of the perturbed weights, as a window's
-        state = CellState.zeros(batch, width)
+        h = np.zeros((batch, width))
         for x, cache in zip(xs, caches):
-            np.concatenate((x, state.h), axis=-1, out=cache.xh)
-            if kind == "rlstm":
-                state = cells.rlstm_forward(weights, state, cache, state_mask)
-            else:
-                state = cells.lstm_forward(weights, state, cache, cap_input_gate)
-        return float(np.sum(state.h * probe_h) + np.sum(state.c * probe_c))
+            np.concatenate((x, h), axis=-1, out=cache.xh)
+            step(weights, cache, h, work)
+        return float(np.sum(h * probe_h) + np.sum(states[-1] * probe_c))
 
     numeric = finite_difference_gradient(loss, theta)
     loss(theta)  # fill the caches at theta for the backward pass
@@ -75,11 +74,12 @@ def _check_mogrifier(rounds: int, rank: int) -> float:
     probe_h = rng.uniform(-1.0, 1.0, h.shape)
     probe_x = rng.uniform(-1.0, 1.0, x.shape)
     cache = mogrifier.new_cache(params, (batch,), m, n)  # as the model's, one step
+    work = mogrifier.new_work(params, (batch,))
 
     def loss(_):
         cache.x_ladder[0][...], cache.h_ladder[0][...] = x, h
-        h_out, x_out = mogrifier.mogrify_forward(mogrifier.forward_weights(params), cache)
-        return float(np.sum(h_out * probe_h) + np.sum(x_out * probe_x))
+        mogrifier.mogrify_forward(mogrifier.bind(mogrifier.forward_weights(params), cache, work))
+        return float(np.sum(cache.h_ladder[-1] * probe_h) + np.sum(cache.x_ladder[-1] * probe_x))
 
     numeric = finite_difference_gradient(loss, theta)
     loss(theta)  # fill the cache at theta for the backward pass

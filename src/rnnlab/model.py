@@ -21,11 +21,11 @@ and one cell call on (L, B, .) arrays.  The backward pass walks the same
 ticks in reverse: layer l's step t needs layer l+1's step t and its own step
 t+1, which every later tick has run.  The window buffers are (L, T, B, .),
 one (T, B, .) window per layer, from which each weight gradient is one
-stacked gemm, a product per layer; the forward's ticks view them through
-skewed (L, T + L - 1, B, .) views whose [l, k] is the step layer l runs at
-tick k, and the window's cache keeps those views for the backward pass.
-Every sum keeps the order of a layer-by-layer loop: the schedule changes no
-bit.
+stacked gemm, a product per layer.  A tick plan, bound once per window
+shape, holds each tick's views of them (through skewed (L, T + L - 1, B, .)
+views whose [l, k] is layer l's step at tick k), of the weight copies and
+of step scratch; the cache keeps its ticks for the backward pass.  Every
+sum keeps the order of a layer-by-layer loop: the schedule changes no bit.
 """
 
 from __future__ import annotations
@@ -120,11 +120,6 @@ class MaskSet:
     m_cell: np.ndarray | None = None  # (L, T, rows, n)
     m_state: np.ndarray | None = None  # (L, rows, n); reused at every timestep of the window
     m_out: np.ndarray | None = None  # (T, rows, n)
-
-
-def _masked(x, mask, index):
-    """x times mask[index], or x itself where the family is absent (keep 1)."""
-    return x if mask is None else x * mask[index]
 
 
 @dataclass
@@ -246,25 +241,29 @@ class WindowBuffers:
     would cost it a fifth of its time.  forward_window cuts a window's
     buffers out of one block and recycle() hands the block back once the
     window's cache is spent; smaller windows (validation between training
-    windows) fit in the same block."""
+    windows) fit in the same block, which keeps its last window's plan."""
 
     def __init__(self):
-        self._block = None
+        self._carver = None  # the block, with its plan
 
-    def lend(self, nbytes: int) -> "_Carver":
-        if self._block is None or self._block.size < nbytes:
-            self._block = None  # free the old block before taking a larger one
-            self._block = np.empty(nbytes, np.uint8)
-        block, self._block = self._block, None
-        return _Carver(block)
+    def lend(self, key, cut) -> "_Carver":
+        """The block, with its plan if its last window had the shape `key`, else
+        with none and room for the buffers that cut(empty) allocates."""
+        carver, self._carver = self._carver, None
+        if carver is None or carver.plan is None or carver.plan.key != key:
+            cut(size := _Carver())  # counts the bytes
+            block = None if carver is None or carver.block.size < size.used else carver.block
+            carver = None  # free the old block before taking a larger one
+            carver = _Carver(np.empty(size.used, np.uint8) if block is None else block)
+        return carver
 
     def take_back(self, carver: "_Carver"):
         """Take back the block that `lend` handed out as `carver`."""
-        self._block = carver.block
+        self._carver = carver
 
     def recycle(self, cache):
         """Take the block back from a spent cache, and clear the cache so
-        that nothing reads its buffers once they are reused."""
+        that nothing reads its buffers or its plan once they are reused."""
         self.take_back(cache.buffers)
         cache.buffers = cache.outputs = cache.cell_window = cache.mog_window = cache.ticks = None
 
@@ -279,6 +278,7 @@ class _Carver:
     def __init__(self, block=None):
         self.block = block
         self.used = 0
+        self.plan = None  # the plan of the buffers cut from the block
 
     def __call__(self, shape, dtype):
         dtype = np.dtype(dtype)
@@ -295,7 +295,7 @@ class WindowCache:
     masks: MaskSet
     mog_window: mogrifier.MogrifyCache | None  # (L, T, B, .) buffers
     cell_window: cells.CellCache | None  # (L, T, B, .) buffers, c_prev among them
-    ticks: list | None  # [k] -> tick k's layer rows, parameters, state mask and caches
+    ticks: list | None  # [k] -> tick k of the plan: (layer rows, state mask, caches, ...)
     outputs: np.ndarray  # (T, B, n) masked sum of layer outputs, the input of the output layer
     probs: np.ndarray  # (B, T, V)
     temperature: float
@@ -319,19 +319,16 @@ def _window_buffers(params, config, backward, horizon, batch, empty):
     states are an (L, T + 1, B, n) array: [:, 0] the carried-in states, which
     the caller writes, and [:, t + 1] step t's, so c_prev, the states the
     steps started from, is a view of it too.  Without a backward pass the
-    caches hold one step, (L, 1, B, .), reused at every tick, and no gate
-    values: nothing reads them."""
-    n, dtype = config.state_size, config.np_dtype
-    layers = config.layers
-    shape = (layers, horizon if backward else 1, batch)
-    states = empty((layers, horizon + 1, batch, n), dtype) if backward else None
-    c = None if states is None else states[:, 1:]
-    cell_window = cells.new_cache(config.cell, shape, n, n, dtype, empty, c)
+    caches hold one step, (L, 1, B, .), reused at every tick (c_prev is c,
+    updated in place), and no gate values: nothing reads them."""
+    n, dtype, steps = config.state_size, config.np_dtype, horizon if backward else 1
+    shape, first = (config.layers, steps, batch), int(backward)  # the first step's c
+    states = empty((config.layers, steps + first, batch, n), dtype)
+    cell_window = cells.new_cache(config.cell, shape, n, n, dtype, empty, states[:, first:])
+    cell_window.c_prev, cell_window.capped = states[:, :steps], config.cap_input_gate
     tops = (cell_window.xh[..., :n], cell_window.xh[..., n:])
     mog_window = mogrifier.new_cache(params.layers.mog, shape, n, n, dtype, tops, empty)
-    if backward:
-        cell_window.c_prev = states[:, :-1]
-    else:
+    if not backward:
         cell_window.gates = mog_window.gates = None
     return cell_window, mog_window, empty((horizon, batch, n), dtype)
 
@@ -349,96 +346,99 @@ def _skewed(a, layers=None):
     return np.lib.stride_tricks.as_strided(a, shape, strides)
 
 
-def _run_steps(params, config, inputs, masks, c, h, cell_window, mog_window, outputs):
-    """forward_window's time loop, a layer wavefront.  Layer l's step t needs
-    layer l - 1's step t and its own step t - 1, so at tick k layer l runs its
-    step k - l, and the layers in range, lo to hi, run as one step on
-    (hi - lo + 1, B, .) arrays: one call of the mogrifier and one of the cell,
-    on caches whose inputs the tick writes first, with the rows lo:hi + 1 of
-    the stack's forward weights.  Those are copied once, here, so that a
-    window reads the weights as they are when it starts, and the partial
-    ticks slice the same copies.  Tick k fills [lo:hi + 1, k] of the skewed
-    window buffers, or [lo:hi + 1, 0] of one step's, and, when the top layer
-    runs, outputs[k - L + 1].  c and h,
-    (L, B, n), hold the layers' states and are updated in place.  Returns the
-    ticks, [k] -> (layer rows lo:hi + 1, parameters, state mask, mogrifier and
-    cell caches) of tick k, which backward_window walks in reverse; they keep
-    no forward weights, so the copies are freed before the output layer runs.
+class _Plan:
+    """What the ticks of one window shape touch, bound once: the window
+    buffers, the carried h, copies of the forward weights and state mask
+    (each window writes them first), scratch, and each tick's views of them.
+    Tick k runs layers lo to hi (layer l its step k - l) on [lo:hi + 1, k] of
+    the skewed window buffers, or [lo:hi + 1, 0] of one step's.  ticks[k] is
+    (layer rows, state-mask rows, mogrifier and cell caches, what only
+    _run_steps reads); a scoring plan's ticks of the same rows share it."""
 
-    Every sum keeps the order of a layer-by-layer loop: sums[l] holds the
-    masked outputs of layers 0 to l of layer l's last step, added left to
-    right, which is the input of layer l + 1 at the next tick."""
-    layers, horizon = config.layers, outputs.shape[0]
-    skew = cell_window.c.shape[1] > 1  # window buffers, not one step's
-    if skew:
-        cell_window, mog_window = map_arrays(cell_window, _skewed), map_arrays(mog_window, _skewed)
-    stack = params.layers
-    weights = cells.forward_weights(stack.cell), mogrifier.forward_weights(stack.mog)
-    ids, m_in = inputs.T, masks.m_in
+    def __init__(self, key, params, config, masks, windows):
+        self.key, (self.cell_window, self.mog_window, self.outputs) = key, windows
+        (layers, _, batch, n), backward = windows[0].c.shape, windows[0].gates is not None
+        horizon, dtype, stack = self.outputs.shape[0], config.np_dtype, params.layers
+        self.weights = cells.forward_weights(stack.cell), mogrifier.forward_weights(stack.mog)
+        self.h = np.empty((layers, batch, n), dtype)
+        self.m_state = None if masks.m_state is None else np.empty_like(self.h)
+        # sums[k % 2][l]: layers 0..l's masked outputs before tick k, left to right
+        sums = np.empty((2, layers, batch, n), dtype)
+        cell_at, mog_at = self.cell_window, self.mog_window
+        if backward:
+            cell_at, mog_at = map_arrays(cell_at, _skewed), map_arrays(mog_at, _skewed)
+        keys = [  # (lo, hi, position, k % 2)
+            (max(0, k - horizon + 1), min(layers - 1, k), k if backward else 0, k % 2)
+            for k in range(horizon + layers - 1)
+        ]
+        work = (cells.new_work(config.cell, (layers, batch), n, dtype),  # a tick takes its rows
+                mogrifier.new_work(stack.mog, (layers, batch), dtype))
+        xhats = None if masks.m_cell is None else np.empty_like(self.h)
+        rowwise = {  # the weights, scratch and h of rows lo:hi + 1, shared by their ticks
+            (lo, hi): map_arrays((self.weights, work, self.h), lambda a: a[lo : hi + 1])
+            for lo, hi in {key[:2] for key in keys}
+        }
+        ticks = {key: self._tick(key, sums, cell_at, mog_at, rowwise, xhats) for key in set(keys)}
+        self.ticks = [ticks[key] for key in keys]
+
+    def _tick(self, key, sums, cell_at, mog_at, rowwise, xhats):
+        lo, hi, position, odd = key
+        rows, above = slice(lo, hi + 1), max(lo, 1)  # layers above 0 read sums
+        (cell_w, mog_w), (cell_work, mog_work), h = rowwise[lo, hi]
+        cell_t, mog_t = cell_at.at((rows, position)), mog_at.at((rows, position))
+        cell_t.state_mask = m_state = None if self.m_state is None else self.m_state[rows]
+        xhat, x_in, into = h if xhats is None else xhats[rows], mog_t.x_ladder[0], sums[1 - odd]
+        return (
+            rows, m_state, mog_t, cell_t, lo, hi, above, x_in[0], x_in[above - lo :],
+            mog_t.h_ladder[0], h, mogrifier.bind(mog_w, mog_t, mog_work),
+            (cell_w, cell_t, h, cell_work), xhat, xhat[0], xhat[above - lo :],
+            sums[odd][above - 1 : hi], into[0], into[above : hi + 1], into[-1],
+        )
+
+
+def _run_steps(params, config, plan, inputs, masks):
+    """forward_window's time loop over the plan's ticks: each writes its steps'
+    inputs, runs them as one mogrifier and one cell call, and when the top
+    layer runs writes outputs[k - L + 1], its sums in a layer-by-layer order."""
+    layers, outputs, m_in, m_out = config.layers, plan.outputs, masks.m_in, masks.m_out
+    ids = inputs.T
     m_cell = None if masks.m_cell is None else _skewed(masks.m_cell)
     # [l, k]: the token ids and input masks of the step that layer l runs at tick k
     ids_at, m_in_at = _skewed(ids, layers), None if m_in is None else _skewed(m_in, layers)
-    sums, spare = np.empty((2, *c.shape), outputs.dtype)
-    views, ticks = {}, []  # views: (lo, hi, position) -> (a tick, its forward weights)
-    for k in range(horizon + layers - 1):
-        lo, hi = max(0, k - horizon + 1), min(layers - 1, k)
-        rows, above = slice(lo, hi + 1), max(lo, 1)  # layers above 0 read sums
-        key = (lo, hi, k if skew else 0)
-        if key not in views:
-            whole = hi - lo + 1 == layers
-            tick = (
-                rows,
-                stack if whole else map_arrays(stack, lambda a: a[rows]),
-                None if masks.m_state is None else masks.m_state[rows],
-                mog_window.at((rows, key[2])),
-                cell_window.at((rows, key[2])),
-            )
-            views[key] = tick, weights if whole else map_arrays(weights, lambda a: a[rows])
-        tick, (cell_w, mog_w) = views[key]
-        ticks.append(tick)
-        _, _, m_state, mog_t, cell_t = tick
-
-        x_in = mog_t.x_ladder[0]  # written here; the mogrifier then starts from it
+    cell_step = cells.rlstm_forward if config.cell == "rlstm" else cells.lstm_forward
+    for k, (
+        rows, m_state, _, _, lo, hi, above, x_in, x_up, h_in, h, mog, cell,
+        xhat, xhat_0, xhat_up, sums, into_0, into_up, top,
+    ) in enumerate(plan.ticks):
         if lo == 0:
-            params.e_in.take(ids[k], axis=0, out=x_in[0])
+            params.e_in.take(ids[k], axis=0, out=x_in)
             if m_in is not None:
-                x_in[0] *= m_in[k]
+                x_in *= m_in[k]
         if above <= hi and config.residual_includes_embedding:
             x0 = params.e_in[ids_at[above : hi + 1, k]]
             if m_in is not None:
                 x0 *= m_in_at[above : hi + 1, k]
-            np.add(sums[above - 1 : hi], x0, out=x_in[above - lo :])
+            np.add(sums, x0, out=x_up)
         elif above <= hi:
-            x_in[above - lo :] = sums[above - 1 : hi]
-        h_in = mog_t.h_ladder[0]  # likewise
+            x_up[...] = sums
         if m_state is None:
-            h_in[...] = h[rows]
+            h_in[...] = h
         else:
-            np.multiply(h[rows], m_state, out=h_in)
-        # The mogrifier writes its outputs, [x, h] of the cell, into cell_t.xh.
-        mog_h, _ = mogrifier.mogrify_forward(mog_w, mog_t)
-        # A window's own c_prev view, so that the tick keeps the states its
-        # steps started from: the step stores its entry c as the cache's c_prev.
-        entry_state = CellState(c[rows] if cell_t.c_prev is None else cell_t.c_prev, mog_h)
-        if config.cell == "rlstm":
-            new_state = cells.rlstm_forward(cell_w, entry_state, cell_t, m_state)
-        else:
-            new_state = cells.lstm_forward(cell_w, entry_state, cell_t, config.cap_input_gate)
-        c[rows] = new_state.c
-        h[rows] = new_state.h
-        xhat = new_state.h if m_cell is None else new_state.h * m_cell[rows, k]
+            np.multiply(h, m_state, out=h_in)
+        mogrifier.mogrify_forward(mog)  # its outputs, [x, h] of the cell, land in the cell's xh
+        cell_step(*cell)
+        if m_cell is not None:
+            np.multiply(h, m_cell[rows, k], out=xhat)
         if lo == 0:
-            spare[0] = xhat[0]
+            into_0[...] = xhat_0
         if above <= hi:
-            np.add(sums[above - 1 : hi], xhat[above - lo :], out=spare[above : hi + 1])
-        sums, spare = spare, sums
+            np.add(sums, xhat_up, out=into_up)
         if hi == layers - 1:
             t = k - layers + 1
-            if masks.m_out is None:
-                outputs[t] = sums[-1]
+            if m_out is None:
+                outputs[t] = top
             else:
-                np.multiply(sums[-1], masks.m_out[t], out=outputs[t])
-    return ticks
+                np.multiply(top, m_out[t], out=outputs[t])
 
 
 def forward_window(
@@ -459,10 +459,11 @@ def forward_window(
 
     Activations go into window buffers, cut from `buffers` when given, whose
     per-layer (T, B, .) windows let backward_window form each weight gradient
-    with one stacked gemm over the window.  With backward=False (scoring only) every
-    tick reuses one step's buffers and the cache is None; temperature=None
-    then returns the logits in place of the log-probs, for the caller to apply
-    its own temperatures with log_softmax."""
+    with one stacked gemm over the window; `buffers` keeps the plan the ticks
+    run on for the next window of this shape.  With backward=False (scoring
+    only) every tick reuses one step's buffers and the cache is None;
+    temperature=None then returns the logits in place of the log-probs, for
+    the caller to apply its own temperatures with log_softmax."""
     inputs = np.asarray(inputs)
     batch, horizon = inputs.shape
     if temperature is None and backward:
@@ -471,31 +472,33 @@ def forward_window(
         raise ValueError("token id out of vocabulary range")
     params.layers.mog.validate()  # once here; the steps below are given caches and skip it
     n, shape = config.state_size, (config.layers, batch, config.state_size)
-    if states is None:
-        c, h = np.zeros((2, *shape), config.np_dtype)
-    else:
+    if states is not None:
         for name, state in (("c", states.c), ("h", states.h)):
             if np.shape(state) != shape:
                 raise ValueError(
                     f"carried state {name} has shape {np.shape(state)}, not (L, B, n) = {shape}"
                 )
-        # Copies in the model's dtype, which the steps update in place.
-        c, h = (np.array(a, config.np_dtype) for a in (states.c, states.h))
-    carver = None
-    if buffers is not None:
-        size = _Carver()
-        _window_buffers(params, config, backward, horizon, batch, size)
-        carver = buffers.lend(size.used)
+    key = (*vars(config).values(), batch, horizon, backward, masks.m_state is None,
+           masks.m_cell is None)
+    cut = functools.partial(_window_buffers, params, config, backward, horizon, batch)
+    carver = None if buffers is None else buffers.lend(key, cut)
     try:
-        cell_window, mog_window, outputs = _window_buffers(
-            params, config, backward, horizon, batch, carver or np.empty
-        )
-        if backward:
-            cell_window.c_prev[:, 0] = c
+        plan = carver and carver.plan
+        if plan is None:
+            plan = _Plan(key, params, config, masks, cut(carver or np.empty))
+            if carver is not None:
+                carver.plan = plan
+        else:  # an earlier window's plan: this window's weights go into its copies
+            cells.forward_weights(params.layers.cell, out=plan.weights[0])
+            mogrifier.forward_weights(params.layers.mog, out=plan.weights[1])
+        if plan.m_state is not None:
+            plan.m_state[...] = masks.m_state
+        # The carried-in states, in the model's dtype; the steps update them in place.
+        plan.cell_window.c_prev[:, 0] = 0.0 if states is None else states.c
+        plan.h[...] = 0.0 if states is None else states.h
         with np.errstate(over="ignore"):  # exp overflow in sigmoid gives the right limit
-            ticks = _run_steps(
-                params, config, inputs, masks, c, h, cell_window, mog_window, outputs
-            )
+            _run_steps(params, config, plan, inputs, masks)
+        outputs, c = plan.outputs, plan.cell_window.c[:, -1]
         # The steps leave this check to the window: every h flows into outputs
         # (NaN * 0 is NaN), and a non-finite c stays so to the window's end.
         if not (np.all(np.isfinite(outputs)) and np.all(np.isfinite(c))):
@@ -508,28 +511,29 @@ def forward_window(
         if not np.all(np.isfinite(logits)):
             raise DivergenceError("non-finite logits")
         logits = logits.reshape(horizon, batch, -1).transpose(1, 0, 2)
-        final_states = CellState(c, h)
-        if temperature is None:
-            return logits, None, final_states
-        log_probs = log_softmax(logits, temperature)
+        final_states = CellState(c.copy(), plan.h.copy())
+        if temperature is not None:
+            logits = log_softmax(logits, temperature)  # the log-probs from here on
     except BaseException:
         if carver is not None:
             buffers.take_back(carver)  # the window never hands its cache to recycle
         raise
     if not backward:
-        return log_probs, None, final_states
+        if carver is not None:
+            buffers.take_back(carver)
+        return logits, None, final_states
     cache = WindowCache(
         inputs=inputs,
         masks=masks,
-        mog_window=mog_window,
-        cell_window=cell_window,
-        ticks=ticks,
+        mog_window=plan.mog_window,
+        cell_window=plan.cell_window,
+        ticks=plan.ticks,
         outputs=outputs,
-        probs=np.exp(log_probs),
+        probs=np.exp(logits),
         temperature=temperature,
         buffers=carver,
     )
-    return log_probs, cache, final_states
+    return logits, cache, final_states
 
 
 def backward_window(params: ModelParams, config: ModelConfig, cache: WindowCache, grad_log_probs):
@@ -569,11 +573,13 @@ def backward_window(params: ModelParams, config: ModelConfig, cache: WindowCache
     dsum_at = _skewed(dsum, layers)  # [l, k]: the gradient on the outputs' sum
     m_cell = None if masks.m_cell is None else _skewed(masks.m_cell)
     grad_c, grad_h, sums, spare = np.zeros((4, layers, batch, n), dtype)  # grad_h: of masked h
+    stack = params.layers
     for k in reversed(range(horizon + layers - 1)):
-        rows, part, m_state, mog_t, cell_t = cache.ticks[k]
+        rows, m_state, mog_t, cell_t = cache.ticks[k][:4]
         lo, hi = rows.start, rows.stop - 1
+        part = stack if hi - lo + 1 == layers else map_arrays(stack, lambda a: a[rows])
         dxhat = dsum_at[rows, k] + sums[rows]
-        dh = _masked(dxhat, m_cell, (rows, k))
+        dh = dxhat if m_cell is None else dxhat * m_cell[rows, k]
         dh += grad_h[rows] if m_state is None else grad_h[rows] * m_state
         grad_c[rows], dmog_h, dmog_x = cells.cell_backward(part.cell, cell_t, grad_c[rows], dh)
         grad_h[rows], dx_in = mogrifier.mogrify_backward(part.mog, mog_t, dmog_h, dmog_x)
@@ -682,13 +688,13 @@ def loss_multisample(params, config, batch: WindowBatch, rng: Rng, num_samples: 
     return window_loss_with_masks(params, config, batch, masks, buffers)
 
 
-def predict_deterministic(params, config, inputs, temperature=1.0, states=None):
+def predict_deterministic(params, config, inputs, temperature=1.0, states=None, buffers=None):
     """Evaluation-time forward: every mask replaced by its expectation (ones),
     logits divided by the softmax temperature.  Returns (log_probs, states),
-    or (logits, states) with temperature=None."""
+    or (logits, states) with temperature=None; `buffers` as forward_window's."""
     inputs = np.asarray(inputs)
     masks = ones_masks(config, *inputs.shape)
     scores, _, final_states = forward_window(
-        params, config, inputs, masks, states, temperature, backward=False
+        params, config, inputs, masks, states, temperature, buffers, backward=False
     )
     return scores, final_states

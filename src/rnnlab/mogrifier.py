@@ -9,13 +9,14 @@ each ladder, which coincides with indices 2*floor(r/2) for the state and
 As in cells, a step, forward or backward, also runs a stack of layers as one
 (gate matrices with a leading layer axis, (L, B, .) inputs) on a cache of one
 step or of a window, which its caller cut and, for the forward step, whose
-ladder bottoms it wrote.  The forward step multiplies by `forward_weights(p)`,
-contiguous transposed copies that its caller makes once per window, and
-stores its gate values, unless the cache has none (a scoring pass).  The
-backward step reads p itself and stores each round's pre-activation gradient
-over them, and `weight_grads` forms the gate-matrix gradients over every row
-of a cache at once.  MogrifierParams.round_gates and MogrifyCache.rounds map
-a round to its gate matrix and ladder rungs.
+ladder bottoms it wrote.  The forward step runs the rounds that `bind` binds
+once per window shape to `forward_weights(p)` (copies made once per window),
+the cache's rungs and new_work scratch, where each gate is formed and then
+stored (unless the cache has none: a scoring pass).  The backward step reads
+p itself and stores each round's pre-activation gradient over them, and
+`weight_grads` forms the gate-matrix gradients over every row of a cache at
+once.  MogrifierParams.round_gates and MogrifyCache.rounds map a round to
+its gate matrix and ladder rungs.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .numerics import Rng, gemm, sigmoid
+from .numerics import Rng, gemm, signed_copies, sigmoid_of_negated
 
 
 @dataclass
@@ -64,16 +65,32 @@ class MogrifierParams:
         ]
 
 
-def forward_weights(p: MogrifierParams) -> list:
+def _factors(w) -> tuple:
+    """The factors a gate's input is applied through: (v, u), or (w,)."""
+    return (w.v, w.u) if isinstance(w, LowRank) else (w,)
+
+
+def forward_weights(p: MogrifierParams, out=None) -> list:
     """Per round, the factors that mogrify_forward applies the gate's input
-    through, each transposed, (..., in, out), as a contiguous copy: [w] for
-    a full matrix, [v, u] for a factored one.  As cells.forward_weights, for
-    BLAS's sake: the caller makes them once per window, and none is kept on
-    p, whose gate matrices are updated in place."""
+    through, each transposed, (..., in, out), as a contiguous copy, the last
+    negated: as cells.forward_weights, and written into out's when given."""
     return [
-        [np.ascontiguousarray(f.mT) for f in ((w.v, w.u) if isinstance(w, LowRank) else (w,))]
-        for w in p.round_gates
+        signed_copies([f.mT for f in _factors(w)], [(1,)] * isinstance(w, LowRank) + [(-1,)], o)
+        for w, o in zip(p.round_gates, out or [None] * p.rounds)
     ]
+
+
+def new_work(p: MogrifierParams, shape, dtype=np.float64) -> list:
+    """Scratch of a forward step on (*shape, .) arrays: per round, each factor's product."""
+    return [[np.empty((*shape, f.shape[-2]), dtype) for f in _factors(w)] for w in p.round_gates]
+
+
+def bind(weights: list, cache: "MogrifyCache", work: list) -> list:
+    """mogrify_forward's rounds with forward_weights(p), on `cache` (cut for p)
+    and new_work scratch: (gate input, (factor, product)s, scaled, out, stored)."""
+    stored = cache.gates or [None] * len(weights)
+    return [(gate, tuple(zip(factors, products)), scaled, out, into) for (gate, scaled, out),
+            factors, products, into in zip(cache.rounds, weights, work, stored)]
 
 
 @dataclass
@@ -120,24 +137,20 @@ def new_cache(
     return cache
 
 
-def mogrify_forward(weights: list, cache: MogrifyCache):
-    """Run the rounds with forward_weights(p) on `cache`, cut for p (which
-    the caller validates), from the ladder bottoms that the caller wrote;
-    returns the ladder tops, (h out, x out)."""
-    for (gate, scaled, out), factors, stored in zip(
-        cache.rounds, weights, cache.gates or [None] * len(weights)
-    ):
+def mogrify_forward(rounds: list):
+    """Run the rounds that bind() bound, from the ladder bottoms that the
+    caller wrote; the outputs are the cache's ladder tops."""
+    for gate, products, scaled, out, stored in rounds:
         # The gate is formed in an array of its own and then stored: elementwise
         # work on the cache's views costs more where they are strided (stacked
         # layers of a window).
-        for w in factors:
-            gate = gemm(gate, w)
-        sigmoid(gate, out=gate)
-        gate *= 2.0
+        for w, product in products:
+            gate = gemm(gate, w, out=product)
+        sigmoid_of_negated(gate, out=gate)
+        np.add(gate, gate, out=gate)  # 2 * gate, as exact
         if stored is not None:
             stored[...] = gate
         np.multiply(gate, scaled, out=out)
-    return cache.h_ladder[-1], cache.x_ladder[-1]
 
 
 def _input_grad(w, dpre):

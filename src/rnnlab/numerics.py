@@ -18,6 +18,7 @@ class DivergenceError(RuntimeError):
 
 
 _fast_gemm = False
+_ONE = {np.dtype(t): np.ones((), t) for t in (np.float32, np.float64)}  # faster than 1.0
 
 
 def set_fast_gemm(enabled: bool) -> bool:
@@ -32,10 +33,10 @@ def fast_gemm_enabled() -> bool:
     return _fast_gemm
 
 
-def gemm(a, b, rowwise=False):
+def gemm(a, b, rowwise=False, out=None):
     """Matrix product with a fixed summation order: of two matrices, or of
     two stacks of them, 3-D operands whose equal leading axis pairs the
-    products (the layers of a wavefront step).
+    products (the layers of a wavefront step); into `out` when given.
 
     The default path accumulates over the inner dimension sequentially
     (outer-product updates), which is bitwise identical to the classic
@@ -49,14 +50,14 @@ def gemm(a, b, rowwise=False):
     """
     if type(a) is not np.ndarray or type(b) is not np.ndarray:
         a, b = np.asarray(a), np.asarray(b)
-    # One shape comparison: equal leading axes, inner sizes that agree and, with
-    # the ndim test, two 2-D or two 3-D operands (2-D only for rowwise).
-    if a.shape[:-2] + a.shape[-1:] != b.shape[:-1] or not 1 < a.ndim < 4 - rowwise:
+    sa, sb = a.shape, b.shape  # two 2-D or 3-D operands whose inner and leading sizes agree
+    if not 1 < len(sa) == len(sb) < 4 - rowwise or sa[-1] != sb[-2] or sa[:-2] != sb[:-2]:
         _refuse(a, b, rowwise)
     if _fast_gemm:
-        return np.matmul(a[:, None, :], b)[:, 0, :] if rowwise else a @ b
-    out = np.zeros((*a.shape[:-1], b.shape[-1]), dtype=np.result_type(a, b))
-    for k in range(a.shape[-1]):
+        return np.matmul(a[:, None, :], b)[:, 0, :] if rowwise else np.matmul(a, b, out)
+    out = np.empty((*sa[:-1], sb[-1]), np.result_type(a, b)) if out is None else out
+    out[...] = 0.0
+    for k in range(sa[-1]):
         out += a[..., k : k + 1] * b[..., k : k + 1, :]
     return out
 
@@ -70,6 +71,18 @@ def _refuse(a, b, rowwise):
     raise ValueError(f"gemm dimension mismatch: {a.shape} x {b.shape}")
 
 
+def signed_copies(arrays, signs, out=None) -> tuple:
+    """Contiguous copies of `arrays` (into out's when given), the last axis of
+    each cut into one block per sign, 1 or -1, and times it: bits kept or flipped."""
+    out = out or tuple(np.empty(a.shape, a.dtype) for a in arrays)
+    for into, a, sign in zip(out, arrays, signs, strict=True):
+        width = a.shape[-1] // len(sign)
+        for k, s in enumerate(sign):
+            block = slice(k * width, (k + 1) * width)
+            np.multiply(a[..., block], s, out=into[..., block])
+    return out
+
+
 def sigmoid(x, out=None):
     """1 / (1 + exp(-x)), formed in place in `out` (of x's dtype) by steps that
     round the same way.  exp overflow for very negative x gives 0 through 1/inf,
@@ -80,10 +93,14 @@ def sigmoid(x, out=None):
         x = x.astype(np.result_type(x, np.float32), copy=False)
         with np.errstate(over="ignore"):
             return np.divide(1.0, 1.0 + np.exp(-x))
-    np.negative(x, out=out)
-    np.exp(out, out=out)
-    out += 1.0
-    return np.reciprocal(out, out=out)
+    return sigmoid_of_negated(np.negative(x, out=out), out)
+
+
+def sigmoid_of_negated(z, out):
+    """1 / (1 + exp(z)) in `out`: sigmoid after its negation, so sigmoid(-z)'s bits."""
+    np.exp(z, out)
+    np.add(out, _ONE.get(out.dtype, 1.0), out)
+    return np.reciprocal(out, out)
 
 
 def dsigmoid_from_value(s):

@@ -50,13 +50,13 @@ def map_arrays(obj, fn):
     order; vector fields are left at their default."""
     if isinstance(obj, np.ndarray):
         return fn(obj)
-    if dataclasses.is_dataclass(obj):
-        kwargs = {field.name: map_arrays(getattr(obj, field.name), fn) for field in _fields(obj)}
-        return type(obj)(**kwargs)
     if isinstance(obj, list):
         return [map_arrays(value, fn) for value in obj]
     if isinstance(obj, tuple):
         return tuple(map_arrays(value, fn) for value in obj)
+    if dataclasses.is_dataclass(obj):
+        kwargs = {field.name: map_arrays(getattr(obj, field.name), fn) for field in _fields(obj)}
+        return type(obj)(**kwargs)
     if obj is None or isinstance(obj, (int, float, bool, str)):
         return obj
     raise TypeError(f"unsupported node in parameter tree: {type(obj)}")

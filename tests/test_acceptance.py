@@ -77,13 +77,13 @@ def _worst_cell_magnitude(kind, draws, steps, rng):
         scale = rng.uniform(0.5, 6.0)
         xs = rng.uniform(-scale, scale, (steps, 1, m))
         cache = cells.new_cache(kind, (1,), m, n)  # one step's, reused at every step
+        cache.c[...] = state.c
+        cache.c_prev = state.c = cache.c  # updated in place, as a scoring pass updates it
         weights = cells.forward_weights(params)  # of the weights as set above
+        step, work = getattr(cells, f"{kind}_forward"), cells.new_work(kind, (1,), n)
         for t in range(steps):
             np.concatenate((xs[t], state.h), axis=-1, out=cache.xh)
-            if kind == "rlstm":
-                state = cells.rlstm_forward(weights, state, cache)
-            else:
-                state = cells.lstm_forward(weights, state, cache, cap_input_gate=True)
+            step(weights, cache, state.h, work)
             # the steps do not check finiteness, so this loop does: a NaN
             # would slip through the running max below
             assert np.all(np.isfinite(state.c)) and np.all(np.isfinite(state.h)), (

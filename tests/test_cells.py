@@ -23,16 +23,18 @@ def random_state(rng, batch, n, bounded=True):
 
 def run_step(p, state, x, cache=None, cap_input_gate=True, state_mask=None):
     """One step of p's cell on `cache`, or on a one-step cache of its own,
-    with [x, state.h] written into its xh as the model does: (new state,
-    cache)."""
+    bound as the model binds a tick's: [x, state.h] written into its xh,
+    state.c as its c_prev, the mask and the cap set, and new_work scratch.
+    Returns (new state, cache)."""
     kind = "lstm" if isinstance(p, cells.LstmParams) else "rlstm"
     if cache is None:
         cache = cells.new_cache(kind, x.shape[:-1], x.shape[-1], p.state_size)
     np.concatenate((x, state.h), axis=-1, out=cache.xh)
-    weights = cells.forward_weights(p)
-    if kind == "rlstm":
-        return cells.rlstm_forward(weights, state, cache, state_mask), cache
-    return cells.lstm_forward(weights, state, cache, cap_input_gate), cache
+    cache.c_prev, cache.state_mask, cache.capped = state.c, state_mask, cap_input_gate
+    h = np.empty_like(state.h)
+    work = cells.new_work(kind, x.shape[:-1], p.state_size)
+    getattr(cells, f"{kind}_forward")(cells.forward_weights(p), cache, h, work)
+    return CellState(cache.c, h), cache
 
 
 class TestLstmForward:
@@ -66,7 +68,7 @@ class TestLstmForward:
     def test_capped_state_stays_bounded(self):
         rng = Rng(102)
         p = random_lstm(rng)
-        state = CellState.zeros(4, 5)
+        state = CellState(*np.zeros((2, 4, 5)))
         for _ in range(200):
             x = rng.uniform(-4, 4, (4, 6))
             state, _ = run_step(p, state, x)
@@ -80,7 +82,7 @@ class TestLstmForward:
         v["b_i"][:] = 10.0
         v["b_f"][:] = 10.0
         v["b_j"][:] = 3.0
-        state = CellState.zeros(1, 5)
+        state = CellState(*np.zeros((2, 1, 5)))
         for _ in range(10):
             x = rng.uniform(-0.1, 0.1, (1, 6))
             state, _ = run_step(p, state, x, cap_input_gate=False)
@@ -138,7 +140,7 @@ class TestRlstmForward:
     def test_state_always_bounded(self):
         rng = Rng(113)
         p = random_rlstm(rng)
-        state = CellState.zeros(4, 5)
+        state = CellState(*np.zeros((2, 4, 5)))
         for _ in range(200):
             x = rng.uniform(-4, 4, (4, 6))
             state, _ = run_step(p, state, x)

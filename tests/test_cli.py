@@ -498,6 +498,23 @@ class TestBadFiles:
         assert err.startswith(f"data error: vocabulary file {vocab} {message}")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("command", ["evaluate", "dyneval", "tune-temperature"])
+    def test_word_mode_refuses_a_vocabulary_without_its_symbols(
+        self, trained_run, tmp_path, capsys, command
+    ):
+        # The checkpoint's sidecar holds a byte vocabulary, which has no <unk>
+        # or <eos>: word mode cannot encode a split with it.
+        config = write_config(
+            tmp_path / "word.cfg", trained_run["corpus"], tmp_path, mode="word",
+            checkpoint_path=trained_run["checkpoint"], temperature_file=tmp_path / "t.txt",
+        )
+        assert cli.main([command, "--config", str(config)]) == 1
+        vocab = f"{trained_run['checkpoint']}.vocab"
+        assert capsys.readouterr() == (
+            "", f"data error: vocabulary file {vocab} lacks <unk> or <eos>: not a word vocabulary\n"
+        )
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["word.cfg"]
+
 
 class TestOneRefusal:
     """The whole config is checked where it is loaded, so every command

@@ -1,3 +1,4 @@
+import dataclasses
 import importlib
 import pathlib
 import warnings
@@ -1120,6 +1121,13 @@ class TestAgainstPerGateReference:
         assert np.concatenate([first, rest], axis=1).tobytes() == whole.tobytes()
 
 
+# Every mask family, the embedding in the residual sums and factored gates.
+PLAN_FAMILIES = dict(
+    keep_in=0.7, keep_cell=0.6, keep_state=0.8, keep_out=0.7, residual_includes_embedding=True,
+    mogrifier_rank=2,
+)
+
+
 class TestWindowBuffers:
     def test_reused_buffers_give_the_same_bits(self):
         config = tiny_config(keep_in=0.8, keep_cell=0.7, keep_state=0.9, keep_out=0.8)
@@ -1145,7 +1153,7 @@ class TestWindowBuffers:
         buffers = model.WindowBuffers()
         _, first, _ = model.forward_window(params, config, np.zeros((3, 4), np.int64), masks,
                                            buffers=buffers)
-        assert np.shares_memory(first.ticks[0][-1].gates, first.buffers.block)  # its cell cache
+        assert np.shares_memory(first.ticks[0][3].gates, first.buffers.block)  # its cell cache
         buffers.recycle(first)
         assert first.buffers is None and first.cell_caches is None and first.ticks is None
         # A smaller window is cut from the block the first one left behind.
@@ -1163,22 +1171,153 @@ class TestWindowBuffers:
         assert third.buffers.block.size > block.size
 
     @pytest.mark.parametrize("fast", [False, True])
-    def test_scoring_pass_gives_the_same_bits(self, fast):
-        # Without a backward pass the steps share one step's buffers.
+    @pytest.mark.parametrize("batch", [1, 3])
+    @pytest.mark.parametrize("cell", ["lstm", "rlstm"])
+    @pytest.mark.parametrize(
+        "overrides",
+        [{}, PLAN_FAMILIES, dict(keep_cell=0.7, keep_out=0.8, mogrifier_rank=2),
+         dict(keep_in=0.6, keep_state=0.7, residual_includes_embedding=True)],
+        ids=["none", "every", "cell-out-rank2", "in-state-embedding"],
+    )
+    def test_scoring_pass_gives_the_same_bits(self, fast, batch, cell, overrides):
+        # Without a backward pass the steps share one step's buffers; a window
+        # on a plan that an earlier window of its shape left keeps the bits.
         numerics.set_fast_gemm(fast)
-        config = tiny_config(mogrifier_rounds=3)
+        config = tiny_config(cell=cell, mogrifier_rounds=3, **overrides)
         rng = Rng(432)
         params = model.init_model_params(rng, config)
-        inputs = rng.integers(0, config.vocab_size, (2, 7))
-        states = random_states(rng, config.layers, 2, 4)
-        masks = model.ones_masks(config, 2, 7)
+        inputs = rng.integers(0, config.vocab_size, (batch, 7))
+        states = random_states(rng, config.layers, batch, 4)
+        masks = model.sample_masks(rng, config, batch, 7)
         kept, cache, kept_states = model.forward_window(params, config, inputs, masks, states)
-        scored, none, scored_states = model.forward_window(
-            params, config, inputs, masks, states, backward=False
-        )
-        assert none is None and cache is not None
-        assert scored.tobytes() == kept.tobytes()
-        assert_same_states(scored_states, kept_states)
+        buffers = model.WindowBuffers()
+        for backward in (False, False, True, True):
+            got, got_cache, got_states = model.forward_window(
+                params, config, inputs, masks, states, buffers=buffers, backward=backward
+            )
+            assert (got_cache is None) == (not backward) and cache is not None
+            assert got.tobytes() == kept.tobytes()
+            assert_same_states(got_states, kept_states)
+            if backward:
+                buffers.recycle(got_cache)
+
+
+class TestPlans:
+    """The ticks run on a plan of the window's shape: WindowBuffers keeps the
+    plan with its block, and the next window of that shape runs on it as it
+    is, with its own weights, masks and states."""
+
+    @staticmethod
+    def count_views(monkeypatch):
+        views = []
+        for cls in (cells.CellCache, mogrifier.MogrifyCache):
+            original = cls.at
+
+            def counted(self, t, _original=original):
+                views.append(t)
+                return _original(self, t)
+
+            monkeypatch.setattr(cls, "at", counted)
+        return views
+
+    @pytest.mark.parametrize("cell", ["lstm", "rlstm"])
+    def test_windows_of_one_shape_reuse_one_plan(self, monkeypatch, cell):
+        config = tiny_config(cell=cell, layers=3, **PLAN_FAMILIES)
+        rng = Rng(433)
+        params = model.init_model_params(rng, config)
+        windows = []  # (inputs, masks, states, targets): new masks and weights each time
+        for _ in range(3):
+            inputs, targets = rng.integers(0, config.vocab_size, (2, 2, 6))
+            windows.append((inputs, targets, model.sample_masks(rng, config, 2, 6),
+                            random_states(rng, config.layers, 2, 4)))
+        steps = [rng.uniform(-0.2, 0.2, params.vector.size) for _ in windows]
+        start, want = params.vector.copy(), []  # each window on a plan of its own
+        for (inputs, targets, masks, states), step in zip(windows, steps):
+            log_probs, cache, final = model.forward_window(params, config, inputs, masks, states)
+            grads = model.backward_window(
+                params, config, cache, model.nll_from_log_probs(log_probs, targets)[1]
+            )
+            want.append((log_probs.tobytes(), final, grads.vector.tobytes()))
+            params.vector += step
+        params.vector[...] = start
+        views, buffers, plans = self.count_views(monkeypatch), model.WindowBuffers(), []
+        for (inputs, targets, masks, states), step, (log_probs, final, grads) in zip(
+            windows, steps, want
+        ):
+            got, cache, got_final = model.forward_window(
+                params, config, inputs, masks, states, buffers=buffers
+            )
+            got_grads = model.backward_window(
+                params, config, cache, model.nll_from_log_probs(got, targets)[1]
+            )
+            assert got.tobytes() == log_probs and got_grads.vector.tobytes() == grads
+            assert_same_states(got_final, final)
+            plans.append(cache.buffers.plan)
+            buffers.recycle(cache)
+            if len(plans) == 1:
+                assert len(views) == 2 * (6 + 3 - 1)  # a cell and a mogrifier view per tick
+                views.clear()
+            params.vector += step
+        assert views == [] and plans[0] is plans[1] is plans[2]
+
+    def test_a_new_shape_or_a_larger_block_rebuilds_the_plan(self):
+        config = tiny_config()
+        params = model.init_model_params(Rng(434), config)
+        buffers = model.WindowBuffers()
+
+        def window(batch, horizon):
+            masks = model.ones_masks(config, batch, horizon)
+            inputs = np.zeros((batch, horizon), np.int64)
+            _, cache, _ = model.forward_window(params, config, inputs, masks, buffers=buffers)
+            carver = cache.buffers
+            buffers.recycle(cache)
+            return carver.plan, carver.block
+
+        plan, block = window(3, 6)
+        assert window(3, 6) == (plan, block)
+        shorter, same_block = window(3, 4)  # a new horizon: a new plan in the same block
+        assert shorter is not plan and same_block is block
+        assert window(3, 4) == (shorter, block)
+        wider, larger = window(5, 6)  # a new batch that needs more room
+        assert wider is not plan and larger.size > block.size
+        back, _ = window(3, 6)
+        assert back is not plan and back is not wider  # the block keeps one plan
+
+    def test_scoring_windows_of_one_shape_share_a_plan(self, monkeypatch):
+        built = []
+
+        class Counted(model._Plan):
+            def __init__(self, key, *args):
+                built.append(key[-5:-2])  # batch, horizon, backward
+                super().__init__(key, *args)
+
+        monkeypatch.setattr(model, "_Plan", Counted)
+        config = tiny_config()
+        rng = Rng(436)
+        params = model.init_model_params(rng, config)
+        stream = rng.integers(0, config.vocab_size, 3 * 8 + 4)  # windows of 8, 8, 8 and 3
+        evaluation.evaluate_static(params, config, stream, 1.0, 1, 8)
+        assert built == [(1, 8, False), (1, 3, False)]
+
+    def test_a_recycled_window_keeps_nothing_of_the_plan(self):
+        config = tiny_config(keep_state=0.8)
+        rng = Rng(435)
+        params = model.init_model_params(rng, config)
+        inputs = rng.integers(0, config.vocab_size, (3, 5))
+        masks = model.sample_masks(rng, config, 3, 5)
+        buffers = model.WindowBuffers()
+        _, cache, _ = model.forward_window(params, config, inputs, masks, buffers=buffers)
+        plan, block = cache.buffers.plan, cache.buffers.block
+        buffers.recycle(cache)
+        owned = [block, plan.h, plan.m_state, *(a for _, a in ptree.named_arrays(plan.weights))]
+        for field in dataclasses.fields(cache):
+            value = getattr(cache, field.name)
+            assert value is None or not any(
+                np.shares_memory(a, b) for _, a in ptree.named_arrays(value) for b in owned
+            ), field.name
+        # The next window of the shape runs on the plan; the spent cache reads none of it.
+        _, again, _ = model.forward_window(params, config, inputs, masks, buffers=buffers)
+        assert again.buffers.plan is plan and again.ticks is plan.ticks and cache.ticks is None
 
 
 class TestForwardWeights:
@@ -1220,13 +1359,18 @@ class TestForwardWeights:
     def test_steps_get_contiguous_copies_that_partial_ticks_slice(
         self, monkeypatch, cell, rank, backward
     ):
+        # The cell step gets the weights as its first argument; the mogrifier
+        # step gets them bound into its rounds, with each factor's product.
         seen = {"mogrify_forward": [], f"{cell}_forward": []}
         for module, name in ((mogrifier, "mogrify_forward"), (cells, f"{cell}_forward")):
             original = getattr(module, name)
 
-            def recorded(weights, *args, _name=name, _original=original, **kwargs):
+            def recorded(first, *args, _name=name, _original=original, **kwargs):
+                weights = first if _name != "mogrify_forward" else [
+                    [w for w, _ in products] for _, products, *_ in first
+                ]
                 seen[_name].append(weights)
-                return _original(weights, *args, **kwargs)
+                return _original(first, *args, **kwargs)
 
             monkeypatch.setattr(module, name, recorded)
         config = tiny_config(cell=cell, layers=3, mogrifier_rounds=3, mogrifier_rank=rank)
@@ -1253,13 +1397,18 @@ class TestScoringCaches:
     @pytest.mark.parametrize("cell", ["lstm", "rlstm"])
     def test_scoring_caches_hold_no_gate_buffers(self, monkeypatch, cell):
         seen = []
-        # (module, step, the position of the step's cache among its arguments)
-        for module, name, at in ((mogrifier, "mogrify_forward", 1), (cells, f"{cell}_forward", 2)):
+        # The gates a step stores into: the cell cache's (its second
+        # argument), and the mogrifier's, None or each round's.
+        for module, name in ((mogrifier, "mogrify_forward"), (cells, f"{cell}_forward")):
             original = getattr(module, name)
 
-            def recorded(*args, _original=original, _at=at, **kwargs):
-                seen.append(args[_at].gates)
-                return _original(*args, **kwargs)
+            def recorded(first, *args, _original=original, **kwargs):
+                if args:
+                    seen.append(args[0].gates)
+                else:
+                    stored = [into for *_, into in first]
+                    seen.append(None if all(into is None for into in stored) else stored)
+                return _original(first, *args, **kwargs)
 
             monkeypatch.setattr(module, name, recorded)
         config = tiny_config(cell=cell, layers=2, mogrifier_rounds=3)
@@ -1398,7 +1547,13 @@ class TestLeanStep:
         buffers.recycle(cache)
         with pytest.raises(DivergenceError):
             model.forward_window(poisoned_params(config), config, inputs, masks, buffers=buffers)
-        assert np.shares_memory(buffers.lend(block.size).block, block)
+        _, cache, _ = model.forward_window(params, config, inputs, masks, buffers=buffers)
+        assert cache.buffers.block is block
+
+
+def masked(x, mask, index):
+    """x times mask[index], or x itself where the family is absent (keep 1)."""
+    return x if mask is None else x * mask[index]
 
 
 # --- Reference: the layer-by-layer loops --------------------------------------
@@ -1432,7 +1587,6 @@ def layerwise_forward(params, config, inputs, masks, states=None):
     weights = [
         (mogrifier.forward_weights(layer.mog), cells.forward_weights(layer.cell)) for layer in layers
     ]
-    masked = model._masked
     cell_windows, mog_windows = [], []
     for l, layer in enumerate(layers):
         window = cells.new_cache(config.cell, (horizon, batch), n, n, dtype)
@@ -1444,6 +1598,9 @@ def layerwise_forward(params, config, inputs, masks, states=None):
         mog_windows.append(mogrifier.new_cache(layer.mog, (horizon, batch), n, n, dtype, tops))
     cell_caches = [[w.at(t) for w in cell_windows] for t in range(horizon)]
     mog_caches = [[w.at(t) for w in mog_windows] for t in range(horizon)]
+    cell_step = cells.rlstm_forward if config.cell == "rlstm" else cells.lstm_forward
+    cell_work = cells.new_work(config.cell, (batch,), n, dtype)
+    mog_work = mogrifier.new_work(layers[0].mog, (batch,), dtype)
     outputs = np.empty((horizon, batch, n), dtype)
     with np.errstate(over="ignore"):
         for t in range(horizon):
@@ -1462,12 +1619,11 @@ def layerwise_forward(params, config, inputs, masks, states=None):
                 mog_step.x_ladder[0][...] = x_in
                 mog_step.h_ladder[0][...] = masked(states[l].h, masks.m_state, l)
                 mog_w, cell_w = weights[l]
-                mog_h, _ = mogrifier.mogrify_forward(mog_w, mog_step)
-                entry, step = CellState(states[l].c, mog_h), cell_caches[t][l]
-                if config.cell == "rlstm":
-                    states[l] = cells.rlstm_forward(cell_w, entry, step, step.state_mask)
-                else:
-                    states[l] = cells.lstm_forward(cell_w, entry, step, config.cap_input_gate)
+                mogrifier.mogrify_forward(mogrifier.bind(mog_w, mog_step, mog_work))
+                step, h = cell_caches[t][l], np.empty((batch, n), dtype)
+                step.c_prev = states[l].c
+                cell_step(cell_w, step, h, cell_work)
+                states[l] = CellState(step.c, h)
                 xhats.append(masked(states[l].h, masks.m_cell, (l, t)))
             outputs[t] = sum(xhats[1:], xhats[0])
             if masks.m_out is not None:
@@ -1485,7 +1641,7 @@ def layerwise_forward(params, config, inputs, masks, states=None):
 def layerwise_backward(params, config, cache, grad_log_probs):
     """The gradients of the layer-by-layer loop, at temperature 1."""
     batch, horizon = cache.inputs.shape
-    n, dtype, masks, masked = config.state_size, config.np_dtype, cache.masks, model._masked
+    n, dtype, masks = config.state_size, config.np_dtype, cache.masks
     grads = model.empty_model_params(config)
     row_sums = np.sum(grad_log_probs, axis=-1, keepdims=True)
     dlogits = (grad_log_probs - cache.probs * row_sums) / 1.0
@@ -1535,12 +1691,14 @@ def layerwise_backward(params, config, cache, grad_log_probs):
 
 
 # (batch, dtype, fast gemm, keeps, residual_includes_embedding, carried states):
-# every value of each, over six windows per model shape.
+# every value of each, over eight windows per model shape.
 EVERY_FAMILY = dict(keep_in=0.7, keep_cell=0.6, keep_state=0.8, keep_out=0.7)
 WAVEFRONT_VARIANTS = [
     (1, "float64", False, {}, False, False),
+    (1, "float64", True, {}, False, True),
     (1, "float32", True, EVERY_FAMILY, True, True),
     (3, "float64", True, dict(keep_cell=0.7, keep_out=0.8), True, False),
+    (3, "float64", False, EVERY_FAMILY, True, True),
     (3, "float32", False, dict(keep_in=0.6, keep_state=0.7, input_mask_rows=True), False, True),
     (32, "float64", False, EVERY_FAMILY, True, True),
     (32, "float32", True, {}, False, False),
@@ -1598,6 +1756,16 @@ class TestWavefront:
             )
             assert scored.tobytes() == ref_log_probs.tobytes()
             assert_same_states(scored_final, ref_final)
+            buffers = model.WindowBuffers()
+            for _ in range(2):  # the second window runs on the plan the first one left
+                again, again_cache, again_final = model.forward_window(
+                    params, config, inputs, masks, states, buffers=buffers
+                )
+                assert again.tobytes() == ref_log_probs.tobytes()
+                assert_same_states(again_final, ref_final)
+                again_grads = model.backward_window(params, config, again_cache, grad_lp)
+                assert again_grads.vector.tobytes() == ref_grads.vector.tobytes()
+                buffers.recycle(again_cache)
 
     @pytest.mark.parametrize("backward", [False, True])
     @pytest.mark.parametrize("layers", [1, 3])

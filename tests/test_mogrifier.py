@@ -32,7 +32,9 @@ def run_rounds(p, h, x, cache=None):
     if cache is None:
         cache = mogrifier.new_cache(p, x.shape[:-1], x.shape[-1], h.shape[-1])
     cache.x_ladder[0][...], cache.h_ladder[0][...] = x, h
-    return (*mogrifier.mogrify_forward(mogrifier.forward_weights(p), cache), cache)
+    work = mogrifier.new_work(p, x.shape[:-1])
+    mogrifier.mogrify_forward(mogrifier.bind(mogrifier.forward_weights(p), cache, work))
+    return cache.h_ladder[-1], cache.x_ladder[-1], cache
 
 
 class TestForward:

@@ -68,7 +68,8 @@ class TestStackedGemm:
     product the bits it has as a 2-D gemm of its own.  On the BLAS path that
     depends on the BLAS build; these tests pin it for the exact operands of a
     wavefront step: (L, B, .) activations times the contiguous (L, in, out)
-    copies that forward_weights makes, or a partial tick's rows of them."""
+    copies that forward_weights makes, with the sigmoid gates' columns
+    negated, or a partial tick's rows of them, as the steps receive them."""
 
     @pytest.mark.parametrize("fast", [False, True])
     @pytest.mark.parametrize("dtype", ["float64", "float32"])
@@ -98,6 +99,30 @@ class TestStackedGemm:
                 for l in range(layers):
                     want = gemm(x[l], part[l])
                     assert got[l].dtype == want.dtype and got[l].tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("fast", [False, True])
+    @pytest.mark.parametrize("batch", [1, 4])
+    def test_negated_copies_give_negated_pre_activations(self, fast, batch):
+        # gemm(x, -W) + -b is -(gemm(x, W) + b) bit for bit: negation is exact
+        # and rounding is sign-symmetric.  The forward weights negate the
+        # sigmoid gates' columns on that ground.
+        from rnnlab import cells
+
+        numerics.set_fast_gemm(fast)
+        rng = Rng(17)
+        for layers, k, m in ((2, 64, 64), (2, 128, 64), (3, 6, 24)):
+            w, b = rng.uniform(-1, 1, (layers, m, k)), rng.uniform(-1, 1, (layers, 1, m))
+            x = rng.uniform(-1, 1, (layers, batch, k))
+            negated_w, negated_b = numerics.signed_copies((w.mT, b), [(-1,), (-1,)])
+            want = gemm(x, np.ascontiguousarray(w.mT))
+            want += b
+            got = gemm(x, negated_w)
+            got += negated_b
+            assert got.tobytes() == np.negative(want).tobytes()
+        p = cells.init_cell_params(rng, 6, 6, "lstm", 8.0)
+        w, b = cells.forward_weights(p)
+        signs = np.repeat([-1.0, 1.0, -1.0, -1.0], 6)  # i, j, f, o: all but j negated
+        assert w.tobytes() == (p.w.T * signs).tobytes() and b.tobytes() == (p.b * signs).tobytes()
 
     def test_exact_path_matches_the_triple_loop(self):
         rng = Rng(16)
@@ -157,6 +182,16 @@ class TestActivations:
             assert in_place is out
             for result in (got, out):
                 assert result.dtype == want.dtype and result.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_sigmoid_of_a_negated_pre_activation_keeps_the_bits(self, dtype):
+        # A forward step gets each sigmoid gate's pre-activation negated (its
+        # weights' columns are) and forms the sigmoid without the negation.
+        x = np.array([0.0, -0.0, 30.0, -30.0, 709.5, -709.5, 800.0, -800.0], dtype)
+        want = sigmoid(x)
+        with np.errstate(over="ignore"):
+            got = numerics.sigmoid_of_negated(np.negative(x), np.empty_like(x))
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
     def test_sigmoid_out_leaves_overflow_to_the_callers_error_state(self):
         x = np.array([-1000.0, 0.0])

@@ -302,3 +302,70 @@ def test_tracer_bindings_are_the_ptree_originals():
 
     assert model.accumulate is ptree.accumulate
     assert training.flatten is ptree.flatten
+
+
+def dataclass_names(paths):
+    """The names of the classes that the modules at `paths` declare with @dataclass."""
+    return {
+        node.name
+        for path in paths
+        for node in ast.walk(parsed(path)[1])
+        if isinstance(node, ast.ClassDef)
+        and any("dataclass" in ast.unparse(d) for d in node.decorator_list)
+    }
+
+
+def per_tick_views(path, function="_run_steps"):
+    """The `for k` loops of `function` (its tick loops), and the lines in
+    them that build a view or a record per tick: an `.at(` call, map_arrays,
+    replace, or the constructor of one of the package's dataclasses (or the
+    module's own).  The views are bound once per window shape, in the plan."""
+    _, tree = parsed(path)
+    built = {"at", "map_arrays", "replace"} | dataclass_names(MODULES + [path])
+
+    def over_k(target):
+        first = target.elts[0] if isinstance(target, ast.Tuple) else target
+        return isinstance(first, ast.Name) and first.id == "k"
+
+    loops = [
+        node
+        for fn in ast.walk(tree)
+        if isinstance(fn, ast.FunctionDef) and fn.name == function
+        for node in ast.walk(fn)
+        if isinstance(node, ast.For) and over_k(node.target)
+    ]
+    lines = {
+        call.lineno
+        for loop in loops
+        for call in ast.walk(loop)
+        if isinstance(call, ast.Call)
+        and (getattr(call.func, "id", None) or getattr(call.func, "attr", None)) in built
+    }
+    return len(loops), sorted(lines)
+
+
+def test_the_forward_tick_loop_builds_no_view():
+    assert per_tick_views(ROOT / "src" / "rnnlab" / "model.py") == (1, [])
+
+
+def test_a_view_built_per_tick_is_caught(tmp_path):
+    module = tmp_path / "m.py"
+    module.write_text(
+        "from dataclasses import dataclass, replace\n"
+        "@dataclass\n"
+        "class Tick:\n"
+        "    rows: slice\n"
+        "def _run_steps(plan, cache, stack, steps):\n"
+        "    tick = Tick(slice(0, 1))\n"
+        "    for k, (rows, step) in enumerate(plan.ticks):\n"
+        "        view = cache.at((rows, k))\n"
+        "        part = map_arrays(stack, lambda a: a[rows])\n"
+        "        step(replace(tick, rows=rows), part, view)\n"
+        "        state = CellState(view.c, view.xh)\n"
+        "        for l in range(3):\n"
+        "            Tick(rows)\n"
+        "    for t in steps:\n"
+        "        cache.at(t)\n"
+        "    return tick\n"
+    )
+    assert per_tick_views(module) == (1, [8, 9, 10, 11, 13])
