@@ -242,7 +242,7 @@ def _dynamic_reports(params, config, stream, grid, temperature, on_event=None):
     stream = np.asarray(stream)
     require_scorable(stream, 1)
     theta0 = params.vector
-    buffers = model.WindowBuffers()  # the adapting passes' activations, segment after segment
+    lenders = model.WindowBuffers(), model.WindowBuffers()  # [adapting]: a plan for each pass
     on_event = on_event or (lambda event: None)
     reports = [None] * len(grid)
     for segment in dict.fromkeys(d.segment for d in grid):
@@ -257,7 +257,7 @@ def _dynamic_reports(params, config, stream, grid, temperature, on_event=None):
                 try:
                     log_probs, cache, states = model.forward_window(
                         fast, config, batch.inputs, model.ones_masks(config, *batch.inputs.shape),
-                        states, temperature, buffers if adapting else None, backward=bool(adapting),
+                        states, temperature, lenders[bool(adapting)], backward=bool(adapting),
                     )
                 except DivergenceError:
                     for i, d in members:
@@ -272,7 +272,6 @@ def _dynamic_reports(params, config, stream, grid, temperature, on_event=None):
                 on_event(("update", k))
                 _, grad_lp = model.nll_from_log_probs(log_probs, batch.targets)
                 raw = model.backward_window(fast, config, cache, grad_lp).vector
-                buffers.recycle(cache)
                 g = {d.norm: raw for _, d in adapting}  # the raw gradient only if an entry reads it
                 if "global" in g:
                     g["global"] = raw / max(1.0, float(np.linalg.norm(raw)))

@@ -12,6 +12,8 @@ tests."""
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from . import cells, mogrifier, model
@@ -115,14 +117,13 @@ def model_instance(batch=1, carried=False, **overrides):
 
 def _check_model(**instance) -> float:
     """The analytic gradient of the training window against central
-    differences of the forward-only loss, which runs as a scoring pass."""
+    differences of the forward-only loss, run as scoring passes on one plan."""
     params, config, window, masks = model_instance(**instance)
-
-    def loss(_):
-        return model.window_loss_with_masks(params, config, window, masks, backward=False)[0]
-
-    numeric = finite_difference_gradient(loss, params.vector)
-    _, grads, _ = model.window_loss_with_masks(params, config, window, masks)
+    run = functools.partial(
+        model.window_loss_with_masks, params, config, window, masks, model.WindowBuffers()
+    )
+    numeric = finite_difference_gradient(lambda _: run(backward=False)[0], params.vector)
+    _, grads, _ = run()
     return max_relative_error(grads.vector, numeric)
 
 

@@ -21,15 +21,17 @@ and one cell call on (L, B, .) arrays.  The backward pass walks the same
 ticks in reverse: layer l's step t needs layer l+1's step t and its own step
 t+1, which every later tick has run.  The window buffers are (L, T, B, .),
 one (T, B, .) window per layer, from which each weight gradient is one
-stacked gemm, a product per layer.  A tick plan, bound once per window
-shape, holds each tick's views of them (through skewed (L, T + L - 1, B, .)
-views whose [l, k] is layer l's step at tick k), of the weight copies and
-of step scratch; the cache keeps its ticks for the backward pass.  Every
-sum keeps the order of a layer-by-layer loop: the schedule changes no bit.
+stacked gemm, a product per layer.  A tick plan, built once per window
+shape, owns them in one block, with each tick's views of them (through
+skewed (L, T + L - 1, B, .) views whose [l, k] is layer l's step at tick k),
+of the weight copies and of step scratch; a window's cache holds its plan
+until backward_window spends it.  Every sum keeps the order of a
+layer-by-layer loop: the schedule changes no bit.
 """
 
 from __future__ import annotations
 
+import collections
 import functools
 import math
 from dataclasses import dataclass, field, replace
@@ -137,7 +139,7 @@ def empty_model_params(config: ModelConfig, vector=None) -> ModelParams:
     params.layers views the layers' blocks as one stack."""
     config.validate()
     n, vocab, dtype, count = config.state_size, config.vocab_size, config.np_dtype, config.layers
-    layer, layer_size = _layer_template(
+    layer, layer_size, _ = _layer_template(
         config.cell, n, config.mogrifier_rounds, config.mogrifier_rank
     )
     sizes = [vocab * n, vocab, count * layer_size, 0 if config.tie_embeddings else n * vocab]
@@ -160,7 +162,8 @@ def empty_model_params(config: ModelConfig, vector=None) -> ModelParams:
 @functools.lru_cache(maxsize=None)
 def _layer_template(cell: str, n: int, rounds: int, rank: int):
     """One layer's parameters as placeholders of the right shapes, which is
-    all that stacked_views reads, and their entry count.  Built once per
+    all that stacked_views reads, their entry count, and placeholders of
+    their forward weights, whose shapes a plan's copies take.  Built once per
     shape, keyed on the values of the config fields that fix it (a
     ModelConfig is mutable); nothing writes to it."""
     empty = _Carver()
@@ -168,7 +171,9 @@ def _layer_template(cell: str, n: int, rounds: int, rank: int):
         cell=cells.new_params(cell, n, n, empty=empty),
         mog=mogrifier.new_params(n, n, rounds, rank, empty=empty),
     )
-    return layer, sum(arr.size for _, arr in named_arrays(layer))
+    forward = cells.forward_weights(layer.cell), mogrifier.forward_weights(layer.mog)
+    forward = map_arrays(forward, lambda a: empty(a.shape, a.dtype))  # shapes, no memory
+    return layer, sum(arr.size for _, arr in named_arrays(layer)), forward
 
 
 def init_model_params(rng: Rng, config: ModelConfig) -> ModelParams:
@@ -234,38 +239,33 @@ def ones_masks(config: ModelConfig, batch: int, horizon: int) -> MaskSet:
 
 
 class WindowBuffers:
-    """Memory for the activation buffers of one window at a time, reused
-    window after window.  The first write to a fresh page is slow (about
-    0.6 ms per MB on a 2-vCPU cloud VM) and a training window at batch 32
-    needs about 150 MB of buffers, so allocating them anew for every window
-    would cost it a fifth of its time.  forward_window cuts a window's
-    buffers out of one block and recycle() hands the block back once the
-    window's cache is spent; smaller windows (validation between training
-    windows) fit in the same block, which keeps its last window's plan."""
+    """Lends the last window's plan, with its block, to the next window.  The
+    first write to a fresh page is slow (about 0.6 ms per MB on a 2-vCPU
+    cloud VM) and a training window at batch 32 needs about 150 MB of
+    buffers, so allocating them anew for every window would cost it a fifth
+    of its time.  A window of another shape (a shorter last window) gets a
+    new plan, in the same block if it fits.  forward_window hands the plan
+    back after a scoring or failed window, backward_window when it spends
+    the cache that held it."""
 
     def __init__(self):
-        self._carver = None  # the block, with its plan
+        self._plan = None
 
-    def lend(self, key, cut) -> "_Carver":
-        """The block, with its plan if its last window had the shape `key`, else
-        with none and room for the buffers that cut(empty) allocates."""
-        carver, self._carver = self._carver, None
-        if carver is None or carver.plan is None or carver.plan.key != key:
-            cut(size := _Carver())  # counts the bytes
-            block = None if carver is None or carver.block.size < size.used else carver.block
-            carver = None  # free the old block before taking a larger one
-            carver = _Carver(np.empty(size.used, np.uint8) if block is None else block)
-        return carver
+    def lend(self, key, params, config, masks) -> "_Plan":
+        """The last window's plan if it has the shape `key`, else a new plan of
+        that shape, built into the last plan's block if that is large enough."""
+        plan, self._plan = self._plan, None
+        if plan is None or plan.key != key:
+            _window_buffers(params, config, key, size := _Carver())  # counts the bytes
+            block = None if plan is None or plan.block.size < size.used else plan.block
+            plan = None  # free the old block before taking a larger one
+            block = np.empty(size.used, np.uint8) if block is None else block
+            plan = _Plan(key, params, config, masks, block)
+        return plan
 
-    def take_back(self, carver: "_Carver"):
-        """Take back the block that `lend` handed out as `carver`."""
-        self._carver = carver
-
-    def recycle(self, cache):
-        """Take the block back from a spent cache, and clear the cache so
-        that nothing reads its buffers or its plan once they are reused."""
-        self.take_back(cache.buffers)
-        cache.buffers = cache.outputs = cache.cell_window = cache.mog_window = cache.ticks = None
+    def take_back(self, plan: "_Plan"):
+        """Take back the plan that `lend` handed out."""
+        self._plan = plan
 
 
 class _Carver:
@@ -278,7 +278,6 @@ class _Carver:
     def __init__(self, block=None):
         self.block = block
         self.used = 0
-        self.plan = None  # the plan of the buffers cut from the block
 
     def __call__(self, shape, dtype):
         dtype = np.dtype(dtype)
@@ -291,36 +290,39 @@ class _Carver:
 
 @dataclass
 class WindowCache:
+    """A window run for its backward pass: its plan (window buffers and ticks)
+    until backward_window spends the cache and hands the plan to `lender`."""
+
+    plan: "_Plan | None"
+    lender: WindowBuffers | None
     inputs: np.ndarray
     masks: MaskSet
-    mog_window: mogrifier.MogrifyCache | None  # (L, T, B, .) buffers
-    cell_window: cells.CellCache | None  # (L, T, B, .) buffers, c_prev among them
-    ticks: list | None  # [k] -> tick k of the plan: (layer rows, state mask, caches, ...)
-    outputs: np.ndarray  # (T, B, n) masked sum of layer outputs, the input of the output layer
     probs: np.ndarray  # (B, T, V)
     temperature: float
-    buffers: _Carver | None  # the block the window's buffers were cut from
 
     @property
     def cell_caches(self) -> list | None:
-        """[t][l] -> layer l's step t of cell_window, made when asked for by
-        callers that read the steps (the library reads the window through its
-        ticks), or None once the window is recycled."""
-        if self.cell_window is None:
+        """[t][l] -> layer l's step t of the plan's cell window, made when asked
+        for by callers that read the steps (the library reads the window
+        through its ticks), or None once the cache is spent."""
+        if self.plan is None:
             return None
-        layers, horizon = self.cell_window.c.shape[:2]
-        return [[self.cell_window.at((l, t)) for l in range(layers)] for t in range(horizon)]
+        window = self.plan.cell_window
+        layers, horizon = window.c.shape[:2]
+        return [[window.at((l, t)) for l in range(layers)] for t in range(horizon)]
 
 
-def _window_buffers(params, config, backward, horizon, batch, empty):
-    """Activation buffers allocated with `empty`: a cell cache and a mogrifier
-    cache of (L, T, B, .) arrays, whose ladder tops are the two halves of the
-    cell's input, and the (T, B, n) input of the output layer.  The cell
-    states are an (L, T + 1, B, n) array: [:, 0] the carried-in states, which
-    the caller writes, and [:, t + 1] step t's, so c_prev, the states the
-    steps started from, is a view of it too.  Without a backward pass the
-    caches hold one step, (L, 1, B, .), reused at every tick (c_prev is c,
-    updated in place), and no gate values: nothing reads them."""
+def _window_buffers(params, config, key, empty):
+    """The activation buffers of a window of forward_window's shape `key`,
+    allocated with `empty`: a cell cache and a mogrifier cache of (L, T, B, .)
+    arrays, whose ladder tops are the two halves of the cell's input, and the
+    (T, B, n) input of the output layer.  The cell states are an
+    (L, T + 1, B, n) array: [:, 0] the carried-in states, which the caller
+    writes, and [:, t + 1] step t's, so c_prev, the states the steps started
+    from, is a view of it too.  Without a backward pass the caches hold one
+    step, (L, 1, B, .), reused at every tick (c_prev is c, updated in place),
+    and no gate values: nothing reads them."""
+    batch, horizon, backward = key[-5:-2]
     n, dtype, steps = config.state_size, config.np_dtype, horizon if backward else 1
     shape, first = (config.layers, steps, batch), int(backward)  # the first step's c
     states = empty((config.layers, steps + first, batch, n), dtype)
@@ -346,20 +348,31 @@ def _skewed(a, layers=None):
     return np.lib.stride_tricks.as_strided(a, shape, strides)
 
 
+# Tick k of a plan: layers lo to hi (`rows`) run their steps, and layers `above`
+# to hi read sums of those below.  The backward pass reads the first 7 fields.
+_Tick = collections.namedtuple("_Tick", (
+    "rows m_state mog_cache cell_cache lo hi above x_in x_up h_in h mog_rounds cell_step"
+    " xhat xhat_0 xhat_up sums into_0 into_up top"
+))
+
+
 class _Plan:
     """What the ticks of one window shape touch, bound once: the window
-    buffers, the carried h, copies of the forward weights and state mask
-    (each window writes them first), scratch, and each tick's views of them.
-    Tick k runs layers lo to hi (layer l its step k - l) on [lo:hi + 1, k] of
-    the skewed window buffers, or [lo:hi + 1, 0] of one step's.  ticks[k] is
-    (layer rows, state-mask rows, mogrifier and cell caches, what only
-    _run_steps reads); a scoring plan's ticks of the same rows share it."""
+    buffers, cut from `block`, which the plan owns, the carried h, copies of
+    the forward weights and state mask (each window writes them first),
+    scratch, and each tick's views of them.  Tick k runs layers lo to hi
+    (layer l its step k - l) on [lo:hi + 1, k] of the skewed window buffers,
+    or [lo:hi + 1, 0] of one step's; a scoring plan's ticks of the same rows
+    share one _Tick."""
 
-    def __init__(self, key, params, config, masks, windows):
-        self.key, (self.cell_window, self.mog_window, self.outputs) = key, windows
+    def __init__(self, key, params, config, masks, block):
+        self.key, self.block = key, block
+        windows = _window_buffers(params, config, key, _Carver(block))
+        self.cell_window, self.mog_window, self.outputs = windows
         (layers, _, batch, n), backward = windows[0].c.shape, windows[0].gates is not None
         horizon, dtype, stack = self.outputs.shape[0], config.np_dtype, params.layers
-        self.weights = cells.forward_weights(stack.cell), mogrifier.forward_weights(stack.mog)
+        *_, forward = _layer_template(config.cell, n, config.mogrifier_rounds, config.mogrifier_rank)
+        self.weights = map_arrays(forward, lambda a: np.empty((layers, *a.shape), dtype))
         self.h = np.empty((layers, batch, n), dtype)
         self.m_state = None if masks.m_state is None else np.empty_like(self.h)
         # sums[k % 2][l]: layers 0..l's masked outputs before tick k, left to right
@@ -388,7 +401,7 @@ class _Plan:
         cell_t, mog_t = cell_at.at((rows, position)), mog_at.at((rows, position))
         cell_t.state_mask = m_state = None if self.m_state is None else self.m_state[rows]
         xhat, x_in, into = h if xhats is None else xhats[rows], mog_t.x_ladder[0], sums[1 - odd]
-        return (
+        return _Tick(
             rows, m_state, mog_t, cell_t, lo, hi, above, x_in[0], x_in[above - lo :],
             mog_t.h_ladder[0], h, mogrifier.bind(mog_w, mog_t, mog_work),
             (cell_w, cell_t, h, cell_work), xhat, xhat[0], xhat[above - lo :],
@@ -457,11 +470,13 @@ def forward_window(
     None for zeros; the window reads a copy of it in the model's dtype, and
     the final states are arrays of their own.
 
-    Activations go into window buffers, cut from `buffers` when given, whose
-    per-layer (T, B, .) windows let backward_window form each weight gradient
-    with one stacked gemm over the window; `buffers` keeps the plan the ticks
-    run on for the next window of this shape.  With backward=False (scoring
-    only) every tick reuses one step's buffers and the cache is None;
+    The ticks run on a plan of the window's shape, lent by `buffers` (a
+    WindowBuffers) when given, else built for this window.  Its per-layer
+    (T, B, .) windows let backward_window form each weight gradient with one
+    stacked gemm.  A scoring or failed window hands the plan back at once; a
+    window run for its backward pass keeps it in its cache until
+    backward_window spends the cache.  With backward=False (scoring only)
+    every tick reuses one step's buffers and the cache is None;
     temperature=None then returns the logits in place of the log-probs, for
     the caller to apply its own temperatures with log_softmax."""
     inputs = np.asarray(inputs)
@@ -480,20 +495,14 @@ def forward_window(
                 )
     key = (*vars(config).values(), batch, horizon, backward, masks.m_state is None,
            masks.m_cell is None)
-    cut = functools.partial(_window_buffers, params, config, backward, horizon, batch)
-    carver = None if buffers is None else buffers.lend(key, cut)
+    buffers = WindowBuffers() if buffers is None else buffers
+    plan = buffers.lend(key, params, config, masks)
     try:
-        plan = carver and carver.plan
-        if plan is None:
-            plan = _Plan(key, params, config, masks, cut(carver or np.empty))
-            if carver is not None:
-                carver.plan = plan
-        else:  # an earlier window's plan: this window's weights go into its copies
-            cells.forward_weights(params.layers.cell, out=plan.weights[0])
-            mogrifier.forward_weights(params.layers.mog, out=plan.weights[1])
+        # This window's weights, state mask and carried-in states go into the plan.
+        cells.forward_weights(params.layers.cell, out=plan.weights[0])
+        mogrifier.forward_weights(params.layers.mog, out=plan.weights[1])
         if plan.m_state is not None:
             plan.m_state[...] = masks.m_state
-        # The carried-in states, in the model's dtype; the steps update them in place.
         plan.cell_window.c_prev[:, 0] = 0.0 if states is None else states.c
         plan.h[...] = 0.0 if states is None else states.h
         with np.errstate(over="ignore"):  # exp overflow in sigmoid gives the right limit
@@ -515,24 +524,13 @@ def forward_window(
         if temperature is not None:
             logits = log_softmax(logits, temperature)  # the log-probs from here on
     except BaseException:
-        if carver is not None:
-            buffers.take_back(carver)  # the window never hands its cache to recycle
+        buffers.take_back(plan)  # a failed window makes no cache
         raise
     if not backward:
-        if carver is not None:
-            buffers.take_back(carver)
+        buffers.take_back(plan)
         return logits, None, final_states
-    cache = WindowCache(
-        inputs=inputs,
-        masks=masks,
-        mog_window=plan.mog_window,
-        cell_window=plan.cell_window,
-        ticks=plan.ticks,
-        outputs=outputs,
-        probs=np.exp(logits),
-        temperature=temperature,
-        buffers=carver,
-    )
+    cache = WindowCache(plan=plan, lender=buffers, inputs=inputs, masks=masks,
+                        probs=np.exp(logits), temperature=temperature)
     return logits, cache, final_states
 
 
@@ -548,23 +546,26 @@ def backward_window(params: ModelParams, config: ModelConfig, cache: WindowCache
     leave pre-activation gradients in the window buffers; every
     weight gradient is then one stacked gemm over the window, a product per
     layer, written into its view of the gradient vector, grads.vector.  The
-    gate buffers are overwritten, so a cache serves one backward.
+    pass overwrites the gate buffers, so it spends the cache: the plan goes
+    back to the cache's lender, and a second call raises ValueError.
 
     Every sum keeps the order of a layer-by-layer loop: sums[l] holds the
     gradient that flows into layer l's output from the layers above it at its
     step, dx_in[L-1] + ... + dx_in[l+1] added left to right onto zeros (row
     L-1 stays zero), and the embedding's gradient dx0 is formed the same way.
     """
+    plan, masks = cache.plan, cache.masks
+    if plan is None:
+        raise ValueError("the window cache was spent by an earlier backward pass")
     batch, horizon = cache.inputs.shape
     layers, n, dtype = config.layers, config.state_size, config.np_dtype
-    masks = cache.masks
     grads = empty_model_params(config)
 
     # d log_softmax: dlogit = (dlogp - p * sum(dlogp)) / temperature
     row_sums = np.sum(grad_log_probs, axis=-1, keepdims=True)
     dlogits = (grad_log_probs - cache.probs * row_sums) / cache.temperature
     dlogits = dlogits.transpose(1, 0, 2).reshape(horizon * batch, -1)  # rows as in outputs
-    e_out_grad = gemm(cache.outputs.reshape(-1, n).T, dlogits)
+    e_out_grad = gemm(plan.outputs.reshape(-1, n).T, dlogits)
     grads.b_out[...] = dlogits.sum(axis=0)
     dsum = gemm(dlogits, params.e_out.T).reshape(horizon, batch, n)
     if masks.m_out is not None:
@@ -574,13 +575,13 @@ def backward_window(params: ModelParams, config: ModelConfig, cache: WindowCache
     m_cell = None if masks.m_cell is None else _skewed(masks.m_cell)
     grad_c, grad_h, sums, spare = np.zeros((4, layers, batch, n), dtype)  # grad_h: of masked h
     stack = params.layers
-    for k in reversed(range(horizon + layers - 1)):
-        rows, m_state, mog_t, cell_t = cache.ticks[k][:4]
-        lo, hi = rows.start, rows.stop - 1
+    for k, tick in reversed(list(enumerate(plan.ticks))):
+        rows, m_state, lo, hi, above = tick.rows, tick.m_state, tick.lo, tick.hi, tick.above
         part = stack if hi - lo + 1 == layers else map_arrays(stack, lambda a: a[rows])
         dxhat = dsum_at[rows, k] + sums[rows]
         dh = dxhat if m_cell is None else dxhat * m_cell[rows, k]
         dh += grad_h[rows] if m_state is None else grad_h[rows] * m_state
+        cell_t, mog_t = tick.cell_cache, tick.mog_cache
         grad_c[rows], dmog_h, dmog_x = cells.cell_backward(part.cell, cell_t, grad_c[rows], dh)
         grad_h[rows], dx_in = mogrifier.mogrify_backward(part.mog, mog_t, dmog_h, dmog_x)
         if lo == 0:  # layer 0 ran its step k: dsum[k] is spent, and now holds dx0
@@ -590,7 +591,6 @@ def backward_window(params: ModelParams, config: ModelConfig, cache: WindowCache
             np.add(onto, dx_in[0], out=dsum[k])
             if masks.m_in is not None:
                 dsum[k] *= masks.m_in[k]
-        above = max(lo, 1)
         if above <= hi:
             np.add(sums[above : hi + 1], dx_in[above - lo :], out=spare[above - 1 : hi])
         sums, spare = spare, sums
@@ -601,9 +601,11 @@ def backward_window(params: ModelParams, config: ModelConfig, cache: WindowCache
         grads.e_out_untied[...] = e_out_grad
     np.add.at(grads.e_in, cache.inputs.T.ravel(), dsum.reshape(-1, n))
     state_mask = None if masks.m_state is None else masks.m_state[:, None]
-    window = replace(cache.cell_window, state_mask=state_mask)
+    window = replace(plan.cell_window, state_mask=state_mask)
     cells.weight_grads(params.layers.cell, window, out=grads.layers.cell)
-    mogrifier.weight_grads(params.layers.mog, cache.mog_window, out=grads.layers.mog)
+    mogrifier.weight_grads(params.layers.mog, plan.mog_window, out=grads.layers.mog)
+    cache.lender.take_back(plan)  # the next window may reuse it
+    cache.plan = cache.lender = None
     return grads
 
 
@@ -672,10 +674,7 @@ def window_loss_with_masks(
     weights = np.exp(picked - log_sum_exp(picked, axis=0)[None, :, :])
     grad_lp = np.zeros_like(cache.probs)
     grad_lp[rows, cols, targets] = -weights.reshape(num_samples * bsz, horizon) / count
-    grads = backward_window(params, config, cache, grad_lp)
-    if buffers is not None:
-        buffers.recycle(cache)
-    return loss, grads, final_states
+    return loss, backward_window(params, config, cache, grad_lp), final_states
 
 
 def loss_multisample(params, config, batch: WindowBatch, rng: Rng, num_samples: int, buffers=None):

@@ -1128,6 +1128,13 @@ PLAN_FAMILIES = dict(
 )
 
 
+def spend(params, config, log_probs, cache):
+    """Run the backward pass of a window (targets: its inputs), which spends
+    its cache and hands the plan back to the cache's lender."""
+    _, grad_lp = model.nll_from_log_probs(log_probs, cache.inputs)
+    return model.backward_window(params, config, cache, grad_lp)
+
+
 class TestWindowBuffers:
     def test_reused_buffers_give_the_same_bits(self):
         config = tiny_config(keep_in=0.8, keep_cell=0.7, keep_state=0.9, keep_out=0.8)
@@ -1151,24 +1158,42 @@ class TestWindowBuffers:
         params = model.init_model_params(Rng(431), config)
         masks = model.ones_masks(config, 3, 4)
         buffers = model.WindowBuffers()
-        _, first, _ = model.forward_window(params, config, np.zeros((3, 4), np.int64), masks,
-                                           buffers=buffers)
-        assert np.shares_memory(first.ticks[0][3].gates, first.buffers.block)  # its cell cache
-        buffers.recycle(first)
-        assert first.buffers is None and first.cell_caches is None and first.ticks is None
+        log_probs, first, _ = model.forward_window(
+            params, config, np.zeros((3, 4), np.int64), masks, buffers=buffers
+        )
+        block = first.plan.block
+        assert np.shares_memory(first.plan.ticks[0].cell_cache.gates, block)
+        spend(params, config, log_probs, first)
+        assert first.plan is None and first.lender is None and first.cell_caches is None
         # A smaller window is cut from the block the first one left behind.
         small = model.ones_masks(config, 2, 3)
-        _, second, _ = model.forward_window(params, config, np.zeros((2, 3), np.int64), small,
-                                            buffers=buffers)
-        block = second.buffers.block
-        assert np.shares_memory(second.cell_window.gates, block)
-        assert np.shares_memory(second.outputs, block)
-        buffers.recycle(second)
+        log_probs, second, _ = model.forward_window(
+            params, config, np.zeros((2, 3), np.int64), small, buffers=buffers
+        )
+        assert second.plan.block is block
+        assert np.shares_memory(second.plan.cell_window.gates, block)
+        assert np.shares_memory(second.plan.outputs, block)
+        spend(params, config, log_probs, second)
         # A larger window frees the block and takes a larger one.
         wide = model.ones_masks(config, 5, 4)
         _, third, _ = model.forward_window(params, config, np.zeros((5, 4), np.int64), wide,
                                            buffers=buffers)
-        assert third.buffers.block.size > block.size
+        assert third.plan.block.size > block.size
+
+    def test_a_spent_cache_refuses_a_second_backward(self):
+        # The first backward pass overwrote the gate buffers and handed the
+        # plan back; a second would read whatever the next window left there.
+        config = tiny_config(keep_state=0.8)
+        rng = Rng(437)
+        params = model.init_model_params(rng, config)
+        inputs = rng.integers(0, config.vocab_size, (2, 8))
+        masks = model.sample_masks(rng, config, 2, 8)
+        for buffers in (None, model.WindowBuffers()):
+            log_probs, cache, _ = model.forward_window(params, config, inputs, masks,
+                                                       buffers=buffers)
+            spend(params, config, log_probs, cache)
+            with pytest.raises(ValueError, match="spent by an earlier backward pass"):
+                spend(params, config, log_probs, cache)
 
     @pytest.mark.parametrize("fast", [False, True])
     @pytest.mark.parametrize("batch", [1, 3])
@@ -1199,13 +1224,14 @@ class TestWindowBuffers:
             assert got.tobytes() == kept.tobytes()
             assert_same_states(got_states, kept_states)
             if backward:
-                buffers.recycle(got_cache)
+                spend(params, config, got, got_cache)
 
 
 class TestPlans:
-    """The ticks run on a plan of the window's shape: WindowBuffers keeps the
-    plan with its block, and the next window of that shape runs on it as it
-    is, with its own weights, masks and states."""
+    """The ticks run on a plan of the window's shape, which owns its block:
+    WindowBuffers lends the plan back once the window is done with it, and
+    the next window of that shape runs on it as it is, with its own weights,
+    masks and states."""
 
     @staticmethod
     def count_views(monkeypatch):
@@ -1247,13 +1273,12 @@ class TestPlans:
             got, cache, got_final = model.forward_window(
                 params, config, inputs, masks, states, buffers=buffers
             )
+            plans.append(cache.plan)
             got_grads = model.backward_window(
                 params, config, cache, model.nll_from_log_probs(got, targets)[1]
             )
             assert got.tobytes() == log_probs and got_grads.vector.tobytes() == grads
             assert_same_states(got_final, final)
-            plans.append(cache.buffers.plan)
-            buffers.recycle(cache)
             if len(plans) == 1:
                 assert len(views) == 2 * (6 + 3 - 1)  # a cell and a mogrifier view per tick
                 views.clear()
@@ -1268,10 +1293,12 @@ class TestPlans:
         def window(batch, horizon):
             masks = model.ones_masks(config, batch, horizon)
             inputs = np.zeros((batch, horizon), np.int64)
-            _, cache, _ = model.forward_window(params, config, inputs, masks, buffers=buffers)
-            carver = cache.buffers
-            buffers.recycle(cache)
-            return carver.plan, carver.block
+            log_probs, cache, _ = model.forward_window(
+                params, config, inputs, masks, buffers=buffers
+            )
+            plan = cache.plan
+            spend(params, config, log_probs, cache)
+            return plan, plan.block
 
         plan, block = window(3, 6)
         assert window(3, 6) == (plan, block)
@@ -1283,15 +1310,20 @@ class TestPlans:
         back, _ = window(3, 6)
         assert back is not plan and back is not wider  # the block keeps one plan
 
-    def test_scoring_windows_of_one_shape_share_a_plan(self, monkeypatch):
-        built = []
+    @staticmethod
+    def count_plans(monkeypatch):
+        built = []  # (batch, horizon, backward) of each plan built
 
         class Counted(model._Plan):
             def __init__(self, key, *args):
-                built.append(key[-5:-2])  # batch, horizon, backward
+                built.append(key[-5:-2])
                 super().__init__(key, *args)
 
         monkeypatch.setattr(model, "_Plan", Counted)
+        return built
+
+    def test_scoring_windows_of_one_shape_share_a_plan(self, monkeypatch):
+        built = self.count_plans(monkeypatch)
         config = tiny_config()
         rng = Rng(436)
         params = model.init_model_params(rng, config)
@@ -1299,17 +1331,36 @@ class TestPlans:
         evaluation.evaluate_static(params, config, stream, 1.0, 1, 8)
         assert built == [(1, 8, False), (1, 3, False)]
 
-    def test_a_recycled_window_keeps_nothing_of_the_plan(self):
+    def test_dyneval_scoring_windows_share_a_plan(self, monkeypatch):
+        # With lr = 0 and no decay no segment adapts: every window scores only.
+        built = self.count_plans(monkeypatch)
+        config = tiny_config()
+        rng = Rng(438)
+        params = model.init_model_params(rng, config)
+        stream = rng.integers(0, config.vocab_size, 3 * 8 + 4)  # windows of 8, 8, 8 and 3
+        dcfg = evaluation.DynevalConfig(segment=8, lr=0.0, decay=0.0)
+        evaluation.evaluate_dynamic(params, config, stream, dcfg, 1.0)
+        assert built == [(1, 8, False), (1, 3, False)]
+
+    def test_a_model_gradient_check_builds_one_scoring_plan(self, monkeypatch):
+        # Its 2 * P scoring passes, one per perturbed entry, share one plan;
+        # the training pass builds the other.
+        built = self.count_plans(monkeypatch)
+        gradcheck._check_model()
+        assert built == [(1, 4, False), (1, 4, True)]
+
+    def test_a_spent_cache_keeps_nothing_of_the_plan(self):
         config = tiny_config(keep_state=0.8)
         rng = Rng(435)
         params = model.init_model_params(rng, config)
         inputs = rng.integers(0, config.vocab_size, (3, 5))
         masks = model.sample_masks(rng, config, 3, 5)
         buffers = model.WindowBuffers()
-        _, cache, _ = model.forward_window(params, config, inputs, masks, buffers=buffers)
-        plan, block = cache.buffers.plan, cache.buffers.block
-        buffers.recycle(cache)
-        owned = [block, plan.h, plan.m_state, *(a for _, a in ptree.named_arrays(plan.weights))]
+        log_probs, cache, _ = model.forward_window(params, config, inputs, masks, buffers=buffers)
+        plan = cache.plan
+        spend(params, config, log_probs, cache)
+        owned = [plan.block, plan.h, plan.m_state,
+                 *(a for _, a in ptree.named_arrays(plan.weights))]
         for field in dataclasses.fields(cache):
             value = getattr(cache, field.name)
             assert value is None or not any(
@@ -1317,7 +1368,7 @@ class TestPlans:
             ), field.name
         # The next window of the shape runs on the plan; the spent cache reads none of it.
         _, again, _ = model.forward_window(params, config, inputs, masks, buffers=buffers)
-        assert again.buffers.plan is plan and again.ticks is plan.ticks and cache.ticks is None
+        assert again.plan is plan and cache.plan is None and cache.lender is None
 
 
 class TestForwardWeights:
@@ -1420,7 +1471,8 @@ class TestScoringCaches:
         seen.clear()
         _, cache, _ = model.forward_window(params, config, inputs, masks)
         assert len(seen) == 2 * (6 + 1) and all(gates is not None for gates in seen)
-        assert cache.cell_window.gates is not None and cache.mog_window.gates is not None
+        assert cache.plan.cell_window.gates is not None
+        assert cache.plan.mog_window.gates is not None
 
     @pytest.mark.parametrize("fast", [False, True])
     @pytest.mark.parametrize("cell", ["lstm", "rlstm"])
@@ -1542,13 +1594,13 @@ class TestLeanStep:
         inputs = np.zeros((3, 4), np.int64)
         masks = model.ones_masks(config, 3, 4)
         buffers = model.WindowBuffers()
-        _, cache, _ = model.forward_window(params, config, inputs, masks, buffers=buffers)
-        block = cache.buffers.block
-        buffers.recycle(cache)
+        log_probs, cache, _ = model.forward_window(params, config, inputs, masks, buffers=buffers)
+        block = cache.plan.block
+        spend(params, config, log_probs, cache)
         with pytest.raises(DivergenceError):
             model.forward_window(poisoned_params(config), config, inputs, masks, buffers=buffers)
         _, cache, _ = model.forward_window(params, config, inputs, masks, buffers=buffers)
-        assert cache.buffers.block is block
+        assert cache.plan.block is block
 
 
 def masked(x, mask, index):
@@ -1765,7 +1817,6 @@ class TestWavefront:
                 assert_same_states(again_final, ref_final)
                 again_grads = model.backward_window(params, config, again_cache, grad_lp)
                 assert again_grads.vector.tobytes() == ref_grads.vector.tobytes()
-                buffers.recycle(again_cache)
 
     @pytest.mark.parametrize("backward", [False, True])
     @pytest.mark.parametrize("layers", [1, 3])
@@ -1823,6 +1874,7 @@ class TestWavefront:
         inputs = rng.integers(0, config.vocab_size, (2, horizon))
         masks = model.sample_masks(rng, config, 2, horizon)
         log_probs, cache, _ = model.forward_window(params, config, inputs, masks)
+        assert len(cache.plan.ticks) == horizon + config.layers - 1
         views = []
         for cls in (cells.CellCache, mogrifier.MogrifyCache):
             original = cls.at
@@ -1835,7 +1887,6 @@ class TestWavefront:
         _, grad_lp = model.nll_from_log_probs(log_probs, inputs)
         model.backward_window(params, config, cache, grad_lp)
         assert views == []
-        assert len(cache.ticks) == horizon + config.layers - 1
 
 
 class TestBenchmarkCalls:

@@ -2,8 +2,9 @@
 dependency but numpy, no calls to the parameter-tree round trips, no walk
 over the layers one by one, config validity decided in config.py alone, no
 guard work in the cell and mogrifier steps, no transposed view read in their
-forward steps, and every function the benchmark's span tracer
-(perfbench/tracer.py) wraps still exists."""
+forward steps, no tick read by position nor plan handed back by `recycle`,
+and every function the benchmark's span tracer (perfbench/tracer.py) wraps
+still exists."""
 
 import ast
 import importlib
@@ -279,6 +280,38 @@ def test_transposed_read_in_a_forward_step_is_caught(tmp_path):
         "    return gemm(cache.gates.mT, p.w)\n"
     )
     assert transposed_reads_in_forward_steps(module) == [2, 6]
+
+
+def positional_ticks_and_recycles(path):
+    """Lines that subscript a `.ticks` (a tick's fields are read by name) or
+    call a `.recycle`: a window's plan goes back to its lender from
+    forward_window or from backward_window, which spends the cache."""
+    _, tree = parsed(path)
+    return sorted(
+        node.lineno
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.Subscript) and getattr(node.value, "attr", None) == "ticks")
+        or (isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "recycle")
+    )
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_positional_tick_or_recycle(path):
+    assert positional_ticks_and_recycles(path) == []
+
+
+def test_positional_tick_and_recycle_are_caught(tmp_path):
+    module = tmp_path / "m.py"
+    module.write_text(
+        "rows, m_state = cache.ticks[k][:2]\n"
+        "for k, tick in enumerate(plan.ticks):\n"
+        "    lo, recycle = tick.lo, tick.rows\n"
+        "last = plan.ticks[-1].rows\n"
+        "buffers.recycle(cache)\n"
+        "ticks = plan.ticks\n"
+        "recycle(ticks)\n"
+    )
+    assert positional_ticks_and_recycles(module) == [1, 4, 5]
 
 
 def tracer_targets():
