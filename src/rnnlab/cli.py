@@ -11,6 +11,7 @@ import argparse
 import csv
 import dataclasses
 import errno
+import functools
 import math
 import os
 import sys
@@ -52,6 +53,7 @@ FLAG_SETTINGS = {
 }
 
 
+@functools.cache  # parse_args fills a new namespace per call; nothing parsed stays behind
 def build_parser() -> _Parser:
     parser = _Parser(prog="rnnlab", description="recurrent language model laboratory")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -82,16 +84,18 @@ def _split_file(cfg: RunConfig, split: str) -> str:
     return path
 
 
-def _writable_file(path: str):
-    """A file error unless a file can be written at `path`: it is not a
-    directory, and its directory exists and may be written."""
-    if os.path.isdir(path):
-        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
-    directory = os.path.dirname(path) or "."
-    if not os.path.isdir(directory):
-        raise OSError(f"cannot write {path}: no directory {directory}")
-    if not os.access(directory, os.W_OK):
-        raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), directory)
+def _writable_files(*paths):
+    """A file error unless a file can be written at each path given (None and
+    "" are skipped): it is not a directory, and its directory exists and may
+    be written.  A command checks what it writes this way before its work."""
+    for path in filter(None, paths):
+        if os.path.isdir(path):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+        directory = os.path.dirname(path) or "."
+        if not os.path.isdir(directory):
+            raise OSError(f"cannot write {path}: no directory {directory}")
+        if not os.access(directory, os.W_OK):
+            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), directory)
 
 
 def _vocab_file(cfg: RunConfig) -> str:
@@ -149,8 +153,7 @@ def cmd_train(args) -> int:
     for split, rows in (("train", opts.batch_size), ("valid", opts.val_batch_size)):
         evaluation.require_scorable(streams[split], rows, f"{split} split {paths[split]}")
     tta_path = cfg.tta_checkpoint_path or cfg.checkpoint_path + ".tta"
-    for path in (_vocab_file(cfg), cfg.checkpoint_path, tta_path):
-        _writable_file(path)  # written after training, so checked before it
+    _writable_files(_vocab_file(cfg), cfg.checkpoint_path, tta_path, args.csv_out)
     rng = numerics.Rng(cfg.seed)
 
     with open(cfg.metrics_path or os.devnull, "w", encoding="utf-8") as log:
@@ -213,8 +216,11 @@ def _report(args, cfg: RunConfig, event: str, split: str, report: evaluation.Eva
 
 
 def _load_model(args):
-    """The run config, the checkpoint and the vocabulary of a scoring command."""
+    """The run config, the checkpoint and the vocabulary of a scoring command
+    whose outputs (--csv-out, the metrics log, a tuned temperature) can be written."""
     cfg = _load_run_config(args)
+    tuned = _temperature_file(cfg) if args.command == "tune-temperature" else None
+    _writable_files(getattr(args, "csv_out", None), cfg.metrics_path, tuned)
     ckpt = ckpt_mod.load_checkpoint(cfg.checkpoint_path)
     return cfg, ckpt, _load_vocab_for_eval(cfg, ckpt.config.vocab_size)
 

@@ -251,7 +251,7 @@ class WindowBuffers:
     def __init__(self):
         self._plan = None
 
-    def lend(self, key, params, config, masks) -> "_Plan":
+    def lend(self, key, params, config) -> "_Plan":
         """The last window's plan if it has the shape `key`, else a new plan of
         that shape, built into the last plan's block if that is large enough."""
         plan, self._plan = self._plan, None
@@ -260,7 +260,7 @@ class WindowBuffers:
             block = None if plan is None or plan.block.size < size.used else plan.block
             plan = None  # free the old block before taking a larger one
             block = np.empty(size.used, np.uint8) if block is None else block
-            plan = _Plan(key, params, config, masks, block)
+            plan = _Plan(key, params, config, block)
         return plan
 
     def take_back(self, plan: "_Plan"):
@@ -312,8 +312,14 @@ class WindowCache:
         return [[window.at((l, t)) for l in range(layers)] for t in range(horizon)]
 
 
+# The window shape that fixes a plan: the values of the config's fields (a
+# ModelConfig is mutable), the batch, the horizon, whether the window runs for
+# its backward pass, and whether it has a state mask and a cell mask.
+_PlanKey = collections.namedtuple("_PlanKey", "config batch horizon backward state_mask cell_mask")
+
+
 def _window_buffers(params, config, key, empty):
-    """The activation buffers of a window of forward_window's shape `key`,
+    """The activation buffers of a window of the shape `key` (a _PlanKey),
     allocated with `empty`: a cell cache and a mogrifier cache of (L, T, B, .)
     arrays, whose ladder tops are the two halves of the cell's input, and the
     (T, B, n) input of the output layer.  The cell states are an
@@ -322,17 +328,16 @@ def _window_buffers(params, config, key, empty):
     from, is a view of it too.  Without a backward pass the caches hold one
     step, (L, 1, B, .), reused at every tick (c_prev is c, updated in place),
     and no gate values: nothing reads them."""
-    batch, horizon, backward = key[-5:-2]
-    n, dtype, steps = config.state_size, config.np_dtype, horizon if backward else 1
-    shape, first = (config.layers, steps, batch), int(backward)  # the first step's c
-    states = empty((config.layers, steps + first, batch, n), dtype)
+    n, dtype, steps = config.state_size, config.np_dtype, key.horizon if key.backward else 1
+    shape, first = (config.layers, steps, key.batch), int(key.backward)  # the first step's c
+    states = empty((config.layers, steps + first, key.batch, n), dtype)
     cell_window = cells.new_cache(config.cell, shape, n, n, dtype, empty, states[:, first:])
     cell_window.c_prev, cell_window.capped = states[:, :steps], config.cap_input_gate
     tops = (cell_window.xh[..., :n], cell_window.xh[..., n:])
     mog_window = mogrifier.new_cache(params.layers.mog, shape, n, n, dtype, tops, empty)
-    if not backward:
+    if not key.backward:
         cell_window.gates = mog_window.gates = None
-    return cell_window, mog_window, empty((horizon, batch, n), dtype)
+    return cell_window, mog_window, empty((key.horizon, key.batch, n), dtype)
 
 
 def _skewed(a, layers=None):
@@ -365,28 +370,27 @@ class _Plan:
     or [lo:hi + 1, 0] of one step's; a scoring plan's ticks of the same rows
     share one _Tick."""
 
-    def __init__(self, key, params, config, masks, block):
+    def __init__(self, key, params, config, block):
         self.key, self.block = key, block
         windows = _window_buffers(params, config, key, _Carver(block))
         self.cell_window, self.mog_window, self.outputs = windows
-        (layers, _, batch, n), backward = windows[0].c.shape, windows[0].gates is not None
-        horizon, dtype, stack = self.outputs.shape[0], config.np_dtype, params.layers
+        layers, n, dtype, stack = config.layers, config.state_size, config.np_dtype, params.layers
         *_, forward = _layer_template(config.cell, n, config.mogrifier_rounds, config.mogrifier_rank)
         self.weights = map_arrays(forward, lambda a: np.empty((layers, *a.shape), dtype))
-        self.h = np.empty((layers, batch, n), dtype)
-        self.m_state = None if masks.m_state is None else np.empty_like(self.h)
+        self.h = np.empty((layers, key.batch, n), dtype)
+        self.m_state = np.empty_like(self.h) if key.state_mask else None
         # sums[k % 2][l]: layers 0..l's masked outputs before tick k, left to right
-        sums = np.empty((2, layers, batch, n), dtype)
+        sums = np.empty((2, layers, key.batch, n), dtype)
         cell_at, mog_at = self.cell_window, self.mog_window
-        if backward:
+        if key.backward:
             cell_at, mog_at = map_arrays(cell_at, _skewed), map_arrays(mog_at, _skewed)
         keys = [  # (lo, hi, position, k % 2)
-            (max(0, k - horizon + 1), min(layers - 1, k), k if backward else 0, k % 2)
-            for k in range(horizon + layers - 1)
+            (max(0, k - key.horizon + 1), min(layers - 1, k), k if key.backward else 0, k % 2)
+            for k in range(key.horizon + layers - 1)
         ]
-        work = (cells.new_work(config.cell, (layers, batch), n, dtype),  # a tick takes its rows
-                mogrifier.new_work(stack.mog, (layers, batch), dtype))
-        xhats = None if masks.m_cell is None else np.empty_like(self.h)
+        work = (cells.new_work(config.cell, (layers, key.batch), n, dtype),  # a tick takes its rows
+                mogrifier.new_work(stack.mog, (layers, key.batch), dtype))
+        xhats = np.empty_like(self.h) if key.cell_mask else None
         rowwise = {  # the weights, scratch and h of rows lo:hi + 1, shared by their ticks
             (lo, hi): map_arrays((self.weights, work, self.h), lambda a: a[lo : hi + 1])
             for lo, hi in {key[:2] for key in keys}
@@ -493,10 +497,10 @@ def forward_window(
                 raise ValueError(
                     f"carried state {name} has shape {np.shape(state)}, not (L, B, n) = {shape}"
                 )
-    key = (*vars(config).values(), batch, horizon, backward, masks.m_state is None,
-           masks.m_cell is None)
+    key = _PlanKey(tuple(vars(config).values()), batch, horizon, backward,
+                   masks.m_state is not None, masks.m_cell is not None)
     buffers = WindowBuffers() if buffers is None else buffers
-    plan = buffers.lend(key, params, config, masks)
+    plan = buffers.lend(key, params, config)
     try:
         # This window's weights, state mask and carried-in states go into the plan.
         cells.forward_weights(params.layers.cell, out=plan.weights[0])

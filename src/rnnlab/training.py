@@ -247,7 +247,6 @@ class TrainResult:
     restarts: int
     steps: int
     stop_reason: str
-    rng: Rng
 
 
 def _validation_nats(params, config, stream, opts: TrainOptions) -> float:
@@ -274,8 +273,9 @@ def train(
     """Run the full training loop and return the final state plus metrics.
 
     loss_hook(step, loss) may rewrite the batch loss before the divergence
-    test (the test suite uses it to inject failures).  metrics_sink receives
-    each metrics line as it is produced.
+    test (the test suite uses it to inject failures); it sees only the steps
+    whose forward pass returned a loss.  metrics_sink receives each metrics
+    line as it is produced.
     """
     config.validate()
     opts.validate()
@@ -285,8 +285,7 @@ def train(
     tta = tta_init(params.vector)
 
     rows = data_mod.batchify(np.asarray(train_stream), opts.batch_size)
-    windows_per_epoch = data_mod.count_windows(rows.shape[1], opts.window)
-    if windows_per_epoch == 0:
+    if data_mod.count_windows(rows.shape[1], opts.window) == 0:
         raise ValueError("training stream too short for one window")
 
     def snapshot(val_nats) -> Checkpoint:
@@ -301,8 +300,7 @@ def train(
     step = 0
     stop_reason = "completed"
     bad_validations = 0
-    loss_sum = 0.0
-    loss_count = 0
+    loss_sum, loss_count = 0.0, 0
     started = time.monotonic()
     states = None
 
@@ -310,17 +308,6 @@ def train(
         metrics.append(line)
         if metrics_sink is not None:
             metrics_sink(line)
-
-    def restore_from_best():
-        """Put the parameters, the optimizer moments and step, and the tails
-        back to a copy of the best state and decay the learning rate from
-        its current value.  The rng is not rewound: the masks after a
-        restart are fresh draws, so the run does not replay the draws that
-        led it to diverge."""
-        nonlocal params, radam, tta
-        restored = copy_checkpoint(best)
-        params, tta = restored.params, restored.tta
-        radam = dataclasses.replace(restored.radam, lr=radam.lr * opts.lr_decay_on_restart)
 
     def tail_loss(mean) -> float:
         return _validation_nats(model.empty_model_params(config, mean), config, valid_stream, opts)
@@ -331,68 +318,56 @@ def train(
         val_nats = _validation_nats(params, config, valid_stream, opts)
         if tta.short.count > 0:
             tta_average, tta_val, _ = tta_evaluate_and_swap(tta, tail_loss)
-        improved = val_nats < best.best_val_nats
-        if improved:
+        if val_nats < best.best_val_nats:
             best = snapshot(val_nats)
+            bad_validations = 0
+        else:
+            bad_validations += 1
         train_nats = loss_sum / max(loss_count, 1)
-        loss_sum = 0.0
-        loss_count = 0
+        loss_sum, loss_count = 0.0, 0
         emit(
             f"event=val step={step} epoch={epoch} train_nats={train_nats!r} "
             f"val_nats={val_nats!r} tta_nats={tta_val!r} lr={radam.lr!r} restarts={restarts}"
         )
-        if improved:
-            bad_validations = 0
-        else:
-            bad_validations += 1
-        if opts.patience > 0 and bad_validations >= opts.patience:
-            return True
-        if opts.target_val_nats > 0 and min(val_nats, tta_val) <= opts.target_val_nats:
-            return True
-        return False
+        return (opts.patience > 0 and bad_validations >= opts.patience) or (
+            opts.target_val_nats > 0 and min(val_nats, tta_val) <= opts.target_val_nats
+        )
 
-    epoch = 0
     for epoch in range(opts.epochs):
         for batch in data_mod.windows(rows, opts.window):
             step += 1
             batch.states = states
-            diverged = None
-            loss = float("nan")
-            grads = None
-            new_states = None
             try:
                 loss, grads, new_states = model.loss_multisample(
                     params, config, batch, rng, config.dropout_samples, buffers
                 )
-            except DivergenceError as err:
-                diverged = str(err)
-            if loss_hook is not None:
-                loss = loss_hook(step, loss)
-            if diverged is None and not np.isfinite(loss):
-                diverged = f"non-finite loss at step {step}"
-            if (
-                diverged is None
-                and np.isfinite(best.best_val_nats)
-                and loss > opts.divergence_factor * best.best_val_nats
-            ):
-                diverged = f"loss {loss:.6g} above {opts.divergence_factor} x best validation"
-            if diverged is None and grads is not None:
+                if loss_hook is not None:
+                    loss = loss_hook(step, loss)
+                if not np.isfinite(loss):
+                    raise DivergenceError(f"non-finite loss at step {step}")
+                if loss > opts.divergence_factor * best.best_val_nats:  # inf before a validation
+                    raise DivergenceError(
+                        f"loss {loss:.6g} above {opts.divergence_factor} x best validation"
+                    )
                 clip_global_norm(grads, opts.clip_norm)
-                try:
-                    radam_step(radam, params.vector, grads.vector)
-                except DivergenceError as err:
-                    diverged = str(err)
-            if diverged is not None:
+                radam_step(radam, params.vector, grads.vector)
+                del grads  # freed before the next window allocates its own
+            except DivergenceError as err:
                 restarts += 1
                 if restarts > opts.max_restarts:
                     raise TrainingDiverged(
-                        f"diverged {restarts} times (limit {opts.max_restarts}), "
-                        f"last cause: {diverged}"
-                    )
-                restore_from_best()
+                        f"diverged {restarts} times (limit {opts.max_restarts}), last cause: {err}"
+                    ) from err
+                # Back to a copy of the best state with the learning rate decayed
+                # from its current value.  The rng is not rewound: the masks after
+                # a restart are fresh draws, so the run does not replay the draws
+                # that led it to diverge.
+                restored = copy_checkpoint(best)
+                params, tta = restored.params, restored.tta
+                radam = dataclasses.replace(restored.radam, lr=radam.lr * opts.lr_decay_on_restart)
                 states = None  # carried activations are suspect; restart context
                 emit(
-                    f"event=restart step={step} epoch={epoch} cause={diverged!r} "
+                    f"event=restart step={step} epoch={epoch} cause={str(err)!r} "
                     f"lr={radam.lr!r} restarts={restarts}"
                 )
                 continue
@@ -400,26 +375,22 @@ def train(
             states = new_states
             loss_sum += loss
             loss_count += 1
-            if opts.val_interval > 0 and step % opts.val_interval == 0:
-                if validate(epoch):
-                    stop_reason = "early_stop"
-                    break
+            if opts.val_interval > 0 and step % opts.val_interval == 0 and validate(epoch):
+                stop_reason = "early_stop"
+                break
             if opts.max_train_seconds > 0 and time.monotonic() - started > opts.max_train_seconds:
                 stop_reason = "time_budget"
                 break
         else:
             if opts.val_interval <= 0 and validate(epoch):
                 stop_reason = "early_stop"
-            if stop_reason == "completed":
-                continue
-        break
+        if stop_reason != "completed":
+            break
 
-    if loss_count > 0 and (opts.val_interval > 0 or stop_reason != "completed"):
-        # The loop ended between validations; run a final one so the best
-        # state and the metrics log reflect the end of training.
-        stopped = validate(epoch)
-        if stop_reason == "completed" and stopped:
-            stop_reason = "early_stop"
+    # A loop that ended between validations runs a final one, so the best state
+    # and the metrics log reflect the end of training.
+    if loss_count > 0 and validate(epoch) and stop_reason == "completed":
+        stop_reason = "early_stop"
 
     return TrainResult(
         params=params,
@@ -433,5 +404,4 @@ def train(
         restarts=restarts,
         steps=step,
         stop_reason=stop_reason,
-        rng=rng,
     )

@@ -90,6 +90,25 @@ class TestUsage:
         assert out == "" and err == f"usage error: unrecognized arguments: {flag} {value}\n"
         assert list(tmp_path.iterdir()) == []
 
+    def test_one_parser_and_no_setting_carried_between_calls(
+        self, trained_run, tmp_path, monkeypatch
+    ):
+        seen = []
+
+        def record(args):
+            cfg = cli._load_run_config(args)
+            seen.append((cfg.seed, cfg.checkpoint_path))
+            return cli.EXIT_OK
+
+        monkeypatch.setattr(cli, "cmd_train", record)
+        config = write_config(tmp_path / "s.cfg", trained_run["corpus"], tmp_path, seed=3)
+        other = str(tmp_path / "other.ckpt")
+        argv = ["train", "--config", str(config)]
+        assert cli.main([*argv, "--seed", "5", "--checkpoint", other]) == 0
+        assert cli.main(argv) == 0
+        assert seen == [(5, other), (3, str(tmp_path / "model.ckpt"))]
+        assert cli.build_parser() is cli.build_parser()
+
 
 class TestGradcheckCommand:
     def test_passing_suite_exits_zero(self, capsys, monkeypatch):
@@ -478,6 +497,43 @@ class TestBadFiles:
         assert err.startswith(f"file error: cannot write {missing / 'out'}")
         assert err.endswith(f": no directory {missing}\n") and err.count("\n") == 1
         assert trained == []
+
+    @pytest.mark.parametrize(
+        "command, output",
+        [
+            ("train", "--csv-out"),
+            ("evaluate", "--csv-out"),
+            ("dyneval", "--csv-out"),
+            ("evaluate", "metrics_path"),
+            ("dyneval", "metrics_path"),
+            ("tune-temperature", "metrics_path"),
+            ("tune-temperature", "temperature_file"),
+        ],
+    )
+    def test_missing_directory_for_an_output_refuses_the_work(
+        self, trained_run, tmp_path, capsys, command, output
+    ):
+        # Refused before training or scoring: no result line, the metrics log
+        # as it was, and no checkpoint or temperature file written.
+        missing = tmp_path / "no_such_directory" / "out"
+        if command != "train":
+            for name in ("model.ckpt", "model.ckpt.vocab"):
+                shutil.copy(trained_run["root"] / name, tmp_path / name)
+        metrics = tmp_path / "metrics.log"
+        metrics.write_text("earlier\n")
+        settings = {} if output == "--csv-out" else {output: missing}
+        config = write_config(
+            tmp_path / "out.cfg", trained_run["corpus"], tmp_path,
+            epochs=1, max_train_seconds=0.5, **settings,
+        )
+        flags = ["--csv-out", str(missing)] if output == "--csv-out" else []
+        before = sorted(p.name for p in tmp_path.iterdir())
+        assert cli.main([command, "--config", str(config), *flags]) == 1
+        assert capsys.readouterr() == (
+            "", f"file error: cannot write {missing}: no directory {missing.parent}\n"
+        )
+        assert metrics.read_text() == "earlier\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == before
 
     @pytest.mark.parametrize(
         "content, message",

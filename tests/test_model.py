@@ -1316,7 +1316,7 @@ class TestPlans:
 
         class Counted(model._Plan):
             def __init__(self, key, *args):
-                built.append(key[-5:-2])
+                built.append((key.batch, key.horizon, key.backward))
                 super().__init__(key, *args)
 
         monkeypatch.setattr(model, "_Plan", Counted)

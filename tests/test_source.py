@@ -3,8 +3,8 @@ dependency but numpy, no calls to the parameter-tree round trips, no walk
 over the layers one by one, config validity decided in config.py alone, no
 guard work in the cell and mogrifier steps, no transposed view read in their
 forward steps, no tick read by position nor plan handed back by `recycle`,
-and every function the benchmark's span tracer (perfbench/tracer.py) wraps
-still exists."""
+one path for a diverging training step, and every function the benchmark's
+span tracer (perfbench/tracer.py) wraps still exists."""
 
 import ast
 import importlib
@@ -312,6 +312,55 @@ def test_positional_tick_and_recycle_are_caught(tmp_path):
         "recycle(ticks)\n"
     )
     assert positional_ticks_and_recycles(module) == [1, 4, 5]
+
+
+def divergence_paths(path):
+    """Lines of the `except DivergenceError` handlers after the first, and
+    lines where `train` binds a name `diverged`: a failed training step takes
+    one path, the handler that restarts from the best state."""
+    _, tree = parsed(path)
+    handlers = sorted(
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ExceptHandler)
+        and node.type is not None
+        and "DivergenceError" in ast.unparse(node.type)
+    )
+    bound = {
+        node.lineno
+        for fn in ast.walk(tree)
+        if isinstance(fn, ast.FunctionDef) and fn.name == "train"
+        for node in ast.walk(fn)
+        if (isinstance(node, ast.Name) and node.id == "diverged"
+            and isinstance(node.ctx, ast.Store))
+        or (isinstance(node, ast.ExceptHandler) and node.name == "diverged")
+    }
+    return sorted(set(handlers[1:]) | bound)
+
+
+def test_one_divergence_path_in_training():
+    assert divergence_paths(ROOT / "src" / "rnnlab" / "training.py") == []
+
+
+def test_a_second_divergence_path_is_caught(tmp_path):
+    module = tmp_path / "m.py"
+    module.write_text(
+        "def train(step):\n"
+        "    try:\n"
+        "        step()\n"
+        "    except DivergenceError as err:\n"
+        "        diverged = str(err)\n"
+        "    try:\n"
+        "        step()\n"
+        "    except (ValueError, numerics.DivergenceError) as diverged:\n"
+        "        pass\n"
+        "    for diverged in ():\n"
+        "        pass\n"
+        "    return diverged\n"
+        "def other(step):\n"
+        "    diverged = step()\n"
+    )
+    assert divergence_paths(module) == [5, 8, 10]
 
 
 def tracer_targets():

@@ -496,6 +496,33 @@ class TestTrainLoop:
         assert restart_lines[0].startswith("event=restart step=2 ")
         assert " cause='non-finite cell activations' " in restart_lines[0]
 
+    def test_the_hook_never_sees_a_step_whose_forward_pass_raised(self, monkeypatch):
+        # As above, step 2's forward pass diverges: it has no loss to rewrite.
+        config = tiny_train_config()
+        update = training.radam_step
+        seen = []
+
+        def poisoning_update(state, theta, g):
+            update(state, theta, g)
+            if seen == [1]:
+                model.empty_model_params(config, theta).layers.cell.b[0, 0] = np.nan
+
+        def hook(step, loss):
+            seen.append(step)
+            return loss
+
+        monkeypatch.setattr(training, "radam_step", poisoning_update)
+        result = train(
+            config,
+            tiny_train_opts(epochs=1, val_interval=3),
+            pattern_stream(52),
+            pattern_stream(40),
+            Rng(506),
+            loss_hook=hook,
+        )
+        assert result.restarts == 1
+        assert seen == [1, 3, 4, 5, 6, 7]
+
     def test_repeated_divergence_raises(self):
         def hook(step, loss):
             return float("nan")
@@ -583,6 +610,61 @@ class TestTrainLoop:
             TrainOptions(divergence_factor=1.0).validate()
         with pytest.raises(ValueError):
             TrainOptions(max_restarts=-1).validate()
+
+
+# (options, the step whose loss the hook turns into NaN, the stop reason, the
+# events).  pattern_stream(52) over batch 2 and window 4 is 7 windows an epoch.
+SCHEDULES = {
+    "epoch end, 1 epoch": ({}, None, "completed", [("val", 7)]),
+    "epoch end, 2 epochs": ({"epochs": 2}, None, "completed", [("val", 7), ("val", 14)]),
+    "every 3, 1 epoch": (
+        {"val_interval": 3}, None, "completed", [("val", 3), ("val", 6), ("val", 7)]
+    ),
+    "every 3, 2 epochs": (
+        {"epochs": 2, "val_interval": 3}, None, "completed",
+        [("val", 3), ("val", 6), ("val", 9), ("val", 12), ("val", 14)],
+    ),
+    "every 4, 2 epochs": (
+        {"epochs": 2, "val_interval": 4}, None, "completed",
+        [("val", 4), ("val", 8), ("val", 12), ("val", 14)],
+    ),
+    "restart on an epoch's last window": (
+        {"epochs": 2}, 7, "completed", [("restart", 7), ("val", 7), ("val", 14)]
+    ),
+    "restart on the run's last window": (
+        {"val_interval": 3}, 7, "completed", [("val", 3), ("val", 6), ("restart", 7)]
+    ),
+    "patience": (
+        {"epochs": 50, "val_interval": 2, "lr": 1e-30, "patience": 1}, None, "early_stop",
+        [("val", 2), ("val", 4)],
+    ),
+    "target": ({"epochs": 50, "val_interval": 2, "target_val_nats": 10.0}, None, "early_stop",
+               [("val", 2)]),
+    "target at an epoch end": ({"epochs": 2, "target_val_nats": 10.0}, None, "early_stop",
+                               [("val", 7)]),
+    "time budget": ({"epochs": 1000, "max_train_seconds": 1e-9}, None, "time_budget",
+                    [("val", 1)]),
+}
+
+
+@pytest.mark.parametrize("name", SCHEDULES)
+def test_the_loop_schedule(name):
+    options, nan_step, stop_reason, events = SCHEDULES[name]
+
+    def hook(step, loss):
+        return float("nan") if step == nan_step else loss
+
+    result = train(
+        tiny_train_config(),
+        tiny_train_opts(**options),
+        pattern_stream(52),
+        pattern_stream(40),
+        Rng(513),
+        loss_hook=hook,
+    )
+    logged = [re.match(r"event=(\w+) step=(\d+) ", line).groups() for line in result.metrics_lines]
+    assert [(kind, int(step)) for kind, step in logged] == events
+    assert result.stop_reason == stop_reason
 
 
 class TestFloat32:
